@@ -33,7 +33,15 @@ from .fileio import (
     write_gain_map_csv,
 )
 from .link import theorem_trials
-from .metrics import cdf_summary, coverage_stats, loss_samples, pair_phase_diff, phase_mixing, roi_mask
+from .metrics import (
+    cdf_summary,
+    check_percentiles,
+    coverage_stats,
+    loss_samples,
+    pair_phase_diff,
+    phase_mixing,
+    roi_mask,
+)
 from .sphere import make_grid
 
 
@@ -103,6 +111,7 @@ def _cmd_distort(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
+    check_percentiles(args.percentiles)
     free = read_field_file(args.free)
     blocked = read_field_file(args.blocked)
     out = Path(args.out)

@@ -28,6 +28,7 @@ __all__ = [
     "roi_mask",
     "rect_roi",
     "loss_samples",
+    "check_percentiles",
     "cdf_summary",
     "coverage_stats",
     "pair_phase_diff",
@@ -192,6 +193,15 @@ class CdfSummary:
         }
 
 
+def check_percentiles(percentiles) -> tuple[float, ...]:
+    """Percentiles as floats; raises ValueError for any outside [0, 100]."""
+    ps = tuple(float(p) for p in percentiles)
+    for p in ps:
+        if not 0.0 <= p <= 100.0:
+            raise ValueError(f"percentile {p} outside [0, 100]")
+    return ps
+
+
 def cdf_summary(
     samples,
     percentiles: tuple[float, ...] = (10.0, 50.0, 80.0, 90.0),
@@ -203,10 +213,7 @@ def cdf_summary(
         raise ValueError("cdf_summary needs at least one sample")
     if not np.isfinite(x).all():
         raise ValueError("samples must be finite")
-    ps = tuple(float(p) for p in percentiles)
-    for p in ps:
-        if not 0.0 <= p <= 100.0:
-            raise ValueError(f"percentile {p} outside [0, 100]")
+    ps = check_percentiles(percentiles)
     if weights is None:
         vals = np.percentile(x, ps) if ps else np.array([])
         mean, std = float(x.mean()), float(x.std())

@@ -152,3 +152,12 @@ def test_console_entry_point_help():
     assert proc.returncode == 0
     for name in ("synth", "distort", "metrics", "evaluate", "theorem-check", "run"):
         assert name in proc.stdout
+
+
+def test_metrics_rejects_bad_percentiles_before_writing(free_file, tmp_path, capsys):
+    out_dir = tmp_path / "metrics"
+    rc = main(["metrics", "--free", str(free_file), "--blocked", str(free_file),
+               "--out", str(out_dir), "--percentiles", "50,150"])
+    assert rc == 1
+    assert "percentile 150.0" in capsys.readouterr().err
+    assert not out_dir.exists()
