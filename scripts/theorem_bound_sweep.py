@@ -20,7 +20,6 @@ def main() -> None:
     ap.add_argument("--b-values", default="1,2,3", help="comma-separated bit widths")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--antennas", type=int, default=4)
-    ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--out", type=Path, default=Path("out/theorem_sweep.csv"))
     args = ap.parse_args()
 
@@ -30,7 +29,6 @@ def main() -> None:
         b_values=b_values,
         seed=args.seed,
         n_antennas=args.antennas,
-        workers=args.workers,
     )
 
     args.out.parent.mkdir(parents=True, exist_ok=True)

@@ -18,12 +18,7 @@ from .codebook import (
     gain_map,
 )
 from .distortion import DistortionSpec, apply_distortion, gen_distortion
-from .experiment import (
-    config_from_yaml,
-    default_config,
-    resolve_workers,
-    run_experiment,
-)
+from .experiment import config_from_yaml, default_config, run_experiment
 from .fields import ArrayConfig, synth_freespace_field
 from .fileio import (
     _fmt,
@@ -172,7 +167,6 @@ def _cmd_theorem_check(args) -> int:
         b_values=args.b_values,
         seed=args.seed,
         n_antennas=args.n_antennas,
-        workers=resolve_workers(None),
     )
     if args.out:
         with open(args.out, "w", newline="") as fh:

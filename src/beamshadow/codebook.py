@@ -11,10 +11,29 @@ Schemes
 - Enhanced phase+amplitude codebook: the same phase lattice with per-antenna
   magnitudes proportional to measured element strengths.
 
-Every gain evaluation reduces ``(W.conj() * E).sum(axis=-1)`` and squares
-real/imag parts explicitly.  That reduction is bit-identical to enumerating
-entries one by one (unlike BLAS matmul), so the accelerated search and a
-naive exhaustive search return identical gains and winning indices.
+Search
+------
+Every search goes through ``best_entries``: for a block of field vectors it
+returns each vector's best ``|w_k^H e|^2`` and the lowest winning index k.
+It computes exactly what enumerating entries one at a time computes, so
+every map, every realized gain and a naive exhaustive search agree bit for
+bit (BLAS matmul would not):
+
+- each response ``sum_i conj(w_ki) * e_i`` is added in the order numpy's
+  own ``.sum(axis=-1)`` adds a complex row of N terms (``_add_tree``);
+- power is ``re*re + im*im`` (``x**2`` may take a libm route);
+- dB values come from scalar ``math.log10``; ``np.log10`` can differ in
+  the last bit.
+
+Enhanced codebooks are lattices: entry k takes antenna i's weight from the
+i-th base-2**B digit of k (antenna 1 fixed, antenna 2 the slowest digit),
+so antenna i has only 2**B distinct weights.  Sliced from the weight
+matrix itself, these level tables give 2**B products ``conj(w) * e_i`` per
+antenna, and broadcasting them through the add tree yields every entry's
+response without forming the (entries x antennas) product.  Any other
+codebook multiplies the whole matrix.  Field vectors are processed in
+blocks of at most ``_BLOCK_PRODUCTS`` entry-vector pairs, which bounds the
+temporaries whatever the grid size.
 """
 
 from __future__ import annotations
@@ -43,10 +62,16 @@ __all__ = [
     "realized_gain",
     "gain_map",
     "amp_gain_map",
+    "best_entries",
+    "phase_lattice",
     "MAX_ENH_ENTRIES",
 ]
 
 MAX_ENH_ENTRIES = 1_000_000
+
+# entry x field-vector responses formed at once by best_entries; larger
+# blocks buy little speed and raise peak memory
+_BLOCK_PRODUCTS = 1 << 14
 
 CODEBOOK_KINDS = ("directional", "enh-phase", "enh-phase-amp", "element-sweep")
 
@@ -171,8 +196,12 @@ def _enh_phase_tuples(n_antennas: int, b_bits: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _enh_phase_matrix(n_antennas: int, b_bits: int) -> np.ndarray:
-    """Unnormalized phase-entry matrix: row k is [1, e^{j phi_k2}, ...]."""
+def phase_lattice(n_antennas: int, b_bits: int) -> np.ndarray:
+    """Unnormalized B-bit phase entries: row k is [1, e^{j phi_k2}, ...].
+
+    The enhanced phase codebook is this matrix over sqrt(N); the amplitude
+    codebook scales column i by sqrt(S_i / sum S).
+    """
     ks = _enh_phase_tuples(n_antennas, b_bits)
     phases = np.zeros((ks.shape[0], n_antennas))
     if n_antennas > 1:
@@ -182,12 +211,99 @@ def _enh_phase_matrix(n_antennas: int, b_bits: int) -> np.ndarray:
     return out
 
 
-def _entry_powers(weight_matrix: np.ndarray, e_vec: np.ndarray) -> np.ndarray:
-    """|w_k^H e|^2 for every row; the bit-stable reduction (see module doc)."""
-    z = (weight_matrix.conj() * e_vec).sum(axis=-1)
-    # x*x is exactly rounded in every numpy path; x**2 may take a libm
-    # pow() route whose last bit differs between scalar and array loops
-    return z.real * z.real + z.imag * z.imag
+def _add_tree(terms: list):
+    """Sum of the terms in the order numpy's pairwise ``.sum`` adds a
+    complex row of that length: left to right below four terms, else four
+    strided accumulators combined as (r0 + r1) + (r2 + r3), then the
+    remainder left to right.  Terms may be broadcastable arrays.  (numpy
+    splits rows of more than 64 terms in halves; a lattice that wide
+    would need at least 2**64 entries.)
+    """
+    n = len(terms)
+    if n < 4:
+        acc = terms[0]
+        for t in terms[1:]:
+            acc = acc + t
+        return acc
+    full = n - n % 4
+    r = list(terms[:4])
+    for j in range(4, full):
+        r[j % 4] = r[j % 4] + terms[j]
+    acc = (r[0] + r[1]) + (r[2] + r[3])
+    for t in terms[full:]:
+        acc = acc + t
+    return acc
+
+
+def _lattice_levels(weights: np.ndarray) -> list[np.ndarray] | None:
+    """Per-antenna weight levels if ``weights`` is a lattice, else None.
+
+    Row k of a lattice with L levels holds, in column i, level
+    ``digit_i(k)`` of antenna i, where digit_1(k) is the slowest base-L
+    digit of k over antennas 1..N-1; column 0 has one level.  The levels
+    are sliced from the matrix and the structure is checked exactly, so
+    the level path reproduces the matrix bit for bit.
+    """
+    n_entries, n = weights.shape
+    if n < 2 or n_entries < 2:
+        return None
+    n_levels = round(n_entries ** (1.0 / (n - 1)))
+    if n_levels < 2 or n_levels ** (n - 1) != n_entries:
+        return None
+    k = np.arange(n_entries)
+    levels = []
+    for i in range(n):
+        place = n_levels ** (n - 1 - i)
+        level = weights[np.arange(n_levels if i else 1) * place, i]
+        if not np.array_equal(weights[:, i], level[k // place % n_levels]):
+            return None
+        levels.append(level)
+    return levels
+
+
+def best_entries(weights, fields) -> tuple[np.ndarray, np.ndarray]:
+    """Best ``|w_k^H e|^2`` over the rows w_k of ``weights`` for every row e
+    of ``fields``, and the lowest index k attaining it.
+
+    ``weights`` is (entries, N) and ``fields`` is (vectors, N); rows of
+    ``fields`` are directions or trials.  Exactly equal to enumerating the
+    entries one at a time (see the module docstring).
+    """
+    weights = np.asarray(weights, dtype=np.complex128)
+    fields = np.asarray(fields, dtype=np.complex128)
+    if weights.ndim != 2 or weights.shape[0] < 1:
+        raise ValueError("weights must be a non-empty (entries, antennas) matrix")
+    n_entries, n = weights.shape
+    if fields.ndim != 2 or fields.shape[1] != n:
+        raise ValueError(f"fields must be a (vectors, {n}) array")
+    levels = _lattice_levels(weights)
+    if levels is None:
+        w_conj = weights.conj()
+    else:
+        conj_levels = [lv.conj() for lv in levels]
+    n_rows = fields.shape[0]
+    best = np.empty(n_rows)
+    index = np.empty(n_rows, dtype=np.intp)
+    step = max(1, _BLOCK_PRODUCTS // n_entries)
+    for lo in range(0, n_rows, step):
+        block = np.ascontiguousarray(fields[lo : lo + step])
+        if levels is None:
+            z = (w_conj * block[:, None, :]).sum(axis=-1)
+        else:
+            # term i is (vectors, 1, .., levels at axis i, .., 1): broadcasting
+            # the add tree lays entries out in lexicographic digit order
+            terms = []
+            for i, cl in enumerate(conj_levels):
+                shape = [len(block)] + [1] * (n - 1)
+                if i:
+                    shape[i] = cl.size
+                terms.append((cl * block[:, i, None]).reshape(shape))
+            z = _add_tree(terms).reshape(len(block), n_entries)
+        power = z.real * z.real + z.imag * z.imag
+        k = power.argmax(axis=1)
+        index[lo : lo + step] = k
+        best[lo : lo + step] = np.take_along_axis(power, k[:, None], axis=1)[:, 0]
+    return best, index
 
 
 def directional_codebook(
@@ -226,7 +342,7 @@ def enh_phase_codebook(n_antennas: int, b_bits: int) -> Codebook:
     """Exhaustive B-bit relative-phase codebook, equal magnitudes."""
     if n_antennas < 1:
         raise ValueError("n_antennas must be >= 1")
-    u = _enh_phase_matrix(n_antennas, b_bits) / math.sqrt(n_antennas)
+    u = phase_lattice(n_antennas, b_bits) / math.sqrt(n_antennas)
     ks = _enh_phase_tuples(n_antennas, b_bits)
     entries = tuple(
         BeamWeight(u[r], tag="enh-phase:" + ",".join(map(str, ks[r])))
@@ -245,7 +361,7 @@ def enh_phase_amp_codebook(n_antennas: int, b_bits: int, strengths) -> Codebook:
     if s.n_antennas != n_antennas:
         raise ValueError("strength vector length must equal n_antennas")
     sv = s.as_array()
-    v = (np.sqrt(sv)[None, :] * _enh_phase_matrix(n_antennas, b_bits)) / math.sqrt(sv.sum())
+    v = (np.sqrt(sv)[None, :] * phase_lattice(n_antennas, b_bits)) / math.sqrt(sv.sum())
     ks = _enh_phase_tuples(n_antennas, b_bits)
     entries = tuple(
         BeamWeight(v[r], tag="enh-phase-amp:" + ",".join(map(str, ks[r])))
@@ -300,20 +416,32 @@ def realized_gain(
             f"codebook is for {codebook.n_antennas} antennas, "
             f"field has {field.n_antennas}"
         )
-    e = field.at(theta_deg, phi_deg)
-    powers = _entry_powers(codebook.weight_matrix, e)
-    best = int(np.argmax(powers))
-    p = float(powers[best])
-    return (NULL_GAIN_DB if p == 0.0 else 10.0 * math.log10(p)), best
+    best, index = best_entries(codebook.weight_matrix, field.at(theta_deg, phi_deg)[None, :])
+    return _gains_db(best)[0], int(index[0])
 
 
-def _roi_cells(field: AntennaFieldMap, roi: RoIMask | None):
+def _gains_db(power: np.ndarray, total: np.ndarray | None = None) -> list[float]:
+    """``10*log10(power / total)`` per cell by scalar math.log10 (bit-stable,
+    see the module docstring); a zero power or total is -inf."""
+    if total is None:
+        return [NULL_GAIN_DB if p == 0.0 else 10.0 * math.log10(p) for p in power.tolist()]
+    return [
+        NULL_GAIN_DB if p == 0.0 or t == 0.0 else 10.0 * math.log10(p / t)
+        for p, t in zip(power.tolist(), total.tolist())
+    ]
+
+
+def _roi_vectors(field: AntennaFieldMap, roi: RoIMask | None):
+    """Field vectors of the RoI cells as a C-ordered (cells, N) array, so that
+    row reductions add each vector in the order a 1-D ``.sum`` does, and
+    their flat cell indices."""
+    flat = field.samples.reshape(field.n_antennas, -1)
     if roi is None:
-        nt, npj = field.grid.shape
-        return [(it, ip) for it in range(nt) for ip in range(npj)]
+        return np.ascontiguousarray(flat.T), slice(None)
     if roi.grid != field.grid:
         raise ValueError("RoI grid does not match the field grid")
-    return [(int(a), int(b)) for a, b in np.argwhere(roi.mask)]
+    cells = np.flatnonzero(roi.mask)
+    return np.ascontiguousarray(flat[:, cells].T), cells
 
 
 def gain_map(
@@ -324,7 +452,7 @@ def gain_map(
     """Realized-gain map (dB) of a codebook, or of "mrc" for the bound.
 
     Cells outside the RoI are NaN; exact nulls are -inf.  Codebook cells use
-    the same reduction as realized_gain, so the two agree bit for bit.
+    the same search as realized_gain, so the two agree bit for bit.
     """
     out = np.full(field.grid.shape, np.nan)
     if isinstance(scheme, str):
@@ -341,11 +469,9 @@ def gain_map(
         return out
     if scheme.n_antennas != field.n_antennas:
         raise ValueError("codebook and field antenna counts differ")
-    w = scheme.weight_matrix
-    s = field.samples
-    for it, ip in _roi_cells(field, roi):
-        p = float(_entry_powers(w, s[:, it, ip]).max())
-        out[it, ip] = NULL_GAIN_DB if p == 0.0 else 10.0 * math.log10(p)
+    vectors, cells = _roi_vectors(field, roi)
+    best, _ = best_entries(scheme.weight_matrix, vectors)
+    out.reshape(-1)[cells] = _gains_db(best)
     return out
 
 
@@ -361,18 +487,12 @@ def amp_gain_map(
     cannot be a single Codebook object; directions with an all-zero field
     have no trainable codebook and score -inf.
     """
-    u = _enh_phase_matrix(field.n_antennas, b_bits)
+    u = phase_lattice(field.n_antennas, b_bits)
     out = np.full(field.grid.shape, np.nan)
-    s = field.samples
-    for it, ip in _roi_cells(field, roi):
-        e = s[:, it, ip]
-        strengths = e.real * e.real + e.imag * e.imag
-        total = float(strengths.sum())
-        if total == 0.0:
-            out[it, ip] = NULL_GAIN_DB
-            continue
-        # sqrt(S_i) * E_i with sqrt(S_i) = |E_i|; the 1/sqrt(sum S) entry
-        # normalization becomes a single division of the squared magnitude.
-        p = float(_entry_powers(u, np.sqrt(strengths) * e).max())
-        out[it, ip] = NULL_GAIN_DB if p == 0.0 else 10.0 * math.log10(p / total)
+    e, cells = _roi_vectors(field, roi)
+    strengths = e.real * e.real + e.imag * e.imag
+    # sqrt(S_i) * E_i with sqrt(S_i) = |E_i|; the 1/sqrt(sum S) entry
+    # normalization becomes a single division of the squared magnitude.
+    best, _ = best_entries(u, np.sqrt(strengths) * e)
+    out.reshape(-1)[cells] = _gains_db(best, strengths.sum(axis=1))
     return out

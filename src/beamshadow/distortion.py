@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .fields import AntennaFieldMap
 from .sphere import SphericalGrid, angular_distance_deg, mod_2pi
@@ -127,6 +126,9 @@ def _smooth_screen(
     correlation length (clamped at the theta edges, periodic in phi), then
     rescaled so the empirical standard deviation equals the target.
     """
+    # imported here, so commands that draw no phase screen never load scipy
+    from scipy.ndimage import gaussian_filter
+
     white = rng.standard_normal(grid.shape)
     sigma = (corr_length_deg / grid.theta_step, corr_length_deg / grid.phi_step)
     smooth = gaussian_filter(white, sigma=sigma, mode=("nearest", "wrap"))

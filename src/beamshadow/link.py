@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codebook import BeamWeight, Codebook, _enh_phase_matrix, _entry_powers, phase_levels
+from .codebook import BeamWeight, Codebook, best_entries, phase_lattice, phase_levels
 from .fields import AntennaFieldMap
 from .sphere import mod_2pi, wrap_rad
 
@@ -160,12 +160,30 @@ def approx_rx_snr(e_vec, alpha1: complex, g, rho: float = 1.0) -> float:
     return float(rho * abs(alpha1) ** 2 * (z.real * z.real + z.imag * z.imag))
 
 
+def _var_rows(e_rows: np.ndarray) -> np.ndarray:
+    """``var_blockage`` of every row of a C-ordered (vectors, N) array."""
+    p = e_rows.real * e_rows.real + e_rows.imag * e_rows.imag
+    c = np.sqrt(p)
+    # squares go through Python floats, whose ``x ** 2`` calls pow() as a
+    # numpy scalar's does; an array square differs in the last bit at times
+    return np.array(
+        [max(pm - cm**2, 0.0) for pm, cm in zip(p.mean(axis=1).tolist(), c.mean(axis=1).tolist())]
+    )
+
+
+def _lower_bound_rows(e_rows: np.ndarray, b_bits: int, var: np.ndarray) -> np.ndarray:
+    """``theorem1_lb`` of every row, given the rows' ``_var_rows``."""
+    n = e_rows.shape[1]
+    half = math.pi / 2**b_bits
+    c = np.sqrt(e_rows.real * e_rows.real + e_rows.imag * e_rows.imag)
+    c_sum_sq = np.array([s**2 for s in c.sum(axis=1).tolist()])
+    return n * var * math.cos(half) ** 2 - (2.0 * math.sin(half) ** 2 / n) * c_sum_sq
+
+
 def var_blockage(e_vec) -> float:
     """Population variance of the per-antenna field magnitudes (>= 0)."""
     e = np.asarray(e_vec, dtype=np.complex128)
-    p = e.real * e.real + e.imag * e.imag
-    c = np.sqrt(p)
-    return float(max(p.mean() - c.mean() ** 2, 0.0))
+    return float(_var_rows(e[None, :])[0])
 
 
 def theorem1_lb(e_vec, b_bits: int) -> float:
@@ -173,26 +191,20 @@ def theorem1_lb(e_vec, b_bits: int) -> float:
     codebook SNR improvement (linear power units of |E|^2)."""
     if b_bits < 1:
         raise ValueError("b_bits must be >= 1")
-    e = np.asarray(e_vec, dtype=np.complex128)
-    n = e.size
-    half = math.pi / 2**b_bits
-    c = np.sqrt(e.real * e.real + e.imag * e.imag)
-    return float(
-        n * var_blockage(e) * math.cos(half) ** 2
-        - (2.0 * math.sin(half) ** 2 / n) * c.sum() ** 2
-    )
+    e = np.asarray(e_vec, dtype=np.complex128)[None, :]
+    return float(_lower_bound_rows(e, b_bits, _var_rows(e))[0])
 
 
-def _codebook_maxima(e_vec: np.ndarray, b_bits: int) -> tuple[float, float]:
-    """Exhaustive-search best linear gains (phase+amp, phase-only)."""
-    n = e_vec.size
-    u = _enh_phase_matrix(n, b_bits)
-    strengths = e_vec.real * e_vec.real + e_vec.imag * e_vec.imag
-    total = float(strengths.sum())
-    max_phase = float(_entry_powers(u, e_vec).max()) / n
-    if total == 0.0:
-        return 0.0, max_phase
-    max_amp = float(_entry_powers(u, np.sqrt(strengths) * e_vec).max()) / total
+def _codebook_maxima(e_rows: np.ndarray, b_bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exhaustive-search best linear gains (phase+amp, phase-only) for every
+    row of a C-ordered (vectors, N) field array."""
+    n = e_rows.shape[1]
+    u = phase_lattice(n, b_bits)
+    strengths = e_rows.real * e_rows.real + e_rows.imag * e_rows.imag
+    total = strengths.sum(axis=1)
+    max_phase = best_entries(u, e_rows)[0] / n
+    best_amp = best_entries(u, np.sqrt(strengths) * e_rows)[0]
+    max_amp = np.divide(best_amp, total, out=np.zeros_like(best_amp), where=total != 0.0)
     return max_amp, max_phase
 
 
@@ -200,8 +212,8 @@ def delta_snr_achieved(e_vec, b_bits: int, alpha1: complex = 1.0) -> float:
     """Achieved SNR improvement of the phase+amplitude codebook over the
     phase-only codebook, both by exhaustive search, scaled by |alpha_1|^2."""
     e = np.asarray(e_vec, dtype=np.complex128)
-    max_amp, max_phase = _codebook_maxima(e, b_bits)
-    return float(abs(alpha1) ** 2 * (max_amp - max_phase))
+    max_amp, max_phase = _codebook_maxima(e[None, :], b_bits)
+    return float(abs(alpha1) ** 2 * (max_amp[0] - max_phase[0]))
 
 
 def worst_case_dir_snr(e_free_vec, amp_vec, codebook: Codebook) -> float:
@@ -335,7 +347,7 @@ def inequality_chain_check(e_free_vec, amp_vec, phase_vec, b_bits: int) -> Bound
         ) / total
     else:
         nearest_amp_value = 0.0
-    max_amp, max_phase = _codebook_maxima(e_blk, b_bits)
+    max_amp, max_phase = (float(v[0]) for v in _codebook_maxima(e_blk[None, :], b_bits))
     c_sum = float(c.sum())
     lb = theorem1_lb(e_blk, b_bits)
     phase_cap = (c_sum**2 / n) * (1.0 + math.sin(half) ** 2)
@@ -413,44 +425,37 @@ def theorem_trials(
     n_antennas: int = 4,
     amp_low: float = 0.0,
     amp_high: float = 2.0,
-    workers: int = 1,
 ) -> TheoremCheckResult:
     """Randomized bound audit: uniform magnitudes in [amp_low, amp_high],
     uniform phases, one derived RNG per trial.
 
-    Each trial seeds ``default_rng([seed, trial])``, so results are
-    independent of how trials are partitioned across worker threads.
+    Each trial seeds ``default_rng([seed, trial])``.  The trials are stacked
+    and searched together; every row equals what ``var_blockage``,
+    ``theorem1_lb`` and ``delta_snr_achieved`` return for that trial alone.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     b_values = tuple(int(b) for b in b_values)
-
-    def run_range(lo: int, hi: int) -> list[TheoremTrialRow]:
-        out = []
-        for t in range(lo, hi):
-            e = _trial_field(seed, t, n_antennas, amp_low, amp_high)
-            var = var_blockage(e)
-            for b in b_values:
-                out.append(
-                    TheoremTrialRow(
-                        trial=t,
-                        b_bits=b,
-                        var_blockage=var,
-                        lower_bound=theorem1_lb(e, b),
-                        delta_achieved=delta_snr_achieved(e, b),
-                    )
-                )
-        return out
-
-    if workers <= 1:
-        rows = run_range(0, n_trials)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        bounds = np.linspace(0, n_trials, workers + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run_range, bounds[:-1], bounds[1:]))
-        rows = [row for part in parts for row in part]
+    if any(b < 1 for b in b_values):
+        raise ValueError("b_bits must be >= 1")
+    e = np.array([_trial_field(seed, t, n_antennas, amp_low, amp_high) for t in range(n_trials)])
+    var = _var_rows(e)
+    columns = {}
+    for b in b_values:
+        max_amp, max_phase = _codebook_maxima(e, b)
+        columns[b] = (_lower_bound_rows(e, b, var).tolist(), (max_amp - max_phase).tolist())
+    var_list = var.tolist()
+    rows = [
+        TheoremTrialRow(
+            trial=t,
+            b_bits=b,
+            var_blockage=var_list[t],
+            lower_bound=columns[b][0][t],
+            delta_achieved=columns[b][1][t],
+        )
+        for t in range(n_trials)
+        for b in b_values
+    ]
     return TheoremCheckResult(
         n_trials=n_trials,
         b_values=b_values,

@@ -16,6 +16,7 @@ from functools import cached_property
 import numpy as np
 
 __all__ = [
+    "MAX_GRID_CELLS",
     "SphericalGrid",
     "make_grid",
     "angular_distance_deg",
@@ -25,6 +26,9 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+
+# admits a 0.1 deg grid over the whole sphere (1800 x 3600 = 6.48 M cells)
+MAX_GRID_CELLS = 10_000_000
 
 
 def wrap_deg(x):
@@ -65,7 +69,9 @@ def angular_distance_deg(theta1, phi1, theta2, phi2):
 
 def _span_count(start: float, end: float, step: float, name: str) -> int:
     span = end - start
-    n = int(round(span / step))
+    ratio = span / step
+    # a tiny step overflows the ratio to inf, which round() cannot convert
+    n = int(round(ratio)) if math.isfinite(ratio) else 0
     if n < 1 or abs(n * step - span) > 1e-9:
         raise ValueError(
             f"{name} step {step} does not evenly divide the span [{start}, {end})"
@@ -91,8 +97,13 @@ class SphericalGrid:
             raise ValueError("theta span must satisfy 0 <= start < end <= 180")
         if not (0.0 <= self.phi_start < self.phi_end <= 360.0):
             raise ValueError("phi span must satisfy 0 <= start < end <= 360")
-        _span_count(self.theta_start, self.theta_end, self.theta_step, "theta")
-        _span_count(self.phi_start, self.phi_end, self.phi_step, "phi")
+        cells = _span_count(
+            self.theta_start, self.theta_end, self.theta_step, "theta"
+        ) * _span_count(self.phi_start, self.phi_end, self.phi_step, "phi")
+        if cells > MAX_GRID_CELLS:
+            raise ValueError(
+                f"grid would have {cells} cells (limit {MAX_GRID_CELLS}); use larger steps"
+            )
 
     @property
     def n_theta(self) -> int:
@@ -180,7 +191,8 @@ def make_grid(
     theta_span: tuple[float, float] = (0.0, 180.0),
     phi_span: tuple[float, float] = (0.0, 360.0),
 ) -> SphericalGrid:
-    """Build a uniform half-open grid; steps must divide the spans exactly."""
+    """Build a uniform half-open grid; steps must divide the spans exactly
+    and the grid may hold at most ``MAX_GRID_CELLS`` directions."""
     return SphericalGrid(
         theta_start=float(theta_span[0]),
         theta_end=float(theta_span[1]),

@@ -34,6 +34,17 @@ def test_synth_rejects_bad_grid(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("step, message", [("1e-320", "does not evenly divide"), ("1e-300", "cells")])
+def test_synth_rejects_degenerate_steps_without_traceback(tmp_path, capsys, step, message):
+    out = tmp_path / "x.field"
+    rc = main(["synth", "--out", str(out), "--theta-step", step])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "error:" in err and message in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_distort_ad_hoc_mode(free_file, tmp_path, capsys):
     out = tmp_path / "blocked.field"
     dist = tmp_path / "screens.dist"

@@ -1,5 +1,6 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,12 +8,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import beamshadow as bs
+from beamshadow import codebook as codebook_module
 from beamshadow.codebook import (
     MAX_ENH_ENTRIES,
     BeamWeight,
     Codebook,
     StrengthVector,
+    _add_tree,
     amp_gain_map,
+    best_entries,
     directional_codebook,
     element_strengths,
     element_sweep_codebook,
@@ -21,10 +25,12 @@ from beamshadow.codebook import (
     gain_map,
     mrc_weights,
     optimal_gain,
+    phase_lattice,
     phase_levels,
     realized_gain,
 )
-from beamshadow.metrics import rect_roi
+from beamshadow.fields import AntennaFieldMap
+from beamshadow.metrics import RoIMask, rect_roi
 from conftest import random_field_vector
 
 
@@ -229,6 +235,8 @@ class TestMrcAndRealized:
 
 class TestGainMaps:
     def test_map_matches_pointwise_evaluation(self, blocked_field, coarse_grid):
+        # both sides go through best_entries, so this checks routing only;
+        # the naive-enumeration tests at the end of this file are the coverage
         cbk = enh_phase_codebook(4, 2)
         gm = gain_map(cbk, blocked_field)
         for theta, phi in [(90.0, 270.0), (0.0, 0.0), (175.0, 355.0), (45.0, 180.0)]:
@@ -296,3 +304,140 @@ def test_property_realized_bounded_by_optimal(b, data):
     fld = place_vector(grid, e)
     g, _ = realized_gain(enh_phase_codebook(4, b), fld, 0.0, 0.0)
     assert g <= optimal_gain(fld, 0.0, 0.0) + 1e-9
+
+
+# --- the search kernel against a naive per-entry enumeration -----------------
+
+
+def naive_search(weights, vectors):
+    """Best |w^H e|^2 and first winning index per vector, one entry at a time.
+
+    Each entry is applied to all vectors at once; a row sum of a C-ordered
+    (vectors, N) array adds each row exactly as a 1-D ``.sum`` does.
+    """
+    vectors = np.ascontiguousarray(vectors)
+    best = np.full(len(vectors), -1.0)
+    index = np.zeros(len(vectors), dtype=np.intp)
+    for k, w in enumerate(weights):
+        z = (w.conj() * vectors).sum(axis=-1)
+        p = z.real * z.real + z.imag * z.imag
+        better = p > best
+        best[better], index[better] = p[better], k
+    return best, index
+
+
+def naive_db(power, total=None):
+    total = np.ones_like(power) if total is None else total
+    return np.array(
+        [
+            -math.inf if p == 0.0 or t == 0.0 else 10.0 * math.log10(p / t)
+            for p, t in zip(power.tolist(), total.tolist())
+        ]
+    )
+
+
+def draw_field(data, grid, n):
+    """Random cells mixed with exact-zero cells and small Gaussian-integer
+    cells; the latter make equal-power entries (ties) common."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    cells = grid.n_directions
+    kind = rng.integers(0, 4, cells)
+    gauss = rng.standard_normal((cells, n)) + 1j * rng.standard_normal((cells, n))
+    small = rng.integers(-1, 2, (cells, n)) + 1j * rng.integers(-1, 2, (cells, n))
+    vectors = np.where((kind == 0)[:, None], gauss, small)
+    vectors[kind == 3] = 0.0
+    samples = np.ascontiguousarray(vectors.T).reshape((n,) + grid.shape)
+    return AntennaFieldMap(grid=grid, samples=samples, label="drawn"), vectors, kind == 3
+
+
+def draw_roi(data, grid):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    mask = rng.random(grid.shape) < 0.6
+    return RoIMask(grid=grid, mask=mask, source="rect", area_fraction=grid.area_fraction(mask))
+
+
+@given(st.integers(1, 6), st.integers(1, 3), st.sampled_from([1, 7, 1 << 14]), st.data())
+def test_property_search_equals_naive_enumeration(n, b, block, data):
+    grid = bs.make_grid(45.0, 90.0)
+    fld, vectors, zero = draw_field(data, grid, n)
+    roi = draw_roi(data, grid)
+    inside = roi.mask.reshape(-1)
+    cbk = enh_phase_codebook(n, b)
+    u = phase_lattice(n, b)
+    strengths = vectors.real * vectors.real + vectors.imag * vectors.imag
+    want_phase, want_index = naive_search(cbk.weight_matrix, vectors)
+    want_amp, _ = naive_search(u, np.sqrt(strengths) * vectors)
+    want_phase_db = naive_db(want_phase)
+    want_amp_db = naive_db(want_amp, strengths.sum(axis=1))
+    assert np.isneginf(want_phase_db[zero]).all() and np.isneginf(want_amp_db[zero]).all()
+
+    with mock.patch.object(codebook_module, "_BLOCK_PRODUCTS", block):
+        power, index = best_entries(cbk.weight_matrix, vectors)
+        assert power.tobytes() == want_phase.tobytes()
+        assert index.tolist() == want_index.tolist()
+        phase_map = gain_map(cbk, fld).reshape(-1)
+        assert phase_map.tobytes() == want_phase_db.tobytes()
+        amp_map = amp_gain_map(fld, b).reshape(-1)
+        assert amp_map.tobytes() == want_amp_db.tobytes()
+        roi_phase = gain_map(cbk, fld, roi=roi).reshape(-1)
+        roi_amp = amp_gain_map(fld, b, roi=roi).reshape(-1)
+        assert np.isnan(roi_phase[~inside]).all() and np.isnan(roi_amp[~inside]).all()
+        assert roi_phase[inside].tobytes() == want_phase_db[inside].tobytes()
+        assert roi_amp[inside].tobytes() == want_amp_db[inside].tobytes()
+        for cell in range(0, grid.n_directions, 3):
+            it, ip = divmod(cell, grid.n_phi)
+            g, k = realized_gain(cbk, fld, grid.thetas[it], grid.phis[ip])
+            assert (g, k) == (want_phase_db[cell], want_index[cell])
+
+
+@given(st.integers(1, 6), st.integers(1, 9), st.sampled_from([1, 7, 1 << 14]), st.data())
+def test_property_generic_search_equals_naive_enumeration(n, beams, block, data):
+    grid = bs.make_grid(45.0, 90.0)
+    fld, vectors, _ = draw_field(data, grid, n)
+    for cbk in (directional_codebook(n, beams), element_sweep_codebook(n)):
+        want, want_index = naive_search(cbk.weight_matrix, vectors)
+        with mock.patch.object(codebook_module, "_BLOCK_PRODUCTS", block):
+            power, index = best_entries(cbk.weight_matrix, vectors)
+            got_map = gain_map(cbk, fld).reshape(-1)
+        assert power.tobytes() == want.tobytes()
+        assert index.tolist() == want_index.tolist()
+        assert got_map.tobytes() == naive_db(want).tobytes()
+
+
+def test_lattice_path_handles_arbitrary_lattices():
+    """Any matrix with the lattice layout takes the level path; breaking one
+    entry sends it down the full-matrix path.  Both equal the naive search."""
+    rng = np.random.default_rng(3)
+    levels = [rng.standard_normal(1) + 0j] + [
+        rng.standard_normal(3) + 1j * rng.standard_normal(3) for _ in range(3)
+    ]
+    w = np.array([[levels[0][0], a, b, c] for a, b, c in itertools.product(*levels[1:])])
+    assert codebook_module._lattice_levels(w) is not None
+    broken = w.copy()
+    broken[5, 2] += 1.0
+    assert codebook_module._lattice_levels(broken) is None
+    vectors = rng.standard_normal((50, 4)) + 1j * rng.standard_normal((50, 4))
+    for matrix in (w, broken):
+        power, index = best_entries(matrix, vectors)
+        want, want_index = naive_search(matrix, vectors)
+        assert power.tobytes() == want.tobytes()
+        assert index.tolist() == want_index.tolist()
+
+
+def test_search_rejects_mismatched_shapes():
+    with pytest.raises(ValueError, match="fields must be"):
+        best_entries(np.ones((2, 3)), np.ones((4, 2)))
+    with pytest.raises(ValueError, match="weights must be"):
+        best_entries(np.ones(3), np.ones((4, 3)))
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_add_tree_matches_numpy_row_sum(n):
+    """The lattice path adds per-antenna terms in this order; it must be the
+    order numpy's pairwise ``.sum(-1)`` uses for a complex row of n terms."""
+    rng = np.random.default_rng(n)
+    shape = (2000, n)
+    scale = np.exp(rng.uniform(-30.0, 30.0, shape))
+    terms = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * scale
+    got = _add_tree([terms[:, j] for j in range(n)])
+    assert got.tobytes() == terms.sum(axis=-1).tobytes()

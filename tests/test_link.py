@@ -219,12 +219,38 @@ class TestTheoremTrials:
         assert len(res.rows) == 100
         assert {r.b_bits for r in res.rows} == {2, 3}
 
-    def test_rows_are_deterministic_across_worker_counts(self):
-        a = theorem_trials(40, b_values=(2,), seed=3, workers=1)
-        b = theorem_trials(40, b_values=(2,), seed=3, workers=4)
-        assert [(r.trial, r.lower_bound, r.delta_achieved) for r in a.rows] == [
-            (r.trial, r.lower_bound, r.delta_achieved) for r in b.rows
+    @pytest.mark.parametrize(
+        "n, amp_low, amp_high",
+        [(1, 0.0, 2.0), (2, 0.0, 2.0), (3, 0.5, 1.0), (4, 0.0, 2.0), (5, 0.0, 3.0),
+         (6, 1.0, 1.0), (4, 0.0, 0.0)],
+    )
+    def test_rows_equal_per_trial_calls(self, n, amp_low, amp_high):
+        """The batched audit returns, bit for bit, what the per-trial
+        functions return on each trial's own field."""
+        # seed 19, N=4: trial 31's sum and mean of magnitudes square to a
+        # different last bit as an array (x*x) than as a scalar (pow)
+        seed, b_values = 19, (1, 2, 3)
+        res = theorem_trials(
+            60, b_values=b_values, seed=seed, n_antennas=n, amp_low=amp_low, amp_high=amp_high
+        )
+        assert [(r.trial, r.b_bits) for r in res.rows] == [
+            (t, b) for t in range(60) for b in b_values
         ]
+        for r in res.rows:
+            rng = np.random.default_rng([seed, r.trial])
+            amps = rng.uniform(amp_low, amp_high, n)
+            e = amps * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, n))
+            got = (r.var_blockage, r.lower_bound, r.delta_achieved)
+            want = (var_blockage(e), theorem1_lb(e, r.b_bits), delta_snr_achieved(e, r.b_bits))
+            assert all(type(v) is float for v in got)
+            assert repr(got) == repr(want)
+            # the closed forms on numpy scalars, independent of the library
+            power = e.real * e.real + e.imag * e.imag
+            c = np.sqrt(power)
+            var = float(max(power.mean() - c.mean() ** 2, 0.0))
+            half = math.pi / 2**r.b_bits
+            lb = n * var * math.cos(half) ** 2 - (2.0 * math.sin(half) ** 2 / n) * c.sum() ** 2
+            assert repr((r.var_blockage, r.lower_bound)) == repr((var, float(lb)))
 
     def test_seed_matters(self):
         a = theorem_trials(10, b_values=(2,), seed=1)

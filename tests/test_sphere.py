@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from beamshadow import make_grid
 from beamshadow.sphere import (
+    MAX_GRID_CELLS,
     SphericalGrid,
     angular_distance_deg,
     mod_2pi,
@@ -37,6 +38,28 @@ def test_step_must_divide_span():
         make_grid(7.0, 5.0)
     with pytest.raises(ValueError, match="does not evenly divide"):
         make_grid(5.0, 7.0)
+
+
+def test_grid_cell_count_is_bounded_before_allocation():
+    import tracemalloc
+
+    assert make_grid(0.1, 0.1).n_directions == 6_480_000 <= MAX_GRID_CELLS
+    with pytest.raises(ValueError, match=r"grid would have 12960000 cells \(limit 10000000\)"):
+        make_grid(0.05, 0.1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="cells"):
+            make_grid(1e-300, 5.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_tiny_step_is_a_value_error():
+    # span / step overflows to inf
+    with pytest.raises(ValueError, match="does not evenly divide"):
+        make_grid(1e-320, 5.0)
 
 
 def test_grid_span_validation():
