@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from beamshadow import theorem_trials
+from beamshadow import theorem_trials, write_trials_csv
 
 
 def main() -> None:
@@ -32,18 +32,11 @@ def main() -> None:
     )
 
     args.out.parent.mkdir(parents=True, exist_ok=True)
-    with args.out.open("w", newline="") as fh:
-        fh.write("trial,B,var_blockage,lower_bound,delta_achieved,margin\n")
-        for row in result.rows:
-            fh.write(
-                f"{row.trial},{row.b_bits},{row.var_blockage!r},"
-                f"{row.lower_bound!r},{row.delta_achieved!r},{row.margin!r}\n"
-            )
+    write_trials_csv(result, args.out)
 
-    print(f"{len(result.rows)} rows -> {args.out}")
+    print(f"{result.margin.size} rows -> {args.out}")
     print(f"violations={result.n_violations} min_margin={result.min_margin:.6g}")
-    for b in b_values:
-        margins = np.array([r.margin for r in result.rows if r.b_bits == b])
+    for b, margins in zip(result.b_values, result.margin.T):
         print(
             f"B={b}: margin min {margins.min():.4g}  "
             f"median {np.median(margins):.4g}  max {margins.max():.4g}"

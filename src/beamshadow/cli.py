@@ -26,6 +26,7 @@ from .fileio import (
     write_distortion_file,
     write_field_file,
     write_gain_map_csv,
+    write_trials_csv,
 )
 from .link import theorem_trials
 from .metrics import (
@@ -169,18 +170,14 @@ def _cmd_theorem_check(args) -> int:
         n_antennas=args.n_antennas,
     )
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write("trial,B,var_blockage,lower_bound,delta_achieved,margin\n")
-            for r in result.rows:
-                fh.write(
-                    f"{r.trial},{r.b_bits},{_fmt(r.var_blockage)},{_fmt(r.lower_bound)},"
-                    f"{_fmt(r.delta_achieved)},{_fmt(r.margin)}\n"
-                )
+        write_trials_csv(result, args.out)
     print(
         f"theorem-check: trials={result.n_trials} B={list(result.b_values)} "
         f"antennas={result.n_antennas} seed={result.seed}"
     )
     print(f"violations={result.n_violations} min_margin={result.min_margin:.3e}")
+    for b, k, m in zip(result.b_values, result.violations_by_b, result.min_margin_by_b):
+        print(f"B={b}: violations={k} min_margin={m:.3e}")
     if result.n_violations:
         print("bound violated", file=sys.stderr)
         return 1

@@ -43,6 +43,7 @@ __all__ = [
     "read_distortion_file",
     "write_codebook_csv",
     "write_gain_map_csv",
+    "write_trials_csv",
 ]
 
 FIELD_MAGIC = "beamshadow-field v1"
@@ -58,9 +59,10 @@ _HEADER_RE = re.compile(
 )
 
 
-# Data rows the fast reader parses per bulk step.  Bounded so that one
-# chunk's token list stays a few hundred kB: on a 1-degree `metrics` run,
-# 2048-row chunks added about 2 MB to a 71 MB peak RSS, 32768-row ones 20 MB.
+# Data rows the fast reader parses, and the trials writer formats, per bulk
+# step.  Bounded so that one chunk's token list stays a few hundred kB: on a
+# 1-degree `metrics` run, 2048-row chunks added about 2 MB to a 71 MB peak
+# RSS, 32768-row ones 20 MB.
 _CHUNK_ROWS = 2048
 # The shortest data row the per-line reader accepts, "0,0,0,0,0\n".
 _MIN_ROW_BYTES = 10
@@ -347,3 +349,24 @@ def write_gain_map_csv(grid: SphericalGrid, gain_db: np.ndarray, path) -> None:
             row = gain_db[it]
             for ip, ph in enumerate(phi_s):
                 fh.write(f"{th},{ph},{_fmt(row[ip])}\n")
+
+
+def write_trials_csv(result, path) -> None:
+    """Dump a theorem audit as CSV rows
+    ``trial,B,var_blockage,lower_bound,delta_achieved,margin`` in (trial, B)
+    order, floats written with ``repr``."""
+    n_b = len(result.b_values)
+    columns = (
+        np.repeat(np.arange(result.n_trials), n_b),
+        np.tile(result.b_values, result.n_trials),
+        np.repeat(result.var_blockage, n_b),
+        result.lower_bound.ravel(),
+        result.delta_achieved.ravel(),
+        result.margin.ravel(),
+    )
+    with Path(path).open("w", newline="") as fh:
+        fh.write("trial,B,var_blockage,lower_bound,delta_achieved,margin\n")
+        for start in range(0, columns[0].size, _CHUNK_ROWS):
+            cells = [map(repr, col[start : start + _CHUNK_ROWS].tolist()) for col in columns]
+            fh.write("\n".join(map(",".join, zip(*cells))))
+            fh.write("\n")

@@ -20,6 +20,11 @@ achieved improvement from exhaustive search is always >= the bound.
 (quantizer residual bound, nearest-entry floor for the amplitude codebook,
 triangle/cap bounds for the phase codebook, final closure) and reports the
 numeric margin of every step.
+
+``theorem_trials`` audits the bound on random fields.  Trial t is drawn from
+the ``default_rng([seed, t])`` stream; the streams are computed a block of
+trials at a time (numpy's SeedSequence hashing and PCG64 generator, redone
+on arrays) and checked against numpy itself on trial 0 of every call.
 """
 
 from __future__ import annotations
@@ -38,7 +43,6 @@ __all__ = [
     "ChannelInstance",
     "ChainStep",
     "BoundReport",
-    "TheoremTrialRow",
     "TheoremCheckResult",
     "tx_steering",
     "channel_matrix",
@@ -378,44 +382,144 @@ def inequality_chain_check(e_free_vec, amp_vec, phase_vec, b_bits: int) -> Bound
     )
 
 
-@dataclass(frozen=True)
-class TheoremTrialRow:
-    trial: int
-    b_bits: int
-    var_blockage: float
-    lower_bound: float
-    delta_achieved: float
-
-    @property
-    def margin(self) -> float:
-        return self.delta_achieved - self.lower_bound
-
-
 @dataclass(eq=False)
 class TheoremCheckResult:
-    """Monte-Carlo audit of the improvement bound over random fields."""
+    """Monte-Carlo audit of the improvement bound over random fields.
+
+    ``var_blockage`` has one value per trial; ``lower_bound``,
+    ``delta_achieved`` and ``margin`` are (trials, len(b_values)) arrays,
+    so their rows read in (trial, B) order.
+    """
 
     n_trials: int
     b_values: tuple[int, ...]
     n_antennas: int
     seed: int
-    rows: tuple[TheoremTrialRow, ...]
+    var_blockage: np.ndarray
+    lower_bound: np.ndarray
+    delta_achieved: np.ndarray
+    margin: np.ndarray
     tolerance: float = 1e-9
 
     @property
+    def violations_by_b(self) -> np.ndarray:
+        """Trials whose margin is below -tolerance, one count per B."""
+        return (self.margin < -self.tolerance).sum(axis=0)
+
+    @property
+    def min_margin_by_b(self) -> np.ndarray:
+        return self.margin.min(axis=0)
+
+    @property
     def n_violations(self) -> int:
-        return sum(1 for r in self.rows if r.margin < -self.tolerance)
+        return int(self.violations_by_b.sum())
 
     @property
     def min_margin(self) -> float:
-        return min(r.margin for r in self.rows)
+        return float(self.min_margin_by_b.min())
 
 
 def _trial_field(seed: int, trial: int, n_antennas: int, amp_low: float, amp_high: float):
+    """Trial ``trial``'s field drawn by numpy itself: the reference stream."""
     rng = np.random.default_rng([seed, trial])
     amps = rng.uniform(amp_low, amp_high, n_antennas)
     phases = rng.uniform(0.0, 2.0 * math.pi, n_antennas)
     return amps * np.exp(1j * phases)
+
+
+# numpy's SeedSequence (bit_generator.pyx) and PCG64 (pcg64.h) constants
+_MASK32 = (1 << 32) - 1
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
+_SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
+_SS_MIX_L, _SS_MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+# trials drawn per vectorized step; bounds the object arrays of 128-bit states
+_TRIAL_BLOCK = 1 << 14
+
+
+def _uint32_words(n: int) -> list[int]:
+    """The little-endian 32-bit words SeedSequence takes from an integer."""
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _seed_states(seed: int, trials: np.ndarray) -> list[np.ndarray]:
+    """``SeedSequence([seed, t]).generate_state(4, uint64)`` for every t, as
+    four uint64 arrays (one per state word).  Each t must be below 2**32."""
+    hash_const = _SS_INIT_A
+
+    def hashmix(v):
+        nonlocal hash_const
+        v = v ^ np.uint32(hash_const)
+        hash_const = hash_const * _SS_MULT_A & _MASK32
+        v = v * np.uint32(hash_const)
+        return v ^ (v >> np.uint32(16))
+
+    def mix(x, y):
+        r = x * np.uint32(_SS_MIX_L) - y * np.uint32(_SS_MIX_R)
+        return r ^ (r >> np.uint32(16))
+
+    entropy = [np.full(trials.size, w, dtype=np.uint32) for w in _uint32_words(int(seed))]
+    entropy.append(trials.astype(np.uint32))
+    zero = np.zeros(trials.size, dtype=np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(4, len(entropy)):
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(entropy[src]))
+
+    hash_const = _SS_INIT_B
+    words = []
+    for i in range(8):
+        v = pool[i % 4] ^ np.uint32(hash_const)
+        hash_const = hash_const * _SS_MULT_B & _MASK32
+        v = v * np.uint32(hash_const)
+        words.append((v ^ (v >> np.uint32(16))).astype(np.uint64))
+    return [words[2 * k] | (words[2 * k + 1] << np.uint64(32)) for k in range(4)]
+
+
+def _pcg64_doubles(seed: int, trials: np.ndarray, n_draws: int) -> np.ndarray:
+    """The first ``n_draws`` doubles in [0, 1) of ``default_rng([seed, t])``
+    for every trial t, as a (trials, n_draws) array."""
+    s = [w.astype(object) for w in _seed_states(seed, trials)]
+    inc = (((s[2] << 64) | s[3]) << 1 | 1) & _MASK128
+    # pcg64_srandom_r: step from state 0, add the initial state, step again
+    state = (inc + ((s[0] << 64) | s[1])) & _MASK128
+    state = (state * _PCG_MULT + inc) & _MASK128
+    out = np.empty((trials.size, n_draws), dtype=np.uint64)
+    for k in range(n_draws):
+        state = (state * _PCG_MULT + inc) & _MASK128
+        # XSL-RR: xor the halves, rotate right by the top six bits
+        x = ((state >> 64) ^ (state & _MASK64)).astype(np.uint64)
+        rot = (state >> 122).astype(np.uint64)
+        out[:, k] = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
+    return (out >> np.uint64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
+
+
+def _trial_fields(
+    seed: int, n_trials: int, n_antennas: int, amp_low: float, amp_high: float
+) -> np.ndarray:
+    """``_trial_field`` of trials 0..n_trials-1 stacked, bit for bit, drawn
+    ``_TRIAL_BLOCK`` trials at a time."""
+    low, high = float(amp_low), float(amp_high)
+    blocks = []
+    for start in range(0, n_trials, _TRIAL_BLOCK):
+        trials = np.arange(start, min(start + _TRIAL_BLOCK, n_trials))
+        d = _pcg64_doubles(seed, trials, 2 * n_antennas)
+        # Generator.uniform(low, high) is low + (high - low) * next_double
+        amps = low + (high - low) * d[:, :n_antennas]
+        phases = 0.0 + (2.0 * math.pi - 0.0) * d[:, n_antennas:]
+        blocks.append(amps * np.exp(1j * phases))
+    return np.concatenate(blocks)
 
 
 def theorem_trials(
@@ -429,37 +533,44 @@ def theorem_trials(
     """Randomized bound audit: uniform magnitudes in [amp_low, amp_high],
     uniform phases, one derived RNG per trial.
 
-    Each trial seeds ``default_rng([seed, trial])``.  The trials are stacked
-    and searched together; every row equals what ``var_blockage``,
-    ``theorem1_lb`` and ``delta_snr_achieved`` return for that trial alone.
+    Trial t is the ``default_rng([seed, t])`` stream.  The streams are
+    computed a block of trials at a time by reimplementing numpy's seeding
+    and PCG64 generator; trial 0 is also drawn by numpy and must match bit
+    for bit, else ``RuntimeError``.  The trials are searched together, and
+    every value equals what ``var_blockage``, ``theorem1_lb`` and
+    ``delta_snr_achieved`` return for that trial alone.
     """
-    if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
+    if not 1 <= n_trials <= 2**32:
+        raise ValueError("n_trials must be in 1..2**32")
+    if n_antennas < 1:
+        raise ValueError("n_antennas must be >= 1")
     b_values = tuple(int(b) for b in b_values)
-    if any(b < 1 for b in b_values):
-        raise ValueError("b_bits must be >= 1")
-    e = np.array([_trial_field(seed, t, n_antennas, amp_low, amp_high) for t in range(n_trials)])
-    var = _var_rows(e)
-    columns = {}
-    for b in b_values:
-        max_amp, max_phase = _codebook_maxima(e, b)
-        columns[b] = (_lower_bound_rows(e, b, var).tolist(), (max_amp - max_phase).tolist())
-    var_list = var.tolist()
-    rows = [
-        TheoremTrialRow(
-            trial=t,
-            b_bits=b,
-            var_blockage=var_list[t],
-            lower_bound=columns[b][0][t],
-            delta_achieved=columns[b][1][t],
+    if not b_values or any(b < 1 for b in b_values):
+        raise ValueError("b_values must be a non-empty list of bit widths >= 1")
+    # the largest codebook is built first, so an oversized one fails here
+    phase_lattice(n_antennas, max(b_values))
+    # numpy draws trial 0 first: a bad seed raises its own error
+    first = _trial_field(seed, 0, n_antennas, amp_low, amp_high)
+    e = _trial_fields(seed, n_trials, n_antennas, amp_low, amp_high)
+    if e[0].tobytes() != first.tobytes():
+        raise RuntimeError(
+            "vectorized trial draw differs from numpy.random.default_rng "
+            f"{np.__version__} at trial 0"
         )
-        for t in range(n_trials)
-        for b in b_values
-    ]
+    var = _var_rows(e)
+    lower = np.empty((n_trials, len(b_values)))
+    delta = np.empty_like(lower)
+    for j, b in enumerate(b_values):
+        max_amp, max_phase = _codebook_maxima(e, b)
+        lower[:, j] = _lower_bound_rows(e, b, var)
+        delta[:, j] = max_amp - max_phase
     return TheoremCheckResult(
         n_trials=n_trials,
         b_values=b_values,
         n_antennas=n_antennas,
         seed=seed,
-        rows=tuple(rows),
+        var_blockage=var,
+        lower_bound=lower,
+        delta_achieved=delta,
+        margin=delta - lower,
     )

@@ -110,7 +110,7 @@ def test_criterion_02_snr_improvement_lower_bound_holds():
     elapsed = time.monotonic() - start
     assert res.n_violations == 0
     assert res.min_margin >= -1e-9
-    assert len(res.rows) == 30_000
+    assert res.margin.size == 30_000
 
     # closed-form spot value: single dominant antenna, N=4, B=2
     assert theorem1_lb([1.0, 0.0, 0.0, 0.0], 2) == pytest.approx(0.125, abs=1e-12)

@@ -1,6 +1,8 @@
 import json
+import runpy
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -124,8 +126,40 @@ def test_theorem_check_writes_rows(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "trial,B,var_blockage,lower_bound,delta_achieved,margin"
     assert len(lines) == 1 + 25 * 2
-    stdout = capsys.readouterr().out
-    assert "violations=0" in stdout
+    stdout = capsys.readouterr().out.splitlines()
+    assert "violations=0" in stdout[1]
+    # one summary line per B, from the same margins the CSV holds
+    margins = {b: min(float(r.split(",")[5]) for r in lines[1:] if r.split(",")[1] == str(b))
+               for b in (2, 3)}
+    assert stdout[2:] == [f"B={b}: violations=0 min_margin={margins[b]:.3e}" for b in (2, 3)]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["--n-antennas", "0"], "n_antennas must be >= 1"),
+     (["--n-antennas", "40"], "enhanced codebook would have"),
+     (["--seed", "-1"], "expected non-negative integer")],
+)
+def test_theorem_check_rejects_bad_arguments_without_output(tmp_path, capsys, argv, message):
+    out = tmp_path / "rows.csv"
+    rc = main(["theorem-check", "--trials", "10", "--out", str(out), *argv])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_sweep_script_writes_the_cli_csv(tmp_path, monkeypatch, capsys):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "theorem_bound_sweep.py"
+    swept, checked = tmp_path / "sweep.csv", tmp_path / "check.csv"
+    args = ["--trials", "40", "--seed", "7"]
+    monkeypatch.setattr(sys, "argv", [str(script), *args, "--b-values", "1,3", "--antennas", "3",
+                                      "--out", str(swept)])
+    runpy.run_path(str(script), run_name="__main__")
+    assert "B=3: margin min" in capsys.readouterr().out
+    rc = main(["theorem-check", *args, "--B", "1,3", "--n-antennas", "3", "--out", str(checked)])
+    assert rc == 0
+    assert swept.read_bytes() == checked.read_bytes()
 
 
 def test_run_subcommand(tmp_path, capsys):

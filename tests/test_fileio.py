@@ -21,6 +21,7 @@ from beamshadow.fileio import (
     write_distortion_file,
     write_field_file,
     write_gain_map_csv,
+    write_trials_csv,
 )
 
 
@@ -383,3 +384,17 @@ def test_readers_raise_only_file_format_error(data, at, magic):
                     reader(path)
                 except FileFormatError:
                     pass
+
+
+def test_trials_csv_matches_a_per_row_repr_loop(tmp_path):
+    res = bs.theorem_trials(12, b_values=(1, 3), seed=3, n_antennas=2, amp_low=1.0, amp_high=1.0)
+    res.margin[4, 1] = -0.0  # a signed zero keeps its sign
+    path = tmp_path / "trials.csv"
+    write_trials_csv(res, path)
+    want = ["trial,B,var_blockage,lower_bound,delta_achieved,margin"]
+    for t in range(res.n_trials):
+        for j, b in enumerate(res.b_values):
+            values = (res.var_blockage[t], res.lower_bound[t, j], res.delta_achieved[t, j],
+                      res.margin[t, j])
+            want.append(f"{t},{b}," + ",".join(repr(float(v)) for v in values))
+    assert path.read_text() == "\n".join(want) + "\n"

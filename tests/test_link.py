@@ -1,5 +1,6 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 import beamshadow as bs
 from beamshadow.codebook import directional_codebook, enh_phase_codebook, mrc_weights
+from beamshadow import link
 from beamshadow.link import (
     ChannelInstance,
     Cluster,
@@ -216,8 +218,8 @@ class TestTheoremTrials:
         res = theorem_trials(50, b_values=(2, 3), seed=11)
         assert res.n_violations == 0
         assert res.min_margin >= -1e-9
-        assert len(res.rows) == 100
-        assert {r.b_bits for r in res.rows} == {2, 3}
+        assert res.margin.size == 100
+        assert res.b_values == (2, 3) and res.margin.shape == (50, 2)
 
     @pytest.mark.parametrize(
         "n, amp_low, amp_high",
@@ -233,31 +235,108 @@ class TestTheoremTrials:
         res = theorem_trials(
             60, b_values=b_values, seed=seed, n_antennas=n, amp_low=amp_low, amp_high=amp_high
         )
-        assert [(r.trial, r.b_bits) for r in res.rows] == [
-            (t, b) for t in range(60) for b in b_values
-        ]
-        for r in res.rows:
-            rng = np.random.default_rng([seed, r.trial])
+        assert res.var_blockage.shape == (60,)
+        assert res.lower_bound.shape == res.delta_achieved.shape == res.margin.shape == (60, 3)
+        var = res.var_blockage.tolist()
+        lower, delta = res.lower_bound.tolist(), res.delta_achieved.tolist()
+        for t in range(60):
+            rng = np.random.default_rng([seed, t])
             amps = rng.uniform(amp_low, amp_high, n)
             e = amps * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, n))
-            got = (r.var_blockage, r.lower_bound, r.delta_achieved)
-            want = (var_blockage(e), theorem1_lb(e, r.b_bits), delta_snr_achieved(e, r.b_bits))
-            assert all(type(v) is float for v in got)
-            assert repr(got) == repr(want)
-            # the closed forms on numpy scalars, independent of the library
-            power = e.real * e.real + e.imag * e.imag
-            c = np.sqrt(power)
-            var = float(max(power.mean() - c.mean() ** 2, 0.0))
-            half = math.pi / 2**r.b_bits
-            lb = n * var * math.cos(half) ** 2 - (2.0 * math.sin(half) ** 2 / n) * c.sum() ** 2
-            assert repr((r.var_blockage, r.lower_bound)) == repr((var, float(lb)))
+            for j, b in enumerate(b_values):
+                got = (var[t], lower[t][j], delta[t][j])
+                want = (var_blockage(e), theorem1_lb(e, b), delta_snr_achieved(e, b))
+                assert all(type(v) is float for v in got)
+                assert repr(got) == repr(want)
+                # the closed forms on numpy scalars, independent of the library
+                power = e.real * e.real + e.imag * e.imag
+                c = np.sqrt(power)
+                v = float(max(power.mean() - c.mean() ** 2, 0.0))
+                half = math.pi / 2**b
+                lb = n * v * math.cos(half) ** 2 - (2.0 * math.sin(half) ** 2 / n) * c.sum() ** 2
+                assert repr((var[t], lower[t][j])) == repr((v, float(lb)))
 
     def test_seed_matters(self):
         a = theorem_trials(10, b_values=(2,), seed=1)
         b = theorem_trials(10, b_values=(2,), seed=2)
-        assert [r.lower_bound for r in a.rows] != [r.lower_bound for r in b.rows]
+        assert a.lower_bound.tolist() != b.lower_bound.tolist()
 
     def test_margin_property(self):
         res = theorem_trials(5, b_values=(2,), seed=0)
-        r = res.rows[0]
-        assert r.margin == r.delta_achieved - r.lower_bound
+        assert res.margin[0, 0] == res.delta_achieved[0, 0] - res.lower_bound[0, 0]
+        assert np.array_equal(res.margin, res.delta_achieved - res.lower_bound)
+
+    def test_per_b_summary_comes_from_the_margin_columns(self):
+        res = theorem_trials(40, b_values=(1, 3), seed=4)
+        res.margin[7, 1] = -1.0  # plant one violation under B=3
+        assert res.violations_by_b.tolist() == [0, 1]
+        assert res.min_margin_by_b.tolist() == [res.margin[:, 0].min(), -1.0]
+        assert (res.n_violations, res.min_margin) == (1, -1.0)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [({"n_antennas": 0}, "n_antennas"), ({"n_antennas": 40}, "entries"),
+         ({"b_values": ()}, "b_values"), ({"b_values": (2, 0)}, "b_values"),
+         ({"n_trials": 0}, "n_trials")],
+    )
+    def test_bad_arguments_fail_before_any_draw(self, monkeypatch, kwargs, message):
+        def no_draw(*args):
+            raise AssertionError("drew a trial")
+
+        monkeypatch.setattr(link, "_trial_field", no_draw)
+        monkeypatch.setattr(link, "_trial_fields", no_draw)
+        with pytest.raises(ValueError, match=message):
+            theorem_trials(**{"n_trials": 10, **kwargs})
+
+
+def _numpy_fields(seed, n_trials, n, amp_low, amp_high):
+    return np.array([link._trial_field(seed, t, n, amp_low, amp_high) for t in range(n_trials)])
+
+
+# seeds of one to four 32-bit words, then arbitrary ones up to five words
+SEEDS = st.one_of(
+    st.sampled_from([0, 7, 19, 2**32 - 1, 2**32, 2**40 + 3, 2**64 + 5, 2**96 + 1]),
+    st.integers(0, 2**130),
+)
+
+
+class TestTrialStream:
+    """The vectorized draw is numpy's ``default_rng([seed, t])``, bit for bit."""
+
+    @given(
+        seed=SEEDS,
+        n=st.integers(1, 8),
+        amps=st.sampled_from([(0.0, 2.0), (0.5, 1.0), (1.0, 1.0), (0.0, 0.0), (-1.5, 2.25)]),
+        n_trials=st.integers(1, 20),
+        block=st.sampled_from([1, 7, link._TRIAL_BLOCK]),
+    )
+    def test_fields_equal_default_rng(self, seed, n, amps, n_trials, block):
+        with mock.patch.object(link, "_TRIAL_BLOCK", block):
+            got = link._trial_fields(seed, n_trials, n, *amps)
+        assert got.tobytes() == _numpy_fields(seed, n_trials, n, *amps).tobytes()
+
+    @given(seed=SEEDS, trials=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6))
+    def test_seeding_and_doubles_equal_numpy(self, seed, trials):
+        t = np.array(trials)
+        states = np.stack(link._seed_states(seed, t), axis=1)
+        doubles = link._pcg64_doubles(seed, t, 5)
+        for k, trial in enumerate(trials):
+            seq = np.random.SeedSequence([seed, trial])
+            assert states[k].tolist() == seq.generate_state(4, np.uint64).tolist()
+            want = np.random.Generator(np.random.PCG64(seq)).random(5)
+            assert doubles[k].tobytes() == want.tobytes()
+
+    def test_audit_rows_equal_per_trial_draws_across_blocks(self, monkeypatch):
+        monkeypatch.setattr(link, "_TRIAL_BLOCK", 7)
+        res = theorem_trials(30, b_values=(2,), seed=2**64 + 5, n_antennas=3)
+        e = _numpy_fields(2**64 + 5, 30, 3, 0.0, 2.0)
+        assert res.lower_bound[:, 0].tolist() == [theorem1_lb(v, 2) for v in e]
+
+    def test_trial_zero_guard_catches_a_changed_stream(self, monkeypatch):
+        monkeypatch.setattr(link, "_PCG_MULT", link._PCG_MULT + 2)
+        with pytest.raises(RuntimeError, match="default_rng"):
+            theorem_trials(3, b_values=(1,))
+
+    def test_bad_seed_raises_numpy_error(self):
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            theorem_trials(3, seed=-1)
