@@ -17,11 +17,10 @@ def main() -> None:
     ap.add_argument("--out", type=Path, default=Path("out/default-run"))
     ap.add_argument("--config", type=Path, default=None, help="optional YAML config")
     ap.add_argument("--seed", type=int, default=None, help="override the config seed")
-    ap.add_argument("--workers", type=int, default=None)
     args = ap.parse_args()
 
     config = default_config() if args.config is None else config_from_yaml(args.config)
-    report = run_experiment(config, args.out, seed=args.seed, workers=args.workers)
+    report = run_experiment(config, args.out, seed=args.seed)
 
     def median(scenario: dict, key: str) -> float:
         cdf = scenario["beamforming_cdfs_db"][key]["solid_angle_weighted"]

@@ -39,12 +39,13 @@ from .experiment import (
     default_scenarios,
     run_experiment,
 )
-from .fields import AntennaFieldMap, ArrayConfig, resample, synth_freespace_field
+from .fields import AntennaFieldMap, ArrayConfig, synth_freespace_field
 from .fileio import (
     FileFormatError,
     read_distortion_file,
     read_field_file,
-    write_codebook_csv,
+    write_cdf_csv,
+    write_coverage_csv,
     write_distortion_file,
     write_field_file,
     write_gain_map_csv,
@@ -52,16 +53,10 @@ from .fileio import (
 )
 from .link import (
     BoundReport,
-    ChannelInstance,
-    Cluster,
-    approx_rx_snr,
-    channel_matrix,
     delta_snr_achieved,
     inequality_chain_check,
-    rx_snr,
     theorem1_lb,
     theorem_trials,
-    tx_steering,
     var_blockage,
     worst_case_dir_snr,
 )

@@ -21,8 +21,9 @@ from .distortion import DistortionSpec, apply_distortion, gen_distortion
 from .experiment import config_from_yaml, default_config, run_experiment
 from .fields import ArrayConfig, synth_freespace_field
 from .fileio import (
-    _fmt,
     read_field_file,
+    write_cdf_csv,
+    write_coverage_csv,
     write_distortion_file,
     write_field_file,
     write_gain_map_csv,
@@ -112,23 +113,13 @@ def _cmd_metrics(args) -> int:
     blocked = read_field_file(args.blocked)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    coverage = coverage_stats(free, blocked, args.g1, args.g2)
-    with (out / "coverage.csv").open("w", newline="") as fh:
-        fh.write("antenna,max_free_gain_db,max_blocked_gain_db,roi_area_pct\n")
-        for row in coverage:
-            fh.write(
-                f"{row.antenna},{_fmt(row.max_free_gain_db)},"
-                f"{_fmt(row.max_blocked_gain_db)},{_fmt(row.roi_area_pct)}\n"
-            )
+    write_coverage_csv(coverage_stats(free, blocked, args.g1, args.g2), out / "coverage.csv")
     summary_lines = []
     for i in range(free.n_antennas):
         roi = roi_mask(free, blocked, i, args.g1, args.g2)
         losses = loss_samples(free, blocked, i, roi)
         s = cdf_summary(losses, args.percentiles)
-        with (out / f"cdf_loss_antenna{i}.csv").open("w", newline="") as fh:
-            fh.write("percentile,value_db\n")
-            for p, v in s.percentiles:
-                fh.write(f"{_fmt(p)},{_fmt(v)}\n")
+        write_cdf_csv(s, out / f"cdf_loss_antenna{i}.csv")
         summary_lines.append(
             f"antenna {i}: roi={100 * roi.area_fraction:.1f}% "
             f"median_loss={dict(s.percentiles).get(50.0, s.mean):.2f} dB"

@@ -45,7 +45,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .fields import AntennaFieldMap
-from .metrics import NULL_GAIN_DB, RoIMask, _power_db
+from .metrics import NULL_GAIN_DB, RoIMask, power_db
 
 __all__ = [
     "BeamWeight",
@@ -181,7 +181,8 @@ def phase_levels(b_bits: int) -> np.ndarray:
 @lru_cache(maxsize=64)
 def _enh_phase_tuples(n_antennas: int, b_bits: int) -> np.ndarray:
     """All (k_2 .. k_N) level-index tuples, k_2 slowest (lexicographic)."""
-    levels = 2**b_bits
+    # phase_levels checks B, also for a single antenna, which uses no level
+    levels = len(phase_levels(b_bits))
     total = levels ** (n_antennas - 1)
     if total > MAX_ENH_ENTRIES:
         raise ValueError(
@@ -460,7 +461,7 @@ def gain_map(
             raise ValueError(f"unknown scheme {scheme!r}; expected 'mrc' or a Codebook")
         s = field.samples
         power = (s.real * s.real + s.imag * s.imag).sum(axis=0)
-        full = _power_db(power)
+        full = power_db(power)
         if roi is None:
             return full
         if roi.grid != field.grid:

@@ -12,17 +12,14 @@ Outputs under the chosen directory::
     <scenario>/coverage.csv         per-antenna peaks and RoI areas
 
 Reruns with the same config and seed are byte-identical: derived per-trial
-seeds, ordered writes, repr float formatting, no timestamps.  Scenario
-workers may run in parallel (capped by BEAMSHADOW_THREADS); each writes only
-its own directory, so thread count never changes any output byte.
+seeds, ordered writes, repr float formatting, no timestamps.  Scenarios run
+one after another, each writing only its own directory.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -38,9 +35,14 @@ from .codebook import (
 )
 from .distortion import DistortionSpec, FingerSpec, apply_distortion, gen_distortion
 from .fields import AntennaFieldMap, ArrayConfig, synth_freespace_field
-from .fileio import _fmt, write_distortion_file, write_field_file, write_gain_map_csv
+from .fileio import (
+    write_cdf_csv,
+    write_coverage_csv,
+    write_distortion_file,
+    write_field_file,
+    write_gain_map_csv,
+)
 from .metrics import (
-    CdfSummary,
     cdf_summary,
     coverage_stats,
     loss_samples,
@@ -66,13 +68,11 @@ _NAME_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]*")
 
 
 def resolve_workers(workers: int | None = None) -> int:
-    """Worker-thread count: explicit arg, else BEAMSHADOW_THREADS, else cpu."""
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get("BEAMSHADOW_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
+    """Scenario worker count: always 1, since runs are serial.
+
+    Kept for callers that report the worker count; the argument is ignored.
+    """
+    return 1
 
 
 def default_scenarios() -> dict[str, DistortionSpec]:
@@ -302,13 +302,6 @@ def _both_summaries(samples: np.ndarray, weights: np.ndarray, percentiles) -> di
     }
 
 
-def _write_cdf_csv(path: Path, summary: CdfSummary) -> None:
-    with path.open("w", newline="") as fh:
-        fh.write("percentile,value_db\n")
-        for p, v in summary.percentiles:
-            fh.write(f"{_fmt(p)},{_fmt(v)}\n")
-
-
 def _run_scenario(
     name: str,
     spec: DistortionSpec,
@@ -375,7 +368,7 @@ def _run_scenario(
         for key, arr in samples.items()
     }
     for key, arr in samples.items():
-        _write_cdf_csv(sdir / f"cdf_{key}.csv", cdf_summary(arr, config.percentiles))
+        write_cdf_csv(cdf_summary(arr, config.percentiles), sdir / f"cdf_{key}.csv")
 
     elemental = {}
     for i in range(free.n_antennas):
@@ -385,13 +378,7 @@ def _run_scenario(
         elemental[str(i)]["roi_area_fraction"] = roi_i.area_fraction
 
     coverage = coverage_stats(free, blocked, config.g1_db, config.g2_db)
-    with (sdir / "coverage.csv").open("w", newline="") as fh:
-        fh.write("antenna,max_free_gain_db,max_blocked_gain_db,roi_area_pct\n")
-        for row in coverage:
-            fh.write(
-                f"{row.antenna},{_fmt(row.max_free_gain_db)},"
-                f"{_fmt(row.max_blocked_gain_db)},{_fmt(row.roi_area_pct)}\n"
-            )
+    write_coverage_csv(coverage, sdir / "coverage.csv")
 
     mixing_free, mixing_blocked = {}, {}
     for i in range(free.n_antennas):
@@ -415,7 +402,6 @@ def run_experiment(
     config: ExperimentConfig,
     out_dir,
     seed: int | None = None,
-    workers: int | None = None,
 ) -> ExperimentReport:
     """Run every scenario and write the full report tree under out_dir.
 
@@ -451,18 +437,12 @@ def run_experiment(
     g_opt_free = gain_map("mrc", free)
     roi_weights = grid.solid_angle_map()[rect.mask]
 
-    def worker(pair):
-        sname, sspec = pair
-        return _run_scenario(
-            sname, sspec, config, free, rect, dir_cbk, phase_cbks, g_opt_free, roi_weights, out
+    results = [
+        _run_scenario(
+            name, spec, config, free, rect, dir_cbk, phase_cbks, g_opt_free, roi_weights, out
         )
-
-    n_workers = resolve_workers(workers)
-    if n_workers <= 1 or len(names) <= 1:
-        results = [worker(p) for p in zip(names, specs)]
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(worker, zip(names, specs)))
+        for name, spec in zip(names, specs)
+    ]
 
     report = ExperimentReport(
         config=config,

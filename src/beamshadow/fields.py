@@ -20,7 +20,6 @@ __all__ = [
     "ArrayConfig",
     "AntennaFieldMap",
     "synth_freespace_field",
-    "resample",
 ]
 
 
@@ -114,72 +113,3 @@ def synth_freespace_field(config: ArrayConfig, grid: SphericalGrid) -> AntennaFi
     prog = 2.0 * math.pi * config.element_spacing * idx * np.cos(th)[None, :, :]
     samples = amp[None, :, :] * np.exp(1j * prog)
     return AntennaFieldMap(grid=grid, samples=samples, label="free")
-
-
-def _fractional_indices(
-    targets: np.ndarray,
-    start: float,
-    step: float,
-    count: int,
-    periodic: bool,
-    axis: str,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Map target angles to (lower index, upper index, fraction) on one axis.
-
-    Fractions within 1e-9 of an exact sample snap to it, so resampling on
-    coincident points reproduces source values exactly.
-    """
-    f = (np.asarray(targets, dtype=float) - start) / step
-    if periodic:
-        f = np.mod(f, count)
-    r = np.round(f)
-    f = np.where(np.abs(f - r) <= 1e-9, r, f)
-    if periodic:
-        f = np.where(f >= count, f - count, f)
-        i0 = np.floor(f).astype(np.intp)
-        frac = f - i0
-        i1 = (i0 + 1) % count
-        return i0, i1, frac
-    if np.any(f < 0.0) or np.any(f > count - 1):
-        bad = np.asarray(targets, dtype=float)[(f < 0.0) | (f > count - 1)][0]
-        raise ValueError(
-            f"target {axis}={bad} lies outside the source grid span"
-        )
-    if count == 1:
-        z = np.zeros(f.shape, dtype=np.intp)
-        return z, z, np.zeros_like(f)
-    i0 = np.minimum(np.floor(f).astype(np.intp), count - 2)
-    return i0, i0 + 1, f - i0
-
-
-def resample(field: AntennaFieldMap, grid: SphericalGrid) -> AntennaFieldMap:
-    """Bilinearly resample a field map onto another grid.
-
-    Real and imaginary parts interpolate independently.  Phi wraps around
-    only when the source grid covers the full circle; otherwise targets must
-    stay inside the sampled span (and always must in theta).  A target grid
-    equal to the source returns an exact copy.
-    """
-    if grid == field.grid:
-        return AntennaFieldMap(grid=grid, samples=field.samples.copy(), label=field.label)
-    src = field.grid
-    t0, t1, ft = _fractional_indices(
-        grid.thetas, src.theta_start, src.theta_step, src.n_theta, False, "theta"
-    )
-    p0, p1, fp = _fractional_indices(
-        grid.phis, src.phi_start, src.phi_step, src.n_phi, src.is_full_circle_phi, "phi"
-    )
-    s = field.samples
-    a = s[:, t0, :][:, :, p0]
-    b = s[:, t1, :][:, :, p0]
-    c = s[:, t0, :][:, :, p1]
-    d = s[:, t1, :][:, :, p1]
-    wt = ft[None, :, None]
-    wp = fp[None, None, :]
-    out = (
-        a * (1.0 - wt) * (1.0 - wp)
-        + b * wt * (1.0 - wp)
-        + c * (1.0 - wt) * wp
-        + d * wt * wp
-    )
-    return AntennaFieldMap(grid=grid, samples=out, label=field.label)

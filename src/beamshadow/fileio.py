@@ -1,4 +1,4 @@
-"""On-disk formats: field maps, distortion screens, codebooks, gain maps.
+"""On-disk formats: field maps, distortion screens, and the CSV tables.
 
 Field and distortion files are CSV with a one-line typed header::
 
@@ -41,8 +41,9 @@ __all__ = [
     "read_field_file",
     "write_distortion_file",
     "read_distortion_file",
-    "write_codebook_csv",
     "write_gain_map_csv",
+    "write_cdf_csv",
+    "write_coverage_csv",
     "write_trials_csv",
 ]
 
@@ -323,16 +324,6 @@ def read_distortion_file(path) -> DistortionField:
         raise FileFormatError(f"{path}: {exc}") from exc
 
 
-def write_codebook_csv(codebook, path) -> None:
-    """Dump codebook entries as CSV rows ``entry,antenna,re,im,tag``."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        fh.write("entry,antenna,re,im,tag\n")
-        for k, entry in enumerate(codebook.entries):
-            for i, w in enumerate(entry.weights):
-                fh.write(f"{k},{i},{_fmt(w.real)},{_fmt(w.imag)},{entry.tag}\n")
-
-
 def write_gain_map_csv(grid: SphericalGrid, gain_db: np.ndarray, path) -> None:
     """Dump a gain map as CSV rows ``theta_deg,phi_deg,gain_db``.
 
@@ -349,6 +340,26 @@ def write_gain_map_csv(grid: SphericalGrid, gain_db: np.ndarray, path) -> None:
             row = gain_db[it]
             for ip, ph in enumerate(phi_s):
                 fh.write(f"{th},{ph},{_fmt(row[ip])}\n")
+
+
+def write_cdf_csv(summary, path) -> None:
+    """Dump a CdfSummary's percentile table as CSV rows ``percentile,value_db``."""
+    with Path(path).open("w", newline="") as fh:
+        fh.write("percentile,value_db\n")
+        for p, v in summary.percentiles:
+            fh.write(f"{_fmt(p)},{_fmt(v)}\n")
+
+
+def write_coverage_csv(rows, path) -> None:
+    """Dump CoverageRows as CSV rows
+    ``antenna,max_free_gain_db,max_blocked_gain_db,roi_area_pct``."""
+    with Path(path).open("w", newline="") as fh:
+        fh.write("antenna,max_free_gain_db,max_blocked_gain_db,roi_area_pct\n")
+        for row in rows:
+            fh.write(
+                f"{row.antenna},{_fmt(row.max_free_gain_db)},"
+                f"{_fmt(row.max_blocked_gain_db)},{_fmt(row.roi_area_pct)}\n"
+            )
 
 
 def write_trials_csv(result, path) -> None:

@@ -1,10 +1,8 @@
-"""Link-level SNR model and the quantized-codebook improvement bound.
+"""The quantized-codebook improvement bound and its numeric audits.
 
-The channel is a sparse sum of clusters: ``H = sum_l alpha_l * E(rx_l) *
-a_T(tx_l)^H`` with per-cluster gains sorted strongest first.  The receive
-side uses the per-antenna field map; the transmit side is an ideal linear
-array with unnormalized steering vectors (unit-magnitude entries, norm
-sqrt(M)) and an arbitrary precoder f supplied by the caller.
+The link SNR is taken in the dominant-cluster form ``|alpha_1|^2 * |g^H E|^2``
+for combiner g and the receive field vector E of the strongest cluster;
+``delta_snr_achieved`` searches both enhanced codebooks for it.
 
 ``theorem1_lb`` evaluates the closed-form lower bound on the SNR improvement
 of the phase+amplitude codebook over the phase-only codebook at quantizer
@@ -34,20 +32,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codebook import BeamWeight, Codebook, best_entries, phase_lattice, phase_levels
-from .fields import AntennaFieldMap
+from .codebook import Codebook, best_entries, phase_lattice, phase_levels
 from .sphere import mod_2pi, wrap_rad
 
 __all__ = [
-    "Cluster",
-    "ChannelInstance",
     "ChainStep",
     "BoundReport",
     "TheoremCheckResult",
-    "tx_steering",
-    "channel_matrix",
-    "rx_snr",
-    "approx_rx_snr",
     "var_blockage",
     "theorem1_lb",
     "delta_snr_achieved",
@@ -55,113 +46,6 @@ __all__ = [
     "inequality_chain_check",
     "theorem_trials",
 ]
-
-
-def tx_steering(n_tx: int, theta_deg: float, element_spacing: float = 0.5) -> np.ndarray:
-    """Unnormalized steering vector of the transmit line array.
-
-    Entries ``exp(1j * 2*pi * spacing * m * cos(theta))`` have unit
-    magnitude, so the vector norm is sqrt(n_tx).  The array lies on its own
-    z axis; azimuth does not enter.
-    """
-    if n_tx < 1:
-        raise ValueError("n_tx must be >= 1")
-    m = np.arange(n_tx)
-    return np.exp(1j * 2.0 * math.pi * element_spacing * m * math.cos(math.radians(theta_deg)))
-
-
-@dataclass(frozen=True)
-class Cluster:
-    """One propagation cluster: complex gain plus rx/tx departure angles."""
-
-    alpha: complex
-    rx_theta: float
-    rx_phi: float
-    tx_theta: float
-    tx_phi: float = 0.0
-
-
-@dataclass(eq=False)
-class ChannelInstance:
-    """Sparse multi-cluster channel between a tx line array and the rx map.
-
-    Clusters must be sorted by decreasing |alpha| (dominant first); receive
-    directions must be samples of the field grid.
-    """
-
-    rx_field: AntennaFieldMap
-    clusters: tuple[Cluster, ...]
-    n_tx: int
-    tx_spacing: float = 0.5
-    rho: float = 1.0
-
-    def __post_init__(self):
-        self.clusters = tuple(self.clusters)
-        if not self.clusters:
-            raise ValueError("channel needs at least one cluster")
-        mags = [abs(c.alpha) for c in self.clusters]
-        if any(mags[k] < mags[k + 1] - 1e-12 for k in range(len(mags) - 1)):
-            raise ValueError("clusters must be sorted by decreasing |alpha|")
-        if self.n_tx < 1:
-            raise ValueError("n_tx must be >= 1")
-        if self.rho <= 0.0:
-            raise ValueError("rho must be positive")
-        for c in self.clusters:
-            self.rx_field.grid.index_of(c.rx_theta, c.rx_phi)
-
-    @property
-    def dominant(self) -> Cluster:
-        return self.clusters[0]
-
-
-def channel_matrix(channel: ChannelInstance) -> np.ndarray:
-    """Assemble H (n_rx_antennas x n_tx) from the cluster sum."""
-    n_rx = channel.rx_field.n_antennas
-    h = np.zeros((n_rx, channel.n_tx), dtype=np.complex128)
-    for c in channel.clusters:
-        e = channel.rx_field.at(c.rx_theta, c.rx_phi)
-        a = tx_steering(channel.n_tx, c.tx_theta, channel.tx_spacing)
-        h += c.alpha * np.outer(e, a.conj())
-    return h
-
-
-def _combiner_vector(g) -> np.ndarray:
-    if isinstance(g, BeamWeight):
-        return g.weights
-    gv = np.asarray(g, dtype=np.complex128)
-    if gv.ndim != 1 or not np.isfinite(gv).all():
-        raise ValueError("combiner must be a finite 1-D complex vector")
-    norm = math.sqrt(float((gv.real * gv.real + gv.imag * gv.imag).sum()))
-    if abs(norm - 1.0) > 1e-6:
-        raise ValueError(f"combiner must be unit-norm, got norm {norm}")
-    return gv
-
-
-def rx_snr(channel: ChannelInstance, g, f) -> float:
-    """Receive SNR ``rho * |g^H H f|^2`` for combiner g and precoder f.
-
-    g must be unit-norm (a BeamWeight or raw vector); f is taken as given —
-    its norm encodes the transmit power convention.
-    """
-    gv = _combiner_vector(g)
-    fv = np.asarray(f, dtype=np.complex128)
-    if fv.shape != (channel.n_tx,) or not np.isfinite(fv).all():
-        raise ValueError(f"precoder must be a finite vector of length {channel.n_tx}")
-    h = channel_matrix(channel)
-    if gv.shape != (h.shape[0],):
-        raise ValueError(f"combiner must have length {h.shape[0]}")
-    val = gv.conj() @ h @ fv
-    return float(channel.rho * (val.real * val.real + val.imag * val.imag))
-
-
-def approx_rx_snr(e_vec, alpha1: complex, g, rho: float = 1.0) -> float:
-    """Dominant-cluster SNR approximation ``rho * |alpha_1|^2 * |g^H E|^2``."""
-    gv = _combiner_vector(g)
-    e = np.asarray(e_vec, dtype=np.complex128)
-    if e.shape != gv.shape:
-        raise ValueError("field vector and combiner lengths differ")
-    z = (gv.conj() * e).sum()
-    return float(rho * abs(alpha1) ** 2 * (z.real * z.real + z.imag * z.imag))
 
 
 def _var_rows(e_rows: np.ndarray) -> np.ndarray:

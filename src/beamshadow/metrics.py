@@ -23,6 +23,7 @@ __all__ = [
     "CdfSummary",
     "CoverageRow",
     "PhaseDiffMap",
+    "power_db",
     "elemental_gain_map",
     "elemental_gain",
     "roi_mask",
@@ -38,7 +39,8 @@ __all__ = [
 NULL_GAIN_DB = float("-inf")
 
 
-def _power_db(power: np.ndarray) -> np.ndarray:
+def power_db(power: np.ndarray) -> np.ndarray:
+    """``10 * log10(power)`` elementwise; zero power becomes -inf."""
     with np.errstate(divide="ignore"):
         return 10.0 * np.log10(power)
 
@@ -48,7 +50,7 @@ def elemental_gain_map(field: AntennaFieldMap, antenna: int) -> np.ndarray:
     if not 0 <= antenna < field.n_antennas:
         raise ValueError(f"antenna {antenna} outside 0..{field.n_antennas - 1}")
     s = field.samples[antenna]
-    return _power_db(s.real * s.real + s.imag * s.imag)
+    return power_db(s.real * s.real + s.imag * s.imag)
 
 
 def elemental_gain(field: AntennaFieldMap, antenna: int, theta_deg: float, phi_deg: float) -> float:

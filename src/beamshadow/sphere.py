@@ -133,10 +133,6 @@ class SphericalGrid:
         out.flags.writeable = False
         return out
 
-    @property
-    def is_full_circle_phi(self) -> bool:
-        return abs(self.n_phi * self.phi_step - 360.0) <= 1e-9
-
     def index_of(self, theta_deg: float, phi_deg: float) -> tuple[int, int]:
         """Indices of an exact grid sample; raises for off-grid directions."""
         ft = (theta_deg - self.theta_start) / self.theta_step

@@ -138,7 +138,8 @@ def test_theorem_check_writes_rows(tmp_path, capsys):
     "argv, message",
     [(["--n-antennas", "0"], "n_antennas must be >= 1"),
      (["--n-antennas", "40"], "enhanced codebook would have"),
-     (["--seed", "-1"], "expected non-negative integer")],
+     (["--seed", "-1"], "expected non-negative integer"),
+     (["--n-antennas", "1", "--B", "40"], "b_bits must be in 1..16")],
 )
 def test_theorem_check_rejects_bad_arguments_without_output(tmp_path, capsys, argv, message):
     out = tmp_path / "rows.csv"

@@ -129,6 +129,12 @@ class TestEnhancedCodebooks:
             enh_phase_codebook(9, 3)
         assert MAX_ENH_ENTRIES == 1_000_000
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_b_bits_range_does_not_depend_on_antenna_count(self, n):
+        for b in (0, 17):
+            with pytest.raises(ValueError, match="b_bits must be in 1..16"):
+                enh_phase_codebook(n, b)
+
     def test_known_winner_for_quarter_turn_field(self, coarse_grid):
         """E = [1, j, -1, -j] is exactly matched by one 2-bit entry."""
         e = np.array([1.0, 1.0j, -1.0, -1.0j])

@@ -131,20 +131,6 @@ class TestConfigSerialization:
         assert config_from_yaml(path) == cfg
 
 
-class TestResolveWorkers:
-    def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv("BEAMSHADOW_THREADS", "7")
-        assert resolve_workers(3) == 3
-
-    def test_env_variable(self, monkeypatch):
-        monkeypatch.setenv("BEAMSHADOW_THREADS", "2")
-        assert resolve_workers() == 2
-
-    def test_default_is_bounded(self, monkeypatch):
-        monkeypatch.delenv("BEAMSHADOW_THREADS", raising=False)
-        assert 1 <= resolve_workers() <= 4
-
-
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("run")
@@ -216,13 +202,10 @@ class TestRunExperiment:
         for rel in all_files(out):
             assert (out / rel).read_bytes() == (again / rel).read_bytes(), rel
 
-    def test_threaded_run_is_byte_identical(self, run_dir, tmp_path, monkeypatch):
-        out, _ = run_dir
-        monkeypatch.setenv("BEAMSHADOW_THREADS", "2")
-        threaded = tmp_path / "threaded"
-        run_experiment(tiny_config(2), threaded)
-        for rel in all_files(out):
-            assert (out / rel).read_bytes() == (threaded / rel).read_bytes(), rel
+
+def test_runs_are_serial():
+    assert resolve_workers(None) == 1
+    assert resolve_workers(4) == 1
 
 
 class TestSeedOverride:

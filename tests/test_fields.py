@@ -2,21 +2,8 @@ import numpy as np
 import pytest
 
 import beamshadow as bs
-from beamshadow.fields import AntennaFieldMap, resample
+from beamshadow.fields import AntennaFieldMap
 from beamshadow.metrics import elemental_gain_map
-
-
-def make_linear_map(grid, n=2):
-    """Field whose real/imag parts are affine in the grid indices.
-
-    Bilinear interpolation reproduces affine data exactly, which makes
-    midpoint expectations easy to write down.
-    """
-    t = np.arange(grid.n_theta, dtype=float)[:, None]
-    p = np.arange(grid.n_phi, dtype=float)[None, :]
-    base = 2.0 * t + 0.25 * p + 1.0
-    samples = np.stack([(k + 1.0) * base + 1j * (base - k) for k in range(n)])
-    return AntennaFieldMap(grid=grid, samples=samples, label="ramp")
 
 
 def test_config_defaults():
@@ -113,54 +100,6 @@ def test_at_returns_copy(free_field):
     v = free_field.at(90.0, 270.0)
     v[0] = 0.0
     assert free_field.at(90.0, 270.0)[0] != 0.0
-
-
-def test_resample_identity_is_exact(free_field, coarse_grid):
-    out = resample(free_field, coarse_grid)
-    assert out is not free_field
-    assert np.array_equal(out.samples, free_field.samples)
-    assert out.label == free_field.label
-
-
-def test_resample_on_coincident_subgrid(free_field):
-    sub = bs.make_grid(10.0, 10.0)
-    out = resample(free_field, sub)
-    assert np.array_equal(out.samples, free_field.samples[:, ::2, ::2])
-
-
-def test_resample_midpoints_average_neighbours():
-    grid = bs.make_grid(10.0, 10.0)
-    fld = make_linear_map(grid)
-    target = bs.make_grid(10.0, 10.0, theta_span=(5.0, 175.0), phi_span=(5.0, 355.0))
-    out = resample(fld, target)
-    s = fld.samples
-    expected = 0.25 * (s[:, :-1, :-1] + s[:, 1:, :-1] + s[:, :-1, 1:] + s[:, 1:, 1:])
-    assert np.allclose(out.samples, expected, rtol=1e-12)
-
-
-def test_resample_wraps_phi_on_full_circle():
-    grid = bs.make_grid(10.0, 10.0)
-    fld = make_linear_map(grid)
-    target = bs.make_grid(180.0, 5.0, theta_span=(0.0, 180.0), phi_span=(355.0, 360.0))
-    out = resample(fld, target)
-    expected = 0.5 * (fld.samples[:, 0, -1] + fld.samples[:, 0, 0])
-    assert np.allclose(out.samples[:, 0, 0], expected, rtol=1e-12)
-
-
-def test_resample_rejects_theta_outside_span():
-    grid = bs.make_grid(10.0, 10.0, theta_span=(30.0, 150.0))
-    fld = make_linear_map(grid)
-    target = bs.make_grid(5.0, 10.0, theta_span=(0.0, 30.0))
-    with pytest.raises(ValueError, match="theta"):
-        resample(fld, target)
-
-
-def test_resample_rejects_phi_outside_partial_span():
-    grid = bs.make_grid(10.0, 10.0, phi_span=(150.0, 360.0))
-    fld = make_linear_map(grid)
-    target = bs.make_grid(10.0, 10.0, phi_span=(0.0, 150.0))
-    with pytest.raises(ValueError, match="phi"):
-        resample(fld, target)
 
 
 def test_single_antenna_and_many_antennas(coarse_grid):

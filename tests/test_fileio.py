@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 import beamshadow as bs
 from beamshadow import fileio
-from beamshadow.codebook import directional_codebook
 from beamshadow.distortion import DistortionSpec, gen_distortion
 from beamshadow.fileio import (
     DISTORTION_MAGIC,
@@ -17,7 +16,6 @@ from beamshadow.fileio import (
     FileFormatError,
     read_distortion_file,
     read_field_file,
-    write_codebook_csv,
     write_distortion_file,
     write_field_file,
     write_gain_map_csv,
@@ -160,18 +158,6 @@ def test_wrong_column_header_is_rejected(tmp_path, small_field):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(FileFormatError, match=r":2:"):
         read_field_file(path)
-
-
-def test_codebook_csv_layout(tmp_path):
-    cbk = directional_codebook(2, 2)
-    path = tmp_path / "cb.csv"
-    write_codebook_csv(cbk, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "entry,antenna,re,im,tag"
-    assert len(lines) == 1 + 2 * 2
-    first = lines[1].split(",")
-    assert first[0] == "0" and first[1] == "0"
-    assert float(first[2]) == pytest.approx(1.0 / np.sqrt(2.0))
 
 
 def test_gain_map_csv_handles_nan_and_null(tmp_path):
@@ -398,3 +384,32 @@ def test_trials_csv_matches_a_per_row_repr_loop(tmp_path):
                       res.margin[t, j])
             want.append(f"{t},{b}," + ",".join(repr(float(v)) for v in values))
     assert path.read_text() == "\n".join(want) + "\n"
+
+
+def test_cdf_csv_matches_a_per_row_repr_loop(tmp_path):
+    summary = bs.CdfSummary(
+        n_samples=3, mean=0.0, std=0.0, minimum=-np.inf, maximum=50.0,
+        percentiles=((10.0, -np.inf), (50.0, np.nan), (90.0, 50.0), (99.5, np.float64(-0.125))),
+    )
+    path = tmp_path / "cdf.csv"
+    fileio.write_cdf_csv(summary, path)
+    want = "percentile,value_db\n"
+    for p, v in summary.percentiles:
+        want += f"{repr(float(p))},{repr(float(v))}\n"
+    assert path.read_text() == want
+    assert path.read_text().splitlines()[1:3] == ["10.0,-inf", "50.0,nan"]
+
+
+def test_coverage_csv_matches_a_per_row_repr_loop(tmp_path):
+    rows = [
+        bs.CoverageRow(0, 50.0, -np.inf, np.nan),
+        bs.CoverageRow(1, np.float64(11.25), np.float64(-3.5), 0.0),
+    ]
+    path = tmp_path / "coverage.csv"
+    fileio.write_coverage_csv(rows, path)
+    want = "antenna,max_free_gain_db,max_blocked_gain_db,roi_area_pct\n"
+    for r in rows:
+        values = (r.max_free_gain_db, r.max_blocked_gain_db, r.roi_area_pct)
+        want += f"{r.antenna}," + ",".join(repr(float(v)) for v in values) + "\n"
+    assert path.read_text() == want
+    assert path.read_text().splitlines()[1] == "0,50.0,-inf,nan"

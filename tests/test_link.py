@@ -8,19 +8,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import beamshadow as bs
-from beamshadow.codebook import directional_codebook, enh_phase_codebook, mrc_weights
+from beamshadow.codebook import directional_codebook, enh_phase_codebook
 from beamshadow import link
 from beamshadow.link import (
-    ChannelInstance,
-    Cluster,
-    approx_rx_snr,
-    channel_matrix,
     delta_snr_achieved,
     inequality_chain_check,
-    rx_snr,
     theorem1_lb,
     theorem_trials,
-    tx_steering,
     var_blockage,
     worst_case_dir_snr,
 )
@@ -35,75 +29,6 @@ CHAIN_STEPS = (
     "bound-algebra-closure",
     "achieved-dominates-lower-bound",
 )
-
-
-class TestSteeringAndChannel:
-    def test_steering_vector_norm_and_first_element(self):
-        a = tx_steering(16, 75.0)
-        assert a[0] == 1.0
-        assert np.linalg.norm(a) == pytest.approx(4.0, rel=1e-12)
-        assert np.allclose(np.abs(a), 1.0, atol=1e-12)
-
-    def test_steering_phase_progression(self):
-        a = tx_steering(4, 60.0)
-        step = np.angle(a[1:] / a[:-1])
-        assert np.allclose(step, 2.0 * math.pi * 0.5 * math.cos(math.radians(60.0)), atol=1e-12)
-
-    def test_channel_needs_sorted_clusters(self, free_field):
-        c_big = Cluster(alpha=1.0, rx_theta=90.0, rx_phi=270.0, tx_theta=75.0)
-        c_small = Cluster(alpha=0.1, rx_theta=60.0, rx_phi=250.0, tx_theta=130.0)
-        with pytest.raises(ValueError, match="sorted"):
-            ChannelInstance(rx_field=free_field, clusters=(c_small, c_big), n_tx=8)
-
-    def test_channel_rejects_off_grid_cluster(self, free_field):
-        c = Cluster(alpha=1.0, rx_theta=91.0, rx_phi=270.0, tx_theta=75.0)
-        with pytest.raises(ValueError, match="not a sample"):
-            ChannelInstance(rx_field=free_field, clusters=(c,), n_tx=8)
-
-    def test_channel_matrix_shape(self, free_field):
-        c = Cluster(alpha=1.0, rx_theta=90.0, rx_phi=270.0, tx_theta=75.0)
-        ch = ChannelInstance(rx_field=free_field, clusters=(c,), n_tx=8)
-        assert channel_matrix(ch).shape == (free_field.n_antennas, 8)
-
-
-class TestRxSnr:
-    def test_single_cluster_matched_filters(self, free_field):
-        """MRC at the receiver and a matched unit-power precoder recover
-        rho * M * sum|E|^2 exactly for a single-cluster channel."""
-        M = 16
-        c = Cluster(alpha=1.0, rx_theta=90.0, rx_phi=270.0, tx_theta=75.0)
-        ch = ChannelInstance(rx_field=free_field, clusters=(c,), n_tx=M, rho=2.0)
-        g = mrc_weights(free_field, 90.0, 270.0)
-        f = tx_steering(M, 75.0) / math.sqrt(M)
-        e = free_field.at(90.0, 270.0)
-        expected = 2.0 * M * float((e.real**2 + e.imag**2).sum())
-        assert rx_snr(ch, g, f) == pytest.approx(expected, rel=1e-12)
-
-    def test_dominant_cluster_approximation_within_five_percent(self, free_field):
-        M = 16
-        c1 = Cluster(alpha=1.0, rx_theta=90.0, rx_phi=270.0, tx_theta=75.0)
-        c2 = Cluster(alpha=0.1, rx_theta=75.0, rx_phi=260.0, tx_theta=130.0)
-        ch = ChannelInstance(rx_field=free_field, clusters=(c1, c2), n_tx=M)
-        g = mrc_weights(free_field, 90.0, 270.0)
-        f = tx_steering(M, 75.0) / M  # per-element power convention
-        exact = rx_snr(ch, g, f)
-        approx = approx_rx_snr(free_field.at(90.0, 270.0), 1.0, g)
-        rel = abs(exact - approx) / approx
-        assert rel <= 0.05
-        assert rel > 1e-6  # the secondary cluster genuinely perturbs the link
-
-    def test_combiner_must_be_unit_norm(self, free_field):
-        c = Cluster(alpha=1.0, rx_theta=90.0, rx_phi=270.0, tx_theta=75.0)
-        ch = ChannelInstance(rx_field=free_field, clusters=(c,), n_tx=4)
-        with pytest.raises(ValueError, match="unit-norm"):
-            rx_snr(ch, np.ones(4, dtype=complex), np.ones(4, dtype=complex) / 2.0)
-
-    def test_precoder_length_checked(self, free_field):
-        c = Cluster(alpha=1.0, rx_theta=90.0, rx_phi=270.0, tx_theta=75.0)
-        ch = ChannelInstance(rx_field=free_field, clusters=(c,), n_tx=4)
-        g = mrc_weights(free_field, 90.0, 270.0)
-        with pytest.raises(ValueError, match="length 4"):
-            rx_snr(ch, g, np.ones(5, dtype=complex))
 
 
 class TestBoundIngredients:
@@ -277,7 +202,8 @@ class TestTheoremTrials:
         "kwargs, message",
         [({"n_antennas": 0}, "n_antennas"), ({"n_antennas": 40}, "entries"),
          ({"b_values": ()}, "b_values"), ({"b_values": (2, 0)}, "b_values"),
-         ({"n_trials": 0}, "n_trials")],
+         ({"n_trials": 0}, "n_trials"),
+         ({"n_antennas": 1, "b_values": (40,)}, "b_bits must be in 1..16")],
     )
     def test_bad_arguments_fail_before_any_draw(self, monkeypatch, kwargs, message):
         def no_draw(*args):

@@ -132,11 +132,6 @@ def test_index_of_rejects_off_grid():
         g.index_of(90.0, 360.0)  # end of the half-open span is excluded
 
 
-def test_is_full_circle_phi():
-    assert make_grid(5.0, 5.0).is_full_circle_phi
-    assert not make_grid(5.0, 5.0, phi_span=(150.0, 360.0)).is_full_circle_phi
-
-
 def test_partial_spans_have_expected_counts():
     g = make_grid(5.0, 5.0, theta_span=(30.0, 60.0), phi_span=(150.0, 360.0))
     assert g.shape == (6, 42)
