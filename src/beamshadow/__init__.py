@@ -8,7 +8,6 @@ information numerically.
 """
 
 from .codebook import (
-    BeamWeight,
     Codebook,
     StrengthVector,
     amp_gain_map,

@@ -11,6 +11,11 @@ Schemes
 - Enhanced phase+amplitude codebook: the same phase lattice with per-antenna
   magnitudes proportional to measured element strengths.
 
+A ``Codebook`` is one read-only (entries, N) complex ``weight_matrix`` whose
+row k is entry k's unit-norm weight vector, validated once as a whole; the
+constructors build that matrix directly.  ``mrc_weights`` returns the
+per-direction MRC vector as a plain array.
+
 Search
 ------
 Every search goes through ``best_entries``: for a block of field vectors it
@@ -40,7 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -48,7 +53,6 @@ from .fields import AntennaFieldMap
 from .metrics import NULL_GAIN_DB, RoIMask, power_db
 
 __all__ = [
-    "BeamWeight",
     "Codebook",
     "StrengthVector",
     "phase_levels",
@@ -77,71 +81,57 @@ CODEBOOK_KINDS = ("directional", "enh-phase", "enh-phase-amp", "element-sweep")
 
 
 @dataclass(eq=False)
-class BeamWeight:
-    """One unit-norm complex weight vector with a descriptive tag."""
-
-    weights: np.ndarray
-    tag: str = ""
-
-    def __post_init__(self):
-        self.weights = np.ascontiguousarray(self.weights, dtype=np.complex128)
-        if self.weights.ndim != 1 or self.weights.size < 1:
-            raise ValueError("weights must be a 1-D vector")
-        if not np.isfinite(self.weights).all():
-            raise ValueError("weights must be finite")
-        w = self.weights
-        norm = math.sqrt(float((w.real * w.real + w.imag * w.imag).sum()))
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError(f"weight vector norm {norm} deviates from 1 by more than 1e-12")
-
-    @property
-    def n_antennas(self) -> int:
-        return int(self.weights.size)
-
-
-@dataclass(eq=False)
 class Codebook:
-    """Ordered collection of beam weights of one kind.
+    """Codebook of one kind: a read-only (entries, n_antennas) complex matrix
+    whose row k is the unit-norm weight vector of entry k.
 
-    Size invariants per kind: enhanced codebooks must have exactly
+    The matrix is copied and checked once: 2-D, not empty, finite, every
+    row norm ``sqrt(sum re*re + im*im)`` within 1e-12 of 1.  Size
+    invariants per kind: enhanced codebooks must have exactly
     ``(2**B)**(n_antennas - 1)`` entries, an element sweep exactly
     ``n_antennas``; a directional codebook has one entry per beam.
     """
 
     kind: str
-    n_antennas: int
-    entries: tuple[BeamWeight, ...]
+    weight_matrix: np.ndarray
     b_bits: int | None = None
 
     def __post_init__(self):
         if self.kind not in CODEBOOK_KINDS:
             raise ValueError(f"kind must be one of {CODEBOOK_KINDS}, got {self.kind!r}")
-        self.entries = tuple(self.entries)
-        if not self.entries:
-            raise ValueError("codebook must have at least one entry")
-        for e in self.entries:
-            if e.n_antennas != self.n_antennas:
-                raise ValueError("all entries must match the codebook antenna count")
+        w = np.array(self.weight_matrix, dtype=np.complex128, order="C")
+        if w.ndim != 2 or w.size < 1:
+            raise ValueError("weight matrix must be a non-empty (entries, antennas) array")
+        if not np.isfinite(w).all():
+            raise ValueError("weights must be finite")
+        # a C-ordered row sum adds each row as a 1-D .sum does
+        norms = np.sqrt((w.real * w.real + w.imag * w.imag).sum(axis=1))
+        bad = np.flatnonzero(np.abs(norms - 1.0) > 1e-12)
+        if bad.size:
+            k = int(bad[0])
+            raise ValueError(
+                f"entry {k}: weight vector norm {norms[k]} deviates from 1 by more than 1e-12"
+            )
+        n_entries, n = w.shape
         if self.kind in ("enh-phase", "enh-phase-amp"):
             if self.b_bits is None or self.b_bits < 1:
                 raise ValueError("enhanced codebooks require b_bits >= 1")
-            expected = (2**self.b_bits) ** (self.n_antennas - 1)
-            if len(self.entries) != expected:
+            expected = (2**self.b_bits) ** (n - 1)
+            if n_entries != expected:
                 raise ValueError(
-                    f"{self.kind} codebook must have {expected} entries, "
-                    f"got {len(self.entries)}"
+                    f"{self.kind} codebook must have {expected} entries, got {n_entries}"
                 )
-        elif self.kind == "element-sweep" and len(self.entries) != self.n_antennas:
+        elif self.kind == "element-sweep" and n_entries != n:
             raise ValueError("element sweep must have one entry per antenna")
+        w.flags.writeable = False
+        self.weight_matrix = w
+
+    @property
+    def n_antennas(self) -> int:
+        return self.weight_matrix.shape[1]
 
     def __len__(self) -> int:
-        return len(self.entries)
-
-    @cached_property
-    def weight_matrix(self) -> np.ndarray:
-        out = np.array([e.weights for e in self.entries])
-        out.flags.writeable = False
-        return out
+        return self.weight_matrix.shape[0]
 
 
 @dataclass(frozen=True)
@@ -179,34 +169,25 @@ def phase_levels(b_bits: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _enh_phase_tuples(n_antennas: int, b_bits: int) -> np.ndarray:
-    """All (k_2 .. k_N) level-index tuples, k_2 slowest (lexicographic)."""
+def phase_lattice(n_antennas: int, b_bits: int) -> np.ndarray:
+    """Unnormalized B-bit phase entries: row k is [1, e^{j phi_k2}, ...],
+    where (k_2 .. k_N) are the base-2**B digits of k, k_2 the slowest.
+
+    The enhanced phase codebook is this matrix over sqrt(N); the amplitude
+    codebook scales column i by sqrt(S_i / sum S).
+    """
     # phase_levels checks B, also for a single antenna, which uses no level
-    levels = len(phase_levels(b_bits))
-    total = levels ** (n_antennas - 1)
+    levels = phase_levels(b_bits)
+    total = len(levels) ** (n_antennas - 1)
     if total > MAX_ENH_ENTRIES:
         raise ValueError(
             f"enhanced codebook would have {total} entries "
             f"(limit {MAX_ENH_ENTRIES}); reduce B or the antenna count"
         )
     idx = np.arange(total, dtype=np.int64)[:, None]
-    place = levels ** np.arange(n_antennas - 2, -1, -1, dtype=np.int64)[None, :]
-    out = (idx // place) % levels
-    out.flags.writeable = False
-    return out
-
-
-@lru_cache(maxsize=64)
-def phase_lattice(n_antennas: int, b_bits: int) -> np.ndarray:
-    """Unnormalized B-bit phase entries: row k is [1, e^{j phi_k2}, ...].
-
-    The enhanced phase codebook is this matrix over sqrt(N); the amplitude
-    codebook scales column i by sqrt(S_i / sum S).
-    """
-    ks = _enh_phase_tuples(n_antennas, b_bits)
-    phases = np.zeros((ks.shape[0], n_antennas))
-    if n_antennas > 1:
-        phases[:, 1:] = phase_levels(b_bits)[ks]
+    place = len(levels) ** np.arange(n_antennas - 2, -1, -1, dtype=np.int64)[None, :]
+    phases = np.zeros((total, n_antennas))
+    phases[:, 1:] = levels[(idx // place) % len(levels)]
     out = np.exp(1j * phases)
     out.flags.writeable = False
     return out
@@ -324,19 +305,18 @@ def directional_codebook(
     n_beams = n_antennas if n_beams is None else n_beams
     if n_beams < 1:
         raise ValueError("n_beams must be >= 1")
+    if not 1 <= quant_bits <= 16:
+        raise ValueError(f"quant_bits must be in 1..16, got {quant_bits}")
     j = np.arange(1, n_beams + 1, dtype=float)
     u = -1.0 + (2.0 * j - 1.0) / n_beams
     i = np.arange(n_antennas, dtype=float)
     ideal = np.exp(-1j * 2.0 * math.pi * element_spacing * i[None, :] * u[:, None])
-    step = 2.0 * math.pi / 2**quant_bits
-    k = np.round(np.mod(np.angle(ideal), 2.0 * math.pi) / step).astype(np.int64) % 2**quant_bits
-    w = np.exp(1j * (k * step)) / math.sqrt(n_antennas)
+    levels = phase_levels(quant_bits)
+    step = 2.0 * math.pi / len(levels)
+    k = np.round(np.mod(np.angle(ideal), 2.0 * math.pi) / step).astype(np.int64) % len(levels)
+    w = np.exp(1j * levels[k]) / math.sqrt(n_antennas)
     norms = np.sqrt((w.real * w.real + w.imag * w.imag).sum(axis=1))
-    w /= norms[:, None]
-    entries = tuple(
-        BeamWeight(w[b], tag=f"directional:{b + 1}") for b in range(n_beams)
-    )
-    return Codebook(kind="directional", n_antennas=n_antennas, entries=entries)
+    return Codebook("directional", w / norms[:, None])
 
 
 def enh_phase_codebook(n_antennas: int, b_bits: int) -> Codebook:
@@ -344,12 +324,7 @@ def enh_phase_codebook(n_antennas: int, b_bits: int) -> Codebook:
     if n_antennas < 1:
         raise ValueError("n_antennas must be >= 1")
     u = phase_lattice(n_antennas, b_bits) / math.sqrt(n_antennas)
-    ks = _enh_phase_tuples(n_antennas, b_bits)
-    entries = tuple(
-        BeamWeight(u[r], tag="enh-phase:" + ",".join(map(str, ks[r])))
-        for r in range(u.shape[0])
-    )
-    return Codebook(kind="enh-phase", n_antennas=n_antennas, entries=entries, b_bits=b_bits)
+    return Codebook("enh-phase", u, b_bits)
 
 
 def enh_phase_amp_codebook(n_antennas: int, b_bits: int, strengths) -> Codebook:
@@ -363,21 +338,14 @@ def enh_phase_amp_codebook(n_antennas: int, b_bits: int, strengths) -> Codebook:
         raise ValueError("strength vector length must equal n_antennas")
     sv = s.as_array()
     v = (np.sqrt(sv)[None, :] * phase_lattice(n_antennas, b_bits)) / math.sqrt(sv.sum())
-    ks = _enh_phase_tuples(n_antennas, b_bits)
-    entries = tuple(
-        BeamWeight(v[r], tag="enh-phase-amp:" + ",".join(map(str, ks[r])))
-        for r in range(v.shape[0])
-    )
-    return Codebook(kind="enh-phase-amp", n_antennas=n_antennas, entries=entries, b_bits=b_bits)
+    return Codebook("enh-phase-amp", v, b_bits)
 
 
 def element_sweep_codebook(n_antennas: int) -> Codebook:
     """Single-element selection beams (antenna probing)."""
     if n_antennas < 1:
         raise ValueError("n_antennas must be >= 1")
-    eye = np.eye(n_antennas, dtype=np.complex128)
-    entries = tuple(BeamWeight(eye[i], tag=f"element:{i}") for i in range(n_antennas))
-    return Codebook(kind="element-sweep", n_antennas=n_antennas, entries=entries)
+    return Codebook("element-sweep", np.eye(n_antennas, dtype=np.complex128))
 
 
 def element_strengths(field: AntennaFieldMap, theta_deg: float, phi_deg: float) -> StrengthVector:
@@ -386,8 +354,9 @@ def element_strengths(field: AntennaFieldMap, theta_deg: float, phi_deg: float) 
     return StrengthVector(tuple(float(v) for v in e.real * e.real + e.imag * e.imag))
 
 
-def mrc_weights(field: AntennaFieldMap, theta_deg: float, phi_deg: float) -> BeamWeight:
-    """Matched (maximum-ratio) combining weights at one grid direction."""
+def mrc_weights(field: AntennaFieldMap, theta_deg: float, phi_deg: float) -> np.ndarray:
+    """Matched (maximum-ratio) combining weights at one grid direction: the
+    unit-norm vector ``E / |E|``."""
     e = field.at(theta_deg, phi_deg)
     total = float((e.real * e.real + e.imag * e.imag).sum())
     if total == 0.0:
@@ -395,7 +364,7 @@ def mrc_weights(field: AntennaFieldMap, theta_deg: float, phi_deg: float) -> Bea
             f"field is identically zero at theta={theta_deg}, phi={phi_deg}; "
             "MRC weights are undefined"
         )
-    return BeamWeight(e / math.sqrt(total), tag="mrc")
+    return e / math.sqrt(total)
 
 
 def optimal_gain(field: AntennaFieldMap, theta_deg: float, phi_deg: float) -> float:

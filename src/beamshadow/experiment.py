@@ -44,6 +44,7 @@ from .fileio import (
 )
 from .metrics import (
     cdf_summary,
+    check_percentiles,
     coverage_stats,
     loss_samples,
     pair_phase_diff,
@@ -408,12 +409,23 @@ def run_experiment(
     ``seed`` overrides the config seed; when set, scenario seeds derive from
     it (seed * 1009 + scenario index) instead of the per-spec seeds.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     grid = make_grid(
         config.theta_step_deg,
         config.phi_step_deg,
     )
+    # everything a bad config can trip on is built before the first write
+    check_percentiles(config.percentiles)
+    rect = rect_roi(grid, config.roi_theta_range, config.roi_phi_range)
+    dir_cbk = directional_codebook(
+        config.array.n_antennas,
+        config.n_beams,
+        config.array.element_spacing,
+        config.steer_quant_bits,
+    )
+    phase_cbks = {b: enh_phase_codebook(config.array.n_antennas, b) for b in config.b_values}
+
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     free = synth_freespace_field(config.array, grid)
     write_field_file(free, out / "free.field")
 
@@ -426,14 +438,6 @@ def run_experiment(
             spec = replace(spec, seed=effective_seed * 1009 + idx)
         specs.append(spec)
 
-    rect = rect_roi(grid, config.roi_theta_range, config.roi_phi_range)
-    dir_cbk = directional_codebook(
-        config.array.n_antennas,
-        config.n_beams,
-        config.array.element_spacing,
-        config.steer_quant_bits,
-    )
-    phase_cbks = {b: enh_phase_codebook(config.array.n_antennas, b) for b in config.b_values}
     g_opt_free = gain_map("mrc", free)
     roi_weights = grid.solid_angle_map()[rect.mask]
 

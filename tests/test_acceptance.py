@@ -61,8 +61,8 @@ def default_run(tmp_path_factory):
 def naive_best_entry(codebook, e):
     """Per-entry reference search with scalar sums and strict-> argmax."""
     best_p, best_k = -1.0, 0
-    for k, entry in enumerate(codebook.entries):
-        z = (entry.weights.conj() * e).sum()
+    for k, w in enumerate(codebook.weight_matrix):
+        z = (w.conj() * e).sum()
         p = z.real * z.real + z.imag * z.imag
         if p > best_p:
             best_p, best_k = p, k
@@ -220,12 +220,12 @@ def test_criterion_06_search_matches_naive_enumeration(rng):
 
 
 def test_criterion_07_codebook_cardinalities():
-    assert len(enh_phase_codebook(4, 2).entries) == 64
-    assert len(enh_phase_codebook(4, 3).entries) == 512
-    assert len(directional_codebook(4).entries) == 4
+    assert len(enh_phase_codebook(4, 2)) == 64
+    assert len(enh_phase_codebook(4, 3)) == 512
+    assert len(directional_codebook(4)) == 4
     # the (2^B)^(N-1) law holds off the default size too
-    assert len(enh_phase_codebook(3, 2).entries) == 16
-    assert len(enh_phase_amp_codebook(4, 2, StrengthVector((1, 1, 1, 1))).entries) == 64
+    assert len(enh_phase_codebook(3, 2)) == 16
+    assert len(enh_phase_amp_codebook(4, 2, StrengthVector((1, 1, 1, 1)))) == 64
     print("PASS criterion 7: cardinalities 64 / 512 / 4 (and 16 for N=3)")
 
 

@@ -119,6 +119,17 @@ def test_evaluate_rejects_unknown_scheme(free_file, tmp_path):
               "--scheme", "zap"])
 
 
+@pytest.mark.parametrize("bits", ["0", "17", "64"])
+def test_evaluate_rejects_bad_quant_bits_without_output(free_file, tmp_path, capsys, bits):
+    out = tmp_path / "dir.csv"
+    rc = main(["evaluate", "--field", str(free_file), "--out", str(out),
+               "--scheme", "directional", "--quant-bits", bits])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "quant_bits must be in 1..16" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_theorem_check_writes_rows(tmp_path, capsys):
     out = tmp_path / "rows.csv"
     rc = main(["theorem-check", "--trials", "25", "--B", "2,3", "--out", str(out)])
@@ -173,6 +184,17 @@ def test_run_subcommand(tmp_path, capsys):
     assert set(report["scenarios"]) == {"grip-a"}
     stdout = capsys.readouterr().out
     assert "median optimal-gain loss" in stdout
+
+
+def test_run_rejects_bad_quant_bits_without_output(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.yaml"
+    config_to_yaml(tiny_config(1, steer_quant_bits=64), cfg_path)
+    out_dir = tmp_path / "out"
+    rc = main(["run", "--config", str(cfg_path), "--out", str(out_dir)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "quant_bits must be in 1..16" in err and "Traceback" not in err
+    assert not out_dir.exists()
 
 
 def test_missing_subcommand_exits_with_usage():

@@ -11,7 +11,6 @@ import beamshadow as bs
 from beamshadow import codebook as codebook_module
 from beamshadow.codebook import (
     MAX_ENH_ENTRIES,
-    BeamWeight,
     Codebook,
     StrengthVector,
     _add_tree,
@@ -37,8 +36,8 @@ from conftest import random_field_vector
 def naive_best_entry(codebook, e):
     """Reference search: per-entry 1-D sums, strict-improvement argmax."""
     best_p, best_k = -1.0, 0
-    for k, entry in enumerate(codebook.entries):
-        z = (entry.weights.conj() * e).sum()
+    for k, w in enumerate(codebook.weight_matrix):
+        z = (w.conj() * e).sum()
         p = z.real * z.real + z.imag * z.imag
         if p > best_p:
             best_p, best_k = p, k
@@ -52,6 +51,13 @@ def place_vector(grid, e):
     e = np.asarray(e, dtype=complex)
     samples = np.broadcast_to(e[:, None, None], (len(e),) + grid.shape).copy()
     return AntennaFieldMap(grid=grid, samples=samples, label="vec")
+
+
+def phase_digits(weights, b_bits):
+    """Index of every weight's phase on the 2**B-level lattice, read back from
+    the matrix with np.angle."""
+    step = 2.0 * math.pi / 2**b_bits
+    return np.round(np.mod(np.angle(weights), 2.0 * math.pi) / step).astype(int) % 2**b_bits
 
 
 class TestPhaseLevels:
@@ -74,39 +80,60 @@ class TestDirectionalCodebook:
     def test_default_beam_count_equals_antennas(self):
         cbk = directional_codebook(4)
         assert cbk.kind == "directional"
-        assert len(cbk.entries) == 4
-        assert [e.tag for e in cbk.entries] == [f"directional:{j}" for j in (1, 2, 3, 4)]
+        assert len(cbk) == 4
+        assert cbk.n_antennas == 4
+        assert cbk.weight_matrix.shape == (4, 4)
 
     def test_entries_are_unit_norm(self):
-        for e in directional_codebook(4).entries:
-            assert np.linalg.norm(e.weights) == pytest.approx(1.0, abs=1e-12)
+        for w in directional_codebook(4).weight_matrix:
+            assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
 
     def test_phases_sit_on_quantizer_lattice(self):
         cbk = directional_codebook(4, quant_bits=5)
         lattice = 2.0 * math.pi / 2**5
-        for e in cbk.entries:
-            ang = np.mod(np.angle(e.weights), 2.0 * math.pi)
+        for w in cbk.weight_matrix:
+            ang = np.mod(np.angle(w), 2.0 * math.pi)
             k = np.round(ang / lattice)
             assert np.allclose(ang - k * lattice, 0.0, atol=1e-9)
 
     def test_unquantized_limit_matches_steering_formula(self):
         n = 4
         cbk = directional_codebook(n, quant_bits=16)
-        for j, e in enumerate(cbk.entries, start=1):
+        for j, w in enumerate(cbk.weight_matrix, start=1):
             u = -1.0 + (2.0 * j - 1.0) / n
             expected = np.exp(-2j * math.pi * 0.5 * np.arange(n) * u) / math.sqrt(n)
             # same complex direction per element up to fine quantization
-            assert np.allclose(e.weights, expected, atol=1e-3)
+            assert np.allclose(w, expected, atol=1e-3)
 
     def test_beam_count_override(self):
-        assert len(directional_codebook(4, n_beams=16).entries) == 16
+        assert len(directional_codebook(4, n_beams=16)) == 16
+
+    @pytest.mark.parametrize("n", [1, 4, 5])
+    @pytest.mark.parametrize("q", [1, 3, 5, 8, 16])
+    @pytest.mark.parametrize("beams", [None, 3])
+    def test_quantizer_equals_integer_multiples_of_the_step(self, n, q, beams):
+        """Phase level k is ``k * (2*pi / 2**q)``, computed here directly."""
+        j = np.arange(1, (n if beams is None else beams) + 1, dtype=float)
+        u = -1.0 + (2.0 * j - 1.0) / len(j)
+        ideal = np.exp(-1j * 2.0 * math.pi * 0.5 * np.arange(n, dtype=float)[None, :] * u[:, None])
+        step = 2.0 * math.pi / 2**q
+        k = np.round(np.mod(np.angle(ideal), 2.0 * math.pi) / step).astype(np.int64) % 2**q
+        w = np.exp(1j * (k * step)) / math.sqrt(n)
+        w /= np.sqrt((w.real * w.real + w.imag * w.imag).sum(axis=1))[:, None]
+        got = directional_codebook(n, beams, quant_bits=q).weight_matrix
+        assert got.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("q", [0, 17, 64, -1])
+    def test_quant_bits_range(self, q):
+        with pytest.raises(ValueError, match="quant_bits must be in 1..16"):
+            directional_codebook(4, quant_bits=q)
 
 
 class TestEnhancedCodebooks:
     def test_cardinalities(self):
-        assert len(enh_phase_codebook(4, 2).entries) == 64
-        assert len(enh_phase_codebook(4, 3).entries) == 512
-        assert len(enh_phase_codebook(3, 2).entries) == 16
+        assert len(enh_phase_codebook(4, 2)) == 64
+        assert len(enh_phase_codebook(4, 3)) == 512
+        assert len(enh_phase_codebook(3, 2)) == 16
 
     def test_first_antenna_phase_is_fixed(self):
         cbk = enh_phase_codebook(4, 2)
@@ -116,13 +143,9 @@ class TestEnhancedCodebooks:
         assert np.allclose(mags, 0.5, atol=1e-12)
 
     def test_entry_tags_enumerate_digits(self):
-        cbk = enh_phase_codebook(3, 1)
-        assert [e.tag for e in cbk.entries] == [
-            "enh-phase:0,0",
-            "enh-phase:0,1",
-            "enh-phase:1,0",
-            "enh-phase:1,1",
-        ]
+        digits = phase_digits(enh_phase_codebook(3, 1).weight_matrix, 1)
+        assert digits[:, 1:].tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
+        assert (digits[:, 0] == 0).all()
 
     def test_size_guard(self):
         with pytest.raises(ValueError, match="entries"):
@@ -141,7 +164,7 @@ class TestEnhancedCodebooks:
         cbk = enh_phase_codebook(4, 2)
         g, k = realized_gain(cbk, place_vector(coarse_grid, e), 0.0, 0.0)
         assert k == 27
-        assert cbk.entries[k].tag == "enh-phase:1,2,3"
+        assert phase_digits(cbk.weight_matrix[k], 2).tolist() == [0, 1, 2, 3]
         assert g == pytest.approx(10.0 * math.log10(4.0), abs=1e-12)
         # brute reference agrees bit-for-bit
         g2, k2 = naive_best_entry(cbk, e)
@@ -159,8 +182,8 @@ class TestEnhancedCodebooks:
         mags = np.abs(cbk.weight_matrix)
         expected = np.sqrt(np.array([4.0, 1.0, 1.0, 0.0]) / 6.0)
         assert np.allclose(mags, expected[None, :], atol=1e-12)
-        for e in cbk.entries:
-            assert np.linalg.norm(e.weights) == pytest.approx(1.0, abs=1e-12)
+        for w in cbk.weight_matrix:
+            assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
 
     def test_strength_vector_validation(self):
         with pytest.raises(ValueError, match="all be zero|not all"):
@@ -173,16 +196,16 @@ class TestSweepAndWeights:
     def test_element_sweep_selects_single_antennas(self):
         cbk = element_sweep_codebook(3)
         assert np.array_equal(cbk.weight_matrix, np.eye(3, dtype=complex))
-        assert [e.tag for e in cbk.entries] == ["element:0", "element:1", "element:2"]
+        assert len(cbk) == cbk.n_antennas == 3
 
     def test_beam_weight_norm_guard(self):
         with pytest.raises(ValueError, match="norm"):
-            BeamWeight(np.array([1.0, 1.0], dtype=complex), tag="bad")
+            Codebook("directional", np.array([[1.0, 1.0]], dtype=complex))
 
     def test_codebook_cardinality_invariants(self):
-        entries = enh_phase_codebook(4, 2).entries[:10]
+        rows = enh_phase_codebook(4, 2).weight_matrix[:10]
         with pytest.raises(ValueError, match="cardinality|entries"):
-            Codebook(kind="enh-phase", n_antennas=4, entries=entries, b_bits=2)
+            Codebook(kind="enh-phase", weight_matrix=rows, b_bits=2)
 
     def test_element_strengths(self, free_field):
         s = element_strengths(free_field, 90.0, 270.0)
@@ -190,12 +213,80 @@ class TestSweepAndWeights:
         assert np.allclose(s.values, np.abs(e) ** 2, rtol=1e-12)
 
 
+def scalar_row_ok(row):
+    """The per-vector norm check, one row at a time with a Python float."""
+    row_power = row.real * row.real + row.imag * row.imag
+    return abs(math.sqrt(float(row_power.sum())) - 1.0) <= 1e-12
+
+
+@given(
+    st.integers(1, 6),
+    st.lists(st.integers(-15, 15), min_size=1, max_size=6),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_property_codebook_accepts_exactly_unit_norm_rows(n, offsets, fortran, seed):
+    """Rows scaled by 1 + d*1e-13 land on both sides of the 1e-12 tolerance
+    (|d| = 10 sits on it); the whole-matrix check must agree with the
+    scalar check on every row and name the first failing entry."""
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((len(offsets), n)) + 1j * rng.standard_normal((len(offsets), n))
+    rows /= np.linalg.norm(rows, axis=1)[:, None]
+    rows *= 1.0 + np.array(offsets)[:, None] * 1e-13
+    ok = [scalar_row_ok(r) for r in rows]
+    given_rows = np.asfortranarray(rows) if fortran else rows
+    if all(ok):
+        cbk = Codebook("directional", given_rows)
+        assert cbk.weight_matrix.tobytes() == rows.tobytes()
+        assert (len(cbk), cbk.n_antennas) == rows.shape
+    else:
+        with pytest.raises(ValueError, match=f"entry {ok.index(False)}: weight vector norm"):
+            Codebook("directional", given_rows)
+
+
+class TestCodebookMatrix:
+    def test_weight_matrix_is_read_only(self):
+        cbk = enh_phase_codebook(3, 1)
+        assert not cbk.weight_matrix.flags.writeable
+        with pytest.raises(ValueError):
+            cbk.weight_matrix[0, 0] = 0.0
+
+    def test_weight_matrix_does_not_alias_the_input(self):
+        rows = np.eye(3, dtype=complex)
+        cbk = Codebook("element-sweep", rows)
+        assert not np.shares_memory(cbk.weight_matrix, rows)
+        assert rows.flags.writeable
+        rows[0] = rows[1]
+        assert np.array_equal(cbk.weight_matrix, np.eye(3))
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (np.array([[1.0, np.nan], [0.0, 1.0]]), "finite"),
+            (np.array([[np.inf, 0.0], [0.0, 1.0]]), "finite"),
+            (np.array([1.0, 0.0]), "non-empty"),
+            (np.zeros((0, 2)), "non-empty"),
+            (np.eye(3)[:2], "one entry per antenna"),
+        ],
+    )
+    def test_bad_matrices_raise(self, rows, message):
+        with pytest.raises(ValueError, match=message):
+            Codebook("element-sweep", rows)
+
+    def test_unknown_kind_and_missing_b_bits(self):
+        with pytest.raises(ValueError, match="kind must be one of"):
+            Codebook("zap", np.eye(2))
+        with pytest.raises(ValueError, match="b_bits"):
+            Codebook("enh-phase", enh_phase_codebook(2, 1).weight_matrix)
+
+
 class TestMrcAndRealized:
     def test_mrc_achieves_optimal(self, blocked_field, coarse_grid):
         for theta, phi in [(90.0, 270.0), (60.0, 200.0), (120.0, 300.0)]:
             w = mrc_weights(blocked_field, theta, phi)
             e = blocked_field.at(theta, phi)
-            z = (w.weights.conj() * e).sum()
+            assert isinstance(w, np.ndarray) and w.shape == (4,)
+            z = (w.conj() * e).sum()
             g = 10.0 * math.log10(z.real * z.real + z.imag * z.imag)
             assert g == pytest.approx(optimal_gain(blocked_field, theta, phi), abs=1e-12)
 

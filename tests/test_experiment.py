@@ -203,6 +203,22 @@ class TestRunExperiment:
             assert (out / rel).read_bytes() == (again / rel).read_bytes(), rel
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"percentiles": (50.0, 150.0)}, "percentile 150.0"),
+        ({"b_values": (2, 12)}, "enhanced codebook would have"),
+        ({"steer_quant_bits": 64}, "quant_bits must be in 1..16"),
+        ({"steer_quant_bits": 0}, "quant_bits must be in 1..16"),
+    ],
+)
+def test_bad_config_fails_before_any_write(tmp_path, overrides, message):
+    out = tmp_path / "run"
+    with pytest.raises(ValueError, match=message):
+        run_experiment(tiny_config(1, **overrides), out)
+    assert not out.exists()
+
+
 def test_runs_are_serial():
     assert resolve_workers(None) == 1
     assert resolve_workers(4) == 1
