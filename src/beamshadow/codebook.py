@@ -44,6 +44,7 @@ temporaries whatever the grid size.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -160,6 +161,8 @@ class StrengthVector:
 
 def phase_levels(b_bits: int) -> np.ndarray:
     """The 2**B quantized phases ``k * 2*pi / 2**B`` in [0, 2*pi)."""
+    if isinstance(b_bits, bool) or not isinstance(b_bits, numbers.Integral):
+        raise ValueError(f"b_bits must be an integer, got {b_bits!r}")
     if not 1 <= b_bits <= 16:
         raise ValueError("b_bits must be in 1..16")
     # k * (2*pi / 2**B): dividing by powers of two is exact, so level k at

@@ -12,13 +12,18 @@ Outputs under the chosen directory::
     <scenario>/coverage.csv         per-antenna peaks and RoI areas
 
 Reruns with the same config and seed are byte-identical: derived per-trial
-seeds, ordered writes, repr float formatting, no timestamps.  Scenarios run
-one after another, each writing only its own directory.
+seeds, ordered writes, repr float formatting, no timestamps.  Every
+distortion is drawn before the first write; the scenarios then run in worker
+processes forked from the caller, one per usable CPU (see
+``resolve_workers``), each writing only its own directory, while the caller
+writes ``free.field`` and, once every scenario has returned, ``report.json``.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
+import os
 import re
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -33,7 +38,13 @@ from .codebook import (
     enh_phase_codebook,
     gain_map,
 )
-from .distortion import DistortionSpec, FingerSpec, apply_distortion, gen_distortion
+from .distortion import (
+    DistortionField,
+    DistortionSpec,
+    FingerSpec,
+    apply_distortion,
+    gen_distortion,
+)
 from .fields import AntennaFieldMap, ArrayConfig, synth_freespace_field
 from .fileio import (
     write_cdf_csv,
@@ -68,12 +79,26 @@ __all__ = [
 _NAME_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]*")
 
 
-def resolve_workers(workers: int | None = None) -> int:
-    """Scenario worker count: always 1, since runs are serial.
+def resolve_workers(n_tasks: int | None = None) -> int:
+    """Scenario worker count: the usable CPUs, capped at ``n_tasks``.
 
-    Kept for callers that report the worker count; the argument is ignored.
+    1 where the ``fork`` start method is missing; the scenarios then run in
+    the calling process.
     """
-    return 1
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    cpus = cpus or 1
+    return cpus if n_tasks is None else min(n_tasks, cpus)
+
+
+def _integer(value, key: str):
+    """Refuse a float, bool or string where the config needs an integer."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"config key {key!r} must be an integer, got {value!r}")
+    return value
 
 
 def default_scenarios() -> dict[str, DistortionSpec]:
@@ -144,7 +169,17 @@ class ExperimentConfig:
     scenarios: dict[str, DistortionSpec] = field(default_factory=default_scenarios)
 
     def __post_init__(self):
-        self.b_values = tuple(int(b) for b in self.b_values)
+        self.b_values = tuple(int(_integer(b, "b_values")) for b in self.b_values)
+        _integer(self.steer_quant_bits, "steer_quant_bits")
+        for key in ("n_beams", "seed"):
+            if getattr(self, key) is not None:
+                _integer(getattr(self, key), key)
+        _integer(self.array.n_antennas, "array.n_antennas")
+        for name, spec in self.scenarios.items():
+            _integer(spec.seed, f"scenarios.{name}.seed")
+            for k, finger in enumerate(spec.fingers):
+                for a in finger.antennas or ():
+                    _integer(a, f"scenarios.{name}.fingers[{k}].antennas")
         self.percentiles = tuple(float(p) for p in self.percentiles)
         self.roi_theta_range = tuple(float(v) for v in self.roi_theta_range)
         self.roi_phi_range = tuple(float(v) for v in self.roi_phi_range)
@@ -202,7 +237,7 @@ def _spec_from_dict(data: dict, where: str) -> DistortionSpec:
                 center_phi=float(f["center_phi"]),
                 radius_deg=float(f["radius_deg"]),
                 depth_db=float(f["depth_db"]),
-                antennas=None if ants is None else tuple(int(a) for a in ants),
+                antennas=None if ants is None else tuple(ants),
             )
         )
     return DistortionSpec(
@@ -211,7 +246,7 @@ def _spec_from_dict(data: dict, where: str) -> DistortionSpec:
         phase_std_deg=float(data.get("phase_std_deg", 0.0)),
         amp_std_db=float(data.get("amp_std_db", 0.0)),
         corr_length_deg=float(data.get("corr_length_deg", 20.0)),
-        seed=int(data.get("seed", 0)),
+        seed=data.get("seed", 0),
     )
 
 
@@ -296,9 +331,12 @@ class ExperimentReport:
         }
 
 
-def _both_summaries(samples: np.ndarray, weights: np.ndarray, percentiles) -> dict:
-    return {
-        "unweighted": cdf_summary(samples, percentiles).to_dict(),
+def _both_summaries(samples: np.ndarray, weights: np.ndarray, percentiles) -> tuple:
+    """The unweighted ``CdfSummary`` (for ``cdf_*.csv``) and the report.json
+    dict of it and the solid-angle-weighted one."""
+    unweighted = cdf_summary(samples, percentiles)
+    return unweighted, {
+        "unweighted": unweighted.to_dict(),
         "solid_angle_weighted": cdf_summary(samples, percentiles, weights=weights).to_dict(),
     }
 
@@ -306,6 +344,7 @@ def _both_summaries(samples: np.ndarray, weights: np.ndarray, percentiles) -> di
 def _run_scenario(
     name: str,
     spec: DistortionSpec,
+    dist: DistortionField,
     config: ExperimentConfig,
     free: AntennaFieldMap,
     rect,
@@ -318,7 +357,6 @@ def _run_scenario(
     grid = free.grid
     sdir = out / name
     sdir.mkdir(parents=True, exist_ok=True)
-    dist = gen_distortion(spec, grid, free.n_antennas)
     blocked = apply_distortion(free, dist)
     write_field_file(blocked, sdir / "blocked.field")
     write_distortion_file(dist, sdir / "distortion.dist")
@@ -364,12 +402,10 @@ def _run_scenario(
         if arr.size != rect.n_directions:
             raise RuntimeError(f"scenario {name}: {key} lost samples inside the RoI")
 
-    cdfs = {
-        key: _both_summaries(arr, roi_weights, config.percentiles)
-        for key, arr in samples.items()
-    }
+    cdfs = {}
     for key, arr in samples.items():
-        write_cdf_csv(cdf_summary(arr, config.percentiles), sdir / f"cdf_{key}.csv")
+        unweighted, cdfs[key] = _both_summaries(arr, roi_weights, config.percentiles)
+        write_cdf_csv(unweighted, sdir / f"cdf_{key}.csv")
 
     elemental = {}
     for i in range(free.n_antennas):
@@ -408,6 +444,8 @@ def run_experiment(
 
     ``seed`` overrides the config seed; when set, scenario seeds derive from
     it (seed * 1009 + scenario index) instead of the per-spec seeds.
+    Scenarios run in ``resolve_workers(n_scenarios)`` forked processes, or
+    in this one when that is 1; the output is the same either way.
     """
     grid = make_grid(
         config.theta_step_deg,
@@ -424,11 +462,6 @@ def run_experiment(
     )
     phase_cbks = {b: enh_phase_codebook(config.array.n_antennas, b) for b in config.b_values}
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    free = synth_freespace_field(config.array, grid)
-    write_field_file(free, out / "free.field")
-
     effective_seed = config.seed if seed is None else int(seed)
     names = list(config.scenarios)
     specs = []
@@ -437,16 +470,38 @@ def run_experiment(
         if effective_seed is not None:
             spec = replace(spec, seed=effective_seed * 1009 + idx)
         specs.append(spec)
-
+    dists = [gen_distortion(spec, grid, config.array.n_antennas) for spec in specs]
+    free = synth_freespace_field(config.array, grid)
     g_opt_free = gain_map("mrc", free)
     roi_weights = grid.solid_angle_map()[rect.mask]
 
-    results = [
-        _run_scenario(
-            name, spec, config, free, rect, dir_cbk, phase_cbks, g_opt_free, roi_weights, out
-        )
-        for name, spec in zip(names, specs)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    tasks = [
+        (name, spec, dist, config, free, rect, dir_cbk, phase_cbks, g_opt_free, roi_weights, out)
+        for name, spec, dist in zip(names, specs, dists)
     ]
+
+    workers = resolve_workers(len(tasks))
+    if workers > 1:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # fork, not spawn: workers inherit the imported numpy/scipy and the
+        # codebook caches instead of importing them again on every run.  The
+        # executor forks all of its workers before it starts its own thread.
+        context = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(workers, mp_context=context) as pool:
+            futures = [pool.submit(_run_scenario, *task) for task in tasks]
+            try:
+                write_field_file(free, out / "free.field")
+                results = [f.result() for f in futures]
+            finally:
+                for f in futures:
+                    f.cancel()  # no-op for a finished scenario
+    else:
+        write_field_file(free, out / "free.field")
+        results = [_run_scenario(*task) for task in tasks]
 
     report = ExperimentReport(
         config=config,
@@ -466,7 +521,7 @@ def run_experiment(
         free_field={
             "optimal_gain_dbi": _both_summaries(
                 g_opt_free[rect.mask], roi_weights, config.percentiles
-            )
+            )[1]
         },
         scenarios=dict(zip(names, results)),
     )

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import runpy
 import subprocess
 import sys
@@ -6,11 +7,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
+import beamshadow.experiment
 from beamshadow.cli import main
 from beamshadow.experiment import config_to_yaml
 from beamshadow.fileio import read_field_file
-from test_experiment import tiny_config
+from test_experiment import (
+    NON_INTEGERS,
+    config_dict_with,
+    fail_in_worker,
+    needs_fork,
+    tiny_config,
+)
 
 
 @pytest.fixture()
@@ -195,6 +204,33 @@ def test_run_rejects_bad_quant_bits_without_output(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "quant_bits must be in 1..16" in err and "Traceback" not in err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("path, value, key", NON_INTEGERS)
+def test_run_rejects_non_integer_config_integers_without_output(
+    tmp_path, capsys, path, value, key
+):
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(yaml.safe_dump(config_dict_with(path, value)))
+    out_dir = tmp_path / "out"
+    rc = main(["run", "--config", str(cfg_path), "--out", str(out_dir)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert key in err and "must be an integer" in err and "Traceback" not in err
+    assert not out_dir.exists()
+
+
+@needs_fork
+def test_run_reports_a_worker_failure_without_traceback(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(beamshadow.experiment, "resolve_workers", lambda n=None: 2)
+    monkeypatch.setattr(beamshadow.experiment, "apply_distortion", fail_in_worker)
+    cfg_path = tmp_path / "cfg.yaml"
+    config_to_yaml(tiny_config(2), cfg_path)
+    rc = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "apply_distortion failed in process" in err and "Traceback" not in err
+    assert not multiprocessing.active_children()
 
 
 def test_missing_subcommand_exits_with_usage():

@@ -75,6 +75,19 @@ class TestPhaseLevels:
         with pytest.raises(ValueError):
             phase_levels(17)
 
+    @pytest.mark.parametrize("b", [2.0, 2.5, True, "2"])
+    def test_non_integer_b_refused(self, b):
+        with pytest.raises(ValueError, match="b_bits must be an integer"):
+            phase_levels(b)
+
+    def test_numpy_integer_b_accepted(self):
+        assert np.array_equal(phase_levels(np.int64(3)), phase_levels(3))
+
+    def test_non_integer_quant_bits_refused(self):
+        # 2**5.5 levels would silently build a 46-level quantizer
+        with pytest.raises(ValueError, match="must be an integer"):
+            directional_codebook(4, quant_bits=5.5)
+
 
 class TestDirectionalCodebook:
     def test_default_beam_count_equals_antennas(self):

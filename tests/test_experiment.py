@@ -1,9 +1,13 @@
 import json
+import multiprocessing
+import os
+import re
 from pathlib import Path
 
 import pytest
 
 import beamshadow as bs
+from beamshadow import experiment
 from beamshadow.distortion import DistortionSpec, FingerSpec
 from beamshadow.experiment import (
     ExperimentConfig,
@@ -210,6 +214,16 @@ class TestRunExperiment:
         ({"b_values": (2, 12)}, "enhanced codebook would have"),
         ({"steer_quant_bits": 64}, "quant_bits must be in 1..16"),
         ({"steer_quant_bits": 0}, "quant_bits must be in 1..16"),
+        (
+            {
+                "scenarios": {
+                    "grip-a": DistortionSpec(
+                        fingers=(FingerSpec(90.0, 255.0, 40.0, 12.0, antennas=(7,)),)
+                    )
+                }
+            },
+            "finger targets antenna 7 outside 0..3",
+        ),
     ],
 )
 def test_bad_config_fails_before_any_write(tmp_path, overrides, message):
@@ -219,9 +233,82 @@ def test_bad_config_fails_before_any_write(tmp_path, overrides, message):
     assert not out.exists()
 
 
-def test_runs_are_serial():
-    assert resolve_workers(None) == 1
-    assert resolve_workers(4) == 1
+# (path into config.to_dict(), non-integer value, key named in the error)
+NON_INTEGERS = [
+    (("steer_quant_bits",), 5.5, "steer_quant_bits"),
+    (("n_beams",), 2.5, "n_beams"),
+    (("b_values",), [2.7, True], "b_values"),
+    (("b_values",), [2, True], "b_values"),
+    (("seed",), 1.5, "seed"),
+    (("array", "n_antennas"), 4.0, "array.n_antennas"),
+    (("scenarios", "grip-a", "seed"), 21.5, "scenarios.grip-a.seed"),
+    (("scenarios", "grip-a", "fingers", 0, "antennas"), [1.0], "scenarios.grip-a.fingers[0]"),
+    (("scenarios", "grip-a", "fingers", 0, "antennas"), [True], "scenarios.grip-a.fingers[0]"),
+]
+
+
+def config_dict_with(path, value) -> dict:
+    data = tiny_config(1).to_dict()
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return data
+
+
+@pytest.mark.parametrize("path, value, key", NON_INTEGERS)
+def test_non_integer_config_integers_refused(path, value, key):
+    with pytest.raises(ValueError, match=rf"{re.escape(key)}.* must be an integer"):
+        config_from_dict(config_dict_with(path, value))
+
+
+@pytest.mark.parametrize(
+    "overrides", [{"steer_quant_bits": 5.5}, {"n_beams": 2.5}, {"b_values": (2.7, True)}]
+)
+def test_non_integer_config_integers_refused_by_constructor(overrides):
+    with pytest.raises(ValueError, match="must be an integer"):
+        tiny_config(1, **overrides)
+
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
+)
+
+
+@needs_fork
+def test_resolve_workers_is_usable_cpus_capped_at_tasks():
+    cpus = len(os.sched_getaffinity(0))
+    assert resolve_workers(None) == cpus
+    for n in (1, 2, 3, 4, 64):
+        assert resolve_workers(n) == min(n, cpus)
+
+
+@needs_fork
+def test_pool_run_is_byte_identical_to_in_process_run(tmp_path, monkeypatch):
+    trees = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(experiment, "resolve_workers", lambda n=None, w=workers: w)
+        out = tmp_path / f"workers{workers}"
+        run_experiment(tiny_config(2), out, seed=5)
+        trees[workers] = {rel: (out / rel).read_bytes() for rel in all_files(out)}
+        assert not multiprocessing.active_children()
+    assert len(trees[1]) == 2 + 2 * 18  # free.field, report.json, 18 per scenario
+    assert trees[1] == trees[2]
+
+
+def fail_in_worker(field, distortion):
+    raise RuntimeError(f"apply_distortion failed in process {os.getpid()}")
+
+
+@needs_fork
+def test_worker_exception_reaches_caller_as_its_type(tmp_path, monkeypatch):
+    monkeypatch.setattr(experiment, "resolve_workers", lambda n=None: 2)
+    monkeypatch.setattr(experiment, "apply_distortion", fail_in_worker)
+    with pytest.raises(RuntimeError, match="apply_distortion failed in process") as info:
+        run_experiment(tiny_config(2), tmp_path / "run")
+    # raised in a forked worker, not in this process
+    assert str(info.value) != f"apply_distortion failed in process {os.getpid()}"
+    assert not multiprocessing.active_children()
 
 
 class TestSeedOverride:
