@@ -159,10 +159,15 @@ class StrengthVector:
         return np.asarray(self.values, dtype=float)
 
 
+def _require_int(value, name: str) -> None:
+    """Refuse a float, bool or string where a count must be an integer."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def phase_levels(b_bits: int) -> np.ndarray:
     """The 2**B quantized phases ``k * 2*pi / 2**B`` in [0, 2*pi)."""
-    if isinstance(b_bits, bool) or not isinstance(b_bits, numbers.Integral):
-        raise ValueError(f"b_bits must be an integer, got {b_bits!r}")
+    _require_int(b_bits, "b_bits")
     if not 1 <= b_bits <= 16:
         raise ValueError("b_bits must be in 1..16")
     # k * (2*pi / 2**B): dividing by powers of two is exact, so level k at
@@ -306,6 +311,7 @@ def directional_codebook(
     if n_antennas < 1:
         raise ValueError("n_antennas must be >= 1")
     n_beams = n_antennas if n_beams is None else n_beams
+    _require_int(n_beams, "n_beams")
     if n_beams < 1:
         raise ValueError("n_beams must be >= 1")
     if not 1 <= quant_bits <= 16:

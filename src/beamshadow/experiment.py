@@ -25,7 +25,9 @@ import json
 import numbers
 import os
 import re
-from dataclasses import asdict, dataclass, field, replace
+import types
+import typing
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -77,6 +79,11 @@ __all__ = [
 ]
 
 _NAME_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]*")
+_SCALARS = {  # annotation -> (accepted type, noun for the error)
+    int: (numbers.Integral, "an integer"),
+    float: (numbers.Real, "a number"),
+    str: (str, "a string"),
+}
 
 
 def resolve_workers(n_tasks: int | None = None) -> int:
@@ -92,13 +99,6 @@ def resolve_workers(n_tasks: int | None = None) -> int:
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     cpus = cpus or 1
     return cpus if n_tasks is None else min(n_tasks, cpus)
-
-
-def _integer(value, key: str):
-    """Refuse a float, bool or string where the config needs an integer."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"config key {key!r} must be an integer, got {value!r}")
-    return value
 
 
 def default_scenarios() -> dict[str, DistortionSpec]:
@@ -169,20 +169,9 @@ class ExperimentConfig:
     scenarios: dict[str, DistortionSpec] = field(default_factory=default_scenarios)
 
     def __post_init__(self):
-        self.b_values = tuple(int(_integer(b, "b_values")) for b in self.b_values)
-        _integer(self.steer_quant_bits, "steer_quant_bits")
-        for key in ("n_beams", "seed"):
-            if getattr(self, key) is not None:
-                _integer(getattr(self, key), key)
-        _integer(self.array.n_antennas, "array.n_antennas")
-        for name, spec in self.scenarios.items():
-            _integer(spec.seed, f"scenarios.{name}.seed")
-            for k, finger in enumerate(spec.fingers):
-                for a in finger.antennas or ():
-                    _integer(a, f"scenarios.{name}.fingers[{k}].antennas")
-        self.percentiles = tuple(float(p) for p in self.percentiles)
-        self.roi_theta_range = tuple(float(v) for v in self.roi_theta_range)
-        self.roi_phi_range = tuple(float(v) for v in self.roi_phi_range)
+        hints = typing.get_type_hints(ExperimentConfig)
+        for f in fields(self):
+            setattr(self, f.name, _typed(hints[f.name], getattr(self, f.name), f.name))
         if not self.b_values:
             raise ValueError("b_values must not be empty")
         if not self.scenarios:
@@ -195,107 +184,88 @@ class ExperimentConfig:
                 )
 
     def to_dict(self) -> dict:
-        return {
-            "array": asdict(self.array),
-            "theta_step_deg": self.theta_step_deg,
-            "phi_step_deg": self.phi_step_deg,
-            "roi_theta_range": list(self.roi_theta_range),
-            "roi_phi_range": list(self.roi_phi_range),
-            "g1_db": self.g1_db,
-            "g2_db": self.g2_db,
-            "n_beams": self.n_beams,
-            "steer_quant_bits": self.steer_quant_bits,
-            "b_values": list(self.b_values),
-            "percentiles": list(self.percentiles),
-            "seed": self.seed,
-            "scenarios": {
-                name: _spec_to_dict(spec) for name, spec in self.scenarios.items()
-            },
+        return _plain(asdict(self))
+
+
+def _plain(value):
+    """``asdict`` output with every tuple turned into a list (YAML/JSON ready)."""
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value
+
+
+def _typed(hint, value, key: str):
+    """``value`` checked against the annotation ``hint``; the config
+    dataclasses' fields are the whole schema.  A dataclass is built from a
+    mapping or rebuilt from an instance, so both routes run the same checks.
+    Null passes only under ``X | None``; ``int`` refuses floats and booleans,
+    ``float`` booleans and strings.  Every error is a ``ValueError`` naming
+    the key path, such as ``scenarios.x.fingers[0].antennas``."""
+    where = f"config key {key!r}" if key else "config"
+    args = typing.get_args(hint)
+    if value is None:
+        if type(None) in args:
+            return None
+        raise ValueError(f"{where} must not be null")
+    if typing.get_origin(hint) is types.UnionType:
+        return _typed(args[0], value, key)  # X | None
+    if is_dataclass(hint):
+        if isinstance(value, hint):
+            value = {f.name: getattr(value, f.name) for f in fields(hint)}
+        if not isinstance(value, dict):
+            raise ValueError(f"{where} must be a mapping, got {value!r}")
+        unknown = set(value) - {f.name for f in fields(hint)}
+        if unknown:
+            raise ValueError(f"unknown keys in {key or 'config'}: {sorted(map(str, unknown))}")
+        required = {f.name for f in fields(hint) if f.default is f.default_factory is MISSING}
+        missing = sorted(required - set(value))
+        if missing:
+            raise ValueError(f"{where} is missing required keys {missing}")
+        hints = typing.get_type_hints(hint)
+        kwargs = {
+            name: _typed(hints[name], v, f"{key}.{name}" if key else name)
+            for name, v in value.items()
         }
-
-
-def _spec_to_dict(spec: DistortionSpec) -> dict:
-    d = asdict(spec)
-    d["fingers"] = [asdict(f) for f in spec.fingers]
-    for f in d["fingers"]:
-        if f["antennas"] is not None:
-            f["antennas"] = list(f["antennas"])
-    return d
-
-
-def _spec_from_dict(data: dict, where: str) -> DistortionSpec:
-    allowed = {"mode", "fingers", "phase_std_deg", "amp_std_db", "corr_length_deg", "seed"}
-    _reject_unknown(data, allowed, where)
-    fingers = []
-    for k, f in enumerate(data.get("fingers", ()) or ()):
-        f_allowed = {"center_theta", "center_phi", "radius_deg", "depth_db", "antennas"}
-        _reject_unknown(f, f_allowed, f"{where}.fingers[{k}]")
-        ants = f.get("antennas")
-        fingers.append(
-            FingerSpec(
-                center_theta=float(f["center_theta"]),
-                center_phi=float(f["center_phi"]),
-                radius_deg=float(f["radius_deg"]),
-                depth_db=float(f["depth_db"]),
-                antennas=None if ants is None else tuple(ants),
-            )
-        )
-    return DistortionSpec(
-        mode=data.get("mode", "combined"),
-        fingers=tuple(fingers),
-        phase_std_deg=float(data.get("phase_std_deg", 0.0)),
-        amp_std_db=float(data.get("amp_std_db", 0.0)),
-        corr_length_deg=float(data.get("corr_length_deg", 20.0)),
-        seed=data.get("seed", 0),
-    )
-
-
-def _reject_unknown(data: dict, allowed: set[str], where: str) -> None:
-    unknown = set(data) - allowed
-    if unknown:
-        raise ValueError(f"unknown keys in {where}: {sorted(unknown)}")
+        return hint(**kwargs)
+    if typing.get_origin(hint) is dict:
+        if not isinstance(value, dict):
+            raise ValueError(f"{where} must be a mapping, got {value!r}")
+        for name in value:
+            if not isinstance(name, str):
+                raise ValueError(f"{where} needs string keys, got {name!r}")
+        return {name: _typed(args[1], v, f"{key}.{name}") for name, v in value.items()}
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"{where} must be a list, got {value!r}")
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        elif len(value) != len(args):
+            raise ValueError(f"{where} must have {len(args)} items, got {len(value)}")
+        return tuple(_typed(a, v, f"{key}[{i}]") for i, (a, v) in enumerate(zip(args, value)))
+    kind, noun = _SCALARS[hint]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{where} must be {noun}, got {value!r}")
+    try:
+        return hint(value)
+    except OverflowError:
+        raise ValueError(f"{where} is out of range, got {value!r}") from None
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    allowed = {
-        "array",
-        "theta_step_deg",
-        "phi_step_deg",
-        "roi_theta_range",
-        "roi_phi_range",
-        "g1_db",
-        "g2_db",
-        "n_beams",
-        "steer_quant_bits",
-        "b_values",
-        "percentiles",
-        "seed",
-        "scenarios",
-    }
-    _reject_unknown(data, allowed, "config")
-    kwargs: dict = {}
-    if "array" in data:
-        arr = data["array"]
-        _reject_unknown(arr, {f.name for f in ArrayConfig.__dataclass_fields__.values()}, "array")
-        kwargs["array"] = ArrayConfig(**arr)
-    if "scenarios" in data:
-        kwargs["scenarios"] = {
-            name: _spec_from_dict(spec, f"scenarios.{name}")
-            for name, spec in data["scenarios"].items()
-        }
-    nullable = {"n_beams", "seed"}
-    for key in allowed - {"array", "scenarios"}:
-        if key not in data:
-            continue
-        if data[key] is None and key not in nullable:
-            raise ValueError(f"config key {key!r} must not be null")
-        kwargs[key] = data[key]
-    return ExperimentConfig(**kwargs)
+    return _typed(ExperimentConfig, data, "")
 
 
 def config_from_yaml(path) -> ExperimentConfig:
-    with open(path) as fh:
-        data = yaml.safe_load(fh)
+    try:
+        with open(path) as fh:
+            data = yaml.safe_load(fh)
+    except (yaml.YAMLError, UnicodeDecodeError) as exc:
+        mark = getattr(exc, "problem_mark", None)
+        where = f"{path}:{mark.line + 1}" if mark else f"{path}"
+        problem = getattr(exc, "problem", None) or str(exc).splitlines()[0]
+        raise ValueError(f"{where}: not a valid YAML file: {problem}") from None
     if not isinstance(data, dict):
         raise ValueError(f"{path}: config must be a mapping")
     return config_from_dict(data)
@@ -426,7 +396,7 @@ def _run_scenario(
 
     return {
         "seed": spec.seed,
-        "distortion": _spec_to_dict(spec),
+        "distortion": _plain(asdict(spec)),
         "beamforming_cdfs_db": cdfs,
         "elemental_loss_cdfs_db": elemental,
         "coverage": [row.to_dict() for row in coverage],

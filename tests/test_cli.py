@@ -220,6 +220,45 @@ def test_run_rejects_non_integer_config_integers_without_output(
     assert not out_dir.exists()
 
 
+_SPEC = tiny_config(1).to_dict()["scenarios"]["grip-a"]
+
+# (path into config.to_dict(), malformed value, key path the error names);
+# the empty path writes the bytes as the whole file, whose name the error names
+MALFORMED = [
+    ((), b"a: [\n", None),
+    ((), b"a: \x01\n", None),
+    ((), b"a: \xff\n", None),
+    (("b_values",), 3, "'b_values'"),
+    (("scenarios", "grip-a", "fingers", 0, "antennas"), 3, "scenarios.grip-a.fingers[0].antennas"),
+    (("percentiles",), 50, "'percentiles'"),
+    (("array",), 3, "'array'"),
+    (("scenarios",), ["a", "b"], "'scenarios'"),
+    (("scenarios",), {"s": None}, "scenarios.s"),
+    (("scenarios", "grip-a", "fingers", 0), {"center_theta": 90.0}, "scenarios.grip-a.fingers[0]"),
+    (("scenarios",), {1: _SPEC}, "'scenarios'"),
+    (("scenarios", "grip-a", "fingers"), 3, "scenarios.grip-a.fingers"),
+    (("scenarios", "grip-a", "fingers"), [3], "scenarios.grip-a.fingers[0]"),
+    (("g1_db",), "abc", "'g1_db'"),
+    (("theta_step_deg",), "5", "theta_step_deg"),
+    (("g1_db",), True, "'g1_db'"),
+    (("roi_theta_range",), [0, 90, 180], "roi_theta_range"),
+    (("g1_db",), None, "'g1_db'"),
+]
+
+
+@pytest.mark.parametrize("path, value, key", MALFORMED)
+def test_run_rejects_malformed_config_without_output(tmp_path, capsys, path, value, key):
+    cfg_path = tmp_path / "cfg.yaml"
+    data = config_dict_with(path, value)
+    cfg_path.write_bytes(data if isinstance(data, bytes) else yaml.safe_dump(data).encode())
+    out_dir = tmp_path / "out"
+    rc = main(["run", "--config", str(cfg_path), "--out", str(out_dir)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert (key or str(cfg_path)) in err and "Traceback" not in err
+    assert not out_dir.exists()
+
+
 @needs_fork
 def test_run_reports_a_worker_failure_without_traceback(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(beamshadow.experiment, "resolve_workers", lambda n=None: 2)

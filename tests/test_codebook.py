@@ -120,6 +120,13 @@ class TestDirectionalCodebook:
 
     def test_beam_count_override(self):
         assert len(directional_codebook(4, n_beams=16)) == 16
+        assert len(directional_codebook(4, n_beams=np.int64(3))) == 3
+
+    @pytest.mark.parametrize("beams", [2.5, 3.0, True, "3"])
+    def test_non_integer_beam_count_refused(self, beams):
+        # np.arange(1, 2.5 + 1) would silently build 3 beams
+        with pytest.raises(ValueError, match="n_beams must be an integer"):
+            directional_codebook(4, n_beams=beams)
 
     @pytest.mark.parametrize("n", [1, 4, 5])
     @pytest.mark.parametrize("q", [1, 3, 5, 8, 16])

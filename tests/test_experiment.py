@@ -1,10 +1,14 @@
+import copy
 import json
 import multiprocessing
 import os
 import re
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import beamshadow as bs
 from beamshadow import experiment
@@ -128,6 +132,14 @@ class TestConfigSerialization:
         config_to_yaml(cfg, path)
         assert config_from_yaml(path) == cfg
 
+    def test_float_keys_are_stored_as_floats(self):
+        data = tiny_config().to_dict()
+        data["g1_db"] = 7
+        data["array"]["element_spacing"] = 1
+        echo = config_from_dict(data).to_dict()
+        assert type(echo["g1_db"]) is float and echo["g1_db"] == 7.0
+        assert type(echo["array"]["element_spacing"]) is float
+
     def test_yaml_of_default_config_round_trips(self, tmp_path):
         cfg = default_config()
         path = tmp_path / "cfg.yaml"
@@ -244,11 +256,20 @@ NON_INTEGERS = [
     (("scenarios", "grip-a", "seed"), 21.5, "scenarios.grip-a.seed"),
     (("scenarios", "grip-a", "fingers", 0, "antennas"), [1.0], "scenarios.grip-a.fingers[0]"),
     (("scenarios", "grip-a", "fingers", 0, "antennas"), [True], "scenarios.grip-a.fingers[0]"),
+    (("n_beams",), True, "n_beams"),
+    (("seed",), "1", "seed"),
+    (("array", "n_antennas"), "4", "array.n_antennas"),
+    (("steer_quant_bits",), 5.0, "steer_quant_bits"),
+    (("scenarios", "grip-a", "fingers", 0, "antennas"), [0, "1"], "fingers[0].antennas[1]"),
 ]
 
 
-def config_dict_with(path, value) -> dict:
-    data = tiny_config(1).to_dict()
+def config_dict_with(path, value, data=None) -> dict:
+    """``data`` (default: the one-scenario ``tiny_config`` dict) with the
+    value at ``path`` replaced; an empty path replaces the whole dict."""
+    data = tiny_config(1).to_dict() if data is None else data
+    if not path:
+        return value
     node = data
     for key in path[:-1]:
         node = node[key]
@@ -268,6 +289,51 @@ def test_non_integer_config_integers_refused(path, value, key):
 def test_non_integer_config_integers_refused_by_constructor(overrides):
     with pytest.raises(ValueError, match="must be an integer"):
         tiny_config(1, **overrides)
+
+
+def key_paths(node, prefix=()):
+    """Every path into a nested dict/list, the empty root path included."""
+    yield prefix
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from key_paths(child, prefix + (key,))
+
+
+PROPERTY_BASE = tiny_config(2, seed=9, n_beams=8).to_dict()
+PROPERTY_BASE["scenarios"]["grip-a"]["fingers"][0]["antennas"] = [0, 2]
+JSON_LIKE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6) | st.integers(), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@given(
+    path=st.sampled_from(list(key_paths(PROPERTY_BASE))),
+    new_key=st.none() | st.text(max_size=6),
+    value=st.integers(0, 4) | st.floats(0.5, 90.0) | JSON_LIKE,
+)
+def test_config_from_dict_refuses_only_by_value_error_and_round_trips(path, new_key, value):
+    """Any JSON-like value at any key path (or under a new key of a mapping)
+    either fails with ``ValueError`` or gives a config that dict and YAML
+    round-trip."""
+    data = copy.deepcopy(PROPERTY_BASE)
+    node = data
+    for key in path:
+        node = node[key]
+    if new_key is not None and isinstance(node, dict):
+        node[new_key] = value
+    else:
+        data = config_dict_with(path, value, data)
+    try:
+        cfg = config_from_dict(data)
+    except ValueError:
+        return
+    assert config_from_dict(cfg.to_dict()) == cfg
+    with tempfile.TemporaryDirectory() as tmp:
+        config_to_yaml(cfg, Path(tmp) / "cfg.yaml")
+        assert config_from_yaml(Path(tmp) / "cfg.yaml") == cfg
 
 
 needs_fork = pytest.mark.skipif(
