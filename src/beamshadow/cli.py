@@ -22,6 +22,7 @@ from .experiment import config_from_yaml, default_config, run_experiment
 from .fields import ArrayConfig, synth_freespace_field
 from .fileio import (
     read_field_file,
+    read_field_files,
     write_cdf_csv,
     write_coverage_csv,
     write_distortion_file,
@@ -109,8 +110,7 @@ def _cmd_distort(args) -> int:
 
 def _cmd_metrics(args) -> int:
     check_percentiles(args.percentiles)
-    free = read_field_file(args.free)
-    blocked = read_field_file(args.blocked)
+    free, blocked = read_field_files([args.free, args.blocked])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_coverage_csv(coverage_stats(free, blocked, args.g1, args.g2), out / "coverage.csv")

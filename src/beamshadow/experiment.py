@@ -25,8 +25,10 @@ import json
 import numbers
 import os
 import re
+import shutil
 import types
 import typing
+from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
@@ -49,6 +51,7 @@ from .distortion import (
 )
 from .fields import AntennaFieldMap, ArrayConfig, synth_freespace_field
 from .fileio import (
+    resolve_workers,
     write_cdf_csv,
     write_coverage_csv,
     write_distortion_file,
@@ -84,21 +87,6 @@ _SCALARS = {  # annotation -> (accepted type, noun for the error)
     float: (numbers.Real, "a number"),
     str: (str, "a string"),
 }
-
-
-def resolve_workers(n_tasks: int | None = None) -> int:
-    """Scenario worker count: the usable CPUs, capped at ``n_tasks``.
-
-    1 where the ``fork`` start method is missing; the scenarios then run in
-    the calling process.
-    """
-    import multiprocessing
-
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return 1
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    cpus = cpus or 1
-    return cpus if n_tasks is None else min(n_tasks, cpus)
 
 
 def default_scenarios() -> dict[str, DistortionSpec]:
@@ -228,7 +216,12 @@ def _typed(hint, value, key: str):
             name: _typed(hints[name], v, f"{key}.{name}" if key else name)
             for name, v in value.items()
         }
-        return hint(**kwargs)
+        try:
+            return hint(**kwargs)
+        except ValueError as exc:  # a range check in the dataclass's __post_init__
+            if not key:
+                raise  # the top-level checks name their own keys
+            raise ValueError(f"{where}: {exc}") from None
     if typing.get_origin(hint) is dict:
         if not isinstance(value, dict):
             raise ValueError(f"{where} must be a mapping, got {value!r}")
@@ -405,6 +398,22 @@ def _run_scenario(
     }
 
 
+@contextmanager
+def _built_in_place_of(out: Path):
+    """A new directory beside out, renamed onto it when the block succeeds
+    and removed when it fails.  rename(2) replaces an empty directory."""
+    out = Path(os.path.abspath(out))
+    out.parent.mkdir(parents=True, exist_ok=True)
+    build = out.parent / f".{out.name}.{os.getpid()}.partial"
+    build.mkdir()
+    try:
+        yield build
+        os.replace(build, out)
+    except BaseException:
+        shutil.rmtree(build, ignore_errors=True)
+        raise
+
+
 def run_experiment(
     config: ExperimentConfig,
     out_dir,
@@ -415,8 +424,13 @@ def run_experiment(
     ``seed`` overrides the config seed; when set, scenario seeds derive from
     it (seed * 1009 + scenario index) instead of the per-spec seeds.
     Scenarios run in ``resolve_workers(n_scenarios)`` forked processes, or
-    in this one when that is 1; the output is the same either way.
+    in this one when that is 1; the output is the same either way.  out_dir
+    must be absent or an empty directory; the tree is built beside it and
+    renamed onto it, so a run that fails leaves no tree.
     """
+    out = Path(out_dir)
+    if out.exists() and not (out.is_dir() and not any(out.iterdir())):
+        raise ValueError(f"output path {out} exists and is not an empty directory")
     grid = make_grid(
         config.theta_step_deg,
         config.phi_step_deg,
@@ -445,57 +459,57 @@ def run_experiment(
     g_opt_free = gain_map("mrc", free)
     roi_weights = grid.solid_angle_map()[rect.mask]
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    tasks = [
-        (name, spec, dist, config, free, rect, dir_cbk, phase_cbks, g_opt_free, roi_weights, out)
-        for name, spec, dist in zip(names, specs, dists)
-    ]
+    with _built_in_place_of(out) as build:
+        tasks = [
+            (name, spec, dist, config, free, rect, dir_cbk, phase_cbks, g_opt_free, roi_weights,
+             build)
+            for name, spec, dist in zip(names, specs, dists)
+        ]
 
-    workers = resolve_workers(len(tasks))
-    if workers > 1:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+        workers = resolve_workers(len(tasks))
+        if workers > 1:
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
 
-        # fork, not spawn: workers inherit the imported numpy/scipy and the
-        # codebook caches instead of importing them again on every run.  The
-        # executor forks all of its workers before it starts its own thread.
-        context = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(workers, mp_context=context) as pool:
-            futures = [pool.submit(_run_scenario, *task) for task in tasks]
-            try:
-                write_field_file(free, out / "free.field")
-                results = [f.result() for f in futures]
-            finally:
-                for f in futures:
-                    f.cancel()  # no-op for a finished scenario
-    else:
-        write_field_file(free, out / "free.field")
-        results = [_run_scenario(*task) for task in tasks]
+            # fork, not spawn: workers inherit the imported numpy/scipy and the
+            # codebook caches instead of importing them again on every run.  The
+            # executor forks all of its workers before it starts its own thread.
+            context = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(workers, mp_context=context) as pool:
+                futures = [pool.submit(_run_scenario, *task) for task in tasks]
+                try:
+                    write_field_file(free, build / "free.field")
+                    results = [f.result() for f in futures]
+                finally:
+                    for f in futures:
+                        f.cancel()  # no-op for a finished scenario
+        else:
+            write_field_file(free, build / "free.field")
+            results = [_run_scenario(*task) for task in tasks]
 
-    report = ExperimentReport(
-        config=config,
-        effective_seed=effective_seed,
-        grid_info={
-            "theta_step_deg": config.theta_step_deg,
-            "phi_step_deg": config.phi_step_deg,
-            "n_theta": grid.n_theta,
-            "n_phi": grid.n_phi,
-        },
-        roi_info={
-            "theta_range": list(config.roi_theta_range),
-            "phi_range": list(config.roi_phi_range),
-            "area_fraction": rect.area_fraction,
-            "n_directions": rect.n_directions,
-        },
-        free_field={
-            "optimal_gain_dbi": _both_summaries(
-                g_opt_free[rect.mask], roi_weights, config.percentiles
-            )[1]
-        },
-        scenarios=dict(zip(names, results)),
-    )
-    with (out / "report.json").open("w") as fh:
-        json.dump(report.to_dict(), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        report = ExperimentReport(
+            config=config,
+            effective_seed=effective_seed,
+            grid_info={
+                "theta_step_deg": config.theta_step_deg,
+                "phi_step_deg": config.phi_step_deg,
+                "n_theta": grid.n_theta,
+                "n_phi": grid.n_phi,
+            },
+            roi_info={
+                "theta_range": list(config.roi_theta_range),
+                "phi_range": list(config.roi_phi_range),
+                "area_fraction": rect.area_fraction,
+                "n_directions": rect.n_directions,
+            },
+            free_field={
+                "optimal_gain_dbi": _both_summaries(
+                    g_opt_free[rect.mask], roi_weights, config.percentiles
+                )[1]
+            },
+            scenarios=dict(zip(names, results)),
+        )
+        with (build / "report.json").open("w") as fh:
+            json.dump(report.to_dict(), fh, sort_keys=True, indent=2)
+            fh.write("\n")
     return report

@@ -20,10 +20,19 @@ path that parses a few thousand rows per step.  Any other valid spelling
 per-line speed, by the reference loop that also names the first bad
 ``path:line``; every reader error, undecodable bytes included, is a
 ``FileFormatError``.
+
+``read_field_files`` reads several field files at once, since the ``float``
+parse that bounds a read cannot go faster in one process.  This process
+parses only the header of each file after the first and allocates that
+file's samples in an anonymous shared mapping; a child forked per file
+parses its rows straight into the mapping and sends back only "done" or
+its exception, while this process reads the first file.  Errors surface in
+path order, as a serial loop would raise them.
 """
 
 from __future__ import annotations
 
+import os
 import re
 from contextlib import contextmanager
 from itertools import islice
@@ -39,6 +48,8 @@ __all__ = [
     "FileFormatError",
     "write_field_file",
     "read_field_file",
+    "read_field_files",
+    "resolve_workers",
     "write_distortion_file",
     "read_distortion_file",
     "write_gain_map_csv",
@@ -61,9 +72,9 @@ _HEADER_RE = re.compile(
 
 
 # Data rows the fast reader parses, and the trials writer formats, per bulk
-# step.  Bounded so that one chunk's token list stays a few hundred kB: on a
-# 1-degree `metrics` run, 2048-row chunks added about 2 MB to a 71 MB peak
-# RSS, 32768-row ones 20 MB.
+# step.  Bounded so that one chunk's token list stays a few hundred kB: a
+# fresh process running a serial 1-degree `metrics` peaked at 44 MB RSS with
+# 2048-row chunks and at 62 MB with 32768-row ones.
 _CHUNK_ROWS = 2048
 # The shortest data row the per-line reader accepts, "0,0,0,0,0\n".
 _MIN_ROW_BYTES = 10
@@ -71,6 +82,21 @@ _MIN_ROW_BYTES = 10
 
 class FileFormatError(ValueError):
     """Raised when a beamshadow file is malformed; messages carry path:line."""
+
+
+def resolve_workers(n_tasks: int | None = None) -> int:
+    """Worker process count: the usable CPUs, capped at ``n_tasks``.
+
+    1 where the ``fork`` start method is missing; the work then runs in the
+    calling process.
+    """
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    cpus = cpus or 1
+    return cpus if n_tasks is None else min(n_tasks, cpus)
 
 
 def _fmt(x: float) -> str:
@@ -166,8 +192,8 @@ def _open_text(path: Path):
         raise FileFormatError(f"{path}: not UTF-8 text: {exc.reason}") from exc
 
 
-def _start_table(path: Path, fh, magic: str, columns: str, n_values: int):
-    """Parse the two header lines and allocate the (rows, n_values) value array."""
+def _start_table(path: Path, fh, magic: str, columns: str):
+    """Parse the two header lines; returns (n, grid, label, data rows)."""
     header = fh.readline()
     if not header:
         raise FileFormatError(f"{path}:1: empty file")
@@ -180,7 +206,7 @@ def _start_table(path: Path, fh, magic: str, columns: str, n_values: int):
             f"{path}:1: header promises {total} data rows (N={n} x {n_theta} x {n_phi}), "
             f"more than a {size}-byte file can hold"
         )
-    return n, grid, label, np.empty((total, n_values))
+    return n, grid, label, total
 
 
 def _read_rows_fast(fh, n: int, grid: SphericalGrid, values: np.ndarray) -> bool:
@@ -274,17 +300,21 @@ def _read_rows_loop(path: Path, fh, n: int, grid: SphericalGrid, values: np.ndar
         )
 
 
-def _read_table(path, magic: str, columns: str, n_values: int):
+def _read_table(path, magic: str, columns: str, n_values: int, out: np.ndarray | None = None):
     """Parse header plus ordered data rows; returns (n, grid, label, values).
 
-    values is a float array of shape (rows, n_values) in file order.  Rows go
-    through the bulk fast path; if any chunk is not writer-canonical the data
-    is re-read from its first row by the per-line loop, which accepts every
+    values is a C-ordered float array of shape (rows, n_values) in file order,
+    ``out`` when given (its shape must match the header).  Rows go through
+    the bulk fast path; if any chunk is not writer-canonical the data is
+    re-read from its first row by the per-line loop, which accepts every
     other valid spelling and reports the first bad ``path:line``.
     """
     path = Path(path)
     with _open_text(path) as fh:
-        n, grid, label, values = _start_table(path, fh, magic, columns, n_values)
+        n, grid, label, rows = _start_table(path, fh, magic, columns)
+        values = np.empty((rows, n_values)) if out is None else out
+        if values.shape != (rows, n_values):
+            raise FileFormatError(f"{path}: file changed while it was being read")
         data_start = fh.tell()
         if not _read_rows_fast(fh, n, grid, values):
             fh.seek(data_start)
@@ -296,16 +326,89 @@ def _read_table_loop(path, magic: str, columns: str, n_values: int):
     """``_read_table`` without the fast path: the reference it must agree with."""
     path = Path(path)
     with _open_text(path) as fh:
-        n, grid, label, values = _start_table(path, fh, magic, columns, n_values)
+        n, grid, label, rows = _start_table(path, fh, magic, columns)
+        values = np.empty((rows, n_values))
         _read_rows_loop(path, fh, n, grid, values)
     return n, grid, label, values
 
 
+def _field_map(n: int, grid: SphericalGrid, label: str, values: np.ndarray) -> AntennaFieldMap:
+    # (rows, 2) re/im floats viewed as complex: every bit kept, -0.0 included
+    samples = values.view(np.complex128).reshape(n, grid.n_theta, grid.n_phi)
+    return AntennaFieldMap(grid=grid, samples=samples, label=label)
+
+
 def read_field_file(path) -> AntennaFieldMap:
     """Read a beamshadow-field v1 file back into an AntennaFieldMap."""
-    n, grid, label, values = _read_table(path, FIELD_MAGIC, _FIELD_COLUMNS, 2)
-    samples = (values[:, 0] + 1j * values[:, 1]).reshape(n, grid.n_theta, grid.n_phi)
-    return AntennaFieldMap(grid=grid, samples=samples, label=label)
+    return _field_map(*_read_table(path, FIELD_MAGIC, _FIELD_COLUMNS, 2))
+
+
+def _read_field_child(path: Path, values: np.ndarray, conn) -> None:
+    """Forked reader: parse path's rows into the shared values, report back."""
+    try:
+        _read_table(path, FIELD_MAGIC, _FIELD_COLUMNS, 2, out=values)
+    except Exception as exc:  # sent to the caller, which raises it
+        conn.send(exc)
+    else:
+        conn.send(None)
+    finally:
+        conn.close()
+
+
+def read_field_files(paths) -> list[AntennaFieldMap]:
+    """Read several field files, the same as ``[read_field_file(p) for p in
+    paths]`` but concurrently: each file after the first is parsed by a child
+    forked from this process into shared memory while this process reads the
+    first.  The first bad path's error is raised, as the serial loop would.
+    Where ``resolve_workers(len(paths))`` is 1 the files are read one by one.
+    """
+    paths = [Path(p) for p in paths]
+    if resolve_workers(len(paths)) <= 1:
+        return [read_field_file(p) for p in paths]
+    import mmap
+    import multiprocessing
+
+    context = multiprocessing.get_context("fork")
+    jobs = []  # per later path: an exception, or (header, values, process, connection)
+    try:
+        for path in paths[1:]:
+            try:
+                with _open_text(path) as fh:
+                    header = _start_table(path, fh, FIELD_MAGIC, _FIELD_COLUMNS)
+            except (FileFormatError, OSError) as exc:
+                jobs.append(exc)  # raised in path order, after the earlier reads
+                continue
+            rows = header[3]
+            values = np.frombuffer(mmap.mmap(-1, 16 * rows), np.float64).reshape(rows, 2)
+            receiver, sender = context.Pipe(duplex=False)
+            proc = context.Process(target=_read_field_child, args=(path, values, sender))
+            proc.start()
+            sender.close()
+            jobs.append((header, values, proc, receiver))
+        fields = [read_field_file(paths[0])]
+        for path, job in zip(paths[1:], jobs):
+            if isinstance(job, Exception):
+                raise job
+            header, values, proc, receiver = job
+            try:
+                error = receiver.recv()
+            except EOFError:
+                proc.join()
+                raise RuntimeError(
+                    f"{path}: reader process exited with code {proc.exitcode}"
+                ) from None
+            if error is not None:
+                raise error
+            fields.append(_field_map(*header[:3], values))
+        return fields
+    finally:
+        for job in jobs:
+            if not isinstance(job, Exception):
+                _, _, proc, receiver = job
+                receiver.close()
+                if proc.is_alive():
+                    proc.terminate()
+                proc.join()
 
 
 def read_distortion_file(path) -> DistortionField:

@@ -1,6 +1,8 @@
 import json
 import multiprocessing
+import os
 import runpy
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +12,7 @@ import pytest
 import yaml
 
 import beamshadow.experiment
+from beamshadow import fileio
 from beamshadow.cli import main
 from beamshadow.experiment import config_to_yaml
 from beamshadow.fileio import read_field_file
@@ -243,6 +246,8 @@ MALFORMED = [
     (("g1_db",), True, "'g1_db'"),
     (("roi_theta_range",), [0, 90, 180], "roi_theta_range"),
     (("g1_db",), None, "'g1_db'"),
+    (("scenarios", "grip-a", "fingers", 0, "radius_deg"), -1, "scenarios.grip-a.fingers[0]"),
+    (("array", "n_antennas"), 0, "'array'"),
 ]
 
 
@@ -270,6 +275,23 @@ def test_run_reports_a_worker_failure_without_traceback(tmp_path, capsys, monkey
     err = capsys.readouterr().err
     assert "apply_distortion failed in process" in err and "Traceback" not in err
     assert not multiprocessing.active_children()
+    assert list(tmp_path.iterdir()) == [cfg_path]  # no tree, partial or temporary
+
+
+def test_run_refuses_a_non_empty_out_before_any_work(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(beamshadow.experiment, "make_grid", None)  # any work would raise
+    cfg_path = tmp_path / "cfg.yaml"
+    config_to_yaml(tiny_config(1), cfg_path)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    (out_dir / "keep.txt").write_text("kept")
+    for out in (out_dir, cfg_path):
+        rc = main(["run", "--config", str(cfg_path), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"output path {out} exists and is not an empty directory" in err
+    assert [p.name for p in out_dir.iterdir()] == ["keep.txt"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml", "out"]
 
 
 def test_missing_subcommand_exits_with_usage():
@@ -304,3 +326,94 @@ def test_metrics_rejects_bad_percentiles_before_writing(free_file, tmp_path, cap
     assert rc == 1
     assert "percentile 150.0" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+@pytest.fixture()
+def metrics_inputs(free_file, tmp_path):
+    blocked = tmp_path / "blocked.field"
+    assert main(["distort", "--field", str(free_file), "--out", str(blocked),
+                 "--scenario", "loose-grip-one-finger"]) == 0
+    return free_file, blocked
+
+
+def run_metrics(monkeypatch, capfd, workers, free, blocked, out):
+    """(exit status, stdout, stderr) of ``metrics`` with the reader's worker
+    count fixed; checks that no reader process or traceback is left over."""
+    monkeypatch.setattr(fileio, "resolve_workers", lambda n=None: workers)
+    capfd.readouterr()
+    rc = main(["metrics", "--free", str(free), "--blocked", str(blocked), "--out", str(out)])
+    captured = capfd.readouterr()
+    assert not multiprocessing.active_children()
+    assert "Traceback" not in captured.err
+    lines = captured.out.splitlines()
+    assert len(lines) == len(set(lines))  # nothing printed twice
+    return rc, captured.out, captured.err
+
+
+@needs_fork
+def test_metrics_concurrent_read_is_byte_identical_to_serial(
+    metrics_inputs, tmp_path, monkeypatch, capfd
+):
+    out_dir = tmp_path / "metrics"
+    results = {}
+    for workers in (1, 2):
+        rc, stdout, err = run_metrics(monkeypatch, capfd, workers, *metrics_inputs, out_dir)
+        assert rc == 0 and not err
+        tree = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        results[workers] = stdout, tree
+        shutil.rmtree(out_dir)
+    assert len(results[1][1]) == 5  # coverage.csv and one CDF table per antenna
+    assert results[1] == results[2]
+
+
+def _corrupt(path, kind):
+    lines = path.read_text().splitlines(keepends=True)
+    if kind == "header":
+        lines[0] = lines[0].replace("beamshadow-field v1", "beamshadow-feld v1")
+    elif kind == "row":
+        lines[40] = lines[40].replace(",", ",x", 1)
+    else:
+        path.unlink()
+        return
+    path.write_text("".join(lines))
+
+
+@needs_fork
+@pytest.mark.parametrize("kind", ["header", "row", "missing"])
+@pytest.mark.parametrize("bad", [("free",), ("blocked",), ("free", "blocked")])
+def test_metrics_concurrent_read_errors_match_serial(
+    metrics_inputs, tmp_path, monkeypatch, capfd, kind, bad
+):
+    paths = dict(zip(("free", "blocked"), metrics_inputs))
+    for name in bad:
+        _corrupt(paths[name], kind)
+    out_dir = tmp_path / "metrics"
+    serial = run_metrics(monkeypatch, capfd, 1, *paths.values(), out_dir)
+    assert serial == run_metrics(monkeypatch, capfd, 2, *paths.values(), out_dir)
+    rc, stdout, err = serial
+    assert rc == 1 and not stdout
+    assert str(paths[bad[0]]) in err  # the first path's error wins
+    assert not out_dir.exists()
+
+
+@needs_fork
+def test_metrics_reader_process_that_dies_is_an_error(
+    metrics_inputs, tmp_path, monkeypatch, capfd
+):
+    read_table, parent = fileio._read_table, os.getpid()
+
+    def die_in_child(*args, **kwargs):
+        if os.getpid() != parent:
+            os._exit(3)
+        return read_table(*args, **kwargs)
+
+    monkeypatch.setattr(fileio, "_read_table", die_in_child)
+    out_dir = tmp_path / "metrics"
+    rc, stdout, err = run_metrics(monkeypatch, capfd, 2, *metrics_inputs, out_dir)
+    message = f"{metrics_inputs[1]}: reader process exited with code 3"
+    assert rc == 1 and not stdout
+    assert f"error: {message}" in err
+    assert not out_dir.exists()
+    with pytest.raises(RuntimeError, match=message):
+        fileio.read_field_files(metrics_inputs)
+    assert not multiprocessing.active_children()

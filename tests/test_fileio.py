@@ -1,3 +1,4 @@
+import multiprocessing
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -21,6 +22,7 @@ from beamshadow.fileio import (
     write_gain_map_csv,
     write_trials_csv,
 )
+from test_experiment import needs_fork
 
 
 @pytest.fixture()
@@ -192,6 +194,40 @@ def test_values_with_many_digits_round_trip(tmp_path):
     assert np.array_equal(read_field_file(path).samples, samples)
 
 
+@needs_fork
+def test_signed_zeros_round_trip(tmp_path):
+    """-0.0 keeps its sign in both parts, through every reader path."""
+    from beamshadow.fields import AntennaFieldMap
+
+    grid = bs.make_grid(90.0, 90.0)  # 2 x 4 directions
+    samples = np.array([[[-0.0 + 1j, complex(1.0, -0.0), complex(-0.0, -0.0), 0j]] * 2])
+    path = tmp_path / "z.field"
+    write_field_file(AntennaFieldMap(grid=grid, samples=samples), path)
+    values = fileio._read_table_loop(path, FIELD_MAGIC, fileio._FIELD_COLUMNS, 2)[3]
+    assert np.array_equal(np.signbit(values), np.signbit(samples.view(float).reshape(-1, 2)))
+    with mock.patch.object(fileio, "resolve_workers", lambda n=None: 2):
+        read = [read_field_file(path), *fileio.read_field_files([path, path])]
+    for back in read:
+        assert np.array_equal(np.signbit(back.samples.real), np.signbit(samples.real))
+        assert np.array_equal(np.signbit(back.samples.imag), np.signbit(samples.imag))
+
+
+@needs_fork
+def test_read_field_files_equals_the_serial_loop(tmp_path, small_field, monkeypatch):
+    from beamshadow.fields import AntennaFieldMap
+
+    paths = [tmp_path / f"{i}.field" for i in range(3)]
+    for i, path in enumerate(paths):
+        field = AntennaFieldMap(small_field.grid, small_field.samples * (i + 1j), f"f{i}")
+        write_field_file(field, path)
+    monkeypatch.setattr(fileio, "resolve_workers", lambda n=None: 2)
+    got = fileio.read_field_files(paths)
+    assert not multiprocessing.active_children()
+    want = [read_field_file(p) for p in paths]
+    assert [(f.grid, f.label) for f in got] == [(f.grid, f.label) for f in want]
+    assert [f.samples.tobytes() for f in got] == [f.samples.tobytes() for f in want]
+
+
 def test_nan_coordinate_is_rejected(tmp_path, small_field):
     path = tmp_path / "a.field"
     write_field_file(small_field, path)
@@ -337,7 +373,8 @@ def test_writer_made_rows_take_the_fast_path(tmp_path, magic, chunk):
     path = tmp_path / "a.txt"
     path.write_text(_CANONICAL[magic])
     with mock.patch.object(fileio, "_CHUNK_ROWS", chunk), path.open(newline="") as fh:
-        n, grid, _, values = fileio._start_table(path, fh, magic, _COLUMNS[magic], 2)
+        n, grid, _, rows = fileio._start_table(path, fh, magic, _COLUMNS[magic])
+        values = np.empty((rows, 2))
         assert fileio._read_rows_fast(fh, n, grid, values)
     assert values.tobytes() == fileio._read_table_loop(path, magic, _COLUMNS[magic], 2)[3].tobytes()
 
@@ -349,8 +386,8 @@ def test_other_spellings_are_read_by_the_loop(tmp_path, small_field):
     path.write_text(text.replace("\r\n", "\n", 2), newline="")
     assert np.array_equal(read_field_file(path).samples, small_field.samples)
     with path.open(newline="") as fh:
-        n, grid, _, values = fileio._start_table(path, fh, FIELD_MAGIC, fileio._FIELD_COLUMNS, 2)
-        assert not fileio._read_rows_fast(fh, n, grid, values)
+        n, grid, _, rows = fileio._start_table(path, fh, FIELD_MAGIC, fileio._FIELD_COLUMNS)
+        assert not fileio._read_rows_fast(fh, n, grid, np.empty((rows, 2)))
 
 
 @given(
