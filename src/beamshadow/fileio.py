@@ -28,6 +28,11 @@ file's samples in an anonymous shared mapping; a child forked per file
 parses its rows straight into the mapping and sends back only "done" or
 its exception, while this process reads the first file.  Errors surface in
 path order, as a serial loop would raise them.
+
+``write_trials_csv`` likewise formats the trials' rows in contiguous ranges,
+the first here and each further one in a forked child whose bytes are
+written in trial order as they arrive.  It writes a hidden sibling file and
+renames it onto the path, so a failed write leaves no partial file.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ import numpy as np
 
 from .distortion import DistortionField
 from .fields import AntennaFieldMap
+from .forked import Child, ranges
 from .sphere import SphericalGrid, make_grid
 
 __all__ = [
@@ -343,16 +349,9 @@ def read_field_file(path) -> AntennaFieldMap:
     return _field_map(*_read_table(path, FIELD_MAGIC, _FIELD_COLUMNS, 2))
 
 
-def _read_field_child(path: Path, values: np.ndarray, conn) -> None:
-    """Forked reader: parse path's rows into the shared values, report back."""
-    try:
-        _read_table(path, FIELD_MAGIC, _FIELD_COLUMNS, 2, out=values)
-    except Exception as exc:  # sent to the caller, which raises it
-        conn.send(exc)
-    else:
-        conn.send(None)
-    finally:
-        conn.close()
+def _parse_into(path: Path, values: np.ndarray) -> None:
+    """A forked reader's work: parse path's rows into the shared values."""
+    _read_table(path, FIELD_MAGIC, _FIELD_COLUMNS, 2, out=values)
 
 
 def read_field_files(paths) -> list[AntennaFieldMap]:
@@ -366,10 +365,8 @@ def read_field_files(paths) -> list[AntennaFieldMap]:
     if resolve_workers(len(paths)) <= 1:
         return [read_field_file(p) for p in paths]
     import mmap
-    import multiprocessing
 
-    context = multiprocessing.get_context("fork")
-    jobs = []  # per later path: an exception, or (header, values, process, connection)
+    jobs = []  # per later path: an exception, or (header, values, child)
     try:
         for path in paths[1:]:
             try:
@@ -380,35 +377,19 @@ def read_field_files(paths) -> list[AntennaFieldMap]:
                 continue
             rows = header[3]
             values = np.frombuffer(mmap.mmap(-1, 16 * rows), np.float64).reshape(rows, 2)
-            receiver, sender = context.Pipe(duplex=False)
-            proc = context.Process(target=_read_field_child, args=(path, values, sender))
-            proc.start()
-            sender.close()
-            jobs.append((header, values, proc, receiver))
+            jobs.append((header, values, Child(f"{path}: reader", _parse_into, path, values)))
         fields = [read_field_file(paths[0])]
-        for path, job in zip(paths[1:], jobs):
+        for job in jobs:
             if isinstance(job, Exception):
                 raise job
-            header, values, proc, receiver = job
-            try:
-                error = receiver.recv()
-            except EOFError:
-                proc.join()
-                raise RuntimeError(
-                    f"{path}: reader process exited with code {proc.exitcode}"
-                ) from None
-            if error is not None:
-                raise error
+            header, values, child = job
+            child.reply()
             fields.append(_field_map(*header[:3], values))
         return fields
     finally:
         for job in jobs:
             if not isinstance(job, Exception):
-                _, _, proc, receiver = job
-                receiver.close()
-                if proc.is_alive():
-                    proc.terminate()
-                proc.join()
+                job[2].close()
 
 
 def read_distortion_file(path) -> DistortionField:
@@ -465,22 +446,67 @@ def write_coverage_csv(rows, path) -> None:
             )
 
 
+def _trials_rows(result, start: int, stop: int):
+    """The CSV rows of trials start..stop-1 in (trial, B) order, as ASCII
+    bytes of at most ``_CHUNK_ROWS`` rows each."""
+    n_b = len(result.b_values)
+    columns = (
+        np.repeat(np.arange(start, stop), n_b),
+        np.tile(result.b_values, stop - start),
+        np.repeat(result.var_blockage[start:stop], n_b),
+        result.lower_bound[start:stop].ravel(),
+        result.delta_achieved[start:stop].ravel(),
+        result.margin[start:stop].ravel(),
+    )
+    for first in range(0, columns[0].size, _CHUNK_ROWS):
+        cells = [map(repr, col[first : first + _CHUNK_ROWS].tolist()) for col in columns]
+        yield ("\n".join(map(",".join, zip(*cells))) + "\n").encode("ascii")
+
+
+@contextmanager
+def _written_in_place_of(path: Path):
+    """A binary handle on a new hidden file beside path, renamed onto path
+    when the block succeeds and removed when it fails."""
+    partial = path.parent / f".{path.name}.{os.getpid()}.partial"
+    try:
+        fh = partial.open("wb")
+    except OSError as exc:  # name the file the caller asked for
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
+    try:
+        with fh:
+            yield fh
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+
+
 def write_trials_csv(result, path) -> None:
     """Dump a theorem audit as CSV rows
     ``trial,B,var_blockage,lower_bound,delta_achieved,margin`` in (trial, B)
-    order, floats written with ``repr``."""
-    n_b = len(result.b_values)
-    columns = (
-        np.repeat(np.arange(result.n_trials), n_b),
-        np.tile(result.b_values, result.n_trials),
-        np.repeat(result.var_blockage, n_b),
-        result.lower_bound.ravel(),
-        result.delta_achieved.ravel(),
-        result.margin.ravel(),
-    )
-    with Path(path).open("w", newline="") as fh:
-        fh.write("trial,B,var_blockage,lower_bound,delta_achieved,margin\n")
-        for start in range(0, columns[0].size, _CHUNK_ROWS):
-            cells = [map(repr, col[start : start + _CHUNK_ROWS].tolist()) for col in columns]
-            fh.write("\n".join(map(",".join, zip(*cells))))
-            fh.write("\n")
+    order, floats written with ``repr``.
+
+    The trials are split into ``resolve_workers(n_trials)`` contiguous
+    ranges.  This process formats and writes the first; a child forked per
+    further range formats its rows meanwhile, and its bytes are written in
+    trial order as they arrive, so the file is the same for any split.  The
+    file is written beside ``path`` and renamed onto it, so a failed write
+    leaves neither a partial ``path`` nor a temporary file.
+    """
+    own, *others = ranges(result.n_trials, resolve_workers(result.n_trials))
+    children = []
+    try:
+        for start, stop in others:
+            # the generator is made here but run by the child
+            rows = _trials_rows(result, start, stop)
+            children.append(Child(f"trials {start}-{stop - 1}: CSV writer", list, rows))
+        with _written_in_place_of(Path(path)) as fh:
+            fh.write(b"trial,B,var_blockage,lower_bound,delta_achieved,margin\n")
+            for chunk in _trials_rows(result, *own):
+                fh.write(chunk)
+            for child in children:
+                for chunk in child.chunks():
+                    fh.write(chunk)
+    finally:
+        for child in children:
+            child.close()

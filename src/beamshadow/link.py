@@ -22,7 +22,11 @@ numeric margin of every step.
 ``theorem_trials`` audits the bound on random fields.  Trial t is drawn from
 the ``default_rng([seed, t])`` stream; the streams are computed a block of
 trials at a time (numpy's SeedSequence hashing and PCG64 generator, redone
-on arrays) and checked against numpy itself on trial 0 of every call.
+on arrays) and checked against numpy itself on trial 0 of every call.  The
+trials are split into contiguous ranges, one per ``fileio.resolve_workers``
+worker: this process draws and searches the first range and checks trial
+0, and a child forked per further range draws and searches its own.  The
+rows are joined in trial order, so the result does not depend on the split.
 """
 
 from __future__ import annotations
@@ -32,7 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import fileio
 from .codebook import Codebook, best_entries, phase_lattice, phase_levels
+from .forked import Child, ranges
 from .sphere import mod_2pi, wrap_rad
 
 __all__ = [
@@ -390,20 +396,38 @@ def _pcg64_doubles(seed: int, trials: np.ndarray, n_draws: int) -> np.ndarray:
 
 
 def _trial_fields(
-    seed: int, n_trials: int, n_antennas: int, amp_low: float, amp_high: float
+    seed: int, start: int, stop: int, n_antennas: int, amp_low: float, amp_high: float
 ) -> np.ndarray:
-    """``_trial_field`` of trials 0..n_trials-1 stacked, bit for bit, drawn
+    """``_trial_field`` of trials start..stop-1 stacked, bit for bit, drawn
     ``_TRIAL_BLOCK`` trials at a time."""
     low, high = float(amp_low), float(amp_high)
     blocks = []
-    for start in range(0, n_trials, _TRIAL_BLOCK):
-        trials = np.arange(start, min(start + _TRIAL_BLOCK, n_trials))
+    for first in range(start, stop, _TRIAL_BLOCK):
+        trials = np.arange(first, min(first + _TRIAL_BLOCK, stop))
         d = _pcg64_doubles(seed, trials, 2 * n_antennas)
         # Generator.uniform(low, high) is low + (high - low) * next_double
         amps = low + (high - low) * d[:, :n_antennas]
         phases = 0.0 + (2.0 * math.pi - 0.0) * d[:, n_antennas:]
         blocks.append(amps * np.exp(1j * phases))
     return np.concatenate(blocks)
+
+
+def _audit_rows(e_rows: np.ndarray, b_values: tuple[int, ...]):
+    """(var_blockage, lower_bound, delta_achieved) of every row of a trial
+    field array; the last two have one column per B."""
+    var = _var_rows(e_rows)
+    lower = np.empty((e_rows.shape[0], len(b_values)))
+    delta = np.empty_like(lower)
+    for j, b in enumerate(b_values):
+        max_amp, max_phase = _codebook_maxima(e_rows, b)
+        lower[:, j] = _lower_bound_rows(e_rows, b, var)
+        delta[:, j] = max_amp - max_phase
+    return var, lower, delta
+
+
+def _audit_trials(seed, start, stop, n_antennas, amp_low, amp_high, b_values):
+    """``_audit_rows`` of trials start..stop-1, drawn here."""
+    return _audit_rows(_trial_fields(seed, start, stop, n_antennas, amp_low, amp_high), b_values)
 
 
 def theorem_trials(
@@ -419,10 +443,15 @@ def theorem_trials(
 
     Trial t is the ``default_rng([seed, t])`` stream.  The streams are
     computed a block of trials at a time by reimplementing numpy's seeding
-    and PCG64 generator; trial 0 is also drawn by numpy and must match bit
-    for bit, else ``RuntimeError``.  The trials are searched together, and
-    every value equals what ``var_blockage``, ``theorem1_lb`` and
-    ``delta_snr_achieved`` return for that trial alone.
+    and PCG64 generator; trial 0 is also drawn by numpy, in this process,
+    and must match bit for bit, else ``RuntimeError``.  Every value equals
+    what ``var_blockage``, ``theorem1_lb`` and ``delta_snr_achieved`` return
+    for that trial alone.
+
+    The trials are split into ``resolve_workers(n_trials)`` contiguous
+    ranges.  This process draws and searches the first; a child forked per
+    further range draws and searches its own and sends the rows back, which
+    are joined in trial order, so the result is the same for any split.
     """
     if not 1 <= n_trials <= 2**32:
         raise ValueError("n_trials must be in 1..2**32")
@@ -431,23 +460,34 @@ def theorem_trials(
     b_values = tuple(int(b) for b in b_values)
     if not b_values or any(b < 1 for b in b_values):
         raise ValueError("b_values must be a non-empty list of bit widths >= 1")
-    # the largest codebook is built first, so an oversized one fails here
-    phase_lattice(n_antennas, max(b_values))
+    for b in b_values:
+        if b_values.count(b) > 1:
+            raise ValueError(f"b_values repeats bit width {b}")
+    # every codebook is built before the children fork, the largest first,
+    # so an oversized one fails here
+    for b in sorted(b_values, reverse=True):
+        phase_lattice(n_antennas, b)
     # numpy draws trial 0 first: a bad seed raises its own error
     first = _trial_field(seed, 0, n_antennas, amp_low, amp_high)
-    e = _trial_fields(seed, n_trials, n_antennas, amp_low, amp_high)
-    if e[0].tobytes() != first.tobytes():
-        raise RuntimeError(
-            "vectorized trial draw differs from numpy.random.default_rng "
-            f"{np.__version__} at trial 0"
-        )
-    var = _var_rows(e)
-    lower = np.empty((n_trials, len(b_values)))
-    delta = np.empty_like(lower)
-    for j, b in enumerate(b_values):
-        max_amp, max_phase = _codebook_maxima(e, b)
-        lower[:, j] = _lower_bound_rows(e, b, var)
-        delta[:, j] = max_amp - max_phase
+    (start, stop), *others = ranges(n_trials, fileio.resolve_workers(n_trials))
+    draw = (n_antennas, amp_low, amp_high)
+    children = []
+    try:
+        for lo, hi in others:
+            children.append(
+                Child(f"trials {lo}-{hi - 1}: audit", _audit_trials, seed, lo, hi, *draw, b_values)
+            )
+        e = _trial_fields(seed, start, stop, *draw)
+        if e[0].tobytes() != first.tobytes():
+            raise RuntimeError(
+                "vectorized trial draw differs from numpy.random.default_rng "
+                f"{np.__version__} at trial 0"
+            )
+        parts = [_audit_rows(e, b_values), *(child.reply() for child in children)]
+    finally:
+        for child in children:
+            child.close()
+    var, lower, delta = (np.concatenate(column) for column in zip(*parts))
     return TheoremCheckResult(
         n_trials=n_trials,
         b_values=b_values,

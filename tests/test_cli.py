@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import multiprocessing
 import os
@@ -5,11 +7,14 @@ import runpy
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import beamshadow.experiment
 from beamshadow import fileio
@@ -162,7 +167,8 @@ def test_theorem_check_writes_rows(tmp_path, capsys):
     [(["--n-antennas", "0"], "n_antennas must be >= 1"),
      (["--n-antennas", "40"], "enhanced codebook would have"),
      (["--seed", "-1"], "expected non-negative integer"),
-     (["--n-antennas", "1", "--B", "40"], "b_bits must be in 1..16")],
+     (["--n-antennas", "1", "--B", "40"], "b_bits must be in 1..16"),
+     (["--B", "2,2"], "b_values repeats bit width 2")],
 )
 def test_theorem_check_rejects_bad_arguments_without_output(tmp_path, capsys, argv, message):
     out = tmp_path / "rows.csv"
@@ -171,6 +177,43 @@ def test_theorem_check_rejects_bad_arguments_without_output(tmp_path, capsys, ar
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_theorem_check_names_the_out_path_it_cannot_write(tmp_path, capsys):
+    out = tmp_path / "missing" / "rows.csv"
+    rc = main(["theorem-check", "--trials", "3", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"No such file or directory: '{out}'" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@settings(max_examples=100)
+@given(
+    trials=st.integers(-3, 50),
+    b_values=st.lists(st.integers(0, 17), min_size=1, max_size=4),
+    n_antennas=st.integers(0, 9),
+    seed=st.integers(-2, 2**130),
+)
+def test_theorem_check_exits_cleanly_on_any_arguments(trials, b_values, n_antennas, seed):
+    """Exit 0, 1 or 2 and never a traceback; the CSV exists only after a
+    completed audit (exit 0, or 1 for a bound violation)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "rows.csv"
+        argv = ["theorem-check", "--trials", str(trials), "--B", ",".join(map(str, b_values)),
+                "--n-antennas", str(n_antennas), "--seed", str(seed), "--out", str(out)]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                rc = main(argv)
+            except SystemExit as exc:  # argparse usage errors
+                rc = exc.code
+        assert rc in (0, 1, 2)
+        assert "Traceback" not in stderr.getvalue()
+        completed = rc == 0 or (rc == 1 and "bound violated" in stderr.getvalue())
+        assert out.exists() == completed
+        assert [p.name for p in Path(tmp).iterdir()] == (["rows.csv"] if completed else [])
+    assert not multiprocessing.active_children()
 
 
 def test_sweep_script_writes_the_cli_csv(tmp_path, monkeypatch, capsys):

@@ -1,4 +1,5 @@
 import multiprocessing
+import os
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -409,11 +410,17 @@ def test_readers_raise_only_file_format_error(data, at, magic):
                     pass
 
 
-def test_trials_csv_matches_a_per_row_repr_loop(tmp_path):
+@pytest.mark.parametrize("workers, chunk_rows", [(1, 2048), (2, 5), (3, 4)])
+def test_trials_csv_matches_a_per_row_repr_loop(tmp_path, monkeypatch, workers, chunk_rows):
+    """The same bytes for any split of the trials and any chunk size."""
     res = bs.theorem_trials(12, b_values=(1, 3), seed=3, n_antennas=2, amp_low=1.0, amp_high=1.0)
     res.margin[4, 1] = -0.0  # a signed zero keeps its sign
     path = tmp_path / "trials.csv"
+    monkeypatch.setattr(fileio, "resolve_workers", lambda n=None: workers)
+    monkeypatch.setattr(fileio, "_CHUNK_ROWS", chunk_rows)
     write_trials_csv(res, path)
+    assert not multiprocessing.active_children()
+    assert [p.name for p in tmp_path.iterdir()] == ["trials.csv"]
     want = ["trial,B,var_blockage,lower_bound,delta_achieved,margin"]
     for t in range(res.n_trials):
         for j, b in enumerate(res.b_values):
@@ -421,6 +428,53 @@ def test_trials_csv_matches_a_per_row_repr_loop(tmp_path):
                       res.margin[t, j])
             want.append(f"{t},{b}," + ",".join(repr(float(v)) for v in values))
     assert path.read_text() == "\n".join(want) + "\n"
+
+
+def _planted_in_trials_rows(monkeypatch, in_child: bool, action):
+    """Make fileio._trials_rows call action() after its first chunk, in a
+    child process or in this one, with the trials split in two."""
+    real, parent = fileio._trials_rows, os.getpid()
+
+    def rows(*args):
+        chunks = real(*args)
+        yield next(chunks)
+        if (os.getpid() != parent) == in_child:
+            action()
+        yield from chunks
+
+    monkeypatch.setattr(fileio, "_trials_rows", rows)
+    monkeypatch.setattr(fileio, "_CHUNK_ROWS", 5)
+    monkeypatch.setattr(fileio, "resolve_workers", lambda n=None: 2)
+
+
+def _raise_planted():
+    raise FloatingPointError("planted")
+
+
+@needs_fork
+@pytest.mark.parametrize(
+    "in_child, action, error, message",
+    [(True, _raise_planted, FloatingPointError, "planted"),
+     (True, lambda: os._exit(3), RuntimeError, "trials 20-39: CSV writer process exited with code 3"),
+     (False, _raise_planted, FloatingPointError, "planted")],
+)
+def test_failed_trials_write_leaves_no_file(tmp_path, monkeypatch, in_child, action, error,
+                                            message):
+    """A write that fails midway, in a child or here, leaves the old file
+    as it was and no temporary file beside it."""
+    res = bs.theorem_trials(40, b_values=(1, 2), seed=1)
+    path = tmp_path / "trials.csv"
+    path.write_bytes(b"previous\n")
+    _planted_in_trials_rows(monkeypatch, in_child, action)
+    with pytest.raises(error, match=message):
+        write_trials_csv(res, path)
+    assert not multiprocessing.active_children()
+    assert [p.name for p in tmp_path.iterdir()] == ["trials.csv"]
+    assert path.read_bytes() == b"previous\n"
+    monkeypatch.undo()
+    write_trials_csv(res, path)  # and a later write replaces it
+    assert path.read_bytes().startswith(b"trial,B,")
+    assert [p.name for p in tmp_path.iterdir()] == ["trials.csv"]
 
 
 def test_cdf_csv_matches_a_per_row_repr_loop(tmp_path):

@@ -1,5 +1,8 @@
 import json
 import math
+import multiprocessing
+import os
+import signal
 from unittest import mock
 
 import numpy as np
@@ -8,8 +11,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import beamshadow as bs
+from test_experiment import needs_fork
 from beamshadow.codebook import directional_codebook, enh_phase_codebook
-from beamshadow import link
+from beamshadow import fileio, link
 from beamshadow.link import (
     delta_snr_achieved,
     inequality_chain_check,
@@ -202,6 +206,7 @@ class TestTheoremTrials:
         "kwargs, message",
         [({"n_antennas": 0}, "n_antennas"), ({"n_antennas": 40}, "entries"),
          ({"b_values": ()}, "b_values"), ({"b_values": (2, 0)}, "b_values"),
+         ({"b_values": (2, 3, 2)}, "repeats bit width 2"),
          ({"n_trials": 0}, "n_trials"),
          ({"n_antennas": 1, "b_values": (40,)}, "b_bits must be in 1..16")],
     )
@@ -215,8 +220,10 @@ class TestTheoremTrials:
             theorem_trials(**{"n_trials": 10, **kwargs})
 
 
-def _numpy_fields(seed, n_trials, n, amp_low, amp_high):
-    return np.array([link._trial_field(seed, t, n, amp_low, amp_high) for t in range(n_trials)])
+def _numpy_fields(seed, n_trials, n, amp_low, amp_high, start=0):
+    return np.array(
+        [link._trial_field(seed, t, n, amp_low, amp_high) for t in range(start, start + n_trials)]
+    )
 
 
 # seeds of one to four 32-bit words, then arbitrary ones up to five words
@@ -234,12 +241,13 @@ class TestTrialStream:
         n=st.integers(1, 8),
         amps=st.sampled_from([(0.0, 2.0), (0.5, 1.0), (1.0, 1.0), (0.0, 0.0), (-1.5, 2.25)]),
         n_trials=st.integers(1, 20),
+        start=st.sampled_from([0, 1, 6, 2**32 - 20]),
         block=st.sampled_from([1, 7, link._TRIAL_BLOCK]),
     )
-    def test_fields_equal_default_rng(self, seed, n, amps, n_trials, block):
+    def test_fields_equal_default_rng(self, seed, n, amps, n_trials, start, block):
         with mock.patch.object(link, "_TRIAL_BLOCK", block):
-            got = link._trial_fields(seed, n_trials, n, *amps)
-        assert got.tobytes() == _numpy_fields(seed, n_trials, n, *amps).tobytes()
+            got = link._trial_fields(seed, start, start + n_trials, n, *amps)
+        assert got.tobytes() == _numpy_fields(seed, n_trials, n, *amps, start=start).tobytes()
 
     @given(seed=SEEDS, trials=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6))
     def test_seeding_and_doubles_equal_numpy(self, seed, trials):
@@ -266,3 +274,70 @@ class TestTrialStream:
     def test_bad_seed_raises_numpy_error(self):
         with pytest.raises(ValueError, match="expected non-negative integer"):
             theorem_trials(3, seed=-1)
+
+
+def _audit_outputs(tmp_path, workers, **kwargs):
+    """(result arrays, trials.csv bytes) with the worker count fixed, or the
+    real one when workers is None; leaves no child process behind."""
+    count = fileio.resolve_workers if workers is None else lambda n=None: min(workers, n)
+    with mock.patch.object(fileio, "resolve_workers", count):
+        res = theorem_trials(**kwargs)
+        path = tmp_path / f"trials-{workers}.csv"
+        fileio.write_trials_csv(res, path)
+    assert not multiprocessing.active_children()
+    arrays = (res.var_blockage, res.lower_bound, res.delta_achieved, res.margin)
+    return [a.tobytes() for a in arrays], path.read_bytes()
+
+
+@needs_fork
+class TestForkedTrials:
+    """Trial ranges searched in forked children give the serial result."""
+
+    @pytest.mark.parametrize(
+        "kwargs, block",
+        [({"n_trials": 1}, None), ({"n_trials": 2}, None), ({"n_trials": 3}, None),
+         ({"n_trials": 10001}, None), ({"n_trials": 40, "b_values": (3, 1)}, None),
+         ({"n_trials": 30, "seed": 2**64 + 5, "n_antennas": 3}, None),
+         ({"n_trials": 45, "seed": 6, "b_values": (2,)}, 7)],
+    )
+    def test_split_equals_serial(self, monkeypatch, tmp_path, kwargs, block):
+        if block is not None:
+            monkeypatch.setattr(link, "_TRIAL_BLOCK", block)
+        serial = _audit_outputs(tmp_path, 1, **kwargs)
+        assert _audit_outputs(tmp_path, None, **kwargs) == serial
+        assert _audit_outputs(tmp_path, 3, **kwargs) == serial
+
+    def in_child(self, monkeypatch, name, action):
+        """Patch link.<name> so that it runs action() in a child process."""
+        real, parent = getattr(link, name), os.getpid()
+
+        def patched(*args):
+            if os.getpid() != parent:
+                action()
+            return real(*args)
+
+        monkeypatch.setattr(fileio, "resolve_workers", lambda n=None: 2)
+        monkeypatch.setattr(link, name, patched)
+
+    def test_child_exception_is_raised_with_its_type(self, monkeypatch):
+        def fail():
+            raise FloatingPointError("planted in the child")
+
+        self.in_child(monkeypatch, "_audit_rows", fail)
+        with pytest.raises(FloatingPointError, match="planted in the child"):
+            theorem_trials(20, b_values=(1, 2))
+        assert not multiprocessing.active_children()
+
+    def test_child_killed_by_a_signal_is_a_runtime_error(self, monkeypatch):
+        self.in_child(monkeypatch, "_audit_rows", lambda: os.kill(os.getpid(), signal.SIGKILL))
+        message = f"trials 10-19: audit process exited with code -{int(signal.SIGKILL)}"
+        with pytest.raises(RuntimeError, match=message):
+            theorem_trials(20, b_values=(1, 2))
+        assert not multiprocessing.active_children()
+
+    def test_trial_zero_guard_runs_in_this_process(self, monkeypatch):
+        monkeypatch.setattr(fileio, "resolve_workers", lambda n=None: 2)
+        monkeypatch.setattr(link, "_PCG_MULT", link._PCG_MULT + 2)
+        with pytest.raises(RuntimeError, match="default_rng"):
+            theorem_trials(20, b_values=(1,))
+        assert not multiprocessing.active_children()
