@@ -36,7 +36,8 @@ def main() -> None:
     args.out.parent.mkdir(parents=True, exist_ok=True)
     with args.out.open("w", newline="") as fh:
         fh.write("theta_deg,optimal_db,directional_db,gap_db\n")
-        for t, a, b, g in zip(grid.thetas, g_opt, g_dir, gap):
+        # Python floats: the repr of a numpy scalar is "np.float64(...)", not a number
+        for t, a, b, g in zip(grid.thetas.tolist(), g_opt.tolist(), g_dir.tolist(), gap.tolist()):
             fh.write(f"{t!r},{a!r},{b!r},{g!r}\n")
 
     print(f"cut written to {args.out} ({grid.n_theta} samples, phi=270)")

@@ -13,10 +13,11 @@ Outputs under the chosen directory::
 
 Reruns with the same config and seed are byte-identical: derived per-trial
 seeds, ordered writes, repr float formatting, no timestamps.  Every
-distortion is drawn before the first write; the scenarios then run in worker
-processes forked from the caller, one per usable CPU (see
-``resolve_workers``), each writing only its own directory, while the caller
-writes ``free.field`` and, once every scenario has returned, ``report.json``.
+distortion is drawn before the first write; the scenarios are then split into
+contiguous ranges, one per usable CPU (see ``resolve_workers``).  A child
+forked per range after the first runs its scenarios, each writing only its
+own directory, while the caller writes ``free.field`` and runs the first
+range; the results are joined in scenario order before ``report.json``.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ from .fileio import (
     write_field_file,
     write_gain_map_csv,
 )
+from .forked import Child, ranges
 from .metrics import (
     cdf_summary,
     check_percentiles,
@@ -398,6 +400,12 @@ def _run_scenario(
     }
 
 
+def _run_scenarios(tasks) -> tuple:
+    """``_run_scenario`` of each task, in order (a tuple, which ``Child``
+    sends back whole)."""
+    return tuple(_run_scenario(*task) for task in tasks)
+
+
 @contextmanager
 def _built_in_place_of(out: Path):
     """A new directory beside out, renamed onto it when the block succeeds
@@ -423,8 +431,10 @@ def run_experiment(
 
     ``seed`` overrides the config seed; when set, scenario seeds derive from
     it (seed * 1009 + scenario index) instead of the per-spec seeds.
-    Scenarios run in ``resolve_workers(n_scenarios)`` forked processes, or
-    in this one when that is 1; the output is the same either way.  out_dir
+    The scenarios are split into ``resolve_workers(n_scenarios)``
+    contiguous ranges: this process runs the first and a child forked per
+    further range runs its own, so with one range no child starts.  The
+    output is the same for any split.  out_dir
     must be absent or an empty directory; the tree is built beside it and
     renamed onto it, so a run that fails leaves no tree.
     """
@@ -466,26 +476,19 @@ def run_experiment(
             for name, spec, dist in zip(names, specs, dists)
         ]
 
-        workers = resolve_workers(len(tasks))
-        if workers > 1:
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
-            # fork, not spawn: workers inherit the imported numpy/scipy and the
-            # codebook caches instead of importing them again on every run.  The
-            # executor forks all of its workers before it starts its own thread.
-            context = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(workers, mp_context=context) as pool:
-                futures = [pool.submit(_run_scenario, *task) for task in tasks]
-                try:
-                    write_field_file(free, build / "free.field")
-                    results = [f.result() for f in futures]
-                finally:
-                    for f in futures:
-                        f.cancel()  # no-op for a finished scenario
-        else:
+        own, *others = ranges(len(tasks), resolve_workers(len(tasks)))
+        children = []
+        try:
+            for lo, hi in others:
+                what = f"scenarios {', '.join(names[lo:hi])}"
+                children.append(Child(what, _run_scenarios, tasks[lo:hi]))
             write_field_file(free, build / "free.field")
-            results = [_run_scenario(*task) for task in tasks]
+            results = list(_run_scenarios(tasks[slice(*own)]))
+            for child in children:
+                results.extend(child.reply())
+        finally:
+            for child in children:
+                child.close()
 
         report = ExperimentReport(
             config=config,

@@ -29,7 +29,13 @@ parses its rows straight into the mapping and sends back only "done" or
 its exception, while this process reads the first file.  Errors surface in
 path order, as a serial loop would raise them.
 
-``write_trials_csv`` likewise formats the trials' rows in contiguous ranges,
+Every table, the field and distortion data rows and the CSV tables alike,
+is formatted by one chunk generator, ``_table_chunks``: a few thousand rows
+at a time, each value as ``repr`` of a Python float, and written to a binary
+handle after the header, which is encoded as UTF-8, the readers' encoding.
+A header is built, and a bad label refused, before the file is opened.
+
+``write_trials_csv`` formats the trials' rows in contiguous ranges,
 the first here and each further one in a forked child whose bytes are
 written in trial order as they arrive.  It writes a hidden sibling file and
 renames it onto the path, so a failed write leaves no partial file.
@@ -40,7 +46,7 @@ from __future__ import annotations
 import os
 import re
 from contextlib import contextmanager
-from itertools import islice
+from itertools import islice, product
 from pathlib import Path
 
 import numpy as np
@@ -77,7 +83,7 @@ _HEADER_RE = re.compile(
 )
 
 
-# Data rows the fast reader parses, and the trials writer formats, per bulk
+# Data rows the fast reader parses, and every writer formats, per bulk
 # step.  Bounded so that one chunk's token list stays a few hundred kB: a
 # fresh process running a serial 1-degree `metrics` peaked at 44 MB RSS with
 # 2048-row chunks and at 62 MB with 32768-row ones.
@@ -125,46 +131,41 @@ def _header_line(magic: str, n_antennas: int, grid: SphericalGrid, label: str) -
     )
 
 
-def _write_rows(fh, grid: SphericalGrid, per_antenna, value_fmt) -> None:
-    theta_s, phi_s = _axis_tokens(grid)
-    for a, block in enumerate(per_antenna):
-        prefix = str(a)
-        for it, th in enumerate(theta_s):
-            row = block[it]
-            for ip, ph in enumerate(phi_s):
-                fh.write(f"{prefix},{th},{ph},{value_fmt(row[ip])}\n")
+def _table_chunks(lead, columns):
+    """Data rows ``<prefix>,<value>,...`` as ASCII bytes, at most
+    ``_CHUNK_ROWS`` rows per chunk.  The row prefixes are the product of the
+    token lists in ``lead`` joined by commas, in order; row i's values are
+    ``column[i]`` of each column, written as ``repr`` of a Python float."""
+    prefixes = map(",".join, product(*lead))
+    cells = ",%r" * len(columns) + "\n"
+    for start in range(0, len(columns[0]), _CHUNK_ROWS):
+        block = np.column_stack([column[start : start + _CHUNK_ROWS] for column in columns])
+        rows = cells.join(islice(prefixes, len(block))) + cells
+        yield (rows % tuple(block.ravel().tolist())).encode("ascii")
+
+
+def _write_table(path, header: str, lead, columns) -> None:
+    """Write the UTF-8 header, then ``_table_chunks(lead, columns)``."""
+    with Path(path).open("wb") as fh:
+        fh.write(header.encode("utf-8"))
+        fh.writelines(_table_chunks(lead, columns))
 
 
 def write_field_file(field: AntennaFieldMap, path) -> None:
     """Write a field map in the beamshadow-field v1 format."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        fh.write(_header_line(FIELD_MAGIC, field.n_antennas, field.grid, field.label) + "\n")
-        fh.write(_FIELD_COLUMNS + "\n")
-        _write_rows(
-            fh,
-            field.grid,
-            field.samples,
-            lambda z: f"{_fmt(z.real)},{_fmt(z.imag)}",
-        )
+    header = _header_line(FIELD_MAGIC, field.n_antennas, field.grid, field.label)
+    samples = field.samples.reshape(-1)
+    lead = (map(str, range(field.n_antennas)), *_axis_tokens(field.grid))
+    _write_table(path, f"{header}\n{_FIELD_COLUMNS}\n", lead, (samples.real, samples.imag))
 
 
 def write_distortion_file(distortion: DistortionField, path) -> None:
     """Write a distortion field in the beamshadow-distortion v1 format."""
-    path = Path(path)
-    amp, phase = distortion.amp, distortion.phase
-    with path.open("w", newline="") as fh:
-        fh.write(
-            _header_line(DISTORTION_MAGIC, distortion.n_antennas, distortion.grid, distortion.label)
-            + "\n"
-        )
-        fh.write(_DISTORTION_COLUMNS + "\n")
-        theta_s, phi_s = _axis_tokens(distortion.grid)
-        for a in range(distortion.n_antennas):
-            for it, th in enumerate(theta_s):
-                arow, prow = amp[a, it], phase[a, it]
-                for ip, ph in enumerate(phi_s):
-                    fh.write(f"{a},{th},{ph},{_fmt(arow[ip])},{_fmt(prow[ip])}\n")
+    n = distortion.n_antennas
+    header = _header_line(DISTORTION_MAGIC, n, distortion.grid, distortion.label)
+    lead = (map(str, range(n)), *_axis_tokens(distortion.grid))
+    columns = (distortion.amp.reshape(-1), distortion.phase.reshape(-1))
+    _write_table(path, f"{header}\n{_DISTORTION_COLUMNS}\n", lead, columns)
 
 
 def _parse_header(path: Path, line: str, magic: str, columns: str, second: str):
@@ -416,51 +417,36 @@ def write_gain_map_csv(grid: SphericalGrid, gain_db: np.ndarray, path) -> None:
     gain_db = np.asarray(gain_db, dtype=float)
     if gain_db.shape != grid.shape:
         raise ValueError(f"gain map shape {gain_db.shape} does not match grid {grid.shape}")
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        fh.write("theta_deg,phi_deg,gain_db\n")
-        theta_s, phi_s = _axis_tokens(grid)
-        for it, th in enumerate(theta_s):
-            row = gain_db[it]
-            for ip, ph in enumerate(phi_s):
-                fh.write(f"{th},{ph},{_fmt(row[ip])}\n")
+    _write_table(path, "theta_deg,phi_deg,gain_db\n", _axis_tokens(grid), (gain_db.reshape(-1),))
 
 
 def write_cdf_csv(summary, path) -> None:
     """Dump a CdfSummary's percentile table as CSV rows ``percentile,value_db``."""
-    with Path(path).open("w", newline="") as fh:
-        fh.write("percentile,value_db\n")
-        for p, v in summary.percentiles:
-            fh.write(f"{_fmt(p)},{_fmt(v)}\n")
+    table = np.array(summary.percentiles, dtype=float).reshape(-1, 2)
+    _write_table(path, "percentile,value_db\n", (map(_fmt, table[:, 0]),), table[:, 1:].T)
 
 
 def write_coverage_csv(rows, path) -> None:
     """Dump CoverageRows as CSV rows
     ``antenna,max_free_gain_db,max_blocked_gain_db,roi_area_pct``."""
-    with Path(path).open("w", newline="") as fh:
-        fh.write("antenna,max_free_gain_db,max_blocked_gain_db,roi_area_pct\n")
-        for row in rows:
-            fh.write(
-                f"{row.antenna},{_fmt(row.max_free_gain_db)},"
-                f"{_fmt(row.max_blocked_gain_db)},{_fmt(row.roi_area_pct)}\n"
-            )
+    header = "antenna,max_free_gain_db,max_blocked_gain_db,roi_area_pct\n"
+    antennas = [str(r.antenna) for r in rows]
+    values = [(r.max_free_gain_db, r.max_blocked_gain_db, r.roi_area_pct) for r in rows]
+    _write_table(path, header, (antennas,), np.array(values, dtype=float).reshape(-1, 3).T)
 
 
 def _trials_rows(result, start: int, stop: int):
     """The CSV rows of trials start..stop-1 in (trial, B) order, as ASCII
     bytes of at most ``_CHUNK_ROWS`` rows each."""
     n_b = len(result.b_values)
+    lead = (map(str, range(start, stop)), map(str, result.b_values))
     columns = (
-        np.repeat(np.arange(start, stop), n_b),
-        np.tile(result.b_values, stop - start),
         np.repeat(result.var_blockage[start:stop], n_b),
         result.lower_bound[start:stop].ravel(),
         result.delta_achieved[start:stop].ravel(),
         result.margin[start:stop].ravel(),
     )
-    for first in range(0, columns[0].size, _CHUNK_ROWS):
-        cells = [map(repr, col[first : first + _CHUNK_ROWS].tolist()) for col in columns]
-        yield ("\n".join(map(",".join, zip(*cells))) + "\n").encode("ascii")
+    yield from _table_chunks(lead, columns)
 
 
 @contextmanager
@@ -502,11 +488,9 @@ def write_trials_csv(result, path) -> None:
             children.append(Child(f"trials {start}-{stop - 1}: CSV writer", list, rows))
         with _written_in_place_of(Path(path)) as fh:
             fh.write(b"trial,B,var_blockage,lower_bound,delta_achieved,margin\n")
-            for chunk in _trials_rows(result, *own):
-                fh.write(chunk)
+            fh.writelines(_trials_rows(result, *own))
             for child in children:
-                for chunk in child.chunks():
-                    fh.write(chunk)
+                fh.writelines(child.chunks())
     finally:
         for child in children:
             child.close()

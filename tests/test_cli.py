@@ -24,7 +24,8 @@ from beamshadow.fileio import read_field_file
 from test_experiment import (
     NON_INTEGERS,
     config_dict_with,
-    fail_in_worker,
+    fail_in_child,
+    kill_in_child,
     needs_fork,
     tiny_config,
 )
@@ -229,6 +230,22 @@ def test_sweep_script_writes_the_cli_csv(tmp_path, monkeypatch, capsys):
     assert swept.read_bytes() == checked.read_bytes()
 
 
+def test_crossover_script_writes_float_cells(tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "directional_crossover.py"
+    out = tmp_path / "cut.csv"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--theta-step", "30", "--out", str(out)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(Path(fileio.__file__).parents[1])},
+    )
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = out.read_text().splitlines()
+    assert header == "theta_deg,optimal_db,directional_db,gap_db"
+    cells = [[float(cell) for cell in row.split(",")] for row in rows]
+    assert [row[0] for row in cells] == [0.0, 30.0, 60.0, 90.0, 120.0, 150.0]
+    assert {len(row) for row in cells} == {4}
+
+
 def test_run_subcommand(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.yaml"
     config_to_yaml(tiny_config(1), cfg_path)
@@ -308,15 +325,21 @@ def test_run_rejects_malformed_config_without_output(tmp_path, capsys, path, val
 
 
 @needs_fork
-def test_run_reports_a_worker_failure_without_traceback(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "in_child, message",
+    [(fail_in_child, "apply_distortion failed in process"),
+     (kill_in_child, "scenarios grip-b process exited with code -9")],
+)
+def test_run_reports_a_worker_failure_without_traceback(tmp_path, capsys, monkeypatch, in_child,
+                                                         message):
     monkeypatch.setattr(beamshadow.experiment, "resolve_workers", lambda n=None: 2)
-    monkeypatch.setattr(beamshadow.experiment, "apply_distortion", fail_in_worker)
+    monkeypatch.setattr(beamshadow.experiment, "apply_distortion", in_child(os.getpid()))
     cfg_path = tmp_path / "cfg.yaml"
     config_to_yaml(tiny_config(2), cfg_path)
     rc = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
     assert rc == 1
     err = capsys.readouterr().err
-    assert "apply_distortion failed in process" in err and "Traceback" not in err
+    assert message in err and "Traceback" not in err
     assert not multiprocessing.active_children()
     assert list(tmp_path.iterdir()) == [cfg_path]  # no tree, partial or temporary
 

@@ -3,6 +3,7 @@ import json
 import multiprocessing
 import os
 import re
+import signal
 import tempfile
 from pathlib import Path
 
@@ -349,32 +350,77 @@ def test_resolve_workers_is_usable_cpus_capped_at_tasks():
         assert resolve_workers(n) == min(n, cpus)
 
 
+def split_config(n_scenarios):
+    """``tiny_config(2)``'s two scenarios, repeated to n_scenarios."""
+    specs = list(tiny_config(2).scenarios.values())
+    return tiny_config(scenarios={f"grip-{i}": specs[i % 2] for i in range(n_scenarios)})
+
+
+def workers_patched(monkeypatch, workers):
+    """``resolve_workers`` as on a machine with ``workers`` usable CPUs."""
+    monkeypatch.setattr(experiment, "resolve_workers", lambda n=None: min(n, workers))
+
+
 @needs_fork
-def test_pool_run_is_byte_identical_to_in_process_run(tmp_path, monkeypatch):
+@pytest.mark.parametrize("n_scenarios", [1, 3, 5])
+def test_split_run_is_byte_identical_to_in_process_run(tmp_path, monkeypatch, n_scenarios):
+    """Any split of the scenarios, uneven ranges included, writes the tree
+    that one process writes."""
     trees = {}
-    for workers in (1, 2):
-        monkeypatch.setattr(experiment, "resolve_workers", lambda n=None, w=workers: w)
+    for workers in (1, 2, 3):
+        workers_patched(monkeypatch, workers)
         out = tmp_path / f"workers{workers}"
-        run_experiment(tiny_config(2), out, seed=5)
+        run_experiment(split_config(n_scenarios), out, seed=5)
         trees[workers] = {rel: (out / rel).read_bytes() for rel in all_files(out)}
         assert not multiprocessing.active_children()
-    assert len(trees[1]) == 2 + 2 * 18  # free.field, report.json, 18 per scenario
-    assert trees[1] == trees[2]
+    assert len(trees[1]) == 2 + n_scenarios * 18  # free.field, report.json, 18 per scenario
+    assert trees[1] == trees[2] == trees[3]
 
 
-def fail_in_worker(field, distortion):
-    raise RuntimeError(f"apply_distortion failed in process {os.getpid()}")
+def fail_in_child(parent):
+    """An ``apply_distortion`` that raises in any process but ``parent``."""
+    real = experiment.apply_distortion
+
+    def apply(field, distortion):
+        if os.getpid() == parent:
+            return real(field, distortion)
+        raise RuntimeError(f"apply_distortion failed in process {os.getpid()}")
+
+    return apply
 
 
 @needs_fork
 def test_worker_exception_reaches_caller_as_its_type(tmp_path, monkeypatch):
-    monkeypatch.setattr(experiment, "resolve_workers", lambda n=None: 2)
-    monkeypatch.setattr(experiment, "apply_distortion", fail_in_worker)
+    workers_patched(monkeypatch, 2)
+    monkeypatch.setattr(experiment, "apply_distortion", fail_in_child(os.getpid()))
     with pytest.raises(RuntimeError, match="apply_distortion failed in process") as info:
         run_experiment(tiny_config(2), tmp_path / "run")
     # raised in a forked worker, not in this process
     assert str(info.value) != f"apply_distortion failed in process {os.getpid()}"
     assert not multiprocessing.active_children()
+    assert list(tmp_path.iterdir()) == []  # no tree, no build directory
+
+
+def kill_in_child(parent):
+    """An ``apply_distortion`` that SIGKILLs any process but ``parent``."""
+    real = experiment.apply_distortion
+
+    def apply(field, distortion):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(field, distortion)
+
+    return apply
+
+
+@needs_fork
+def test_child_killed_by_a_signal_is_a_runtime_error(tmp_path, monkeypatch):
+    workers_patched(monkeypatch, 2)
+    monkeypatch.setattr(experiment, "apply_distortion", kill_in_child(os.getpid()))
+    with pytest.raises(RuntimeError, match="scenarios grip-b process exited with code -9"):
+        run_experiment(tiny_config(2), tmp_path / "run")
+    assert not multiprocessing.active_children()
+    assert list(tmp_path.iterdir()) == []  # no tree, no build directory
 
 
 class TestSeedOverride:

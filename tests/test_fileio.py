@@ -1,6 +1,7 @@
 import multiprocessing
 import os
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import beamshadow as bs
 from beamshadow import fileio
@@ -75,12 +77,19 @@ def test_label_survives_round_trip(tmp_path, small_field):
     assert read_field_file(path).label == "run 3, retry"
 
 
-def test_newline_in_label_is_rejected(tmp_path, small_field):
-    from beamshadow.fields import AntennaFieldMap
-
-    bad = AntennaFieldMap(grid=small_field.grid, samples=small_field.samples, label="a\nb")
+@pytest.mark.parametrize("label", ["a\nb", "a\rb"])
+@pytest.mark.parametrize("kind", ["field", "distortion"])
+def test_newline_in_label_is_rejected(tmp_path, small_field, small_distortion, kind, label):
+    """Refused before the file is opened: an existing file keeps its bytes."""
+    table, writer = {
+        "field": (small_field, write_field_file),
+        "distortion": (small_distortion, write_distortion_file),
+    }[kind]
+    path = tmp_path / "a.txt"
+    path.write_bytes(b"previous\n")
     with pytest.raises(ValueError, match="newline"):
-        write_field_file(bad, tmp_path / "a.field")
+        writer(replace(table, label=label), path)
+    assert path.read_bytes() == b"previous\n"
 
 
 def test_wrong_magic_names_line_one(tmp_path, small_field):
@@ -410,6 +419,17 @@ def test_readers_raise_only_file_format_error(data, at, magic):
                     pass
 
 
+def _trials_reference(res) -> str:
+    """trials.csv as a per-row ``repr`` loop writes it."""
+    want = ["trial,B,var_blockage,lower_bound,delta_achieved,margin"]
+    for t in range(res.n_trials):
+        for j, b in enumerate(res.b_values):
+            values = (res.var_blockage[t], res.lower_bound[t, j], res.delta_achieved[t, j],
+                      res.margin[t, j])
+            want.append(f"{t},{b}," + ",".join(repr(float(v)) for v in values))
+    return "\n".join(want) + "\n"
+
+
 @pytest.mark.parametrize("workers, chunk_rows", [(1, 2048), (2, 5), (3, 4)])
 def test_trials_csv_matches_a_per_row_repr_loop(tmp_path, monkeypatch, workers, chunk_rows):
     """The same bytes for any split of the trials and any chunk size."""
@@ -421,13 +441,20 @@ def test_trials_csv_matches_a_per_row_repr_loop(tmp_path, monkeypatch, workers, 
     write_trials_csv(res, path)
     assert not multiprocessing.active_children()
     assert [p.name for p in tmp_path.iterdir()] == ["trials.csv"]
-    want = ["trial,B,var_blockage,lower_bound,delta_achieved,margin"]
-    for t in range(res.n_trials):
-        for j, b in enumerate(res.b_values):
-            values = (res.var_blockage[t], res.lower_bound[t, j], res.delta_achieved[t, j],
-                      res.margin[t, j])
-            want.append(f"{t},{b}," + ",".join(repr(float(v)) for v in values))
-    assert path.read_text() == "\n".join(want) + "\n"
+    assert path.read_text() == _trials_reference(res)
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 7])
+@pytest.mark.parametrize("n_trials", [1, 2, 10001])
+def test_trials_csv_bytes_for_any_trial_count(tmp_path, monkeypatch, n_trials, chunk_rows):
+    res = bs.theorem_trials(n_trials, seed=11)
+    last = n_trials - 1
+    res.var_blockage[last] = 5e-324
+    res.lower_bound[0, :] = (-0.0, -1.7976931348623157e308, 2.2250738585072014e-308 / 3)
+    res.margin[last, -1] = 1.7976931348623157e308
+    monkeypatch.setattr(fileio, "_CHUNK_ROWS", chunk_rows)
+    write_trials_csv(res, tmp_path / "trials.csv")
+    assert (tmp_path / "trials.csv").read_bytes() == _trials_reference(res).encode("ascii")
 
 
 def _planted_in_trials_rows(monkeypatch, in_child: bool, action):
@@ -504,3 +531,89 @@ def test_coverage_csv_matches_a_per_row_repr_loop(tmp_path):
         want += f"{r.antenna}," + ",".join(repr(float(v)) for v in values) + "\n"
     assert path.read_text() == want
     assert path.read_text().splitlines()[1] == "0,50.0,-inf,nan"
+
+
+# Doubles a writer must spell exactly: signed zero, subnormals, the extremes.
+EDGE_VALUES = [-0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
+               1.7976931348623157e308, -1.7976931348623157e308]
+FINITE = st.sampled_from(EDGE_VALUES) | st.floats(allow_nan=False, allow_infinity=False)
+AMPLITUDES = st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308]) | st.floats(
+    0.0, allow_infinity=False)
+PHASES = st.sampled_from([-0.0, 5e-324]) | st.floats(0.0, 2 * np.pi, exclude_max=True)
+GAINS = FINITE | st.sampled_from([np.nan, np.inf, -np.inf])
+SMALL_GRIDS = [
+    bs.make_grid(90.0, 180.0),
+    bs.make_grid(45.0, 120.0),
+    bs.make_grid(7.5, 22.5, (30.0, 52.5), (100.0, 167.5)),
+    bs.make_grid(0.1, 0.3, (0.2, 0.5), (1.0, 1.9)),
+]
+LABELS = st.text(st.characters(whitelist_categories=("L", "N", "P", "S", "Zs")), max_size=6)
+
+
+def _grid_rows(grid, per_cell, n_antennas=None) -> str:
+    """Data rows as a per-row loop writes them: ``[a,]theta,phi,<repr>...``."""
+    rows = []
+    for a in range(n_antennas or 1):
+        lead = f"{a}," if n_antennas else ""
+        for it, th in enumerate(grid.thetas.tolist()):
+            for ip, ph in enumerate(grid.phis.tolist()):
+                cells = per_cell(a, it, ip)
+                rows.append(f"{lead}{th!r},{ph!r}," + ",".join(repr(float(x)) for x in cells))
+    return "".join(row + "\n" for row in rows)
+
+
+def _read_in_bulk(path: Path, magic: str, columns: str) -> np.ndarray:
+    """The rows as the fast path parses them; it must accept the file."""
+    with path.open(encoding="utf-8", newline="") as fh:
+        n, grid, _, rows = fileio._start_table(path, fh, magic, columns)
+        values = np.empty((rows, 2))
+        assert fileio._read_rows_fast(fh, n, grid, values)
+    return values
+
+
+@given(data=st.data(), grid=st.sampled_from(SMALL_GRIDS), n=st.integers(1, 3),
+       label=LABELS, chunk=st.sampled_from([1, 7]))
+def test_writers_match_a_per_row_repr_loop(data, grid, n, label, chunk):
+    """Every writer's bytes equal a per-row ``repr`` loop's for any chunk
+    size, and the readers' bulk path reads them back bit for bit."""
+    from beamshadow.fields import AntennaFieldMap
+
+    shape = (n, *grid.shape)
+    re, im = (data.draw(arrays(np.float64, shape, elements=FINITE)) for _ in range(2))
+    samples = np.empty(shape, complex)
+    samples.real, samples.imag = re, im  # re + 1j * im could flip a zero's sign
+    field = AntennaFieldMap(grid=grid, samples=samples, label=label)
+    amp = data.draw(arrays(np.float64, shape, elements=AMPLITUDES))
+    phase = data.draw(arrays(np.float64, shape, elements=PHASES))
+    dist = bs.DistortionField(grid=grid, amp=amp, phase=phase, label=label)
+    gain = data.draw(arrays(np.float64, grid.shape, elements=GAINS))
+
+    def header(magic, columns):
+        return f"{fileio._header_line(magic, n, grid, label)}\n{columns}\n".encode("utf-8")
+
+    want = {
+        "a.field": header(FIELD_MAGIC, fileio._FIELD_COLUMNS) + _grid_rows(
+            grid, lambda a, it, ip: (re[a, it, ip], im[a, it, ip]), n).encode("ascii"),
+        "a.dist": header(DISTORTION_MAGIC, fileio._DISTORTION_COLUMNS) + _grid_rows(
+            grid, lambda a, it, ip: (amp[a, it, ip], phase[a, it, ip]), n).encode("ascii"),
+        "gain.csv": b"theta_deg,phi_deg,gain_db\n" + _grid_rows(
+            grid, lambda a, it, ip: (gain[it, ip],)).encode("ascii"),
+    }
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(fileio, "_CHUNK_ROWS", chunk):
+        tmp = Path(tmp)
+        write_field_file(field, tmp / "a.field")
+        write_distortion_file(dist, tmp / "a.dist")
+        write_gain_map_csv(grid, gain, tmp / "gain.csv")
+        assert {name: (tmp / name).read_bytes() for name in want} == want
+
+        bulk = _read_in_bulk(tmp / "a.field", FIELD_MAGIC, fileio._FIELD_COLUMNS)
+        assert bulk.tobytes() == np.stack([re.ravel(), im.ravel()], axis=1).tobytes()
+        back = read_field_file(tmp / "a.field")
+        assert (back.grid, back.label) == (grid, label)
+        assert back.samples.tobytes() == field.samples.tobytes()
+
+        bulk = _read_in_bulk(tmp / "a.dist", DISTORTION_MAGIC, fileio._DISTORTION_COLUMNS)
+        assert bulk.tobytes() == np.stack([amp.ravel(), phase.ravel()], axis=1).tobytes()
+        back = read_distortion_file(tmp / "a.dist")
+        assert (back.grid, back.label) == (grid, label)
+        assert (back.amp.tobytes(), back.phase.tobytes()) == (amp.tobytes(), phase.tobytes())
