@@ -12,15 +12,10 @@ from .codebook import (
     StrengthVector,
     amp_gain_map,
     directional_codebook,
-    element_strengths,
-    element_sweep_codebook,
     enh_phase_amp_codebook,
     enh_phase_codebook,
     gain_map,
-    mrc_weights,
-    optimal_gain,
     phase_levels,
-    realized_gain,
 )
 from .distortion import (
     DistortionField,
@@ -67,7 +62,6 @@ from .metrics import (
     RoIMask,
     cdf_summary,
     coverage_stats,
-    elemental_gain,
     elemental_gain_map,
     loss_samples,
     pair_phase_diff,

@@ -1,9 +1,9 @@
-"""Beamforming codebooks and realized-gain evaluation.
+"""Beamforming codebooks and realized-gain maps.
 
 Schemes
 -------
-- MRC weights: per-direction matched combining, the gain upper bound
-  ``10*log10(sum |E_i|^2)``.
+- MRC: per-direction matched combining, the gain upper bound
+  ``10*log10(sum |E_i|^2)``; ``gain_map("mrc", field)`` maps it.
 - Directional codebook: J steered beams on the symmetric beamspace lattice
   ``u_j = -1 + (2j - 1)/J`` with per-element phase quantization.
 - Enhanced phase codebook: every combination of B-bit phases on antennas
@@ -13,16 +13,17 @@ Schemes
 
 A ``Codebook`` is one read-only (entries, N) complex ``weight_matrix`` whose
 row k is entry k's unit-norm weight vector, validated once as a whole; the
-constructors build that matrix directly.  ``mrc_weights`` returns the
-per-direction MRC vector as a plain array.
+constructors build that matrix directly.  The phase+amplitude codebook is
+trained per direction, so ``amp_gain_map`` searches the phase lattice on
+strength-weighted field vectors instead of building one per direction.
 
 Search
 ------
 Every search goes through ``best_entries``: for a block of field vectors it
 returns each vector's best ``|w_k^H e|^2`` and the lowest winning index k.
 It computes exactly what enumerating entries one at a time computes, so
-every map, every realized gain and a naive exhaustive search agree bit for
-bit (BLAS matmul would not):
+every map and a naive exhaustive search agree bit for bit (BLAS matmul
+would not):
 
 - each response ``sum_i conj(w_ki) * e_i`` is added in the order numpy's
   own ``.sum(axis=-1)`` adds a complex row of N terms (``_add_tree``);
@@ -60,11 +61,6 @@ __all__ = [
     "directional_codebook",
     "enh_phase_codebook",
     "enh_phase_amp_codebook",
-    "element_sweep_codebook",
-    "element_strengths",
-    "mrc_weights",
-    "optimal_gain",
-    "realized_gain",
     "gain_map",
     "amp_gain_map",
     "best_entries",
@@ -78,7 +74,7 @@ MAX_ENH_ENTRIES = 1_000_000
 # blocks buy little speed and raise peak memory
 _BLOCK_PRODUCTS = 1 << 14
 
-CODEBOOK_KINDS = ("directional", "enh-phase", "enh-phase-amp", "element-sweep")
+CODEBOOK_KINDS = ("directional", "enh-phase", "enh-phase-amp")
 
 
 @dataclass(eq=False)
@@ -89,8 +85,8 @@ class Codebook:
     The matrix is copied and checked once: 2-D, not empty, finite, every
     row norm ``sqrt(sum re*re + im*im)`` within 1e-12 of 1.  Size
     invariants per kind: enhanced codebooks must have exactly
-    ``(2**B)**(n_antennas - 1)`` entries, an element sweep exactly
-    ``n_antennas``; a directional codebook has one entry per beam.
+    ``(2**B)**(n_antennas - 1)`` entries; a directional codebook has one
+    entry per beam.
     """
 
     kind: str
@@ -122,8 +118,6 @@ class Codebook:
                 raise ValueError(
                     f"{self.kind} codebook must have {expected} entries, got {n_entries}"
                 )
-        elif self.kind == "element-sweep" and n_entries != n:
-            raise ValueError("element sweep must have one entry per antenna")
         w.flags.writeable = False
         self.weight_matrix = w
 
@@ -350,55 +344,6 @@ def enh_phase_amp_codebook(n_antennas: int, b_bits: int, strengths) -> Codebook:
     return Codebook("enh-phase-amp", v, b_bits)
 
 
-def element_sweep_codebook(n_antennas: int) -> Codebook:
-    """Single-element selection beams (antenna probing)."""
-    if n_antennas < 1:
-        raise ValueError("n_antennas must be >= 1")
-    return Codebook("element-sweep", np.eye(n_antennas, dtype=np.complex128))
-
-
-def element_strengths(field: AntennaFieldMap, theta_deg: float, phi_deg: float) -> StrengthVector:
-    """Per-antenna received powers |E_i|^2 at one grid direction."""
-    e = field.at(theta_deg, phi_deg)
-    return StrengthVector(tuple(float(v) for v in e.real * e.real + e.imag * e.imag))
-
-
-def mrc_weights(field: AntennaFieldMap, theta_deg: float, phi_deg: float) -> np.ndarray:
-    """Matched (maximum-ratio) combining weights at one grid direction: the
-    unit-norm vector ``E / |E|``."""
-    e = field.at(theta_deg, phi_deg)
-    total = float((e.real * e.real + e.imag * e.imag).sum())
-    if total == 0.0:
-        raise ValueError(
-            f"field is identically zero at theta={theta_deg}, phi={phi_deg}; "
-            "MRC weights are undefined"
-        )
-    return e / math.sqrt(total)
-
-
-def optimal_gain(field: AntennaFieldMap, theta_deg: float, phi_deg: float) -> float:
-    """MRC gain bound ``10*log10(sum_i |E_i|^2)`` at one grid direction."""
-    e = field.at(theta_deg, phi_deg)
-    total = float((e.real * e.real + e.imag * e.imag).sum())
-    return NULL_GAIN_DB if total == 0.0 else 10.0 * math.log10(total)
-
-
-def realized_gain(
-    codebook: Codebook, field: AntennaFieldMap, theta_deg: float, phi_deg: float
-) -> tuple[float, int]:
-    """Best realized gain (dB) over a codebook and the winning entry index.
-
-    Ties resolve to the lowest index (first occurrence).
-    """
-    if codebook.n_antennas != field.n_antennas:
-        raise ValueError(
-            f"codebook is for {codebook.n_antennas} antennas, "
-            f"field has {field.n_antennas}"
-        )
-    best, index = best_entries(codebook.weight_matrix, field.at(theta_deg, phi_deg)[None, :])
-    return _gains_db(best)[0], int(index[0])
-
-
 def _gains_db(power: np.ndarray, total: np.ndarray | None = None) -> list[float]:
     """``10*log10(power / total)`` per cell by scalar math.log10 (bit-stable,
     see the module docstring); a zero power or total is -inf."""
@@ -430,8 +375,8 @@ def gain_map(
 ) -> np.ndarray:
     """Realized-gain map (dB) of a codebook, or of "mrc" for the bound.
 
-    Cells outside the RoI are NaN; exact nulls are -inf.  Codebook cells use
-    the same search as realized_gain, so the two agree bit for bit.
+    Cells outside the RoI are NaN; exact nulls are -inf.  Codebook cells come
+    from ``best_entries``, so they equal a naive exhaustive search bit for bit.
     """
     out = np.full(field.grid.shape, np.nan)
     if isinstance(scheme, str):

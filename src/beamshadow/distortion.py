@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import AntennaFieldMap
+from .fields import AntennaFieldMap, require_finite
 from .sphere import SphericalGrid, angular_distance_deg, mod_2pi
 
 __all__ = [
@@ -56,6 +56,7 @@ class FingerSpec:
     antennas: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        require_finite(self)
         if self.radius_deg <= 0.0:
             raise ValueError("finger radius_deg must be positive")
         if self.depth_db < 0.0:
@@ -72,6 +73,7 @@ class DistortionSpec:
     seed: int = 0
 
     def __post_init__(self):
+        require_finite(self)
         if self.mode not in DISTORTION_MODES:
             raise ValueError(f"mode must be one of {DISTORTION_MODES}, got {self.mode!r}")
         if self.phase_std_deg < 0.0 or self.amp_std_db < 0.0:

@@ -14,15 +14,16 @@ Outputs under the chosen directory::
 Reruns with the same config and seed are byte-identical: derived per-trial
 seeds, ordered writes, repr float formatting, no timestamps.  Every
 distortion is drawn before the first write; the scenarios are then split into
-contiguous ranges, one per usable CPU (see ``resolve_workers``).  A child
-forked per range after the first runs its scenarios, each writing only its
-own directory, while the caller writes ``free.field`` and runs the first
+contiguous ranges by ``forked.split``, which decides the worker count.  A
+child forked per range after the first runs its scenarios, each writing only
+its own directory, while the caller writes ``free.field`` and runs the first
 range; the results are joined in scenario order before ``report.json``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import os
 import re
@@ -52,14 +53,14 @@ from .distortion import (
 )
 from .fields import AntennaFieldMap, ArrayConfig, synth_freespace_field
 from .fileio import (
-    resolve_workers,
     write_cdf_csv,
     write_coverage_csv,
     write_distortion_file,
     write_field_file,
     write_gain_map_csv,
 )
-from .forked import Child, ranges
+# resolve_workers is re-exported because bench/worker.py imports it from here
+from .forked import resolve_workers, split
 from .metrics import (
     cdf_summary,
     check_percentiles,
@@ -191,8 +192,9 @@ def _typed(hint, value, key: str):
     dataclasses' fields are the whole schema.  A dataclass is built from a
     mapping or rebuilt from an instance, so both routes run the same checks.
     Null passes only under ``X | None``; ``int`` refuses floats and booleans,
-    ``float`` booleans and strings.  Every error is a ``ValueError`` naming
-    the key path, such as ``scenarios.x.fingers[0].antennas``."""
+    ``float`` booleans, strings, NaN and infinities.  Every error is a
+    ``ValueError`` naming the key path, such as
+    ``scenarios.x.fingers[0].antennas``."""
     where = f"config key {key!r}" if key else "config"
     args = typing.get_args(hint)
     if value is None:
@@ -242,6 +244,8 @@ def _typed(hint, value, key: str):
     kind, noun = _SCALARS[hint]
     if isinstance(value, bool) or not isinstance(value, kind):
         raise ValueError(f"{where} must be {noun}, got {value!r}")
+    if hint is float and not -math.inf < value < math.inf:  # NaN compares false
+        raise ValueError(f"{where} must be finite, got {value!r}")
     try:
         return hint(value)
     except OverflowError:
@@ -400,10 +404,10 @@ def _run_scenario(
     }
 
 
-def _run_scenarios(tasks) -> tuple:
-    """``_run_scenario`` of each task, in order (a tuple, which ``Child``
-    sends back whole)."""
-    return tuple(_run_scenario(*task) for task in tasks)
+def _run_scenarios(tasks, start: int, stop: int) -> tuple:
+    """``_run_scenario`` of tasks start..stop-1, in order (a tuple, which a
+    forked child sends back whole)."""
+    return tuple(_run_scenario(*task) for task in tasks[start:stop])
 
 
 @contextmanager
@@ -431,12 +435,9 @@ def run_experiment(
 
     ``seed`` overrides the config seed; when set, scenario seeds derive from
     it (seed * 1009 + scenario index) instead of the per-spec seeds.
-    The scenarios are split into ``resolve_workers(n_scenarios)``
-    contiguous ranges: this process runs the first and a child forked per
-    further range runs its own, so with one range no child starts.  The
-    output is the same for any split.  out_dir
-    must be absent or an empty directory; the tree is built beside it and
-    renamed onto it, so a run that fails leaves no tree.
+    The scenarios are split by ``forked.split``; the output is the same for
+    any split.  out_dir must be absent or an empty directory; the tree is
+    built beside it and renamed onto it, so a run that fails leaves no tree.
     """
     out = Path(out_dir)
     if out.exists() and not (out.is_dir() and not any(out.iterdir())):
@@ -476,19 +477,16 @@ def run_experiment(
             for name, spec, dist in zip(names, specs, dists)
         ]
 
-        own, *others = ranges(len(tasks), resolve_workers(len(tasks)))
-        children = []
-        try:
-            for lo, hi in others:
-                what = f"scenarios {', '.join(names[lo:hi])}"
-                children.append(Child(what, _run_scenarios, tasks[lo:hi]))
+        with split(
+            len(tasks),
+            lambda lo, hi: f"scenarios {', '.join(names[lo:hi])}",
+            _run_scenarios,
+            tasks,
+        ) as (own, replies):
             write_field_file(free, build / "free.field")
-            results = list(_run_scenarios(tasks[slice(*own)]))
-            for child in children:
-                results.extend(child.reply())
-        finally:
-            for child in children:
-                child.close()
+            results = list(_run_scenarios(tasks, *own))
+            for reply in replies:
+                results.extend(reply)
 
         report = ExperimentReport(
             config=config,

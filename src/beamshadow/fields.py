@@ -10,7 +10,7 @@ small constant back-lobe floor so no direction is exactly null.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -20,7 +20,16 @@ __all__ = [
     "ArrayConfig",
     "AntennaFieldMap",
     "synth_freespace_field",
+    "require_finite",
 ]
+
+
+def require_finite(config) -> None:
+    """Refuse a NaN or infinite number in any field of a config dataclass."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -54,6 +63,7 @@ class ArrayConfig:
     backlobe_floor_db: float = -30.0
 
     def __post_init__(self):
+        require_finite(self)
         if self.n_antennas < 1:
             raise ValueError("n_antennas must be >= 1")
         if self.element_spacing <= 0.0:
@@ -64,6 +74,10 @@ class ArrayConfig:
             raise ValueError("boresight_theta must be in [0, 180]")
         if self.backlobe_floor_db >= 0.0:
             raise ValueError("backlobe_floor_db must be negative")
+        try:
+            10.0 ** (self.peak_element_gain_db / 20.0)
+        except OverflowError:
+            raise ValueError("peak_element_gain_db overflows the field amplitude") from None
 
 
 @dataclass(eq=False)
@@ -89,11 +103,6 @@ class AntennaFieldMap:
     @property
     def n_antennas(self) -> int:
         return int(self.samples.shape[0])
-
-    def at(self, theta_deg: float, phi_deg: float) -> np.ndarray:
-        """Field vector across antennas at one grid direction (copy)."""
-        it, ip = self.grid.index_of(theta_deg, phi_deg)
-        return self.samples[:, it, ip].copy()
 
 
 def synth_freespace_field(config: ArrayConfig, grid: SphericalGrid) -> AntennaFieldMap:

@@ -35,10 +35,9 @@ at a time, each value as ``repr`` of a Python float, and written to a binary
 handle after the header, which is encoded as UTF-8, the readers' encoding.
 A header is built, and a bad label refused, before the file is opened.
 
-``write_trials_csv`` formats the trials' rows in contiguous ranges,
-the first here and each further one in a forked child whose bytes are
-written in trial order as they arrive.  It writes a hidden sibling file and
-renames it onto the path, so a failed write leaves no partial file.
+``write_trials_csv`` formats the trials' rows in ranges from
+``forked.split`` and writes a hidden sibling file, renamed onto the path,
+so a failed write leaves no partial file.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ import numpy as np
 
 from .distortion import DistortionField
 from .fields import AntennaFieldMap
-from .forked import Child, ranges
+from . import forked
 from .sphere import SphericalGrid, make_grid
 
 __all__ = [
@@ -61,7 +60,6 @@ __all__ = [
     "write_field_file",
     "read_field_file",
     "read_field_files",
-    "resolve_workers",
     "write_distortion_file",
     "read_distortion_file",
     "write_gain_map_csv",
@@ -94,21 +92,6 @@ _MIN_ROW_BYTES = 10
 
 class FileFormatError(ValueError):
     """Raised when a beamshadow file is malformed; messages carry path:line."""
-
-
-def resolve_workers(n_tasks: int | None = None) -> int:
-    """Worker process count: the usable CPUs, capped at ``n_tasks``.
-
-    1 where the ``fork`` start method is missing; the work then runs in the
-    calling process.
-    """
-    import multiprocessing
-
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return 1
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    cpus = cpus or 1
-    return cpus if n_tasks is None else min(n_tasks, cpus)
 
 
 def _fmt(x: float) -> str:
@@ -360,10 +343,10 @@ def read_field_files(paths) -> list[AntennaFieldMap]:
     paths]`` but concurrently: each file after the first is parsed by a child
     forked from this process into shared memory while this process reads the
     first.  The first bad path's error is raised, as the serial loop would.
-    Where ``resolve_workers(len(paths))`` is 1 the files are read one by one.
+    With one worker (``forked.resolve_workers``) the files are read in turn.
     """
     paths = [Path(p) for p in paths]
-    if resolve_workers(len(paths)) <= 1:
+    if forked.resolve_workers(len(paths)) <= 1:
         return [read_field_file(p) for p in paths]
     import mmap
 
@@ -378,7 +361,7 @@ def read_field_files(paths) -> list[AntennaFieldMap]:
                 continue
             rows = header[3]
             values = np.frombuffer(mmap.mmap(-1, 16 * rows), np.float64).reshape(rows, 2)
-            jobs.append((header, values, Child(f"{path}: reader", _parse_into, path, values)))
+            jobs.append((header, values, forked.Child(f"{path}: reader", _parse_into, path, values)))
         fields = [read_field_file(paths[0])]
         for job in jobs:
             if isinstance(job, Exception):
@@ -472,25 +455,19 @@ def write_trials_csv(result, path) -> None:
     ``trial,B,var_blockage,lower_bound,delta_achieved,margin`` in (trial, B)
     order, floats written with ``repr``.
 
-    The trials are split into ``resolve_workers(n_trials)`` contiguous
-    ranges.  This process formats and writes the first; a child forked per
-    further range formats its rows meanwhile, and its bytes are written in
-    trial order as they arrive, so the file is the same for any split.  The
-    file is written beside ``path`` and renamed onto it, so a failed write
-    leaves neither a partial ``path`` nor a temporary file.
+    The trials are split by ``forked.split``.  This process formats and
+    writes the first range; a child forked per further range formats its
+    rows meanwhile, and its bytes are written in trial order as they arrive,
+    so the file is the same for any split.  The file is written beside
+    ``path`` and renamed onto it, so a failed write leaves neither a partial
+    ``path`` nor a temporary file.
     """
-    own, *others = ranges(result.n_trials, resolve_workers(result.n_trials))
-    children = []
-    try:
-        for start, stop in others:
-            # the generator is made here but run by the child
-            rows = _trials_rows(result, start, stop)
-            children.append(Child(f"trials {start}-{stop - 1}: CSV writer", list, rows))
-        with _written_in_place_of(Path(path)) as fh:
-            fh.write(b"trial,B,var_blockage,lower_bound,delta_achieved,margin\n")
-            fh.writelines(_trials_rows(result, *own))
-            for child in children:
-                fh.writelines(child.chunks())
-    finally:
-        for child in children:
-            child.close()
+    with _written_in_place_of(Path(path)) as fh, forked.split(
+        result.n_trials,
+        lambda lo, hi: f"trials {lo}-{hi - 1}: CSV writer",
+        lambda lo, hi: list(_trials_rows(result, lo, hi)),
+    ) as (own, replies):
+        fh.write(b"trial,B,var_blockage,lower_bound,delta_achieved,margin\n")
+        fh.writelines(_trials_rows(result, *own))
+        for chunks in replies:
+            fh.writelines(chunks)

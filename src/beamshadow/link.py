@@ -23,10 +23,8 @@ numeric margin of every step.
 the ``default_rng([seed, t])`` stream; the streams are computed a block of
 trials at a time (numpy's SeedSequence hashing and PCG64 generator, redone
 on arrays) and checked against numpy itself on trial 0 of every call.  The
-trials are split into contiguous ranges, one per ``fileio.resolve_workers``
-worker: this process draws and searches the first range and checks trial
-0, and a child forked per further range draws and searches its own.  The
-rows are joined in trial order, so the result does not depend on the split.
+trials are split across forked children by ``forked.split``, which decides
+the worker count; the result does not depend on the split.
 """
 
 from __future__ import annotations
@@ -36,9 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fileio
+from . import forked
 from .codebook import Codebook, best_entries, phase_lattice, phase_levels
-from .forked import Child, ranges
 from .sphere import mod_2pi, wrap_rad
 
 __all__ = [
@@ -425,7 +422,7 @@ def _audit_rows(e_rows: np.ndarray, b_values: tuple[int, ...]):
     return var, lower, delta
 
 
-def _audit_trials(seed, start, stop, n_antennas, amp_low, amp_high, b_values):
+def _audit_trials(seed, n_antennas, amp_low, amp_high, b_values, start, stop):
     """``_audit_rows`` of trials start..stop-1, drawn here."""
     return _audit_rows(_trial_fields(seed, start, stop, n_antennas, amp_low, amp_high), b_values)
 
@@ -448,10 +445,10 @@ def theorem_trials(
     what ``var_blockage``, ``theorem1_lb`` and ``delta_snr_achieved`` return
     for that trial alone.
 
-    The trials are split into ``resolve_workers(n_trials)`` contiguous
-    ranges.  This process draws and searches the first; a child forked per
-    further range draws and searches its own and sends the rows back, which
-    are joined in trial order, so the result is the same for any split.
+    The trials are split by ``forked.split``.  This process draws and
+    searches the first range; a child forked per further range draws and
+    searches its own and sends the rows back, which are joined in trial
+    order, so the result is the same for any split.
     """
     if not 1 <= n_trials <= 2**32:
         raise ValueError("n_trials must be in 1..2**32")
@@ -469,24 +466,22 @@ def theorem_trials(
         phase_lattice(n_antennas, b)
     # numpy draws trial 0 first: a bad seed raises its own error
     first = _trial_field(seed, 0, n_antennas, amp_low, amp_high)
-    (start, stop), *others = ranges(n_trials, fileio.resolve_workers(n_trials))
     draw = (n_antennas, amp_low, amp_high)
-    children = []
-    try:
-        for lo, hi in others:
-            children.append(
-                Child(f"trials {lo}-{hi - 1}: audit", _audit_trials, seed, lo, hi, *draw, b_values)
-            )
+    with forked.split(
+        n_trials,
+        lambda lo, hi: f"trials {lo}-{hi - 1}: audit",
+        _audit_trials,
+        seed,
+        *draw,
+        b_values,
+    ) as ((start, stop), replies):
         e = _trial_fields(seed, start, stop, *draw)
         if e[0].tobytes() != first.tobytes():
             raise RuntimeError(
                 "vectorized trial draw differs from numpy.random.default_rng "
                 f"{np.__version__} at trial 0"
             )
-        parts = [_audit_rows(e, b_values), *(child.reply() for child in children)]
-    finally:
-        for child in children:
-            child.close()
+        parts = [_audit_rows(e, b_values), *replies]
     var, lower, delta = (np.concatenate(column) for column in zip(*parts))
     return TheoremCheckResult(
         n_trials=n_trials,

@@ -25,7 +25,6 @@ __all__ = [
     "PhaseDiffMap",
     "power_db",
     "elemental_gain_map",
-    "elemental_gain",
     "roi_mask",
     "rect_roi",
     "loss_samples",
@@ -51,12 +50,6 @@ def elemental_gain_map(field: AntennaFieldMap, antenna: int) -> np.ndarray:
         raise ValueError(f"antenna {antenna} outside 0..{field.n_antennas - 1}")
     s = field.samples[antenna]
     return power_db(s.real * s.real + s.imag * s.imag)
-
-
-def elemental_gain(field: AntennaFieldMap, antenna: int, theta_deg: float, phi_deg: float) -> float:
-    """Elemental gain (dB) of one antenna at one grid direction."""
-    it, ip = field.grid.index_of(theta_deg, phi_deg)
-    return float(elemental_gain_map(field, antenna)[it, ip])
 
 
 @dataclass(eq=False)

@@ -133,22 +133,6 @@ class SphericalGrid:
         out.flags.writeable = False
         return out
 
-    def index_of(self, theta_deg: float, phi_deg: float) -> tuple[int, int]:
-        """Indices of an exact grid sample; raises for off-grid directions."""
-        ft = (theta_deg - self.theta_start) / self.theta_step
-        fp = (phi_deg - self.phi_start) / self.phi_step
-        it, ip = round(ft), round(fp)
-        if (
-            abs(ft - it) > 1e-6
-            or abs(fp - ip) > 1e-6
-            or not 0 <= it < self.n_theta
-            or not 0 <= ip < self.n_phi
-        ):
-            raise ValueError(
-                f"direction (theta={theta_deg}, phi={phi_deg}) is not a sample of this grid"
-            )
-        return int(it), int(ip)
-
     @cached_property
     def row_solid_angles(self) -> np.ndarray:
         """Integrated solid angle (sr) of a single cell in each theta row.

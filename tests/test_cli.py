@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import beamshadow.experiment
-from beamshadow import fileio
+from beamshadow import fileio, forked
 from beamshadow.cli import main
 from beamshadow.experiment import config_to_yaml
 from beamshadow.fileio import read_field_file
@@ -324,6 +324,46 @@ def test_run_rejects_malformed_config_without_output(tmp_path, capsys, path, val
     assert not out_dir.exists()
 
 
+NAN, INF = float("nan"), float("inf")
+
+# (command, config change or extra flags, key the error names): NaN and
+# infinities, and a peak gain whose linear amplitude overflows a float
+NON_FINITE = [
+    ("run", (("g1_db",), NAN), "'g1_db'"),
+    ("run", (("array", "peak_element_gain_db"), -INF), "array.peak_element_gain_db"),
+    ("run", (("array", "peak_element_gain_db"), 1e308), "peak_element_gain_db"),
+    ("run", (("scenarios", "grip-a", "corr_length_deg"), INF), "grip-a.corr_length_deg"),
+    ("run", (("scenarios", "grip-a", "fingers", 0, "radius_deg"), NAN), "fingers[0].radius_deg"),
+    ("synth", ["--exponent", "nan"], "element_exponent"),
+    ("synth", ["--spacing", "inf"], "element_spacing"),
+    ("synth", ["--peak-gain", "1e308"], "peak_element_gain_db"),
+    ("distort", ["--phase-std", "nan"], "phase_std_deg"),
+    ("distort", ["--phase-std", "10", "--corr-length", "nan"], "corr_length_deg"),
+    ("distort", ["--phase-std", "10", "--corr-length", "inf"], "corr_length_deg"),
+]
+
+
+@pytest.mark.parametrize("command, change, key", NON_FINITE)
+def test_non_finite_or_overflowing_floats_are_refused_without_output(
+    tmp_path, capsys, free_file, command, change, key
+):
+    out = tmp_path / "out"
+    if command == "run":
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(yaml.safe_dump(config_dict_with(*change)))
+        argv = ["run", "--config", str(cfg_path), "--out", str(out)]
+    elif command == "synth":
+        argv = ["synth", "--out", str(out), "--theta-step", "15", "--phi-step", "15", *change]
+    else:
+        argv = ["distort", "--field", str(free_file), "--out", str(out), *change]
+    capsys.readouterr()
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert key in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @needs_fork
 @pytest.mark.parametrize(
     "in_child, message",
@@ -332,7 +372,7 @@ def test_run_rejects_malformed_config_without_output(tmp_path, capsys, path, val
 )
 def test_run_reports_a_worker_failure_without_traceback(tmp_path, capsys, monkeypatch, in_child,
                                                          message):
-    monkeypatch.setattr(beamshadow.experiment, "resolve_workers", lambda n=None: 2)
+    monkeypatch.setattr(forked, "resolve_workers", lambda n=None: 2)
     monkeypatch.setattr(beamshadow.experiment, "apply_distortion", in_child(os.getpid()))
     cfg_path = tmp_path / "cfg.yaml"
     config_to_yaml(tiny_config(2), cfg_path)
@@ -405,7 +445,7 @@ def metrics_inputs(free_file, tmp_path):
 def run_metrics(monkeypatch, capfd, workers, free, blocked, out):
     """(exit status, stdout, stderr) of ``metrics`` with the reader's worker
     count fixed; checks that no reader process or traceback is left over."""
-    monkeypatch.setattr(fileio, "resolve_workers", lambda n=None: workers)
+    monkeypatch.setattr(forked, "resolve_workers", lambda n=None: workers)
     capfd.readouterr()
     rc = main(["metrics", "--free", str(free), "--blocked", str(blocked), "--out", str(out)])
     captured = capfd.readouterr()

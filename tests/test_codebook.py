@@ -17,31 +17,22 @@ from beamshadow.codebook import (
     amp_gain_map,
     best_entries,
     directional_codebook,
-    element_strengths,
-    element_sweep_codebook,
     enh_phase_amp_codebook,
     enh_phase_codebook,
     gain_map,
-    mrc_weights,
-    optimal_gain,
     phase_lattice,
     phase_levels,
-    realized_gain,
 )
 from beamshadow.fields import AntennaFieldMap
 from beamshadow.metrics import RoIMask, rect_roi
-from conftest import random_field_vector
-
-
-def naive_best_entry(codebook, e):
-    """Reference search: per-entry 1-D sums, strict-improvement argmax."""
-    best_p, best_k = -1.0, 0
-    for k, w in enumerate(codebook.weight_matrix):
-        z = (w.conj() * e).sum()
-        p = z.real * z.real + z.imag * z.imag
-        if p > best_p:
-            best_p, best_k = p, k
-    return 10.0 * math.log10(best_p), best_k
+from conftest import (
+    cell_of,
+    mrc_gain_db,
+    naive_best_entry,
+    random_field_vector,
+    searched_entry,
+    vector_at,
+)
 
 
 def place_vector(grid, e):
@@ -178,16 +169,16 @@ class TestEnhancedCodebooks:
             with pytest.raises(ValueError, match="b_bits must be in 1..16"):
                 enh_phase_codebook(n, b)
 
-    def test_known_winner_for_quarter_turn_field(self, coarse_grid):
+    def test_known_winner_for_quarter_turn_field(self):
         """E = [1, j, -1, -j] is exactly matched by one 2-bit entry."""
         e = np.array([1.0, 1.0j, -1.0, -1.0j])
         cbk = enh_phase_codebook(4, 2)
-        g, k = realized_gain(cbk, place_vector(coarse_grid, e), 0.0, 0.0)
+        g, k = searched_entry(cbk.weight_matrix, e)
         assert k == 27
         assert phase_digits(cbk.weight_matrix[k], 2).tolist() == [0, 1, 2, 3]
         assert g == pytest.approx(10.0 * math.log10(4.0), abs=1e-12)
         # brute reference agrees bit-for-bit
-        g2, k2 = naive_best_entry(cbk, e)
+        g2, k2 = naive_best_entry(cbk.weight_matrix, e)
         assert (g2, k2) == (g, k)
 
     def test_amp_codebook_equals_phase_codebook_for_equal_strengths(self):
@@ -213,11 +204,6 @@ class TestEnhancedCodebooks:
 
 
 class TestSweepAndWeights:
-    def test_element_sweep_selects_single_antennas(self):
-        cbk = element_sweep_codebook(3)
-        assert np.array_equal(cbk.weight_matrix, np.eye(3, dtype=complex))
-        assert len(cbk) == cbk.n_antennas == 3
-
     def test_beam_weight_norm_guard(self):
         with pytest.raises(ValueError, match="norm"):
             Codebook("directional", np.array([[1.0, 1.0]], dtype=complex))
@@ -226,11 +212,6 @@ class TestSweepAndWeights:
         rows = enh_phase_codebook(4, 2).weight_matrix[:10]
         with pytest.raises(ValueError, match="cardinality|entries"):
             Codebook(kind="enh-phase", weight_matrix=rows, b_bits=2)
-
-    def test_element_strengths(self, free_field):
-        s = element_strengths(free_field, 90.0, 270.0)
-        e = free_field.at(90.0, 270.0)
-        assert np.allclose(s.values, np.abs(e) ** 2, rtol=1e-12)
 
 
 def scalar_row_ok(row):
@@ -273,7 +254,7 @@ class TestCodebookMatrix:
 
     def test_weight_matrix_does_not_alias_the_input(self):
         rows = np.eye(3, dtype=complex)
-        cbk = Codebook("element-sweep", rows)
+        cbk = Codebook("directional", rows)
         assert not np.shares_memory(cbk.weight_matrix, rows)
         assert rows.flags.writeable
         rows[0] = rows[1]
@@ -286,12 +267,11 @@ class TestCodebookMatrix:
             (np.array([[np.inf, 0.0], [0.0, 1.0]]), "finite"),
             (np.array([1.0, 0.0]), "non-empty"),
             (np.zeros((0, 2)), "non-empty"),
-            (np.eye(3)[:2], "one entry per antenna"),
         ],
     )
     def test_bad_matrices_raise(self, rows, message):
         with pytest.raises(ValueError, match=message):
-            Codebook("element-sweep", rows)
+            Codebook("directional", rows)
 
     def test_unknown_kind_and_missing_b_bits(self):
         with pytest.raises(ValueError, match="kind must be one of"):
@@ -301,52 +281,39 @@ class TestCodebookMatrix:
 
 
 class TestMrcAndRealized:
-    def test_mrc_achieves_optimal(self, blocked_field, coarse_grid):
-        for theta, phi in [(90.0, 270.0), (60.0, 200.0), (120.0, 300.0)]:
-            w = mrc_weights(blocked_field, theta, phi)
-            e = blocked_field.at(theta, phi)
-            assert isinstance(w, np.ndarray) and w.shape == (4,)
-            z = (w.conj() * e).sum()
-            g = 10.0 * math.log10(z.real * z.real + z.imag * z.imag)
-            assert g == pytest.approx(optimal_gain(blocked_field, theta, phi), abs=1e-12)
-
     def test_optimal_gain_equal_amplitudes(self, coarse_grid):
         fld = place_vector(coarse_grid, [1.0, 1.0, 1.0, 1.0])
-        assert optimal_gain(fld, 0.0, 0.0) == pytest.approx(10.0 * math.log10(4.0), abs=1e-12)
-
-    def test_mrc_rejects_zero_field(self, coarse_grid):
-        fld = place_vector(coarse_grid, [0.0, 0.0])
-        with pytest.raises(ValueError):
-            mrc_weights(fld, 0.0, 0.0)
+        gm = gain_map("mrc", fld)
+        assert gm == pytest.approx(np.full(coarse_grid.shape, 10.0 * math.log10(4.0)), abs=1e-12)
 
     def test_realized_never_beats_optimal(self, blocked_field, rng):
         books = [
-            directional_codebook(4),
-            enh_phase_codebook(4, 2),
-            element_sweep_codebook(4),
+            directional_codebook(4).weight_matrix,
+            enh_phase_codebook(4, 2).weight_matrix,
+            np.eye(4),  # single-antenna selection
         ]
         thetas = rng.choice(blocked_field.grid.thetas, 10)
         phis = rng.choice(blocked_field.grid.phis, 10)
         for theta, phi in zip(thetas, phis):
-            opt = optimal_gain(blocked_field, theta, phi)
-            for cbk in books:
-                g, _ = realized_gain(cbk, blocked_field, theta, phi)
+            e = vector_at(blocked_field, theta, phi)
+            opt = mrc_gain_db(e)
+            for weights in books:
+                g, _ = searched_entry(weights, e)
                 assert g <= opt + 1e-9
 
-    def test_global_phase_invariance(self, coarse_grid, rng):
-        cbk = enh_phase_codebook(4, 3)
+    def test_global_phase_invariance(self, rng):
+        w = enh_phase_codebook(4, 3).weight_matrix
         for _ in range(20):
             e = random_field_vector(rng)
-            g1, k1 = realized_gain(cbk, place_vector(coarse_grid, e), 0.0, 0.0)
+            g1, k1 = searched_entry(w, e)
             rotated = e * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
-            g2, k2 = realized_gain(cbk, place_vector(coarse_grid, rotated), 0.0, 0.0)
+            g2, k2 = searched_entry(w, rotated)
             assert k1 == k2
             assert g1 == pytest.approx(g2, abs=1e-9)
 
-    def test_tie_prefers_first_entry(self, coarse_grid):
-        # every sweep entry sees the same power on an equal-amplitude field
-        fld = place_vector(coarse_grid, [1.0, 1.0j, -1.0, 1.0j])
-        _, k = realized_gain(element_sweep_codebook(4), fld, 0.0, 0.0)
+    def test_tie_prefers_first_entry(self):
+        # every single-antenna entry sees the same power on an equal-amplitude field
+        _, k = searched_entry(np.eye(4), np.array([1.0, 1.0j, -1.0, 1.0j]))
         assert k == 0
 
 
@@ -357,14 +324,15 @@ class TestGainMaps:
         cbk = enh_phase_codebook(4, 2)
         gm = gain_map(cbk, blocked_field)
         for theta, phi in [(90.0, 270.0), (0.0, 0.0), (175.0, 355.0), (45.0, 180.0)]:
-            it, ip = coarse_grid.index_of(theta, phi)
-            g, _ = realized_gain(cbk, blocked_field, theta, phi)
+            it, ip = cell_of(coarse_grid, theta, phi)
+            g, _ = searched_entry(cbk.weight_matrix, vector_at(blocked_field, theta, phi))
             assert gm[it, ip] == g
 
     def test_mrc_map_matches_optimal(self, blocked_field, coarse_grid):
         gm = gain_map("mrc", blocked_field)
-        it, ip = coarse_grid.index_of(100.0, 240.0)
-        assert gm[it, ip] == pytest.approx(optimal_gain(blocked_field, 100.0, 240.0), abs=1e-12)
+        it, ip = cell_of(coarse_grid, 100.0, 240.0)
+        opt = mrc_gain_db(vector_at(blocked_field, 100.0, 240.0))
+        assert gm[it, ip] == pytest.approx(opt, abs=1e-12)
 
     def test_roi_masks_cells_with_nan(self, blocked_field, coarse_grid):
         roi = rect_roi(coarse_grid)
@@ -390,10 +358,10 @@ class TestGainMaps:
     def test_amp_map_matches_codebook_route(self, blocked_field, coarse_grid):
         am = amp_gain_map(blocked_field, 2)
         for theta, phi in [(90.0, 270.0), (75.0, 250.0), (130.0, 310.0)]:
-            s = element_strengths(blocked_field, theta, phi)
-            cbk = enh_phase_amp_codebook(4, 2, s)
-            g, _ = realized_gain(cbk, blocked_field, theta, phi)
-            it, ip = coarse_grid.index_of(theta, phi)
+            e = vector_at(blocked_field, theta, phi)
+            cbk = enh_phase_amp_codebook(4, 2, StrengthVector(e.real * e.real + e.imag * e.imag))
+            g, _ = searched_entry(cbk.weight_matrix, e)
+            it, ip = cell_of(coarse_grid, theta, phi)
             assert am[it, ip] == pytest.approx(g, abs=1e-9)
 
     def test_directional_tracks_mrc_within_crossover_band(self):
@@ -417,10 +385,8 @@ class TestGainMaps:
 def test_property_realized_bounded_by_optimal(b, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     e = random_field_vector(rng)
-    grid = bs.make_grid(90.0, 180.0)
-    fld = place_vector(grid, e)
-    g, _ = realized_gain(enh_phase_codebook(4, b), fld, 0.0, 0.0)
-    assert g <= optimal_gain(fld, 0.0, 0.0) + 1e-9
+    g, _ = searched_entry(enh_phase_codebook(4, b).weight_matrix, e)
+    assert g <= mrc_gain_db(e) + 1e-9
 
 
 # --- the search kernel against a naive per-entry enumeration -----------------
@@ -503,7 +469,8 @@ def test_property_search_equals_naive_enumeration(n, b, block, data):
         assert roi_amp[inside].tobytes() == want_amp_db[inside].tobytes()
         for cell in range(0, grid.n_directions, 3):
             it, ip = divmod(cell, grid.n_phi)
-            g, k = realized_gain(cbk, fld, grid.thetas[it], grid.phis[ip])
+            e = vector_at(fld, grid.thetas[it], grid.phis[ip])
+            g, k = searched_entry(cbk.weight_matrix, e)
             assert (g, k) == (want_phase_db[cell], want_index[cell])
 
 
@@ -511,14 +478,16 @@ def test_property_search_equals_naive_enumeration(n, b, block, data):
 def test_property_generic_search_equals_naive_enumeration(n, beams, block, data):
     grid = bs.make_grid(45.0, 90.0)
     fld, vectors, _ = draw_field(data, grid, n)
-    for cbk in (directional_codebook(n, beams), element_sweep_codebook(n)):
-        want, want_index = naive_search(cbk.weight_matrix, vectors)
+    cbk = directional_codebook(n, beams)
+    for weights in (cbk.weight_matrix, np.eye(n, dtype=complex)):
+        want, want_index = naive_search(weights, vectors)
         with mock.patch.object(codebook_module, "_BLOCK_PRODUCTS", block):
-            power, index = best_entries(cbk.weight_matrix, vectors)
-            got_map = gain_map(cbk, fld).reshape(-1)
+            power, index = best_entries(weights, vectors)
         assert power.tobytes() == want.tobytes()
         assert index.tolist() == want_index.tolist()
-        assert got_map.tobytes() == naive_db(want).tobytes()
+    with mock.patch.object(codebook_module, "_BLOCK_PRODUCTS", block):
+        got_map = gain_map(cbk, fld).reshape(-1)
+    assert got_map.tobytes() == naive_db(naive_search(cbk.weight_matrix, vectors)[0]).tobytes()
 
 
 def test_lattice_path_handles_arbitrary_lattices():

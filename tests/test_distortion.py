@@ -13,6 +13,7 @@ from beamshadow.distortion import (
     gen_distortion,
 )
 from beamshadow.sphere import wrap_rad
+from conftest import cell_of
 
 
 def test_mode_catalogue():
@@ -30,6 +31,8 @@ def test_spec_validation():
         DistortionSpec(mode="phase-screen", phase_std_deg=-1.0)
     with pytest.raises(ValueError, match="corr_length"):
         DistortionSpec(mode="phase-screen", corr_length_deg=0.0)
+    with pytest.raises(ValueError, match="radius_deg must be finite"):
+        FingerSpec(90.0, 255.0, float("nan"), 16.0)
 
 
 def test_distortion_field_validation(coarse_grid):
@@ -116,14 +119,14 @@ def test_finger_dent_values(coarse_grid):
         mode="finger-occlusion", fingers=(FingerSpec(90.0, 255.0, 40.0, 16.0),)
     )
     dist = gen_distortion(spec, coarse_grid, 2)
-    it, ip = coarse_grid.index_of(90.0, 255.0)
+    it, ip = cell_of(coarse_grid, 90.0, 255.0)
     # full depth at the centre
     assert dist.amp[0, it, ip] == pytest.approx(10.0 ** (-16.0 / 20.0), rel=1e-12)
     # half the cosine taper 20 deg out along the equator
-    it2, ip2 = coarse_grid.index_of(90.0, 235.0)
+    it2, ip2 = cell_of(coarse_grid, 90.0, 235.0)
     assert dist.amp[0, it2, ip2] == pytest.approx(10.0 ** (-8.0 / 20.0), rel=1e-12)
     # untouched outside the radius
-    it3, ip3 = coarse_grid.index_of(90.0, 90.0)
+    it3, ip3 = cell_of(coarse_grid, 90.0, 90.0)
     assert dist.amp[0, it3, ip3] == 1.0
     assert (dist.phase == 0.0).all()
 
@@ -134,7 +137,7 @@ def test_finger_antenna_subsets(coarse_grid):
         fingers=(FingerSpec(90.0, 255.0, 40.0, 16.0, antennas=(0, 2)),),
     )
     dist = gen_distortion(spec, coarse_grid, 4)
-    it, ip = coarse_grid.index_of(90.0, 255.0)
+    it, ip = cell_of(coarse_grid, 90.0, 255.0)
     assert dist.amp[0, it, ip] < 1.0
     assert dist.amp[2, it, ip] < 1.0
     assert (dist.amp[1] == 1.0).all()
@@ -159,7 +162,7 @@ def test_overlapping_fingers_accumulate_in_db(coarse_grid):
             FingerSpec(90.0, 255.0, 40.0, 6.0),
         ),
     )
-    it, ip = coarse_grid.index_of(90.0, 255.0)
+    it, ip = cell_of(coarse_grid, 90.0, 255.0)
     a = gen_distortion(one, coarse_grid, 1).amp[0, it, ip]
     b = gen_distortion(two, coarse_grid, 1).amp[0, it, ip]
     assert b == pytest.approx(a * a, rel=1e-12)

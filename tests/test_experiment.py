@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import beamshadow as bs
-from beamshadow import experiment
+from beamshadow import experiment, forked
 from beamshadow.distortion import DistortionSpec, FingerSpec
 from beamshadow.experiment import (
     ExperimentConfig,
@@ -358,7 +358,7 @@ def split_config(n_scenarios):
 
 def workers_patched(monkeypatch, workers):
     """``resolve_workers`` as on a machine with ``workers`` usable CPUs."""
-    monkeypatch.setattr(experiment, "resolve_workers", lambda n=None: min(n, workers))
+    monkeypatch.setattr(forked, "resolve_workers", lambda n=None: min(n, workers))
 
 
 @needs_fork

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import beamshadow as bs
-from beamshadow import fileio
+from beamshadow import fileio, forked
 from beamshadow.distortion import DistortionSpec, gen_distortion
 from beamshadow.fileio import (
     DISTORTION_MAGIC,
@@ -215,7 +215,7 @@ def test_signed_zeros_round_trip(tmp_path):
     write_field_file(AntennaFieldMap(grid=grid, samples=samples), path)
     values = fileio._read_table_loop(path, FIELD_MAGIC, fileio._FIELD_COLUMNS, 2)[3]
     assert np.array_equal(np.signbit(values), np.signbit(samples.view(float).reshape(-1, 2)))
-    with mock.patch.object(fileio, "resolve_workers", lambda n=None: 2):
+    with mock.patch.object(forked, "resolve_workers", lambda n=None: 2):
         read = [read_field_file(path), *fileio.read_field_files([path, path])]
     for back in read:
         assert np.array_equal(np.signbit(back.samples.real), np.signbit(samples.real))
@@ -230,7 +230,7 @@ def test_read_field_files_equals_the_serial_loop(tmp_path, small_field, monkeypa
     for i, path in enumerate(paths):
         field = AntennaFieldMap(small_field.grid, small_field.samples * (i + 1j), f"f{i}")
         write_field_file(field, path)
-    monkeypatch.setattr(fileio, "resolve_workers", lambda n=None: 2)
+    monkeypatch.setattr(forked, "resolve_workers", lambda n=None: 2)
     got = fileio.read_field_files(paths)
     assert not multiprocessing.active_children()
     want = [read_field_file(p) for p in paths]
@@ -436,7 +436,7 @@ def test_trials_csv_matches_a_per_row_repr_loop(tmp_path, monkeypatch, workers, 
     res = bs.theorem_trials(12, b_values=(1, 3), seed=3, n_antennas=2, amp_low=1.0, amp_high=1.0)
     res.margin[4, 1] = -0.0  # a signed zero keeps its sign
     path = tmp_path / "trials.csv"
-    monkeypatch.setattr(fileio, "resolve_workers", lambda n=None: workers)
+    monkeypatch.setattr(forked, "resolve_workers", lambda n=None: workers)
     monkeypatch.setattr(fileio, "_CHUNK_ROWS", chunk_rows)
     write_trials_csv(res, path)
     assert not multiprocessing.active_children()
@@ -471,7 +471,7 @@ def _planted_in_trials_rows(monkeypatch, in_child: bool, action):
 
     monkeypatch.setattr(fileio, "_trials_rows", rows)
     monkeypatch.setattr(fileio, "_CHUNK_ROWS", 5)
-    monkeypatch.setattr(fileio, "resolve_workers", lambda n=None: 2)
+    monkeypatch.setattr(forked, "resolve_workers", lambda n=None: 2)
 
 
 def _raise_planted():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import beamshadow as bs
 from test_experiment import needs_fork
 from beamshadow.codebook import directional_codebook, enh_phase_codebook
-from beamshadow import fileio, link
+from beamshadow import fileio, forked, link
 from beamshadow.link import (
     delta_snr_achieved,
     inequality_chain_check,
@@ -279,8 +279,8 @@ class TestTrialStream:
 def _audit_outputs(tmp_path, workers, **kwargs):
     """(result arrays, trials.csv bytes) with the worker count fixed, or the
     real one when workers is None; leaves no child process behind."""
-    count = fileio.resolve_workers if workers is None else lambda n=None: min(workers, n)
-    with mock.patch.object(fileio, "resolve_workers", count):
+    count = forked.resolve_workers if workers is None else lambda n=None: min(workers, n)
+    with mock.patch.object(forked, "resolve_workers", count):
         res = theorem_trials(**kwargs)
         path = tmp_path / f"trials-{workers}.csv"
         fileio.write_trials_csv(res, path)
@@ -316,7 +316,7 @@ class TestForkedTrials:
                 action()
             return real(*args)
 
-        monkeypatch.setattr(fileio, "resolve_workers", lambda n=None: 2)
+        monkeypatch.setattr(forked, "resolve_workers", lambda n=None: 2)
         monkeypatch.setattr(link, name, patched)
 
     def test_child_exception_is_raised_with_its_type(self, monkeypatch):
@@ -336,7 +336,7 @@ class TestForkedTrials:
         assert not multiprocessing.active_children()
 
     def test_trial_zero_guard_runs_in_this_process(self, monkeypatch):
-        monkeypatch.setattr(fileio, "resolve_workers", lambda n=None: 2)
+        monkeypatch.setattr(forked, "resolve_workers", lambda n=None: 2)
         monkeypatch.setattr(link, "_PCG_MULT", link._PCG_MULT + 2)
         with pytest.raises(RuntimeError, match="default_rng"):
             theorem_trials(20, b_values=(1,))

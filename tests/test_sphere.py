@@ -116,22 +116,6 @@ def test_grid_arrays_are_read_only():
         g.row_solid_angles[0] = 1.0
 
 
-def test_index_of_exact_and_nearby():
-    g = make_grid(5.0, 5.0)
-    assert g.index_of(90.0, 270.0) == (18, 54)
-    assert g.index_of(0.0, 0.0) == (0, 0)
-    # tiny float fuzz still resolves to the sample
-    assert g.index_of(90.0 + 1e-7, 270.0 - 1e-7) == (18, 54)
-
-
-def test_index_of_rejects_off_grid():
-    g = make_grid(5.0, 5.0)
-    with pytest.raises(ValueError, match="not a sample"):
-        g.index_of(92.0, 270.0)
-    with pytest.raises(ValueError, match="not a sample"):
-        g.index_of(90.0, 360.0)  # end of the half-open span is excluded
-
-
 def test_partial_spans_have_expected_counts():
     g = make_grid(5.0, 5.0, theta_span=(30.0, 60.0), phi_span=(150.0, 360.0))
     assert g.shape == (6, 42)
