@@ -8,6 +8,7 @@ bound-check failures, 2 for usage errors (argparse).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -110,6 +111,9 @@ def _cmd_distort(args) -> int:
 
 def _cmd_metrics(args) -> int:
     check_percentiles(args.percentiles)
+    for flag, value in (("--g1", args.g1), ("--g2", args.g2)):
+        if not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value!r}")
     free, blocked = read_field_files([args.free, args.blocked])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import AntennaFieldMap, require_finite
-from .sphere import SphericalGrid, angular_distance_deg, mod_2pi
+from .sphere import MAX_GRID_CELLS, SphericalGrid, angular_distance_deg, mod_2pi
 
 __all__ = [
     "FingerSpec",
@@ -116,24 +116,86 @@ class DistortionField:
         return int(self.amp.shape[0])
 
 
+def _gaussian_kernel(sigma: float) -> np.ndarray | None:
+    """Weights ``exp(-0.5 / sigma**2 * x**2)`` over ``x = -r..r`` with
+    ``r = int(4 sigma + 0.5)``, divided by their sum; None (the axis is not
+    filtered) when ``sigma <= 1e-15``."""
+    if sigma <= 1e-15:
+        return None
+    r = int(4.0 * sigma + 0.5)
+    x = np.arange(-r, r + 1)
+    weights = np.exp(-0.5 / (sigma * sigma) * x**2)
+    return weights / weights.sum()
+
+
+def _screen_kernels(grid: SphericalGrid, corr_length_deg: float) -> tuple:
+    """The (theta, phi) kernels of a screen whose sigma is the correlation
+    length in cells of each axis.  A kernel whose padded screen, ``n + 2r``
+    cells along its axis times the other axis, would exceed
+    ``MAX_GRID_CELLS`` is refused."""
+    kernels = []
+    for n, step, other in (
+        (grid.n_theta, grid.theta_step, grid.n_phi),
+        (grid.n_phi, grid.phi_step, grid.n_theta),
+    ):
+        sigma = corr_length_deg / step
+        half = 4.0 * sigma + 0.5
+        if not half < MAX_GRID_CELLS or (n + 2 * int(half)) * other > MAX_GRID_CELLS:
+            raise ValueError(
+                f"corr_length_deg {corr_length_deg!r} needs a screen filter wider than "
+                f"{MAX_GRID_CELLS} cells on this grid; use a shorter correlation length"
+            )
+        kernels.append(_gaussian_kernel(sigma))
+    return tuple(kernels)
+
+
+def _filter_axis(screen: np.ndarray, weights: np.ndarray, axis: int, wrap: bool) -> np.ndarray:
+    """Correlate one axis with symmetric weights: each output is the center
+    times the middle weight, plus ``(left_j + right_j) * w_j`` from the
+    outermost pair inward; edge indices wrap modulo n or are clipped."""
+    r = weights.size // 2
+    n = screen.shape[axis]
+    idx = np.arange(-r, n + r)
+    padded = screen.take(idx % n if wrap else idx.clip(0, n - 1), axis=axis)
+
+    def window(start):
+        return padded[start : start + n] if axis == 0 else padded[:, start : start + n]
+
+    out = window(r) * weights[r]
+    pair = np.empty_like(out)
+    for j in range(r, 0, -1):
+        np.add(window(r - j), window(r + j), out=pair)
+        pair *= weights[r + j]
+        out += pair
+    return out
+
+
+def _gaussian_smooth(screen: np.ndarray, kernels: tuple) -> np.ndarray:
+    """Separable Gaussian low-pass of a (theta, phi) screen, as a C-ordered
+    array.  Theta is filtered first, its edges extended by clamping the index
+    (the first and last rows repeat); phi second, periodic (the index wraps
+    modulo n_phi).  Bit for bit the sums of scipy.ndimage's
+    ``gaussian_filter(screen, sigma, mode=("nearest", "wrap"))``."""
+    for axis, weights in enumerate(kernels):
+        if weights is not None:
+            screen = _filter_axis(screen, weights, axis, wrap=axis == 1)
+    return np.ascontiguousarray(screen)
+
+
 def _smooth_screen(
     rng: np.random.Generator,
     grid: SphericalGrid,
-    corr_length_deg: float,
+    kernels: tuple,
     target_std: float,
 ) -> np.ndarray:
     """Correlated zero-mean screen rescaled to an exact target std.
 
-    White noise is low-passed with a Gaussian kernel whose sigma equals the
-    correlation length (clamped at the theta edges, periodic in phi), then
-    rescaled so the empirical standard deviation equals the target.
+    White noise is low-passed by ``_gaussian_smooth`` with the kernels of
+    ``_screen_kernels``: clamped at the theta edges, periodic in phi.  The
+    screen is then rescaled so its empirical standard deviation equals the
+    target.
     """
-    # imported here, so commands that draw no phase screen never load scipy
-    from scipy.ndimage import gaussian_filter
-
-    white = rng.standard_normal(grid.shape)
-    sigma = (corr_length_deg / grid.theta_step, corr_length_deg / grid.phi_step)
-    smooth = gaussian_filter(white, sigma=sigma, mode=("nearest", "wrap"))
+    smooth = _gaussian_smooth(rng.standard_normal(grid.shape), kernels)
     s = smooth.std()
     if s == 0.0:
         return np.zeros(grid.shape)
@@ -141,7 +203,11 @@ def _smooth_screen(
 
 
 def gen_distortion(spec: DistortionSpec, grid: SphericalGrid, n_antennas: int) -> DistortionField:
-    """Generate the per-antenna distortion screens for a spec on a grid."""
+    """Generate the per-antenna distortion screens for a spec on a grid.
+
+    A screen mode is refused before the first draw when its correlation
+    length needs a filter wider than ``MAX_GRID_CELLS`` cells.
+    """
     if n_antennas < 1:
         raise ValueError("n_antennas must be >= 1")
     rng = np.random.default_rng(spec.seed)
@@ -165,13 +231,12 @@ def gen_distortion(spec: DistortionSpec, grid: SphericalGrid, n_antennas: int) -
                 amp_db[i] -= taper
 
     if spec.mode in ("phase-screen", "combined"):
+        kernels = _screen_kernels(grid, spec.corr_length_deg)
         for i in range(n_antennas):
             if spec.phase_std_deg > 0.0:
-                phase[i] = _smooth_screen(
-                    rng, grid, spec.corr_length_deg, math.radians(spec.phase_std_deg)
-                )
+                phase[i] = _smooth_screen(rng, grid, kernels, math.radians(spec.phase_std_deg))
             if spec.amp_std_db > 0.0:
-                amp_db[i] += _smooth_screen(rng, grid, spec.corr_length_deg, spec.amp_std_db)
+                amp_db[i] += _smooth_screen(rng, grid, kernels, spec.amp_std_db)
 
     return DistortionField(
         grid=grid,

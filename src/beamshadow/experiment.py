@@ -465,7 +465,12 @@ def run_experiment(
         if effective_seed is not None:
             spec = replace(spec, seed=effective_seed * 1009 + idx)
         specs.append(spec)
-    dists = [gen_distortion(spec, grid, config.array.n_antennas) for spec in specs]
+    dists = []
+    for name, spec in zip(names, specs):
+        try:
+            dists.append(gen_distortion(spec, grid, config.array.n_antennas))
+        except ValueError as exc:
+            raise ValueError(f"scenarios.{name}: {exc}") from None
     free = synth_freespace_field(config.array, grid)
     g_opt_free = gain_map("mrc", free)
     roi_weights = grid.solid_angle_map()[rect.mask]

@@ -74,10 +74,17 @@ class ArrayConfig:
             raise ValueError("boresight_theta must be in [0, 180]")
         if self.backlobe_floor_db >= 0.0:
             raise ValueError("backlobe_floor_db must be negative")
+        # the largest power a search squares is that of the amplitude-weighted
+        # enh-phase-amp entry, |sum_i |E_i| E_i|^2 <= (N * 10**(gain/10))**2
         try:
-            10.0 ** (self.peak_element_gain_db / 20.0)
+            power = (self.n_antennas * 10.0 ** (self.peak_element_gain_db / 10.0)) ** 2
         except OverflowError:
-            raise ValueError("peak_element_gain_db overflows the field amplitude") from None
+            power = math.inf
+        if not math.isfinite(power):
+            raise ValueError(
+                f"peak_element_gain_db {self.peak_element_gain_db!r} overflows the "
+                f"beamformed power of {self.n_antennas} antennas"
+            )
 
 
 @dataclass(eq=False)

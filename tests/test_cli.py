@@ -327,7 +327,8 @@ def test_run_rejects_malformed_config_without_output(tmp_path, capsys, path, val
 NAN, INF = float("nan"), float("inf")
 
 # (command, config change or extra flags, key the error names): NaN and
-# infinities, and a peak gain whose linear amplitude overflows a float
+# infinities, a peak gain whose power overflows a search, and a correlation
+# length whose screen filter no array can hold
 NON_FINITE = [
     ("run", (("g1_db",), NAN), "'g1_db'"),
     ("run", (("array", "peak_element_gain_db"), -INF), "array.peak_element_gain_db"),
@@ -340,6 +341,10 @@ NON_FINITE = [
     ("distort", ["--phase-std", "nan"], "phase_std_deg"),
     ("distort", ["--phase-std", "10", "--corr-length", "nan"], "corr_length_deg"),
     ("distort", ["--phase-std", "10", "--corr-length", "inf"], "corr_length_deg"),
+    ("run", (("array", "peak_element_gain_db"), 3000.0), "peak_element_gain_db"),
+    ("synth", ["--peak-gain", "3000"], "peak_element_gain_db"),
+    ("run", (("scenarios", "grip-a", "corr_length_deg"), 1e300), "grip-a: corr_length_deg"),
+    ("distort", ["--phase-std", "10", "--corr-length", "1e300"], "corr_length_deg"),
 ]
 
 
@@ -362,6 +367,7 @@ def test_non_finite_or_overflowing_floats_are_refused_without_output(
     assert rc == 1
     assert key in err and "Traceback" not in err
     assert not out.exists()
+    assert {p.name for p in tmp_path.iterdir()} <= {"cfg.yaml", "free.field"}  # no temporary tree
 
 
 @needs_fork
@@ -432,6 +438,26 @@ def test_metrics_rejects_bad_percentiles_before_writing(free_file, tmp_path, cap
     assert rc == 1
     assert "percentile 150.0" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--g1", "nan"), ("--g2", "nan"), ("--g1", "-inf")])
+def test_metrics_refuses_non_finite_thresholds_before_reading(tmp_path, capsys, flag, value):
+    out_dir = tmp_path / "metrics"
+    absent = str(tmp_path / "absent.field")  # any read would fail on this name
+    rc = main(["metrics", "--free", absent, "--blocked", absent, "--out", str(out_dir),
+               f"{flag}={value}"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"{flag} must be finite" in err and "absent" not in err and "Traceback" not in err
+    assert not out_dir.exists()
+
+
+def test_distort_accepts_a_vanishing_correlation_length(free_file, tmp_path, capsys):
+    out = tmp_path / "b.field"
+    rc = main(["distort", "--field", str(free_file), "--out", str(out),
+               "--phase-std", "10", "--corr-length", "1e-200"])
+    assert rc == 0, capsys.readouterr().err
+    assert read_field_file(out).n_antennas == 4
 
 
 @pytest.fixture()

@@ -1,9 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import beamshadow as bs
+from beamshadow import distortion
 from beamshadow.distortion import (
     DISTORTION_MODES,
     DistortionField,
@@ -12,8 +19,10 @@ from beamshadow.distortion import (
     apply_distortion,
     gen_distortion,
 )
-from beamshadow.sphere import wrap_rad
+from beamshadow.experiment import config_to_yaml
+from beamshadow.sphere import MAX_GRID_CELLS, mod_2pi, wrap_rad
 from conftest import cell_of
+from test_experiment import tiny_config
 
 
 def test_mode_catalogue():
@@ -199,3 +208,141 @@ def test_apply_rejects_mismatches(free_field, coarse_grid):
     dist2 = gen_distortion(DistortionSpec(mode="identity"), coarse_grid, 2)
     with pytest.raises(ValueError):
         apply_distortion(free_field, dist2)
+
+
+# --- the screen filter ---------------------------------------------------------
+
+# sigma in cells: the skip threshold and its neighbour, the radius-1 step
+# (4 sigma + 0.5 = 1), and a log-uniform spread whose kernels reach far wider
+# than the grids below
+SIGMAS = st.one_of(
+    st.sampled_from([1e-20, 1e-15, math.nextafter(1e-15, 1.0), 0.125, 0.1249, 40.0]),
+    st.floats(-20.0, math.log10(40.0)).map(lambda e: 10.0**e),
+)
+
+
+def white_screen(shape, seed):
+    return np.random.default_rng(seed).standard_normal(shape)
+
+
+def smooth(white, sigmas):
+    return distortion._gaussian_smooth(
+        white, tuple(distortion._gaussian_kernel(s) for s in sigmas)
+    )
+
+
+def loop_smooth(white, sigmas):
+    """Per-element transcription of the filter's sum: theta then phi; an
+    axis with sigma <= 1e-15 is skipped; each output is the center times the
+    middle weight plus ``(left_j + right_j) * w_j`` for j = r..1, with theta
+    indices clamped to the grid and phi indices taken modulo n_phi.  The
+    weights are numpy's ``exp`` (math.exp may round differently)."""
+    rows = white.tolist()
+    for axis, sigma in enumerate(sigmas):
+        if sigma <= 1e-15:
+            continue
+        r = int(4.0 * sigma + 0.5)
+        w = np.exp(-0.5 / (sigma * sigma) * np.arange(-r, r + 1) ** 2)
+        w = (w / w.sum()).tolist()
+        n_theta, n_phi = len(rows), len(rows[0])
+
+        def at(i, k, d):
+            if axis == 0:
+                return rows[min(max(i + d, 0), n_theta - 1)][k]
+            return rows[i][(k + d) % n_phi]
+
+        new = [[0.0] * n_phi for _ in range(n_theta)]
+        for i in range(n_theta):
+            for k in range(n_phi):
+                acc = at(i, k, 0) * w[r]
+                for j in range(r, 0, -1):
+                    acc += (at(i, k, -j) + at(i, k, j)) * w[r + j]
+                new[i][k] = acc
+        rows = new
+    return np.array(rows)
+
+
+@settings(max_examples=80)
+@given(
+    shape=st.tuples(st.integers(1, 9), st.integers(1, 12)),
+    sigmas=st.tuples(SIGMAS, SIGMAS),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_screen_filter_is_the_per_element_sum_bit_for_bit(shape, sigmas, seed):
+    white = white_screen(shape, seed)
+    got = smooth(white, sigmas)
+    want = loop_smooth(white, sigmas)
+    assert got.flags.c_contiguous and got.shape == shape
+    assert got.tobytes() == want.tobytes()
+    assert got.std() == want.std()
+
+
+@settings(max_examples=150)
+@given(
+    shape=st.tuples(st.integers(1, 40), st.integers(1, 60)),
+    sigmas=st.tuples(SIGMAS, SIGMAS),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_screen_filter_matches_scipy_gaussian_filter_bit_for_bit(shape, sigmas, seed):
+    ndimage = pytest.importorskip("scipy.ndimage")
+    white = white_screen(shape, seed)
+    got = smooth(white, sigmas)
+    want = ndimage.gaussian_filter(white, sigma=sigmas, mode=("nearest", "wrap"))
+    assert got.tobytes() == want.tobytes()
+    assert got.std() == want.std()
+
+
+def test_tiny_correlation_length_leaves_white_noise(coarse_grid):
+    spec = DistortionSpec(mode="phase-screen", phase_std_deg=10.0, corr_length_deg=1e-200, seed=4)
+    dist = gen_distortion(spec, coarse_grid, 1)
+    white = np.random.default_rng(4).standard_normal(coarse_grid.shape)
+    want = mod_2pi(white * (math.radians(10.0) / white.std()))
+    assert np.array_equal(dist.phase[0], want)
+
+
+@pytest.mark.parametrize("corr_length", [1e300, 1e308])
+def test_oversized_screen_filter_is_refused_before_any_draw(coarse_grid, monkeypatch, corr_length):
+    monkeypatch.setattr(distortion, "_smooth_screen", None)  # a draw would raise
+    spec = DistortionSpec(mode="phase-screen", phase_std_deg=10.0, corr_length_deg=corr_length)
+    with pytest.raises(ValueError, match="corr_length_deg"):
+        gen_distortion(spec, coarse_grid, 1)
+
+
+def test_screen_filter_limit_is_the_larger_padded_pass(monkeypatch):
+    grid = bs.make_grid(30.0, 30.0)  # sigma 1 cell gives r = 4 on both axes
+    assert grid.shape == (6, 12)
+    spec = DistortionSpec(mode="phase-screen", amp_std_db=1.0, corr_length_deg=30.0)
+    padded = max((6 + 2 * 4) * 12, (12 + 2 * 4) * 6)
+    assert padded == 168 < MAX_GRID_CELLS
+    monkeypatch.setattr(distortion, "MAX_GRID_CELLS", padded)
+    gen_distortion(spec, grid, 1)
+    monkeypatch.setattr(distortion, "MAX_GRID_CELLS", padded - 1)
+    with pytest.raises(ValueError, match="corr_length_deg 30.0"):
+        gen_distortion(spec, grid, 1)
+    # a mode without screens needs no filter
+    gen_distortion(DistortionSpec(mode="finger-occlusion", corr_length_deg=1e300), grid, 1)
+
+
+def test_run_and_distort_load_no_scipy(tmp_path):
+    """The screens are drawn without scipy: a whole run and a distort, all
+    in one process, leave no scipy module loaded."""
+    cfg_path = tmp_path / "cfg.yaml"
+    config_to_yaml(tiny_config(2), cfg_path)
+    code = f"""
+import sys
+from beamshadow import forked
+from beamshadow.cli import main
+forked.resolve_workers = lambda n=None: 1  # every scenario in this process
+d = {str(tmp_path)!r}
+assert main(["run", "--config", {str(cfg_path)!r}, "--out", d + "/run"]) == 0
+assert main(["distort", "--field", d + "/run/free.field", "--out", d + "/b.field",
+             "--dist-out", d + "/b.dist", "--phase-std", "30", "--amp-std", "1"]) == 0
+print([m for m in sys.modules if m.partition(".")[0] == "scipy"])
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(Path(bs.__file__).parents[1])},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "b.dist").exists()

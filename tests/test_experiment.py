@@ -235,7 +235,11 @@ class TestRunExperiment:
                     )
                 }
             },
-            "finger targets antenna 7 outside 0..3",
+            "scenarios.grip-a: finger targets antenna 7 outside 0..3",
+        ),
+        (
+            {"scenarios": {"grip-a": DistortionSpec(phase_std_deg=10.0, corr_length_deg=1e300)}},
+            "scenarios.grip-a: corr_length_deg 1e[+]300 needs a screen filter wider than",
         ),
     ],
 )

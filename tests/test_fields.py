@@ -1,10 +1,17 @@
+import math
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import beamshadow as bs
+from beamshadow.cli import main
+from beamshadow.experiment import config_to_yaml
 from beamshadow.fields import AntennaFieldMap
 from beamshadow.metrics import elemental_gain_map
 from conftest import cell_of
+from test_experiment import tiny_config
 
 
 def test_config_defaults():
@@ -26,6 +33,41 @@ def test_config_validation():
         bs.ArrayConfig(boresight_theta=200.0)
     with pytest.raises(ValueError, match="backlobe"):
         bs.ArrayConfig(backlobe_floor_db=0.0)
+
+
+def largest_accepted_peak_gain_db():
+    lo, hi = 0.0, 3000.0
+    bs.ArrayConfig(peak_element_gain_db=lo)
+    with pytest.raises(ValueError, match="peak_element_gain_db 3000.0 overflows"):
+        bs.ArrayConfig(peak_element_gain_db=hi)
+    while math.nextafter(lo, hi) != hi:
+        mid = (lo + hi) / 2.0
+        try:
+            bs.ArrayConfig(peak_element_gain_db=mid)
+            lo = mid
+        except ValueError:
+            hi = mid
+    return lo
+
+
+def test_largest_accepted_peak_gain_runs_without_overflow(tmp_path):
+    """The bound is on the largest power a search squares, the amplitude-
+    weighted enh-phase-amp entry's (N * 10**(gain/10))**2: at the largest
+    accepted gain a whole run, with screens that only attenuate, warns of
+    nothing."""
+    gain = largest_accepted_peak_gain_db()
+    assert 1535.0 < gain < 1536.0  # 4 antennas: (4 * 10**(g/10))**2 < 1.8e308
+    config = tiny_config(2, b_values=(1, 2, 3))
+    config = replace(
+        config,
+        array=replace(config.array, peak_element_gain_db=gain),
+        scenarios={k: replace(v, amp_std_db=0.0) for k, v in config.scenarios.items()},
+    )
+    config_to_yaml(config, tmp_path / "cfg.yaml")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # inherited by the forked scenario workers
+        rc = main(["run", "--config", str(tmp_path / "cfg.yaml"), "--out", str(tmp_path / "run")])
+    assert rc == 0
 
 
 def test_field_map_validation(coarse_grid):
