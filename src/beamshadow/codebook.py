@@ -28,6 +28,10 @@ would not):
 - each response ``sum_i conj(w_ki) * e_i`` is added in the order numpy's
   own ``.sum(axis=-1)`` adds a complex row of N terms (``_add_tree``);
 - power is ``re*re + im*im`` (``x**2`` may take a libm route);
+- on a lattice the add tree's last add, the only one of entry size, is done
+  on the real and imaginary parts apart, into contiguous float arrays that
+  are squared and summed in place; complex addition is componentwise, so
+  the responses' parts are bitwise those of the complex add;
 - dB values come from scalar ``math.log10``; ``np.log10`` can differ in
   the last bit.
 
@@ -73,6 +77,9 @@ MAX_ENH_ENTRIES = 1_000_000
 # entry x field-vector responses formed at once by best_entries; larger
 # blocks buy little speed and raise peak memory
 _BLOCK_PRODUCTS = 1 << 14
+
+# the -0.0 a complex ``.sum`` starts from: x + (-0.0 - 0.0j) == x bitwise
+_NEGATIVE_ZERO = complex(-0.0, -0.0)
 
 CODEBOOK_KINDS = ("directional", "enh-phase", "enh-phase-amp")
 
@@ -195,28 +202,33 @@ def phase_lattice(n_antennas: int, b_bits: int) -> np.ndarray:
     return out
 
 
-def _add_tree(terms: list):
-    """Sum of the terms in the order numpy's pairwise ``.sum`` adds a
-    complex row of that length: left to right below four terms, else four
-    strided accumulators combined as (r0 + r1) + (r2 + r3), then the
-    remainder left to right.  Terms may be broadcastable arrays.  (numpy
-    splits rows of more than 64 terms in halves; a lattice that wide
-    would need at least 2**64 entries.)
+def _add_tree(terms: list) -> tuple:
+    """The two operands of the last add when the terms are summed in the
+    order numpy's pairwise ``.sum`` adds a complex row of that length: left
+    to right below four terms, else four strided accumulators combined as
+    (r0 + r1) + (r2 + r3), then the remainder left to right.  Terms may be
+    broadcastable arrays.  A single term comes with ``-0.0 - 0.0j``, which
+    adds exactly, signed zeros included.  (numpy splits rows of more than 64
+    terms in halves; a lattice that wide would need at least 2**64 entries.)
     """
     n = len(terms)
+    if n == 1:
+        return terms[0], _NEGATIVE_ZERO
     if n < 4:
         acc = terms[0]
-        for t in terms[1:]:
+        for t in terms[1:-1]:
             acc = acc + t
-        return acc
+        return acc, terms[-1]
     full = n - n % 4
     r = list(terms[:4])
     for j in range(4, full):
         r[j % 4] = r[j % 4] + terms[j]
+    if full == n:
+        return r[0] + r[1], r[2] + r[3]
     acc = (r[0] + r[1]) + (r[2] + r[3])
-    for t in terms[full:]:
+    for t in terms[full:-1]:
         acc = acc + t
-    return acc
+    return acc, terms[-1]
 
 
 def _lattice_levels(weights: np.ndarray) -> list[np.ndarray] | None:
@@ -273,6 +285,7 @@ def best_entries(weights, fields) -> tuple[np.ndarray, np.ndarray]:
         block = np.ascontiguousarray(fields[lo : lo + step])
         if levels is None:
             z = (w_conj * block[:, None, :]).sum(axis=-1)
+            power = z.real * z.real + z.imag * z.imag
         else:
             # term i is (vectors, 1, .., levels at axis i, .., 1): broadcasting
             # the add tree lays entries out in lexicographic digit order
@@ -282,11 +295,15 @@ def best_entries(weights, fields) -> tuple[np.ndarray, np.ndarray]:
                 if i:
                     shape[i] = cl.size
                 terms.append((cl * block[:, i, None]).reshape(shape))
-            z = _add_tree(terms).reshape(len(block), n_entries)
-        power = z.real * z.real + z.imag * z.imag
+            left, right = _add_tree(terms)
+            re = np.add(left.real, right.real).reshape(len(block), n_entries)
+            im = np.add(left.imag, right.imag).reshape(len(block), n_entries)
+            re *= re
+            im *= im
+            power = np.add(re, im, out=re)
         k = power.argmax(axis=1)
         index[lo : lo + step] = k
-        best[lo : lo + step] = np.take_along_axis(power, k[:, None], axis=1)[:, 0]
+        best[lo : lo + step] = power[np.arange(len(block)), k]
     return best, index
 
 

@@ -421,15 +421,18 @@ def write_coverage_csv(rows, path) -> None:
 def _trials_rows(result, start: int, stop: int):
     """The CSV rows of trials start..stop-1 in (trial, B) order, as ASCII
     bytes of at most ``_CHUNK_ROWS`` rows each."""
-    n_b = len(result.b_values)
-    lead = (map(str, range(start, stop)), map(str, result.b_values))
+    b_tokens = [str(b) for b in result.b_values]
+    # each trial's variance is formatted once, into its rows' prefixes
+    var_tokens = map(repr, result.var_blockage[start:stop].tolist())
+    prefixes = [
+        f"{t},{b},{var}" for t, var in zip(range(start, stop), var_tokens) for b in b_tokens
+    ]
     columns = (
-        np.repeat(result.var_blockage[start:stop], n_b),
         result.lower_bound[start:stop].ravel(),
         result.delta_achieved[start:stop].ravel(),
         result.margin[start:stop].ravel(),
     )
-    yield from _table_chunks(lead, columns)
+    yield from _table_chunks((prefixes,), columns)
 
 
 @contextmanager

@@ -22,9 +22,10 @@ numeric margin of every step.
 ``theorem_trials`` audits the bound on random fields.  Trial t is drawn from
 the ``default_rng([seed, t])`` stream; the streams are computed a block of
 trials at a time (numpy's SeedSequence hashing and PCG64 generator, redone
-on arrays) and checked against numpy itself on trial 0 of every call.  The
-trials are split across forked children by ``forked.split``, which decides
-the worker count; the result does not depend on the split.
+on uint64 arrays, each 128-bit state a pair of uint64 words) and checked
+against numpy itself on trial 0 of every call.  The trials are split across
+forked children by ``forked.split``, which decides the worker count; the
+result does not depend on the split.
 """
 
 from __future__ import annotations
@@ -316,15 +317,15 @@ def _trial_field(seed: int, trial: int, n_antennas: int, amp_low: float, amp_hig
 
 # numpy's SeedSequence (bit_generator.pyx) and PCG64 (pcg64.h) constants
 _MASK32 = (1 << 32) - 1
-_MASK64 = (1 << 64) - 1
-_MASK128 = (1 << 128) - 1
 _SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
 _SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
 _SS_MIX_L, _SS_MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
-# trials drawn per vectorized step; bounds the object arrays of 128-bit states
+# trials drawn per vectorized step; bounds the uint64 temporaries of the
+# seeding hash and the 128-bit state arithmetic
 _TRIAL_BLOCK = 1 << 14
+_LOW32, _SHIFT32 = np.uint64(_MASK32), np.uint64(32)
 
 
 def _uint32_words(n: int) -> list[int]:
@@ -374,20 +375,45 @@ def _seed_states(seed: int, trials: np.ndarray) -> list[np.ndarray]:
     return [words[2 * k] | (words[2 * k + 1] << np.uint64(32)) for k in range(4)]
 
 
+def _mulhi(a: np.ndarray, b_lo: np.uint64, b_hi: np.uint64) -> np.ndarray:
+    """The high 64 bits of ``a * b`` for uint64 a and a 64-bit b given as its
+    32-bit halves, from the four 32 x 32-bit partial products."""
+    a_lo, a_hi = a & _LOW32, a >> _SHIFT32
+    lo_lo, hi_lo, lo_hi = a_lo * b_lo, a_hi * b_lo, a_lo * b_hi
+    mid = (lo_lo >> _SHIFT32) + (hi_lo & _LOW32) + (lo_hi & _LOW32)
+    return a_hi * b_hi + (hi_lo >> _SHIFT32) + (lo_hi >> _SHIFT32) + (mid >> _SHIFT32)
+
+
 def _pcg64_doubles(seed: int, trials: np.ndarray, n_draws: int) -> np.ndarray:
     """The first ``n_draws`` doubles in [0, 1) of ``default_rng([seed, t])``
-    for every trial t, as a (trials, n_draws) array."""
-    s = [w.astype(object) for w in _seed_states(seed, trials)]
-    inc = (((s[2] << 64) | s[3]) << 1 | 1) & _MASK128
+    for every trial t, as a (trials, n_draws) array.
+
+    Each 128-bit state is a (high, low) pair of uint64 words, which wrap
+    modulo 2**64; an add carries into the high word where the low sum
+    wrapped below its first operand."""
+    s0, s1, s2, s3 = _seed_states(seed, trials)
+    m_hi, m_lo = (np.uint64(w) for w in divmod(_PCG_MULT, 1 << 64))
+    m_lo_halves = m_lo & _LOW32, m_lo >> _SHIFT32
+    one = np.uint64(1)
+    inc_hi, inc_lo = (s2 << one) | (s3 >> np.uint64(63)), (s3 << one) | one
+
+    def step(hi, lo):
+        """state * _PCG_MULT + inc modulo 2**128."""
+        l1 = lo * m_lo
+        h1 = _mulhi(lo, *m_lo_halves) + lo * m_hi + hi * m_lo
+        lo = l1 + inc_lo
+        return h1 + inc_hi + (lo < l1), lo
+
     # pcg64_srandom_r: step from state 0, add the initial state, step again
-    state = (inc + ((s[0] << 64) | s[1])) & _MASK128
-    state = (state * _PCG_MULT + inc) & _MASK128
+    lo = inc_lo + s1
+    hi = inc_hi + s0 + (lo < inc_lo)
+    hi, lo = step(hi, lo)
     out = np.empty((trials.size, n_draws), dtype=np.uint64)
     for k in range(n_draws):
-        state = (state * _PCG_MULT + inc) & _MASK128
+        hi, lo = step(hi, lo)
         # XSL-RR: xor the halves, rotate right by the top six bits
-        x = ((state >> 64) ^ (state & _MASK64)).astype(np.uint64)
-        rot = (state >> 122).astype(np.uint64)
+        x = hi ^ lo
+        rot = hi >> np.uint64(58)
         out[:, k] = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
     return (out >> np.uint64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
 
@@ -440,7 +466,8 @@ def theorem_trials(
 
     Trial t is the ``default_rng([seed, t])`` stream.  The streams are
     computed a block of trials at a time by reimplementing numpy's seeding
-    and PCG64 generator; trial 0 is also drawn by numpy, in this process,
+    and PCG64 generator on uint64 arrays, each 128-bit state a (high, low)
+    pair of words; trial 0 is also drawn by numpy, in this process,
     and must match bit for bit, else ``RuntimeError``.  Every value equals
     what ``var_blockage``, ``theorem1_lb`` and ``delta_snr_achieved`` return
     for that trial alone.

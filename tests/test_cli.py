@@ -3,11 +3,13 @@ import io
 import json
 import multiprocessing
 import os
+import re
 import runpy
 import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -368,6 +370,26 @@ def test_non_finite_or_overflowing_floats_are_refused_without_output(
     assert key in err and "Traceback" not in err
     assert not out.exists()
     assert {p.name for p in tmp_path.iterdir()} <= {"cfg.yaml", "free.field"}  # no temporary tree
+
+
+def test_run_refuses_amplitude_ripple_that_overflows_the_search(tmp_path, capsys):
+    """1535 dB passes ArrayConfig for 4 antennas, but the default scenarios'
+    amplitude ripple lifts the blocked power past what a search can square."""
+    data = beamshadow.experiment.default_config().to_dict()
+    data["array"]["peak_element_gain_db"] = 1535.0
+    data["theta_step_deg"] = data["phi_step_deg"] = 30.0
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(yaml.safe_dump(data))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["run", "--config", str(cfg_path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert re.search(r"scenarios\.[a-z-]+: ", err) and "array.peak_element_gain_db" in err
+    assert "Traceback" not in err and "Warning" not in err and not caught
+    assert list(tmp_path.iterdir()) == [cfg_path]  # no tree, partial or temporary
 
 
 @needs_fork

@@ -439,8 +439,15 @@ def draw_roi(data, grid):
     return RoIMask(grid=grid, mask=mask, source="rect", area_fraction=grid.area_fraction(mask))
 
 
-@given(st.integers(1, 6), st.integers(1, 3), st.sampled_from([1, 7, 1 << 14]), st.data())
-def test_property_search_equals_naive_enumeration(n, b, block, data):
+# (N, B) of the lattices searched: every N up to 9 at B = 1 (at most 256
+# entries), so the add tree's last add is taken at every remainder N mod 4
+# and after the strided accumulators of N >= 8
+LATTICE_SHAPES = [(n, b) for n in range(1, 7) for b in (1, 2, 3)] + [(7, 1), (8, 1), (9, 1)]
+
+
+@given(st.sampled_from(LATTICE_SHAPES), st.sampled_from([1, 7, 1 << 14]), st.data())
+def test_property_search_equals_naive_enumeration(shape, block, data):
+    n, b = shape
     grid = bs.make_grid(45.0, 90.0)
     fld, vectors, zero = draw_field(data, grid, n)
     roi = draw_roi(data, grid)
@@ -525,5 +532,5 @@ def test_add_tree_matches_numpy_row_sum(n):
     shape = (2000, n)
     scale = np.exp(rng.uniform(-30.0, 30.0, shape))
     terms = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * scale
-    got = _add_tree([terms[:, j] for j in range(n)])
-    assert got.tobytes() == terms.sum(axis=-1).tobytes()
+    left, right = _add_tree([terms[:, j] for j in range(n)])
+    assert (left + right).tobytes() == terms.sum(axis=-1).tobytes()

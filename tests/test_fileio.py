@@ -25,6 +25,7 @@ from beamshadow.fileio import (
     write_gain_map_csv,
     write_trials_csv,
 )
+from beamshadow.link import TheoremCheckResult
 from test_experiment import needs_fork
 
 
@@ -435,13 +436,22 @@ def test_trials_csv_matches_a_per_row_repr_loop(tmp_path, monkeypatch, workers, 
     """The same bytes for any split of the trials and any chunk size."""
     res = bs.theorem_trials(12, b_values=(1, 3), seed=3, n_antennas=2, amp_low=1.0, amp_high=1.0)
     res.margin[4, 1] = -0.0  # a signed zero keeps its sign
-    path = tmp_path / "trials.csv"
+    # each trial's variance is formatted once for all its rows: repr's sign,
+    # subnormal and exponent spellings
+    rows = np.arange(8.0).reshape(4, 2)
+    edges = TheoremCheckResult(
+        n_trials=4, b_values=(1, 3), n_antennas=2, seed=0,
+        var_blockage=np.array([-0.0, 5e-324, 1e16, 1e-05]),
+        lower_bound=rows, delta_achieved=rows + 0.5, margin=rows / 3,
+    )  # fmt: skip
     monkeypatch.setattr(forked, "resolve_workers", lambda n=None: workers)
     monkeypatch.setattr(fileio, "_CHUNK_ROWS", chunk_rows)
-    write_trials_csv(res, path)
-    assert not multiprocessing.active_children()
-    assert [p.name for p in tmp_path.iterdir()] == ["trials.csv"]
-    assert path.read_text() == _trials_reference(res)
+    for result in (res, edges):
+        path = tmp_path / "trials.csv"
+        write_trials_csv(result, path)
+        assert not multiprocessing.active_children()
+        assert [p.name for p in tmp_path.iterdir()] == ["trials.csv"]
+        assert path.read_text() == _trials_reference(result)
 
 
 @pytest.mark.parametrize("chunk_rows", [1, 7])
