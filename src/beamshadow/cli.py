@@ -17,6 +17,7 @@ from .codebook import (
     directional_codebook,
     enh_phase_codebook,
     gain_map,
+    search_power_overflows,
 )
 from .distortion import DistortionSpec, apply_distortion, gen_distortion
 from .experiment import config_from_yaml, default_config, run_experiment
@@ -142,6 +143,8 @@ def _cmd_metrics(args) -> int:
 def _cmd_evaluate(args) -> int:
     field = read_field_file(args.field)
     n = field.n_antennas
+    if search_power_overflows(n, float(abs(field.samples).max())):
+        raise ValueError(f"{args.field}: its field power overflows the beamformed search")
     if args.scheme == "mrc":
         gmap = gain_map("mrc", field)
     elif args.scheme == "directional":

@@ -68,6 +68,7 @@ __all__ = [
     "gain_map",
     "amp_gain_map",
     "best_entries",
+    "search_power_overflows",
     "phase_lattice",
     "MAX_ENH_ENTRIES",
 ]
@@ -305,6 +306,13 @@ def best_entries(weights, fields) -> tuple[np.ndarray, np.ndarray]:
         index[lo : lo + step] = k
         best[lo : lo + step] = power[np.arange(len(block)), k]
     return best, index
+
+
+def search_power_overflows(n_antennas: int, peak: float) -> bool:
+    """Whether a search of fields whose largest ``|E_i|`` is ``peak`` can
+    overflow: it squares ``|sum_i |E_i| E_i|^2 <= (N * peak**2)**2``."""
+    power = n_antennas * (peak * peak)
+    return not math.isfinite(power * power)
 
 
 def directional_codebook(

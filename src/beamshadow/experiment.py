@@ -43,6 +43,7 @@ from .codebook import (
     directional_codebook,
     enh_phase_codebook,
     gain_map,
+    search_power_overflows,
 )
 from .distortion import (
     DistortionField,
@@ -473,13 +474,10 @@ def run_experiment(
             raise ValueError(f"scenarios.{name}: {exc}") from None
     free = synth_freespace_field(config.array, grid)
     # ArrayConfig bounds the free field's search power; a scenario's amplitude
-    # ripple lifts it by max(amp)**4, and the amplitude-weighted search squares
-    # |sum_i |E_i| E_i|^2 <= (N * max|E|**2)**2
+    # ripple lifts it by max(amp)**4
     peak = float(np.abs(free.samples).max())
     for name, dist in zip(names, dists):
-        blocked_peak = peak * float(dist.amp.max())
-        power = config.array.n_antennas * (blocked_peak * blocked_peak)
-        if not math.isfinite(power * power):
+        if search_power_overflows(config.array.n_antennas, peak * float(dist.amp.max())):
             raise ValueError(
                 f"scenarios.{name}: its amplitude ripple overflows the beamformed power "
                 f"at array.peak_element_gain_db {config.array.peak_element_gain_db!r}"

@@ -23,11 +23,11 @@ per-line speed, by the reference loop that also names the first bad
 
 ``read_field_files`` reads several field files at once, since the ``float``
 parse that bounds a read cannot go faster in one process.  This process
-parses only the header of each file after the first and allocates that
-file's samples in an anonymous shared mapping; a child forked per file
-parses its rows straight into the mapping and sends back only "done" or
-its exception, while this process reads the first file.  Errors surface in
-path order, as a serial loop would raise them.
+parses every header and allocates each file's samples in an anonymous
+shared mapping; the files are then split by ``forked.split``, and each range
+parses its rows straight into the mappings and sends back only "done" or
+its exception.  Errors surface in path order, as a serial loop would raise
+them.
 
 Every table, the field and distortion data rows and the CSV tables alike,
 is formatted by one chunk generator, ``_table_chunks``: a few thousand rows
@@ -333,47 +333,41 @@ def read_field_file(path) -> AntennaFieldMap:
     return _field_map(*_read_table(path, FIELD_MAGIC, _FIELD_COLUMNS, 2))
 
 
-def _parse_into(path: Path, values: np.ndarray) -> None:
-    """A forked reader's work: parse path's rows into the shared values."""
-    _read_table(path, FIELD_MAGIC, _FIELD_COLUMNS, 2, out=values)
+def _parse_files(paths, tables, start: int, stop: int) -> None:
+    """A range's work: parse files start..stop-1 into their shared values,
+    in path order; a file whose header failed raises that error here."""
+    for path, table in zip(paths[start:stop], tables[start:stop]):
+        if isinstance(table, Exception):
+            raise table
+        _read_table(path, FIELD_MAGIC, _FIELD_COLUMNS, 2, out=table[3])
 
 
 def read_field_files(paths) -> list[AntennaFieldMap]:
-    """Read several field files, the same as ``[read_field_file(p) for p in
-    paths]`` but concurrently: each file after the first is parsed by a child
-    forked from this process into shared memory while this process reads the
-    first.  The first bad path's error is raised, as the serial loop would.
-    With one worker (``forked.resolve_workers``) the files are read in turn.
-    """
-    paths = [Path(p) for p in paths]
-    if forked.resolve_workers(len(paths)) <= 1:
-        return [read_field_file(p) for p in paths]
+    """``[read_field_file(p) for p in paths]``, read concurrently (see the
+    module docstring); the first bad path's error is raised, as there."""
     import mmap
 
-    jobs = []  # per later path: an exception, or (header, values, child)
-    try:
-        for path in paths[1:]:
-            try:
-                with _open_text(path) as fh:
-                    header = _start_table(path, fh, FIELD_MAGIC, _FIELD_COLUMNS)
-            except (FileFormatError, OSError) as exc:
-                jobs.append(exc)  # raised in path order, after the earlier reads
-                continue
-            rows = header[3]
-            values = np.frombuffer(mmap.mmap(-1, 16 * rows), np.float64).reshape(rows, 2)
-            jobs.append((header, values, forked.Child(f"{path}: reader", _parse_into, path, values)))
-        fields = [read_field_file(paths[0])]
-        for job in jobs:
-            if isinstance(job, Exception):
-                raise job
-            header, values, child = job
-            child.reply()
-            fields.append(_field_map(*header[:3], values))
-        return fields
-    finally:
-        for job in jobs:
-            if not isinstance(job, Exception):
-                job[2].close()
+    paths = [Path(p) for p in paths]
+    tables = []  # per path: (n, grid, label, shared values), or its header's error
+    for path in paths:
+        try:
+            with _open_text(path) as fh:
+                n, grid, label, rows = _start_table(path, fh, FIELD_MAGIC, _FIELD_COLUMNS)
+        except (FileFormatError, OSError) as exc:
+            tables.append(exc)  # raised by its range, in path order
+            continue
+        values = np.frombuffer(mmap.mmap(-1, 16 * rows), np.float64).reshape(rows, 2)
+        tables.append((n, grid, label, values))
+    with forked.split(
+        len(paths),
+        lambda lo, hi: f"{', '.join(map(str, paths[lo:hi]))}: reader",
+        _parse_files,
+        paths,
+        tables,
+    ) as (own, replies):
+        _parse_files(paths, tables, *own)
+        list(replies)  # a child's error, in range order
+    return [_field_map(*table) for table in tables]
 
 
 def read_distortion_file(path) -> DistortionField:
@@ -460,17 +454,16 @@ def write_trials_csv(result, path) -> None:
 
     The trials are split by ``forked.split``.  This process formats and
     writes the first range; a child forked per further range formats its
-    rows meanwhile, and its bytes are written in trial order as they arrive,
-    so the file is the same for any split.  The file is written beside
+    rows meanwhile and sends them back as one byte string, written in trial
+    order, so the file is the same for any split.  The file is written beside
     ``path`` and renamed onto it, so a failed write leaves neither a partial
     ``path`` nor a temporary file.
     """
     with _written_in_place_of(Path(path)) as fh, forked.split(
         result.n_trials,
         lambda lo, hi: f"trials {lo}-{hi - 1}: CSV writer",
-        lambda lo, hi: list(_trials_rows(result, lo, hi)),
+        lambda lo, hi: b"".join(_trials_rows(result, lo, hi)),
     ) as (own, replies):
         fh.write(b"trial,B,var_blockage,lower_bound,delta_achieved,margin\n")
         fh.writelines(_trials_rows(result, *own))
-        for chunks in replies:
-            fh.writelines(chunks)
+        fh.writelines(replies)

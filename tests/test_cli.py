@@ -150,6 +150,26 @@ def test_evaluate_rejects_bad_quant_bits_without_output(free_file, tmp_path, cap
     assert not out.exists()
 
 
+def test_evaluate_refuses_a_field_whose_power_overflows_the_search(tmp_path, capsys):
+    """1535 dB passes ArrayConfig for 4 antennas, but a grip's amplitude
+    ripple lifts the blocked field past what the search can square."""
+    free, blocked, out = tmp_path / "free.field", tmp_path / "blocked.field", tmp_path / "g.csv"
+    assert main(["synth", "--out", str(free), "--peak-gain", "1535",
+                 "--theta-step", "15", "--phi-step", "15"]) == 0
+    assert main(["distort", "--field", str(free), "--out", str(blocked),
+                 "--scenario", "loose-grip-one-finger"]) == 0
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["evaluate", "--field", str(blocked), "--out", str(out),
+                   "--scheme", "enh-phase-amp", "--B", "2"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert f"error: {blocked}: " in err
+    assert "Traceback" not in err and "Warning" not in err and not caught
+    assert not out.exists()
+
+
 def test_theorem_check_writes_rows(tmp_path, capsys):
     out = tmp_path / "rows.csv"
     rc = main(["theorem-check", "--trials", "25", "--B", "2,3", "--out", str(out)])

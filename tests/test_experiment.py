@@ -352,6 +352,7 @@ def test_resolve_workers_is_usable_cpus_capped_at_tasks():
     assert resolve_workers(None) == cpus
     for n in (1, 2, 3, 4, 64):
         assert resolve_workers(n) == min(n, cpus)
+    assert resolve_workers(0) == 1  # never zero ranges to split into
 
 
 def split_config(n_scenarios):

@@ -239,6 +239,36 @@ def test_read_field_files_equals_the_serial_loop(tmp_path, small_field, monkeypa
     assert [f.samples.tobytes() for f in got] == [f.samples.tobytes() for f in want]
 
 
+def test_read_field_files_of_no_paths_is_empty():
+    assert fileio.read_field_files([]) == []
+    assert not multiprocessing.active_children()
+
+
+@needs_fork
+@pytest.mark.parametrize("bad, want", [({2: "header"}, 2), ({0: "row", 2: "header"}, 0)])
+def test_read_field_files_errors_in_path_order_inside_a_child_range(
+    tmp_path, small_field, monkeypatch, bad, want
+):
+    """3 files on 2 workers: the caller parses file 0 and a child files 1-2.
+    A bad header in the child's range is raised, but the caller's bad row
+    in file 0 comes first in path order and wins."""
+    paths = [tmp_path / f"{i}.field" for i in range(3)]
+    for path in paths:
+        write_field_file(small_field, path)
+    for i, kind in bad.items():
+        lines = paths[i].read_text().splitlines(keepends=True)
+        if kind == "header":
+            lines[0] = lines[0].replace(FIELD_MAGIC, "beamshadow-feld v1")
+        else:
+            lines[5] = lines[5].replace(",", ",x", 1)
+        paths[i].write_text("".join(lines))
+    monkeypatch.setattr(forked, "resolve_workers", lambda n=None: min(n, 2))
+    with pytest.raises(FileFormatError) as info:
+        fileio.read_field_files(paths)
+    assert str(info.value).startswith(f"{paths[want]}:")
+    assert not multiprocessing.active_children()
+
+
 def test_nan_coordinate_is_rejected(tmp_path, small_field):
     path = tmp_path / "a.field"
     write_field_file(small_field, path)

@@ -1,5 +1,5 @@
-"""The split helper every forked path goes through: range order, streamed
-list replies, child errors, and no process left behind."""
+"""The split helper every forked path goes through: range order, child
+errors, and no process left behind."""
 
 import multiprocessing
 import os
@@ -38,21 +38,10 @@ def test_replies_come_back_in_range_order(monkeypatch, workers, ranges):
     assert not multiprocessing.active_children()
 
 
-def megabyte_items(lo, hi):
-    return [bytes([k]) * (1 << 20) for k in range(lo, hi)]
-
-
-@needs_fork
-def test_list_reply_streams_item_by_item(monkeypatch):
-    patch_workers(monkeypatch, 2)
-    with forked.split(16, items_named, megabyte_items) as (own, replies):
-        assert own == (0, 8)
-        (items,) = replies
-        first = next(items)
-        # 8 MB cannot sit in a pipe: the child is still sending
-        assert multiprocessing.active_children()
-        rest = list(items)
-    assert [first, *rest] == megabyte_items(8, 16)
+def test_zero_items_run_one_empty_range_and_fork_nothing():
+    with forked.split(0, items_named, echo, "tag") as (own, replies):
+        assert own == (0, 0)
+        assert list(replies) == []
     assert not multiprocessing.active_children()
 
 

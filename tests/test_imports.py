@@ -26,6 +26,34 @@ def test_no_private_names_imported_across_modules():
     assert not offenders, "\n".join(offenders)
 
 
+def test_only_forked_starts_processes_and_only_through_split():
+    """No module but ``forked`` imports ``multiprocessing``, and the package
+    uses nothing of ``forked`` but ``split`` and ``resolve_workers``."""
+    offenders = []
+    for path in sorted(Path(beamshadow.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            modules, used = [], set()
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+                if node.module == "forked":
+                    used = {alias.name for alias in node.names}
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "forked":
+                used = {node.attr}
+            if path.name != "forked.py":
+                offenders += [
+                    f"{path.name}:{node.lineno}: imports {module}"
+                    for module in modules
+                    if module.partition(".")[0] == "multiprocessing"
+                ]
+            offenders += [
+                f"{path.name}:{node.lineno}: forked.{name}"
+                for name in sorted(used - {"split", "resolve_workers"})
+            ]
+    assert not offenders, "\n".join(offenders)
+
+
 def test_cli_import_loads_no_process_or_scipy_modules():
     """The fork, shared-memory and scipy code is imported only when a command needs it."""
     lazy = ("multiprocessing", "concurrent.futures", "mmap", "scipy")
