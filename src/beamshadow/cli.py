@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import statistics
 import sys
 from pathlib import Path
 
@@ -174,8 +175,11 @@ def _cmd_theorem_check(args) -> int:
         f"antennas={result.n_antennas} seed={result.seed}"
     )
     print(f"violations={result.n_violations} min_margin={result.min_margin:.3e}")
-    for b, k, m in zip(result.b_values, result.violations_by_b, result.min_margin_by_b):
-        print(f"B={b}: violations={k} min_margin={m:.3e}")
+    for b, k, m in zip(result.b_values, result.violations_by_b, result.margin.T):
+        print(
+            f"B={b}: violations={k} min_margin={m.min():.3e} "
+            f"median_margin={statistics.median(m.tolist()):.3e} max_margin={m.max():.3e}"
+        )
     if result.n_violations:
         print("bound violated", file=sys.stderr)
         return 1

@@ -12,10 +12,9 @@ Schemes
   magnitudes proportional to measured element strengths.
 
 A ``Codebook`` is one read-only (entries, N) complex ``weight_matrix`` whose
-row k is entry k's unit-norm weight vector, validated once as a whole; the
-constructors build that matrix directly.  The phase+amplitude codebook is
-trained per direction, so ``amp_gain_map`` searches the phase lattice on
-strength-weighted field vectors instead of building one per direction.
+row k is entry k's unit-norm weight vector, validated once as a whole.  The
+phase+amplitude codebook is trained per direction, so ``amp_gain_map``
+searches the phase lattice on strength-weighted field vectors instead.
 
 Search
 ------
@@ -37,20 +36,20 @@ would not):
 
 Enhanced codebooks are lattices: entry k takes antenna i's weight from the
 i-th base-2**B digit of k (antenna 1 fixed, antenna 2 the slowest digit),
-so antenna i has only 2**B distinct weights.  Sliced from the weight
-matrix itself, these level tables give 2**B products ``conj(w) * e_i`` per
-antenna, and broadcasting them through the add tree yields every entry's
-response without forming the (entries x antennas) product.  Any other
-codebook multiplies the whole matrix.  Field vectors are processed in
-blocks of at most ``_BLOCK_PRODUCTS`` entry-vector pairs, which bounds the
-temporaries whatever the grid size.
+so antenna i has only 2**B distinct weights.  Their constructors keep these
+level vectors (``Codebook.levels``); given them as a tuple, ``best_entries``
+forms 2**B products ``conj(w) * e_i`` per antenna, and broadcasting them
+through the add tree yields every entry's response without forming the
+(entries x antennas) product.  A matrix is multiplied whole; no lattice is
+read back from one.  Field vectors are processed in blocks of at most
+``_BLOCK_PRODUCTS`` entry-vector pairs, which bounds the temporaries.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import numbers
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -85,11 +84,13 @@ _NEGATIVE_ZERO = complex(-0.0, -0.0)
 CODEBOOK_KINDS = ("directional", "enh-phase", "enh-phase-amp")
 
 
-@dataclass(eq=False)
+@dataclasses.dataclass(eq=False)
 class Codebook:
     """Codebook of one kind: a read-only (entries, n_antennas) complex matrix
     whose row k is the unit-norm weight vector of entry k.
 
+    ``weight_matrix`` may be a tuple of per-antenna level vectors instead:
+    they are kept, read-only, as ``levels`` and expanded into their lattice.
     The matrix is copied and checked once: 2-D, not empty, finite, every
     row norm ``sqrt(sum re*re + im*im)`` within 1e-12 of 1.  Size
     invariants per kind: enhanced codebooks must have exactly
@@ -100,11 +101,17 @@ class Codebook:
     kind: str
     weight_matrix: np.ndarray
     b_bits: int | None = None
+    levels: tuple[np.ndarray, ...] | None = dataclasses.field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         if self.kind not in CODEBOOK_KINDS:
             raise ValueError(f"kind must be one of {CODEBOOK_KINDS}, got {self.kind!r}")
-        w = np.array(self.weight_matrix, dtype=np.complex128, order="C")
+        if isinstance(self.weight_matrix, tuple):
+            self.levels = _level_vectors(self.weight_matrix)
+            grids = np.meshgrid(*self.levels, indexing="ij")
+            w = np.stack([g.reshape(-1) for g in grids], axis=1)
+        else:
+            w = np.array(self.weight_matrix, dtype=np.complex128, order="C")
         if w.ndim != 2 or w.size < 1:
             raise ValueError("weight matrix must be a non-empty (entries, antennas) array")
         if not np.isfinite(w).all():
@@ -137,7 +144,7 @@ class Codebook:
         return self.weight_matrix.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class StrengthVector:
     """Per-antenna received powers used to weight the amplitude codebook."""
 
@@ -179,28 +186,24 @@ def phase_levels(b_bits: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def phase_lattice(n_antennas: int, b_bits: int) -> np.ndarray:
-    """Unnormalized B-bit phase entries: row k is [1, e^{j phi_k2}, ...],
-    where (k_2 .. k_N) are the base-2**B digits of k, k_2 the slowest.
+def phase_lattice(n_antennas: int, b_bits: int) -> tuple[np.ndarray, ...]:
+    """Per-antenna levels of the unnormalized B-bit phase lattice: ``[1]`` for
+    antenna 1, ``e^{j phi}`` of the 2**B ``phase_levels`` for each other.
 
-    The enhanced phase codebook is this matrix over sqrt(N); the amplitude
-    codebook scales column i by sqrt(S_i / sum S).
+    The enhanced phase codebook is these levels over sqrt(N); the amplitude
+    codebook scales antenna i's by sqrt(S_i / sum S).
     """
     # phase_levels checks B, also for a single antenna, which uses no level
-    levels = phase_levels(b_bits)
-    total = len(levels) ** (n_antennas - 1)
+    phases = phase_levels(b_bits)
+    if n_antennas < 1:
+        raise ValueError("n_antennas must be >= 1")
+    total = len(phases) ** (n_antennas - 1)
     if total > MAX_ENH_ENTRIES:
         raise ValueError(
             f"enhanced codebook would have {total} entries "
             f"(limit {MAX_ENH_ENTRIES}); reduce B or the antenna count"
         )
-    idx = np.arange(total, dtype=np.int64)[:, None]
-    place = len(levels) ** np.arange(n_antennas - 2, -1, -1, dtype=np.int64)[None, :]
-    phases = np.zeros((total, n_antennas))
-    phases[:, 1:] = levels[(idx // place) % len(levels)]
-    out = np.exp(1j * phases)
-    out.flags.writeable = False
-    return out
+    return _level_vectors((np.ones(1),) + (np.exp(1j * phases),) * (n_antennas - 1))
 
 
 def _add_tree(terms: list) -> tuple:
@@ -210,7 +213,7 @@ def _add_tree(terms: list) -> tuple:
     (r0 + r1) + (r2 + r3), then the remainder left to right.  Terms may be
     broadcastable arrays.  A single term comes with ``-0.0 - 0.0j``, which
     adds exactly, signed zeros included.  (numpy splits rows of more than 64
-    terms in halves; a lattice that wide would need at least 2**64 entries.)
+    terms in halves, so ``best_entries`` refuses wider level tuples.)
     """
     n = len(terms)
     if n == 1:
@@ -232,69 +235,54 @@ def _add_tree(terms: list) -> tuple:
     return acc, terms[-1]
 
 
-def _lattice_levels(weights: np.ndarray) -> list[np.ndarray] | None:
-    """Per-antenna weight levels if ``weights`` is a lattice, else None.
-
-    Row k of a lattice with L levels holds, in column i, level
-    ``digit_i(k)`` of antenna i, where digit_1(k) is the slowest base-L
-    digit of k over antennas 1..N-1; column 0 has one level.  The levels
-    are sliced from the matrix and the structure is checked exactly, so
-    the level path reproduces the matrix bit for bit.
-    """
-    n_entries, n = weights.shape
-    if n < 2 or n_entries < 2:
-        return None
-    n_levels = round(n_entries ** (1.0 / (n - 1)))
-    if n_levels < 2 or n_levels ** (n - 1) != n_entries:
-        return None
-    k = np.arange(n_entries)
-    levels = []
-    for i in range(n):
-        place = n_levels ** (n - 1 - i)
-        level = weights[np.arange(n_levels if i else 1) * place, i]
-        if not np.array_equal(weights[:, i], level[k // place % n_levels]):
-            return None
-        levels.append(level)
-    return levels
+def _level_vectors(levels: tuple) -> tuple[np.ndarray, ...]:
+    """Read-only complex copies of a tuple of per-antenna level vectors,
+    refusing an empty tuple, a vector that is empty or not 1-D, and more
+    antennas than ``_add_tree`` orders like numpy."""
+    out = tuple(np.array(level, dtype=np.complex128) for level in levels)
+    if not 1 <= len(out) <= 64 or any(v.ndim != 1 or v.size < 1 for v in out):
+        raise ValueError("levels must be 1 to 64 non-empty 1-D vectors, one per antenna")
+    for v in out:
+        v.flags.writeable = False
+    return out
 
 
 def best_entries(weights, fields) -> tuple[np.ndarray, np.ndarray]:
-    """Best ``|w_k^H e|^2`` over the rows w_k of ``weights`` for every row e
-    of ``fields``, and the lowest index k attaining it.
+    """Best ``|w_k^H e|^2`` over the entries w_k of ``weights`` for every row
+    e of ``fields``, and the lowest index k attaining it.
 
-    ``weights`` is (entries, N) and ``fields`` is (vectors, N); rows of
-    ``fields`` are directions or trials.  Exactly equal to enumerating the
-    entries one at a time (see the module docstring).
+    ``weights`` is an (entries, N) matrix of entries or a tuple of N level
+    vectors, whose lattice (antenna 1 the slowest digit) is the entries.
+    ``fields`` is (vectors, N); its rows are directions or trials.  Exactly
+    equal to enumerating the entries one at a time (see the module docstring).
     """
-    weights = np.asarray(weights, dtype=np.complex128)
     fields = np.asarray(fields, dtype=np.complex128)
-    if weights.ndim != 2 or weights.shape[0] < 1:
-        raise ValueError("weights must be a non-empty (entries, antennas) matrix")
-    n_entries, n = weights.shape
+    if isinstance(weights, tuple):
+        conj_levels = [level.conj() for level in _level_vectors(weights)]
+        n, n_entries = len(conj_levels), math.prod(cl.size for cl in conj_levels)
+    else:
+        w_conj = np.asarray(weights, dtype=np.complex128).conj()
+        if w_conj.ndim != 2 or w_conj.shape[0] < 1:
+            raise ValueError("weights must be a non-empty (entries, antennas) matrix")
+        n_entries, n = w_conj.shape
     if fields.ndim != 2 or fields.shape[1] != n:
         raise ValueError(f"fields must be a (vectors, {n}) array")
-    levels = _lattice_levels(weights)
-    if levels is None:
-        w_conj = weights.conj()
-    else:
-        conj_levels = [lv.conj() for lv in levels]
     n_rows = fields.shape[0]
     best = np.empty(n_rows)
     index = np.empty(n_rows, dtype=np.intp)
     step = max(1, _BLOCK_PRODUCTS // n_entries)
     for lo in range(0, n_rows, step):
         block = np.ascontiguousarray(fields[lo : lo + step])
-        if levels is None:
+        if not isinstance(weights, tuple):
             z = (w_conj * block[:, None, :]).sum(axis=-1)
             power = z.real * z.real + z.imag * z.imag
         else:
-            # term i is (vectors, 1, .., levels at axis i, .., 1): broadcasting
-            # the add tree lays entries out in lexicographic digit order
+            # term i is (vectors, 1, .., levels at axis i + 1, .., 1):
+            # broadcasting the add tree lays entries out in digit order
             terms = []
             for i, cl in enumerate(conj_levels):
-                shape = [len(block)] + [1] * (n - 1)
-                if i:
-                    shape[i] = cl.size
+                shape = [len(block)] + [1] * n
+                shape[i + 1] = cl.size
                 terms.append((cl * block[:, i, None]).reshape(shape))
             left, right = _add_tree(terms)
             re = np.add(left.real, right.real).reshape(len(block), n_entries)
@@ -349,10 +337,8 @@ def directional_codebook(
 
 def enh_phase_codebook(n_antennas: int, b_bits: int) -> Codebook:
     """Exhaustive B-bit relative-phase codebook, equal magnitudes."""
-    if n_antennas < 1:
-        raise ValueError("n_antennas must be >= 1")
-    u = phase_lattice(n_antennas, b_bits) / math.sqrt(n_antennas)
-    return Codebook("enh-phase", u, b_bits)
+    levels = phase_lattice(n_antennas, b_bits)
+    return Codebook("enh-phase", tuple(v / math.sqrt(n_antennas) for v in levels), b_bits)
 
 
 def enh_phase_amp_codebook(n_antennas: int, b_bits: int, strengths) -> Codebook:
@@ -365,8 +351,9 @@ def enh_phase_amp_codebook(n_antennas: int, b_bits: int, strengths) -> Codebook:
     if s.n_antennas != n_antennas:
         raise ValueError("strength vector length must equal n_antennas")
     sv = s.as_array()
-    v = (np.sqrt(sv)[None, :] * phase_lattice(n_antennas, b_bits)) / math.sqrt(sv.sum())
-    return Codebook("enh-phase-amp", v, b_bits)
+    scale = math.sqrt(sv.sum())
+    levels = zip(np.sqrt(sv), phase_lattice(n_antennas, b_bits))
+    return Codebook("enh-phase-amp", tuple(r * v / scale for r, v in levels), b_bits)
 
 
 def _gains_db(power: np.ndarray, total: np.ndarray | None = None) -> list[float]:
@@ -419,7 +406,7 @@ def gain_map(
     if scheme.n_antennas != field.n_antennas:
         raise ValueError("codebook and field antenna counts differ")
     vectors, cells = _roi_vectors(field, roi)
-    best, _ = best_entries(scheme.weight_matrix, vectors)
+    best, _ = best_entries(scheme.levels or scheme.weight_matrix, vectors)
     out.reshape(-1)[cells] = _gains_db(best)
     return out
 

@@ -49,7 +49,11 @@ __all__ = [
     "worst_case_dir_snr",
     "inequality_chain_check",
     "theorem_trials",
+    "BOUND_TOLERANCE",
 ]
+
+# a trial or derivation step whose margin is below -BOUND_TOLERANCE is a violation
+BOUND_TOLERANCE = 1e-9
 
 
 def _var_rows(e_rows: np.ndarray) -> np.ndarray:
@@ -168,11 +172,10 @@ class BoundReport:
     delta_achieved: float
     residuals: tuple[float, ...]
     steps: tuple[ChainStep, ...]
-    tolerance: float = 1e-9
 
     @property
     def ok(self) -> bool:
-        return all(s.margin >= -self.tolerance for s in self.steps)
+        return all(s.margin >= -BOUND_TOLERANCE for s in self.steps)
 
     @property
     def min_margin(self) -> float:
@@ -287,12 +290,11 @@ class TheoremCheckResult:
     lower_bound: np.ndarray
     delta_achieved: np.ndarray
     margin: np.ndarray
-    tolerance: float = 1e-9
 
     @property
     def violations_by_b(self) -> np.ndarray:
-        """Trials whose margin is below -tolerance, one count per B."""
-        return (self.margin < -self.tolerance).sum(axis=0)
+        """Trials whose margin is below -BOUND_TOLERANCE, one count per B."""
+        return (self.margin < -BOUND_TOLERANCE).sum(axis=0)
 
     @property
     def min_margin_by_b(self) -> np.ndarray:
@@ -487,10 +489,7 @@ def theorem_trials(
     for b in b_values:
         if b_values.count(b) > 1:
             raise ValueError(f"b_values repeats bit width {b}")
-    # every codebook is built before the children fork, the largest first,
-    # so an oversized one fails here
-    for b in sorted(b_values, reverse=True):
-        phase_lattice(n_antennas, b)
+        phase_lattice(n_antennas, b)  # an oversized lattice fails before any draw
     # numpy draws trial 0 first: a bad seed raises its own error
     first = _trial_field(seed, 0, n_antennas, amp_low, amp_high)
     draw = (n_antennas, amp_low, amp_high)

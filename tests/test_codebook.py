@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import beamshadow as bs
@@ -392,6 +392,11 @@ def test_property_realized_bounded_by_optimal(b, data):
 # --- the search kernel against a naive per-entry enumeration -----------------
 
 
+def lattice_matrix(levels):
+    """The (entries, N) matrix of a level tuple, antenna 1 the slowest digit."""
+    return np.array(list(itertools.product(*levels)), dtype=complex)
+
+
 def naive_search(weights, vectors):
     """Best |w^H e|^2 and first winning index per vector, one entry at a time.
 
@@ -453,7 +458,7 @@ def test_property_search_equals_naive_enumeration(shape, block, data):
     roi = draw_roi(data, grid)
     inside = roi.mask.reshape(-1)
     cbk = enh_phase_codebook(n, b)
-    u = phase_lattice(n, b)
+    u = lattice_matrix(phase_lattice(n, b))
     strengths = vectors.real * vectors.real + vectors.imag * vectors.imag
     want_phase, want_index = naive_search(cbk.weight_matrix, vectors)
     want_amp, _ = naive_search(u, np.sqrt(strengths) * vectors)
@@ -497,24 +502,84 @@ def test_property_generic_search_equals_naive_enumeration(n, beams, block, data)
     assert got_map.tobytes() == naive_db(naive_search(cbk.weight_matrix, vectors)[0]).tobytes()
 
 
-def test_lattice_path_handles_arbitrary_lattices():
-    """Any matrix with the lattice layout takes the level path; breaking one
-    entry sends it down the full-matrix path.  Both equal the naive search."""
-    rng = np.random.default_rng(3)
-    levels = [rng.standard_normal(1) + 0j] + [
-        rng.standard_normal(3) + 1j * rng.standard_normal(3) for _ in range(3)
-    ]
-    w = np.array([[levels[0][0], a, b, c] for a, b, c in itertools.product(*levels[1:])])
-    assert codebook_module._lattice_levels(w) is not None
-    broken = w.copy()
-    broken[5, 2] += 1.0
-    assert codebook_module._lattice_levels(broken) is None
-    vectors = rng.standard_normal((50, 4)) + 1j * rng.standard_normal((50, 4))
-    for matrix in (w, broken):
-        power, index = best_entries(matrix, vectors)
-        want, want_index = naive_search(matrix, vectors)
-        assert power.tobytes() == want.tobytes()
-        assert index.tolist() == want_index.tolist()
+# level values for the drawn lattices: signed zeros, exact zeros and
+# Gaussian-integer parts (ties) as well as random doubles
+LEVEL_PARTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
+    st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False),
+)
+LEVELS = st.lists(
+    st.lists(st.builds(complex, LEVEL_PARTS, LEVEL_PARTS), min_size=2, max_size=8),
+    min_size=1,
+    max_size=6,
+)
+
+
+@given(LEVELS, st.sampled_from([1, 7, 1 << 14]), st.integers(0, 2**32 - 1))
+def test_property_level_path_equals_matrix_path_and_naive(levels, block, seed):
+    """Any level tuple searches, bit for bit and with the same lowest index,
+    as its expanded matrix searched row by row and as the naive search.
+    Lattices above 2**12 entries are skipped to bound the naive search."""
+    assume(math.prod(len(v) for v in levels) <= 1 << 12)
+    levels = tuple(np.array(v) for v in levels)
+    matrix = lattice_matrix(levels)
+    rng = np.random.default_rng(seed)
+    n = len(levels)
+    vectors = rng.standard_normal((40, n)) + 1j * rng.standard_normal((40, n))
+    vectors[::3] = rng.integers(-1, 2, (14, n)) + 1j * rng.integers(-1, 2, (14, n))
+    vectors[::7] = 0.0
+    want, want_index = naive_search(matrix, vectors)
+    with mock.patch.object(codebook_module, "_BLOCK_PRODUCTS", block):
+        for weights in (levels, matrix):
+            power, index = best_entries(weights, vectors)
+            assert power.tobytes() == want.tobytes()
+            assert index.tolist() == want_index.tolist()
+
+
+def pre_level_phase_lattice(n, b):
+    """The phase lattice built directly as an (entries, N) matrix, digit by
+    digit: the reference for the bytes expanded from level vectors."""
+    levels = phase_levels(b)
+    total = len(levels) ** (n - 1)
+    idx = np.arange(total, dtype=np.int64)[:, None]
+    place = len(levels) ** np.arange(n - 2, -1, -1, dtype=np.int64)[None, :]
+    phases = np.zeros((total, n))
+    phases[:, 1:] = levels[(idx // place) % len(levels)]
+    return np.exp(1j * phases)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("b", (1, 2, 3))
+def test_enhanced_weight_matrices_keep_their_bytes(n, b):
+    rng = np.random.default_rng(10 * n + b)
+    u = pre_level_phase_lattice(n, b)
+    phase = enh_phase_codebook(n, b)
+    assert phase.weight_matrix.tobytes() == (u / math.sqrt(n)).tobytes()
+    assert phase.weight_matrix.tobytes() == lattice_matrix(phase.levels).tobytes()
+    for sv in (np.ones(n), rng.random(n), rng.random(n) * 1e-300, np.r_[1.0, np.zeros(n - 1)]):
+        amp = enh_phase_amp_codebook(n, b, sv)
+        want = (np.sqrt(sv)[None, :] * u) / math.sqrt(sv.sum())
+        assert amp.weight_matrix.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "levels",
+    [(), (np.ones(1), np.ones(0)), (np.ones(1), np.ones((2, 2))), (np.ones(1), np.complex128(1.0)),
+     (np.ones(1),) * 65],
+)
+def test_malformed_level_tuples_are_refused(levels):
+    with pytest.raises(ValueError, match="levels must be"):
+        best_entries(levels, np.ones((3, max(len(levels), 1))))
+    with pytest.raises(ValueError, match="levels must be"):
+        Codebook("directional", levels)
+
+
+def test_enhanced_codebooks_keep_read_only_levels():
+    cbk = enh_phase_codebook(3, 2)
+    assert [v.size for v in cbk.levels] == [1, 4, 4]
+    assert all(not v.flags.writeable for v in cbk.levels)
+    assert all(not v.flags.writeable for v in phase_lattice(3, 2))
+    assert directional_codebook(3).levels is None
 
 
 def test_search_rejects_mismatched_shapes():

@@ -108,8 +108,8 @@ class TestInequalityChain:
     def test_all_steps_hold_on_random_cases(self, rng):
         for k in range(200):
             rep = self.random_case(rng, 1 + k % 3)
-            assert rep.ok, [s.name for s in rep.steps if s.lhs > s.rhs + rep.tolerance]
-            assert rep.min_margin >= -rep.tolerance
+            assert rep.ok, [s.name for s in rep.steps if s.lhs > s.rhs + link.BOUND_TOLERANCE]
+            assert rep.min_margin >= -link.BOUND_TOLERANCE
 
     def test_step_names_and_order(self, rng):
         rep = self.random_case(rng, 2)
@@ -125,7 +125,7 @@ class TestInequalityChain:
         # with one phase bit the bound goes negative; the chain must still close
         rep = self.random_case(rng, 1)
         assert rep.ok
-        assert rep.lower_bound <= rep.delta_achieved + rep.tolerance
+        assert rep.lower_bound <= rep.delta_achieved + link.BOUND_TOLERANCE
 
     def test_zero_amplitude_antennas_are_tolerated(self):
         e = np.array([0.0, 1.0, 0.5, 0.0], dtype=complex)
