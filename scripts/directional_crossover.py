@@ -11,7 +11,14 @@ from pathlib import Path
 
 import numpy as np
 
-from beamshadow import ArrayConfig, directional_codebook, gain_map, make_grid, synth_freespace_field
+from beamshadow import (
+    ArrayConfig,
+    ExperimentConfig,
+    directional_codebook,
+    gain_map,
+    make_grid,
+    synth_freespace_field,
+)
 
 
 def main() -> None:
@@ -19,14 +26,14 @@ def main() -> None:
     ap.add_argument("--theta-step", type=float, default=1.0)
     ap.add_argument("--antennas", type=int, default=4)
     ap.add_argument("--beams", type=int, default=None, help="default: one per antenna")
-    ap.add_argument("--quant-bits", type=int, default=5)
+    ap.add_argument("--quant-bits", type=int, default=ExperimentConfig.steer_quant_bits)
     ap.add_argument("--out", type=Path, default=Path("out/crossover_cut.csv"))
     args = ap.parse_args()
 
     grid = make_grid(args.theta_step, 45.0)
-    fld = synth_freespace_field(ArrayConfig(n_antennas=args.antennas), grid)
-    n_beams = args.antennas if args.beams is None else args.beams
-    cbk = directional_codebook(args.antennas, n_beams=n_beams, quant_bits=args.quant_bits)
+    array = ArrayConfig(n_antennas=args.antennas)
+    fld = synth_freespace_field(array, grid)
+    cbk = directional_codebook(args.antennas, args.beams, array.element_spacing, args.quant_bits)
 
     col = list(grid.phis).index(270.0)
     g_opt = gain_map("mrc", fld)[:, col]

@@ -21,7 +21,7 @@ from .codebook import (
     search_power_overflows,
 )
 from .distortion import DistortionSpec, apply_distortion, gen_distortion
-from .experiment import config_from_yaml, default_config, run_experiment
+from .experiment import ExperimentConfig, config_from_yaml, default_config, run_experiment
 from .fields import ArrayConfig, synth_freespace_field
 from .fileio import (
     read_field_file,
@@ -100,6 +100,10 @@ def _scenario_spec(args) -> DistortionSpec:
 
 
 def _cmd_distort(args) -> int:
+    # refused before the first write, so that a bad --dist-out leaves no --out
+    for path in map(Path, filter(None, (args.out, args.dist_out))):
+        if path.is_dir() or not path.parent.is_dir():
+            raise ValueError(f"cannot write {path}: it is a directory or its directory is missing")
     field = read_field_file(args.field)
     spec = _scenario_spec(args)
     dist = gen_distortion(spec, field.grid, field.n_antennas)
@@ -117,25 +121,28 @@ def _cmd_metrics(args) -> int:
         if not math.isfinite(value):
             raise ValueError(f"{flag} must be finite, got {value!r}")
     free, blocked = read_field_files([args.free, args.blocked])
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_coverage_csv(coverage_stats(free, blocked, args.g1, args.g2), out / "coverage.csv")
-    summary_lines = []
+    # every table and line is computed before the first write, so that a
+    # failure leaves no --out
+    coverage = coverage_stats(free, blocked, args.g1, args.g2)
+    summaries, summary_lines = [], []
     for i in range(free.n_antennas):
         roi = roi_mask(free, blocked, i, args.g1, args.g2)
-        losses = loss_samples(free, blocked, i, roi)
-        s = cdf_summary(losses, args.percentiles)
-        write_cdf_csv(s, out / f"cdf_loss_antenna{i}.csv")
-        summary_lines.append(
-            f"antenna {i}: roi={100 * roi.area_fraction:.1f}% "
-            f"median_loss={dict(s.percentiles).get(50.0, s.mean):.2f} dB"
-        )
+        s = cdf_summary(loss_samples(free, blocked, i, roi), args.percentiles)
+        summaries.append(s)
+        median = dict(s.percentiles).get(50.0)
+        loss = f"mean_loss={s.mean:.2f}" if median is None else f"median_loss={median:.2f}"
+        summary_lines.append(f"antenna {i}: roi={100 * roi.area_fraction:.1f}% {loss} dB")
     for i in range(free.n_antennas - 1):
         mix_f = phase_mixing(pair_phase_diff(free, i, i + 1))
         mix_b = phase_mixing(pair_phase_diff(blocked, i, i + 1))
         summary_lines.append(
             f"pair {i}-{i + 1}: phase mixing free={mix_f:.1f} blocked={mix_b:.1f} deg/5deg"
         )
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    write_coverage_csv(coverage, out / "coverage.csv")
+    for i, s in enumerate(summaries):
+        write_cdf_csv(s, out / f"cdf_loss_antenna{i}.csv")
     print("\n".join(summary_lines))
     print(f"wrote metrics tables to {out}")
     return 0
@@ -149,7 +156,8 @@ def _cmd_evaluate(args) -> int:
     if args.scheme == "mrc":
         gmap = gain_map("mrc", field)
     elif args.scheme == "directional":
-        gmap = gain_map(directional_codebook(n, args.beams, quant_bits=args.quant_bits), field)
+        cbk = directional_codebook(n, args.beams, ArrayConfig.element_spacing, args.quant_bits)
+        gmap = gain_map(cbk, field)
     elif args.scheme == "enh-phase":
         gmap = gain_map(enh_phase_codebook(n, args.b_bits), field)
     elif args.scheme == "enh-phase-amp":
@@ -207,14 +215,29 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="synthesize a free-space field map")
     p.add_argument("--out", required=True, help="output field file")
-    p.add_argument("--theta-step", type=float, default=5.0)
-    p.add_argument("--phi-step", type=float, default=5.0)
-    p.add_argument("--n-antennas", type=int, default=4)
-    p.add_argument("--spacing", type=float, default=0.5, help="element spacing, wavelengths")
-    p.add_argument("--boresight-theta", type=float, default=90.0)
-    p.add_argument("--boresight-phi", type=float, default=270.0)
-    p.add_argument("--exponent", type=float, default=2.0, help="cos^q envelope exponent")
-    p.add_argument("--peak-gain", type=float, default=11.0, help="peak elemental gain, dB")
+    p.add_argument("--theta-step", type=float, default=ExperimentConfig.theta_step_deg)
+    p.add_argument("--phi-step", type=float, default=ExperimentConfig.phi_step_deg)
+    p.add_argument("--n-antennas", type=int, default=ArrayConfig.n_antennas)
+    p.add_argument(
+        "--spacing",
+        type=float,
+        default=ArrayConfig.element_spacing,
+        help="element spacing, wavelengths",
+    )
+    p.add_argument("--boresight-theta", type=float, default=ArrayConfig.boresight_theta)
+    p.add_argument("--boresight-phi", type=float, default=ArrayConfig.boresight_phi)
+    p.add_argument(
+        "--exponent",
+        type=float,
+        default=ArrayConfig.element_exponent,
+        help="cos^q envelope exponent",
+    )
+    p.add_argument(
+        "--peak-gain",
+        type=float,
+        default=ArrayConfig.peak_element_gain_db,
+        help="peak elemental gain, dB",
+    )
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("distort", help="apply a blockage scenario to a field file")
@@ -225,8 +248,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", help="scenario name from the config (or a default one)")
     p.add_argument("--mode", default="phase-screen", help="ad-hoc mode when no scenario given")
     p.add_argument("--phase-std", type=float, default=30.0)
-    p.add_argument("--amp-std", type=float, default=0.0)
-    p.add_argument("--corr-length", type=float, default=20.0)
+    p.add_argument("--amp-std", type=float, default=DistortionSpec.amp_std_db)
+    p.add_argument("--corr-length", type=float, default=DistortionSpec.corr_length_deg)
     p.add_argument("--seed", type=int, help="override the scenario seed")
     p.set_defaults(func=_cmd_distort)
 
@@ -234,9 +257,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--free", required=True)
     p.add_argument("--blocked", required=True)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--g1", type=float, default=7.5, help="free-gain RoI threshold, dB")
-    p.add_argument("--g2", type=float, default=2.5, help="blocked-gain RoI threshold, dB")
-    p.add_argument("--percentiles", type=_float_list, default=(10.0, 50.0, 80.0, 90.0))
+    p.add_argument(
+        "--g1", type=float, default=ExperimentConfig.g1_db, help="free-gain RoI threshold, dB"
+    )
+    p.add_argument(
+        "--g2", type=float, default=ExperimentConfig.g2_db, help="blocked-gain RoI threshold, dB"
+    )
+    p.add_argument("--percentiles", type=_float_list, default=ExperimentConfig.percentiles)
     p.set_defaults(func=_cmd_metrics)
 
     p = sub.add_parser("evaluate", help="realized-gain map for one scheme")
@@ -248,8 +275,13 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("mrc", "directional", "enh-phase", "enh-phase-amp"),
     )
     p.add_argument("--B", dest="b_bits", type=int, default=2, help="phase bits for enhanced schemes")
-    p.add_argument("--beams", type=int, default=None, help="directional beam count (default: N)")
-    p.add_argument("--quant-bits", type=int, default=5)
+    p.add_argument(
+        "--beams",
+        type=int,
+        default=ExperimentConfig.n_beams,
+        help="directional beam count (default: N)",
+    )
+    p.add_argument("--quant-bits", type=int, default=ExperimentConfig.steer_quant_bits)
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("theorem-check", help="Monte-Carlo audit of the improvement bound")

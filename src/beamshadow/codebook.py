@@ -55,7 +55,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fields import AntennaFieldMap
-from .metrics import NULL_GAIN_DB, RoIMask, power_db
+from .metrics import NULL_GAIN_DB, power_db
 
 __all__ = [
     "Codebook",
@@ -305,13 +305,14 @@ def search_power_overflows(n_antennas: int, peak: float) -> bool:
 
 def directional_codebook(
     n_antennas: int,
-    n_beams: int | None = None,
-    element_spacing: float = 0.5,
-    quant_bits: int = 5,
+    n_beams: int | None,
+    element_spacing: float,
+    quant_bits: int,
 ) -> Codebook:
     """Steered-beam codebook on the symmetric beamspace lattice.
 
-    Beam j (1-based) targets ``u_j = -1 + (2j - 1) / J``; ideal weights
+    J = ``n_beams`` beams, one per antenna when None.  Beam j (1-based)
+    targets ``u_j = -1 + (2j - 1) / J``; ideal weights
     ``exp(-1j * 2*pi * spacing * i * u_j) / sqrt(N)`` are phase-quantized to
     ``quant_bits`` bits and renormalized.
     """
@@ -367,55 +368,30 @@ def _gains_db(power: np.ndarray, total: np.ndarray | None = None) -> list[float]
     ]
 
 
-def _roi_vectors(field: AntennaFieldMap, roi: RoIMask | None):
-    """Field vectors of the RoI cells as a C-ordered (cells, N) array, so that
-    row reductions add each vector in the order a 1-D ``.sum`` does, and
-    their flat cell indices."""
-    flat = field.samples.reshape(field.n_antennas, -1)
-    if roi is None:
-        return np.ascontiguousarray(flat.T), slice(None)
-    if roi.grid != field.grid:
-        raise ValueError("RoI grid does not match the field grid")
-    cells = np.flatnonzero(roi.mask)
-    return np.ascontiguousarray(flat[:, cells].T), cells
+def _field_vectors(field: AntennaFieldMap) -> np.ndarray:
+    """The field's vectors as a C-ordered (cells, N) array, so that row
+    reductions add each vector in the order a 1-D ``.sum`` does."""
+    return np.ascontiguousarray(field.samples.reshape(field.n_antennas, -1).T)
 
 
-def gain_map(
-    scheme: Codebook | str,
-    field: AntennaFieldMap,
-    roi: RoIMask | None = None,
-) -> np.ndarray:
+def gain_map(scheme: Codebook | str, field: AntennaFieldMap) -> np.ndarray:
     """Realized-gain map (dB) of a codebook, or of "mrc" for the bound.
 
-    Cells outside the RoI are NaN; exact nulls are -inf.  Codebook cells come
-    from ``best_entries``, so they equal a naive exhaustive search bit for bit.
+    Exact nulls are -inf.  Codebook cells come from ``best_entries``, so they
+    equal a naive exhaustive search bit for bit.
     """
-    out = np.full(field.grid.shape, np.nan)
     if isinstance(scheme, str):
         if scheme != "mrc":
             raise ValueError(f"unknown scheme {scheme!r}; expected 'mrc' or a Codebook")
         s = field.samples
-        power = (s.real * s.real + s.imag * s.imag).sum(axis=0)
-        full = power_db(power)
-        if roi is None:
-            return full
-        if roi.grid != field.grid:
-            raise ValueError("RoI grid does not match the field grid")
-        out[roi.mask] = full[roi.mask]
-        return out
+        return power_db((s.real * s.real + s.imag * s.imag).sum(axis=0))
     if scheme.n_antennas != field.n_antennas:
         raise ValueError("codebook and field antenna counts differ")
-    vectors, cells = _roi_vectors(field, roi)
-    best, _ = best_entries(scheme.levels or scheme.weight_matrix, vectors)
-    out.reshape(-1)[cells] = _gains_db(best)
-    return out
+    best, _ = best_entries(scheme.levels or scheme.weight_matrix, _field_vectors(field))
+    return np.reshape(_gains_db(best), field.grid.shape)
 
 
-def amp_gain_map(
-    field: AntennaFieldMap,
-    b_bits: int,
-    roi: RoIMask | None = None,
-) -> np.ndarray:
+def amp_gain_map(field: AntennaFieldMap, b_bits: int) -> np.ndarray:
     """Realized-gain map of the phase+amplitude codebook trained per
     direction on the field's own element strengths.
 
@@ -424,11 +400,9 @@ def amp_gain_map(
     have no trainable codebook and score -inf.
     """
     u = phase_lattice(field.n_antennas, b_bits)
-    out = np.full(field.grid.shape, np.nan)
-    e, cells = _roi_vectors(field, roi)
+    e = _field_vectors(field)
     strengths = e.real * e.real + e.imag * e.imag
     # sqrt(S_i) * E_i with sqrt(S_i) = |E_i|; the 1/sqrt(sum S) entry
     # normalization becomes a single division of the squared magnitude.
     best, _ = best_entries(u, np.sqrt(strengths) * e)
-    out.reshape(-1)[cells] = _gains_db(best, strengths.sum(axis=1))
-    return out
+    return np.reshape(_gains_db(best, strengths.sum(axis=1)), field.grid.shape)

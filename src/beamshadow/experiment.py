@@ -427,15 +427,11 @@ def _built_in_place_of(out: Path):
         raise
 
 
-def run_experiment(
-    config: ExperimentConfig,
-    out_dir,
-    seed: int | None = None,
-) -> ExperimentReport:
+def run_experiment(config: ExperimentConfig, out_dir, seed: int | None) -> ExperimentReport:
     """Run every scenario and write the full report tree under out_dir.
 
-    ``seed`` overrides the config seed; when set, scenario seeds derive from
-    it (seed * 1009 + scenario index) instead of the per-spec seeds.
+    ``seed`` overrides the config seed unless None; when set, scenario seeds
+    derive from it (seed * 1009 + scenario index) instead of the per-spec seeds.
     The scenarios are split by ``forked.split``; the output is the same for
     any split.  out_dir must be absent or an empty directory; the tree is
     built beside it and renamed onto it, so a run that fails leaves no tree.

@@ -312,16 +312,6 @@ def _read_table(path, magic: str, columns: str, n_values: int, out: np.ndarray |
     return n, grid, label, values
 
 
-def _read_table_loop(path, magic: str, columns: str, n_values: int):
-    """``_read_table`` without the fast path: the reference it must agree with."""
-    path = Path(path)
-    with _open_text(path) as fh:
-        n, grid, label, rows = _start_table(path, fh, magic, columns)
-        values = np.empty((rows, n_values))
-        _read_rows_loop(path, fh, n, grid, values)
-    return n, grid, label, values
-
-
 def _field_map(n: int, grid: SphericalGrid, label: str, values: np.ndarray) -> AntennaFieldMap:
     # (rows, 2) re/im floats viewed as complex: every bit kept, -0.0 included
     samples = values.view(np.complex128).reshape(n, grid.n_theta, grid.n_phi)
@@ -387,10 +377,8 @@ def read_distortion_file(path) -> DistortionField:
 
 
 def write_gain_map_csv(grid: SphericalGrid, gain_db: np.ndarray, path) -> None:
-    """Dump a gain map as CSV rows ``theta_deg,phi_deg,gain_db``.
-
-    Masked-out cells (NaN) are written as ``nan``; exact nulls as ``-inf``.
-    """
+    """Dump a gain map as CSV rows ``theta_deg,phi_deg,gain_db``; exact
+    nulls are written as ``-inf``."""
     gain_db = np.asarray(gain_db, dtype=float)
     if gain_db.shape != grid.shape:
         raise ValueError(f"gain map shape {gain_db.shape} does not match grid {grid.shape}")

@@ -16,10 +16,10 @@ from contextlib import contextmanager
 __all__ = ["resolve_workers", "split"]
 
 
-def resolve_workers(n_tasks: int | None = None) -> int:
-    """Worker process count: the usable CPUs, capped at ``n_tasks`` but at
-    least 1; 1 where the ``fork`` start method is missing, so that the work
-    runs in the calling process."""
+def resolve_workers(n_tasks: int | None) -> int:
+    """Worker process count: the usable CPUs, capped at ``n_tasks`` unless it
+    is None, but at least 1; 1 where the ``fork`` start method is missing, so
+    that the work runs in the calling process."""
     import multiprocessing
 
     if "fork" not in multiprocessing.get_all_start_methods():

@@ -1,8 +1,9 @@
 """The quantized-codebook improvement bound and its numeric audits.
 
 The link SNR is taken in the dominant-cluster form ``|alpha_1|^2 * |g^H E|^2``
-for combiner g and the receive field vector E of the strongest cluster;
-``delta_snr_achieved`` searches both enhanced codebooks for it.
+for combiner g and the receive field vector E of the strongest cluster.  The
+cluster gain only scales every SNR, so it is normalized, |alpha_1| = 1, and
+``delta_snr_achieved`` searches both enhanced codebooks for ``|g^H E|^2``.
 
 ``theorem1_lb`` evaluates the closed-form lower bound on the SNR improvement
 of the phase+amplitude codebook over the phase-only codebook at quantizer
@@ -19,8 +20,9 @@ achieved improvement from exhaustive search is always >= the bound.
 triangle/cap bounds for the phase codebook, final closure) and reports the
 numeric margin of every step.
 
-``theorem_trials`` audits the bound on random fields.  Trial t is drawn from
-the ``default_rng([seed, t])`` stream; the streams are computed a block of
+``theorem_trials`` audits the bound on random fields: magnitudes uniform in
+[0, 2), phases uniform in [0, 2*pi).  Trial t is drawn from the
+``default_rng([seed, t])`` stream; the streams are computed a block of
 trials at a time (numpy's SeedSequence hashing and PCG64 generator, redone
 on uint64 arrays, each 128-bit state a pair of uint64 words) and checked
 against numpy itself on trial 0 of every call.  The trials are split across
@@ -104,12 +106,12 @@ def _codebook_maxima(e_rows: np.ndarray, b_bits: int) -> tuple[np.ndarray, np.nd
     return max_amp, max_phase
 
 
-def delta_snr_achieved(e_vec, b_bits: int, alpha1: complex = 1.0) -> float:
+def delta_snr_achieved(e_vec, b_bits: int) -> float:
     """Achieved SNR improvement of the phase+amplitude codebook over the
-    phase-only codebook, both by exhaustive search, scaled by |alpha_1|^2."""
+    phase-only codebook, both by exhaustive search, for |alpha_1| = 1."""
     e = np.asarray(e_vec, dtype=np.complex128)
     max_amp, max_phase = _codebook_maxima(e[None, :], b_bits)
-    return float(abs(alpha1) ** 2 * (max_amp[0] - max_phase[0]))
+    return float(max_amp[0] - max_phase[0])
 
 
 def worst_case_dir_snr(e_free_vec, amp_vec, codebook: Codebook) -> float:
@@ -309,10 +311,10 @@ class TheoremCheckResult:
         return float(self.min_margin_by_b.min())
 
 
-def _trial_field(seed: int, trial: int, n_antennas: int, amp_low: float, amp_high: float):
+def _trial_field(seed: int, trial: int, n_antennas: int):
     """Trial ``trial``'s field drawn by numpy itself: the reference stream."""
     rng = np.random.default_rng([seed, trial])
-    amps = rng.uniform(amp_low, amp_high, n_antennas)
+    amps = rng.uniform(0.0, _AMP_HIGH, n_antennas)
     phases = rng.uniform(0.0, 2.0 * math.pi, n_antennas)
     return amps * np.exp(1j * phases)
 
@@ -323,6 +325,9 @@ _SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
 _SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
 _SS_MIX_L, _SS_MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+# a trial's magnitudes are uniform in [0, _AMP_HIGH)
+_AMP_HIGH = 2.0
 
 # trials drawn per vectorized step; bounds the uint64 temporaries of the
 # seeding hash and the 128-bit state arithmetic
@@ -420,19 +425,17 @@ def _pcg64_doubles(seed: int, trials: np.ndarray, n_draws: int) -> np.ndarray:
     return (out >> np.uint64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
 
 
-def _trial_fields(
-    seed: int, start: int, stop: int, n_antennas: int, amp_low: float, amp_high: float
-) -> np.ndarray:
+def _trial_fields(seed: int, start: int, stop: int, n_antennas: int) -> np.ndarray:
     """``_trial_field`` of trials start..stop-1 stacked, bit for bit, drawn
     ``_TRIAL_BLOCK`` trials at a time."""
-    low, high = float(amp_low), float(amp_high)
     blocks = []
     for first in range(start, stop, _TRIAL_BLOCK):
         trials = np.arange(first, min(first + _TRIAL_BLOCK, stop))
         d = _pcg64_doubles(seed, trials, 2 * n_antennas)
-        # Generator.uniform(low, high) is low + (high - low) * next_double
-        amps = low + (high - low) * d[:, :n_antennas]
-        phases = 0.0 + (2.0 * math.pi - 0.0) * d[:, n_antennas:]
+        # Generator.uniform(0, high) is 0.0 + (high - 0.0) * next_double,
+        # which is high * next_double bit for bit: the double is >= 0
+        amps = _AMP_HIGH * d[:, :n_antennas]
+        phases = (2.0 * math.pi) * d[:, n_antennas:]
         blocks.append(amps * np.exp(1j * phases))
     return np.concatenate(blocks)
 
@@ -450,21 +453,16 @@ def _audit_rows(e_rows: np.ndarray, b_values: tuple[int, ...]):
     return var, lower, delta
 
 
-def _audit_trials(seed, n_antennas, amp_low, amp_high, b_values, start, stop):
+def _audit_trials(seed, n_antennas, b_values, start, stop):
     """``_audit_rows`` of trials start..stop-1, drawn here."""
-    return _audit_rows(_trial_fields(seed, start, stop, n_antennas, amp_low, amp_high), b_values)
+    return _audit_rows(_trial_fields(seed, start, stop, n_antennas), b_values)
 
 
 def theorem_trials(
-    n_trials: int,
-    b_values: tuple[int, ...] = (1, 2, 3),
-    seed: int = 0,
-    n_antennas: int = 4,
-    amp_low: float = 0.0,
-    amp_high: float = 2.0,
+    n_trials: int, b_values: tuple[int, ...], seed: int, n_antennas: int
 ) -> TheoremCheckResult:
-    """Randomized bound audit: uniform magnitudes in [amp_low, amp_high],
-    uniform phases, one derived RNG per trial.
+    """Randomized bound audit: uniform magnitudes in [0, 2), uniform phases
+    in [0, 2*pi), one derived RNG per trial.
 
     Trial t is the ``default_rng([seed, t])`` stream.  The streams are
     computed a block of trials at a time by reimplementing numpy's seeding
@@ -491,17 +489,16 @@ def theorem_trials(
             raise ValueError(f"b_values repeats bit width {b}")
         phase_lattice(n_antennas, b)  # an oversized lattice fails before any draw
     # numpy draws trial 0 first: a bad seed raises its own error
-    first = _trial_field(seed, 0, n_antennas, amp_low, amp_high)
-    draw = (n_antennas, amp_low, amp_high)
+    first = _trial_field(seed, 0, n_antennas)
     with forked.split(
         n_trials,
         lambda lo, hi: f"trials {lo}-{hi - 1}: audit",
         _audit_trials,
         seed,
-        *draw,
+        n_antennas,
         b_values,
     ) as ((start, stop), replies):
-        e = _trial_fields(seed, start, stop, *draw)
+        e = _trial_fields(seed, start, stop, n_antennas)
         if e[0].tobytes() != first.tobytes():
             raise RuntimeError(
                 "vectorized trial draw differs from numpy.random.default_rng "

@@ -37,6 +37,10 @@ __all__ = [
 
 NULL_GAIN_DB = float("-inf")
 
+# the theta step phase mixing is reported per, as the report key
+# ``phase_mixing_deg_per_5deg`` says
+_MIXING_STEP_DEG = 5.0
+
 
 def power_db(power: np.ndarray) -> np.ndarray:
     """``10 * log10(power)`` elementwise; zero power becomes -inf."""
@@ -54,24 +58,20 @@ def elemental_gain_map(field: AntennaFieldMap, antenna: int) -> np.ndarray:
 
 @dataclass(eq=False)
 class RoIMask:
-    """Boolean direction mask with its solid-angle area fraction.
-
-    ``source`` records how it was built ("thresholds" or "rect"); antenna is
-    None for masks not tied to a single element.
-    """
+    """Boolean direction mask on a grid."""
 
     grid: SphericalGrid
     mask: np.ndarray
-    source: str
-    area_fraction: float
-    antenna: int | None = None
 
     def __post_init__(self):
         self.mask = np.asarray(self.mask)
         if self.mask.shape != self.grid.shape or self.mask.dtype != np.bool_:
             raise ValueError(f"mask must be boolean with shape {self.grid.shape}")
-        if not 0.0 <= self.area_fraction <= 1.0:
-            raise ValueError("area_fraction must lie in [0, 1]")
+
+    @property
+    def area_fraction(self) -> float:
+        """Solid-angle share of the sphere that the mask selects."""
+        return self.grid.area_fraction(self.mask)
 
     @property
     def n_directions(self) -> int:
@@ -82,8 +82,8 @@ def roi_mask(
     free: AntennaFieldMap,
     blocked: AntennaFieldMap,
     antenna: int,
-    g1_db: float = 7.5,
-    g2_db: float = 2.5,
+    g1_db: float,
+    g2_db: float,
 ) -> RoIMask:
     """Directions where the free gain is >= g1 or the blocked gain is >= g2.
 
@@ -97,19 +97,13 @@ def roi_mask(
     mask = (elemental_gain_map(free, antenna) >= g1_db) | (
         elemental_gain_map(blocked, antenna) >= g2_db
     )
-    return RoIMask(
-        grid=free.grid,
-        mask=mask,
-        source="thresholds",
-        area_fraction=free.grid.area_fraction(mask),
-        antenna=antenna,
-    )
+    return RoIMask(free.grid, mask)
 
 
 def rect_roi(
     grid: SphericalGrid,
-    theta_range: tuple[float, float] = (0.0, 180.0),
-    phi_range: tuple[float, float] = (150.0, 360.0),
+    theta_range: tuple[float, float],
+    phi_range: tuple[float, float],
 ) -> RoIMask:
     """Rectangular region of interest: samples with theta in [lo, hi) and
     phi in [lo, hi)."""
@@ -121,13 +115,7 @@ def rect_roi(
     mask = sel_t[:, None] & sel_p[None, :]
     if not mask.any():
         raise ValueError("rectangle selects no grid samples")
-    return RoIMask(
-        grid=grid,
-        mask=mask,
-        source="rect",
-        area_fraction=grid.area_fraction(mask),
-        antenna=None,
-    )
+    return RoIMask(grid, mask)
 
 
 def loss_samples(
@@ -197,11 +185,7 @@ def check_percentiles(percentiles) -> tuple[float, ...]:
     return ps
 
 
-def cdf_summary(
-    samples,
-    percentiles: tuple[float, ...] = (10.0, 50.0, 80.0, 90.0),
-    weights=None,
-) -> CdfSummary:
+def cdf_summary(samples, percentiles: tuple[float, ...], weights=None) -> CdfSummary:
     """Summarize a sample set; optionally weighted (e.g. by solid angle)."""
     x = np.asarray(samples, dtype=float).ravel()
     if x.size == 0:
@@ -254,8 +238,8 @@ class CoverageRow:
 def coverage_stats(
     free: AntennaFieldMap,
     blocked: AntennaFieldMap,
-    g1_db: float = 7.5,
-    g2_db: float = 2.5,
+    g1_db: float,
+    g2_db: float,
 ) -> list[CoverageRow]:
     """Per-antenna peak gains and region-of-interest area percentages."""
     rows = []
@@ -281,7 +265,6 @@ class PhaseDiffMap:
     """
 
     grid: SphericalGrid
-    pair: tuple[int, int]
     values_deg: np.ndarray
     valid: np.ndarray
 
@@ -303,16 +286,16 @@ def pair_phase_diff(field: AntennaFieldMap, i: int, j: int) -> PhaseDiffMap:
     valid = (ei != 0) & (ej != 0)
     values = wrap_deg(np.degrees(np.angle(ej)) - np.degrees(np.angle(ei)))
     values = np.where(valid, values, 0.0)
-    return PhaseDiffMap(grid=field.grid, pair=(i, j), values_deg=values, valid=valid)
+    return PhaseDiffMap(grid=field.grid, values_deg=values, valid=valid)
 
 
-def phase_mixing(diff: PhaseDiffMap, ref_step_deg: float = 5.0) -> float:
+def phase_mixing(diff: PhaseDiffMap) -> float:
     """Mean absolute wrapped change of the pair phase along theta, rescaled
-    to degrees per ``ref_step_deg`` of theta.
+    to degrees per 5 degrees of theta.
 
     A linear ramp of k degrees of phase per degree of theta scores
-    ``abs(k) * ref_step_deg`` regardless of the grid step; a constant map
-    scores 0.  Differences touching an invalid cell are excluded.
+    ``abs(k) * 5`` regardless of the grid step; a constant map scores 0.
+    Differences touching an invalid cell are excluded.
     """
     if diff.grid.n_theta < 2:
         raise ValueError("phase mixing needs at least two theta rows")
@@ -320,4 +303,4 @@ def phase_mixing(diff: PhaseDiffMap, ref_step_deg: float = 5.0) -> float:
     ok = diff.valid[1:] & diff.valid[:-1]
     if not ok.any():
         raise ValueError("no valid adjacent theta pairs to difference")
-    return float(np.abs(steps[ok]).mean() * (ref_step_deg / diff.grid.theta_step))
+    return float(np.abs(steps[ok]).mean() * (_MIXING_STEP_DEG / diff.grid.theta_step))

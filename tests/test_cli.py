@@ -23,6 +23,7 @@ from beamshadow.cli import main
 from beamshadow.experiment import config_to_yaml
 from beamshadow.fileio import read_field_file
 from beamshadow.link import theorem_trials
+from beamshadow.metrics import cdf_summary, loss_samples, roi_mask
 from test_experiment import (
     NON_INTEGERS,
     config_dict_with,
@@ -123,6 +124,55 @@ def test_metrics_tables(free_file, tmp_path, capsys):
     assert "antenna" in stdout
 
 
+def test_metrics_prints_the_mean_as_the_mean(free_file, tmp_path, capsys):
+    """Without the 50th percentile the summary line names the mean it prints."""
+    blocked = tmp_path / "blocked.field"
+    main(["distort", "--field", str(free_file), "--out", str(blocked),
+          "--scenario", "loose-grip-one-finger"])
+    capsys.readouterr()
+    rc = main(["metrics", "--free", str(free_file), "--blocked", str(blocked),
+               "--out", str(tmp_path / "metrics"), "--percentiles", "10,90"])
+    assert rc == 0
+    free, blk = read_field_file(free_file), read_field_file(blocked)
+    roi = roi_mask(free, blk, 0, 7.5, 2.5)
+    mean = cdf_summary(loss_samples(free, blk, 0, roi), (10.0, 90.0)).mean
+    line = capsys.readouterr().out.splitlines()[0]
+    assert line == f"antenna 0: roi={100 * roi.area_fraction:.1f}% mean_loss={mean:.2f} dB"
+
+
+def test_failed_metrics_leaves_no_output(tmp_path, capsys):
+    """A finger deep enough to zero the field inside the RoI fails the
+    command before anything is written."""
+    free, blocked, out = tmp_path / "free.field", tmp_path / "blocked.field", tmp_path / "m"
+    config = tmp_path / "deep.yaml"
+    finger = {"center_theta": 90, "center_phi": 270, "radius_deg": 30, "depth_db": 8000}
+    config.write_text(yaml.safe_dump(
+        {"scenarios": {"deep": {"mode": "finger-occlusion", "fingers": [finger]}}}
+    ))
+    assert main(["synth", "--out", str(free), "--theta-step", "10", "--phi-step", "10"]) == 0
+    assert main(["distort", "--field", str(free), "--out", str(blocked),
+                 "--config", str(config), "--scenario", "deep"]) == 0
+    capsys.readouterr()
+    rc = main(["metrics", "--free", str(free), "--blocked", str(blocked), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "antenna 0 has a zero field inside the RoI" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dist_out", ["nodir/x.dist", "."])
+def test_distort_refuses_a_dist_out_it_cannot_write_before_writing(
+    free_file, tmp_path, capsys, dist_out
+):
+    out, dist = tmp_path / "blocked.field", tmp_path / dist_out
+    rc = main(["distort", "--field", str(free_file), "--out", str(out),
+               "--dist-out", str(dist), "--scenario", "tight-grip-one-finger"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert f"error: cannot write {dist}" in err and "Traceback" not in err
+    assert not out.exists() and not dist.is_file()
+
+
 def test_evaluate_all_schemes(free_file, tmp_path):
     for scheme in ("mrc", "directional", "enh-phase", "enh-phase-amp"):
         out = tmp_path / f"{scheme}.csv"
@@ -180,7 +230,7 @@ def test_theorem_check_writes_rows(tmp_path, capsys):
     stdout = capsys.readouterr().out.splitlines()
     assert "violations=0" in stdout[1]
     # one summary line per B, from the same margins the CSV holds
-    result = theorem_trials(25, b_values=(2, 3))
+    result = theorem_trials(25, b_values=(2, 3), seed=0, n_antennas=4)
     margins = {b: [float(r.split(",")[5]) for r in lines[1:] if r.split(",")[1] == str(b)]
                for b in (2, 3)}
     for j, b in enumerate((2, 3)):

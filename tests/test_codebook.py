@@ -24,7 +24,6 @@ from beamshadow.codebook import (
     phase_levels,
 )
 from beamshadow.fields import AntennaFieldMap
-from beamshadow.metrics import RoIMask, rect_roi
 from conftest import (
     cell_of,
     mrc_gain_db,
@@ -77,23 +76,23 @@ class TestPhaseLevels:
     def test_non_integer_quant_bits_refused(self):
         # 2**5.5 levels would silently build a 46-level quantizer
         with pytest.raises(ValueError, match="must be an integer"):
-            directional_codebook(4, quant_bits=5.5)
+            directional_codebook(4, None, 0.5, 5.5)
 
 
 class TestDirectionalCodebook:
     def test_default_beam_count_equals_antennas(self):
-        cbk = directional_codebook(4)
+        cbk = directional_codebook(4, None, 0.5, 5)
         assert cbk.kind == "directional"
         assert len(cbk) == 4
         assert cbk.n_antennas == 4
         assert cbk.weight_matrix.shape == (4, 4)
 
     def test_entries_are_unit_norm(self):
-        for w in directional_codebook(4).weight_matrix:
+        for w in directional_codebook(4, None, 0.5, 5).weight_matrix:
             assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
 
     def test_phases_sit_on_quantizer_lattice(self):
-        cbk = directional_codebook(4, quant_bits=5)
+        cbk = directional_codebook(4, None, 0.5, 5)
         lattice = 2.0 * math.pi / 2**5
         for w in cbk.weight_matrix:
             ang = np.mod(np.angle(w), 2.0 * math.pi)
@@ -102,7 +101,7 @@ class TestDirectionalCodebook:
 
     def test_unquantized_limit_matches_steering_formula(self):
         n = 4
-        cbk = directional_codebook(n, quant_bits=16)
+        cbk = directional_codebook(n, None, 0.5, 16)
         for j, w in enumerate(cbk.weight_matrix, start=1):
             u = -1.0 + (2.0 * j - 1.0) / n
             expected = np.exp(-2j * math.pi * 0.5 * np.arange(n) * u) / math.sqrt(n)
@@ -110,14 +109,14 @@ class TestDirectionalCodebook:
             assert np.allclose(w, expected, atol=1e-3)
 
     def test_beam_count_override(self):
-        assert len(directional_codebook(4, n_beams=16)) == 16
-        assert len(directional_codebook(4, n_beams=np.int64(3))) == 3
+        assert len(directional_codebook(4, 16, 0.5, 5)) == 16
+        assert len(directional_codebook(4, np.int64(3), 0.5, 5)) == 3
 
     @pytest.mark.parametrize("beams", [2.5, 3.0, True, "3"])
     def test_non_integer_beam_count_refused(self, beams):
         # np.arange(1, 2.5 + 1) would silently build 3 beams
         with pytest.raises(ValueError, match="n_beams must be an integer"):
-            directional_codebook(4, n_beams=beams)
+            directional_codebook(4, beams, 0.5, 5)
 
     @pytest.mark.parametrize("n", [1, 4, 5])
     @pytest.mark.parametrize("q", [1, 3, 5, 8, 16])
@@ -131,13 +130,13 @@ class TestDirectionalCodebook:
         k = np.round(np.mod(np.angle(ideal), 2.0 * math.pi) / step).astype(np.int64) % 2**q
         w = np.exp(1j * (k * step)) / math.sqrt(n)
         w /= np.sqrt((w.real * w.real + w.imag * w.imag).sum(axis=1))[:, None]
-        got = directional_codebook(n, beams, quant_bits=q).weight_matrix
+        got = directional_codebook(n, beams, 0.5, q).weight_matrix
         assert got.tobytes() == w.tobytes()
 
     @pytest.mark.parametrize("q", [0, 17, 64, -1])
     def test_quant_bits_range(self, q):
         with pytest.raises(ValueError, match="quant_bits must be in 1..16"):
-            directional_codebook(4, quant_bits=q)
+            directional_codebook(4, None, 0.5, q)
 
 
 class TestEnhancedCodebooks:
@@ -288,7 +287,7 @@ class TestMrcAndRealized:
 
     def test_realized_never_beats_optimal(self, blocked_field, rng):
         books = [
-            directional_codebook(4).weight_matrix,
+            directional_codebook(4, None, 0.5, 5).weight_matrix,
             enh_phase_codebook(4, 2).weight_matrix,
             np.eye(4),  # single-antenna selection
         ]
@@ -334,12 +333,6 @@ class TestGainMaps:
         opt = mrc_gain_db(vector_at(blocked_field, 100.0, 240.0))
         assert gm[it, ip] == pytest.approx(opt, abs=1e-12)
 
-    def test_roi_masks_cells_with_nan(self, blocked_field, coarse_grid):
-        roi = rect_roi(coarse_grid)
-        gm = gain_map("mrc", blocked_field, roi=roi)
-        assert np.isnan(gm[~roi.mask]).all()
-        assert np.isfinite(gm[roi.mask]).all()
-
     def test_unknown_scheme_rejected(self, blocked_field):
         with pytest.raises(ValueError, match="unknown scheme"):
             gain_map("zap", blocked_field)
@@ -374,7 +367,7 @@ class TestGainMaps:
         """
         grid = bs.make_grid(1.0, 45.0)
         fld = bs.synth_freespace_field(bs.ArrayConfig(), grid)
-        gap = gain_map("mrc", fld) - gain_map(directional_codebook(4), fld)
+        gap = gain_map("mrc", fld) - gain_map(directional_codebook(4, None, 0.5, 5), fld)
         cut = gap[:, list(grid.phis).index(270.0)]
         assert cut.min() <= 0.01
         assert 3.0 <= cut.max() <= 4.2
@@ -438,12 +431,6 @@ def draw_field(data, grid, n):
     return AntennaFieldMap(grid=grid, samples=samples, label="drawn"), vectors, kind == 3
 
 
-def draw_roi(data, grid):
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    mask = rng.random(grid.shape) < 0.6
-    return RoIMask(grid=grid, mask=mask, source="rect", area_fraction=grid.area_fraction(mask))
-
-
 # (N, B) of the lattices searched: every N up to 9 at B = 1 (at most 256
 # entries), so the add tree's last add is taken at every remainder N mod 4
 # and after the strided accumulators of N >= 8
@@ -455,8 +442,6 @@ def test_property_search_equals_naive_enumeration(shape, block, data):
     n, b = shape
     grid = bs.make_grid(45.0, 90.0)
     fld, vectors, zero = draw_field(data, grid, n)
-    roi = draw_roi(data, grid)
-    inside = roi.mask.reshape(-1)
     cbk = enh_phase_codebook(n, b)
     u = lattice_matrix(phase_lattice(n, b))
     strengths = vectors.real * vectors.real + vectors.imag * vectors.imag
@@ -474,11 +459,6 @@ def test_property_search_equals_naive_enumeration(shape, block, data):
         assert phase_map.tobytes() == want_phase_db.tobytes()
         amp_map = amp_gain_map(fld, b).reshape(-1)
         assert amp_map.tobytes() == want_amp_db.tobytes()
-        roi_phase = gain_map(cbk, fld, roi=roi).reshape(-1)
-        roi_amp = amp_gain_map(fld, b, roi=roi).reshape(-1)
-        assert np.isnan(roi_phase[~inside]).all() and np.isnan(roi_amp[~inside]).all()
-        assert roi_phase[inside].tobytes() == want_phase_db[inside].tobytes()
-        assert roi_amp[inside].tobytes() == want_amp_db[inside].tobytes()
         for cell in range(0, grid.n_directions, 3):
             it, ip = divmod(cell, grid.n_phi)
             e = vector_at(fld, grid.thetas[it], grid.phis[ip])
@@ -490,7 +470,7 @@ def test_property_search_equals_naive_enumeration(shape, block, data):
 def test_property_generic_search_equals_naive_enumeration(n, beams, block, data):
     grid = bs.make_grid(45.0, 90.0)
     fld, vectors, _ = draw_field(data, grid, n)
-    cbk = directional_codebook(n, beams)
+    cbk = directional_codebook(n, beams, 0.5, 5)
     for weights in (cbk.weight_matrix, np.eye(n, dtype=complex)):
         want, want_index = naive_search(weights, vectors)
         with mock.patch.object(codebook_module, "_BLOCK_PRODUCTS", block):
@@ -579,7 +559,7 @@ def test_enhanced_codebooks_keep_read_only_levels():
     assert [v.size for v in cbk.levels] == [1, 4, 4]
     assert all(not v.flags.writeable for v in cbk.levels)
     assert all(not v.flags.writeable for v in phase_lattice(3, 2))
-    assert directional_codebook(3).levels is None
+    assert directional_codebook(3, None, 0.5, 5).levels is None
 
 
 def test_search_rejects_mismatched_shapes():

@@ -151,7 +151,7 @@ class TestConfigSerialization:
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("run")
-    report = run_experiment(tiny_config(2), out)
+    report = run_experiment(tiny_config(2), out, seed=None)
     return out, report
 
 
@@ -214,7 +214,7 @@ class TestRunExperiment:
     def test_rerun_is_byte_identical(self, run_dir, tmp_path):
         out, _ = run_dir
         again = tmp_path / "again"
-        run_experiment(tiny_config(2), again)
+        run_experiment(tiny_config(2), again, seed=None)
         assert all_files(out) == all_files(again)
         for rel in all_files(out):
             assert (out / rel).read_bytes() == (again / rel).read_bytes(), rel
@@ -246,7 +246,7 @@ class TestRunExperiment:
 def test_bad_config_fails_before_any_write(tmp_path, overrides, message):
     out = tmp_path / "run"
     with pytest.raises(ValueError, match=message):
-        run_experiment(tiny_config(1, **overrides), out)
+        run_experiment(tiny_config(1, **overrides), out, seed=None)
     assert not out.exists()
 
 
@@ -399,7 +399,7 @@ def test_worker_exception_reaches_caller_as_its_type(tmp_path, monkeypatch):
     workers_patched(monkeypatch, 2)
     monkeypatch.setattr(experiment, "apply_distortion", fail_in_child(os.getpid()))
     with pytest.raises(RuntimeError, match="apply_distortion failed in process") as info:
-        run_experiment(tiny_config(2), tmp_path / "run")
+        run_experiment(tiny_config(2), tmp_path / "run", seed=None)
     # raised in a forked worker, not in this process
     assert str(info.value) != f"apply_distortion failed in process {os.getpid()}"
     assert not multiprocessing.active_children()
@@ -423,7 +423,7 @@ def test_child_killed_by_a_signal_is_a_runtime_error(tmp_path, monkeypatch):
     workers_patched(monkeypatch, 2)
     monkeypatch.setattr(experiment, "apply_distortion", kill_in_child(os.getpid()))
     with pytest.raises(RuntimeError, match="scenarios grip-b process exited with code -9"):
-        run_experiment(tiny_config(2), tmp_path / "run")
+        run_experiment(tiny_config(2), tmp_path / "run", seed=None)
     assert not multiprocessing.active_children()
     assert list(tmp_path.iterdir()) == []  # no tree, no build directory
 
@@ -439,7 +439,7 @@ class TestSeedOverride:
 
     def test_no_override_keeps_scenario_seeds(self, tmp_path):
         out = tmp_path / "plain"
-        run_experiment(tiny_config(2), out)
+        run_experiment(tiny_config(2), out, seed=None)
         data = json.loads((out / "report.json").read_text())
         assert data["scenarios"]["grip-a"]["seed"] == 21
         assert data["scenarios"]["grip-b"]["seed"] == 22

@@ -109,3 +109,70 @@ def test_every_public_function_has_a_caller_outside_the_tests():
         if name not in referenced and name not in UNCALLED_PUBLIC_API
     ]
     assert not uncalled, "\n".join(uncalled)
+
+
+def _optional_parameters(path: Path):
+    """(where, function name, parameter, positional index or None) of every
+    parameter with a default of a public function or method in one module;
+    a method's index counts from the argument after ``self``."""
+    out = []
+    for node in ast.parse(path.read_text()).body:
+        members = node.body if isinstance(node, ast.ClassDef) else [node]
+        for item in members:
+            if not isinstance(item, ast.FunctionDef) or item.name.startswith("_"):
+                continue
+            where = f"{path.name}:{item.lineno}"
+            positional = item.args.posonlyargs + item.args.args
+            if item is not node and not any(
+                getattr(d, "id", None) == "staticmethod" for d in item.decorator_list
+            ):
+                positional = positional[1:]
+            first_default = len(positional) - len(item.args.defaults)
+            out += [
+                (where, item.name, arg.arg, i)
+                for i, arg in enumerate(positional)
+                if i >= first_default
+            ]
+            out += [
+                (where, item.name, arg.arg, None)
+                for arg, default in zip(item.args.kwonlyargs, item.args.kw_defaults)
+                if default is not None
+            ]
+    return out
+
+
+def _passes(call: ast.Call, param: str, index: int | None) -> bool:
+    """Whether a call passes ``param``: by keyword, through ``**``, or by
+    position, where a ``*`` argument may reach any position."""
+    if any(k.arg in (param, None) for k in call.keywords):
+        return True
+    return index is not None and (
+        index < len(call.args) or any(isinstance(a, ast.Starred) for a in call.args)
+    )
+
+
+def test_every_optional_parameter_is_both_set_and_left_by_the_program():
+    """Each optional parameter of a public function is passed by at least
+    one call in package code, ``scripts/`` or ``bench/``, and left at its
+    default by at least one other: a default that no program call relies on
+    belongs to the callers, and one that no program call overrides is a
+    constant."""
+    package = Path(beamshadow.__file__).parent
+    root = package.parents[1]
+    optional = [p for path in sorted(package.glob("*.py")) for p in _optional_parameters(path)]
+    assert ("cdf_summary", "weights") in {(name, param) for _, name, param, _ in optional}
+    calls = {}
+    sources = [*package.glob("*.py"), *(root / "scripts").glob("*.py")]
+    for path in [*sources, *(root / "bench").glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unsettled = []
+    for where, name, param, index in optional:
+        passed = [_passes(call, param, index) for call in calls.get(name, ())]
+        if not any(passed):
+            unsettled.append(f"{where}: {name}({param}=...) is never set")
+        elif all(passed):
+            unsettled.append(f"{where}: {name}({param}=...) is never left at its default")
+    assert not unsettled, "\n".join(unsettled)

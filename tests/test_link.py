@@ -35,6 +35,33 @@ CHAIN_STEPS = (
 )
 
 
+# the audit ``theorem-check`` runs by default
+AUDIT_B = (1, 2, 3)
+AUDIT = {"b_values": AUDIT_B, "seed": 0, "n_antennas": 4}
+
+
+def _assert_rows_equal_per_vector_calls(fields, rows):
+    """``rows`` = (var_blockage, lower_bound, delta_achieved) of the audit
+    equal, bit for bit, the per-vector functions on each field vector for
+    every B of ``AUDIT_B``, and the closed forms on numpy scalars."""
+    var, lower, delta = (np.asarray(column).tolist() for column in rows)
+    assert len(var) == len(fields)
+    for t, e in enumerate(fields):
+        n = len(e)
+        for j, b in enumerate(AUDIT_B):
+            got = (var[t], lower[t][j], delta[t][j])
+            want = (var_blockage(e), theorem1_lb(e, b), delta_snr_achieved(e, b))
+            assert all(type(v) is float for v in got)
+            assert repr(got) == repr(want)
+            # the closed forms on numpy scalars, independent of the library
+            power = e.real * e.real + e.imag * e.imag
+            c = np.sqrt(power)
+            v = float(max(power.mean() - c.mean() ** 2, 0.0))
+            half = math.pi / 2**b
+            lb = n * v * math.cos(half) ** 2 - (2.0 * math.sin(half) ** 2 / n) * c.sum() ** 2
+            assert repr((var[t], lower[t][j])) == repr((v, float(lb)))
+
+
 class TestBoundIngredients:
     def test_var_blockage_single_dominant(self):
         assert var_blockage([1.0, 0.0, 0.0, 0.0]) == pytest.approx(0.1875, abs=1e-15)
@@ -79,11 +106,11 @@ class TestBoundIngredients:
 
 class TestWorstCaseDirectional:
     def test_balanced_magnitudes_can_cancel(self):
-        cbk = directional_codebook(4, 1)
+        cbk = directional_codebook(4, 1, 0.5, 5)
         assert worst_case_dir_snr(np.ones(4, dtype=complex), np.ones(4), cbk) == 0.0
 
     def test_dominant_magnitude_leaves_a_floor(self):
-        cbk = directional_codebook(4, 1)
+        cbk = directional_codebook(4, 1, 0.5, 5)
         out = worst_case_dir_snr(np.array([4.0, 1, 1, 1], dtype=complex), np.ones(4), cbk)
         assert out == pytest.approx(0.25, abs=1e-12)
 
@@ -93,7 +120,7 @@ class TestWorstCaseDirectional:
 
     def test_enumeration_guard(self):
         n = 24
-        cbk = directional_codebook(n, 1)
+        cbk = directional_codebook(n, 1, 0.5, 5)
         with pytest.raises(ValueError, match="20"):
             worst_case_dir_snr(np.ones(n, dtype=complex), np.ones(n), cbk)
 
@@ -144,59 +171,55 @@ class TestInequalityChain:
 
 class TestTheoremTrials:
     def test_small_run_holds_and_counts(self):
-        res = theorem_trials(50, b_values=(2, 3), seed=11)
+        res = theorem_trials(50, b_values=(2, 3), seed=11, n_antennas=4)
         assert res.n_violations == 0
         assert res.min_margin >= -1e-9
         assert res.margin.size == 100
         assert res.b_values == (2, 3) and res.margin.shape == (50, 2)
 
-    @pytest.mark.parametrize(
-        "n, amp_low, amp_high",
-        [(1, 0.0, 2.0), (2, 0.0, 2.0), (3, 0.5, 1.0), (4, 0.0, 2.0), (5, 0.0, 3.0),
-         (6, 1.0, 1.0), (4, 0.0, 0.0)],
-    )
-    def test_rows_equal_per_trial_calls(self, n, amp_low, amp_high):
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_rows_equal_per_trial_calls(self, n):
         """The batched audit returns, bit for bit, what the per-trial
         functions return on each trial's own field."""
         # seed 19, N=4: trial 31's sum and mean of magnitudes square to a
         # different last bit as an array (x*x) than as a scalar (pow)
-        seed, b_values = 19, (1, 2, 3)
-        res = theorem_trials(
-            60, b_values=b_values, seed=seed, n_antennas=n, amp_low=amp_low, amp_high=amp_high
-        )
+        seed = 19
+        res = theorem_trials(60, b_values=AUDIT_B, seed=seed, n_antennas=n)
         assert res.var_blockage.shape == (60,)
         assert res.lower_bound.shape == res.delta_achieved.shape == res.margin.shape == (60, 3)
-        var = res.var_blockage.tolist()
-        lower, delta = res.lower_bound.tolist(), res.delta_achieved.tolist()
+        fields = []
         for t in range(60):
             rng = np.random.default_rng([seed, t])
-            amps = rng.uniform(amp_low, amp_high, n)
-            e = amps * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, n))
-            for j, b in enumerate(b_values):
-                got = (var[t], lower[t][j], delta[t][j])
-                want = (var_blockage(e), theorem1_lb(e, b), delta_snr_achieved(e, b))
-                assert all(type(v) is float for v in got)
-                assert repr(got) == repr(want)
-                # the closed forms on numpy scalars, independent of the library
-                power = e.real * e.real + e.imag * e.imag
-                c = np.sqrt(power)
-                v = float(max(power.mean() - c.mean() ** 2, 0.0))
-                half = math.pi / 2**b
-                lb = n * v * math.cos(half) ** 2 - (2.0 * math.sin(half) ** 2 / n) * c.sum() ** 2
-                assert repr((var[t], lower[t][j])) == repr((v, float(lb)))
+            amps = rng.uniform(0.0, 2.0, n)
+            fields.append(amps * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, n)))
+        _assert_rows_equal_per_vector_calls(
+            fields, (res.var_blockage, res.lower_bound, res.delta_achieved)
+        )
+
+    @pytest.mark.parametrize(
+        "n, amp_low, amp_high",
+        [(3, 0.5, 1.0), (5, 0.0, 3.0), (6, 1.0, 1.0), (4, 0.0, 0.0)],
+    )
+    def test_audit_rows_equal_per_vector_calls(self, n, amp_low, amp_high):
+        """The same on hand-built rows whose magnitudes the audit's draw
+        does not reach: equal (1, 1), all zero (0, 0) and other ranges."""
+        rng = np.random.default_rng([19, n])
+        amps = rng.uniform(amp_low, amp_high, (60, n))
+        rows = amps * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, (60, n)))
+        _assert_rows_equal_per_vector_calls(rows, link._audit_rows(rows, AUDIT_B))
 
     def test_seed_matters(self):
-        a = theorem_trials(10, b_values=(2,), seed=1)
-        b = theorem_trials(10, b_values=(2,), seed=2)
+        a = theorem_trials(10, b_values=(2,), seed=1, n_antennas=4)
+        b = theorem_trials(10, b_values=(2,), seed=2, n_antennas=4)
         assert a.lower_bound.tolist() != b.lower_bound.tolist()
 
     def test_margin_property(self):
-        res = theorem_trials(5, b_values=(2,), seed=0)
+        res = theorem_trials(5, b_values=(2,), seed=0, n_antennas=4)
         assert res.margin[0, 0] == res.delta_achieved[0, 0] - res.lower_bound[0, 0]
         assert np.array_equal(res.margin, res.delta_achieved - res.lower_bound)
 
     def test_per_b_summary_comes_from_the_margin_columns(self):
-        res = theorem_trials(40, b_values=(1, 3), seed=4)
+        res = theorem_trials(40, b_values=(1, 3), seed=4, n_antennas=4)
         res.margin[7, 1] = -1.0  # plant one violation under B=3
         assert res.violations_by_b.tolist() == [0, 1]
         assert res.min_margin_by_b.tolist() == [res.margin[:, 0].min(), -1.0]
@@ -217,13 +240,11 @@ class TestTheoremTrials:
         monkeypatch.setattr(link, "_trial_field", no_draw)
         monkeypatch.setattr(link, "_trial_fields", no_draw)
         with pytest.raises(ValueError, match=message):
-            theorem_trials(**{"n_trials": 10, **kwargs})
+            theorem_trials(**{**AUDIT, "n_trials": 10, **kwargs})
 
 
-def _numpy_fields(seed, n_trials, n, amp_low, amp_high, start=0):
-    return np.array(
-        [link._trial_field(seed, t, n, amp_low, amp_high) for t in range(start, start + n_trials)]
-    )
+def _numpy_fields(seed, n_trials, n, start=0):
+    return np.array([link._trial_field(seed, t, n) for t in range(start, start + n_trials)])
 
 
 # seeds of one to four 32-bit words, then arbitrary ones up to five words
@@ -239,15 +260,14 @@ class TestTrialStream:
     @given(
         seed=SEEDS,
         n=st.integers(1, 8),
-        amps=st.sampled_from([(0.0, 2.0), (0.5, 1.0), (1.0, 1.0), (0.0, 0.0), (-1.5, 2.25)]),
         n_trials=st.integers(1, 20),
         start=st.sampled_from([0, 1, 6, 2**32 - 20]),
         block=st.sampled_from([1, 7, link._TRIAL_BLOCK]),
     )
-    def test_fields_equal_default_rng(self, seed, n, amps, n_trials, start, block):
+    def test_fields_equal_default_rng(self, seed, n, n_trials, start, block):
         with mock.patch.object(link, "_TRIAL_BLOCK", block):
-            got = link._trial_fields(seed, start, start + n_trials, n, *amps)
-        assert got.tobytes() == _numpy_fields(seed, n_trials, n, *amps, start=start).tobytes()
+            got = link._trial_fields(seed, start, start + n_trials, n)
+        assert got.tobytes() == _numpy_fields(seed, n_trials, n, start=start).tobytes()
 
     @given(seed=SEEDS, trials=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6))
     def test_seeding_and_doubles_equal_numpy(self, seed, trials):
@@ -263,17 +283,17 @@ class TestTrialStream:
     def test_audit_rows_equal_per_trial_draws_across_blocks(self, monkeypatch):
         monkeypatch.setattr(link, "_TRIAL_BLOCK", 7)
         res = theorem_trials(30, b_values=(2,), seed=2**64 + 5, n_antennas=3)
-        e = _numpy_fields(2**64 + 5, 30, 3, 0.0, 2.0)
+        e = _numpy_fields(2**64 + 5, 30, 3)
         assert res.lower_bound[:, 0].tolist() == [theorem1_lb(v, 2) for v in e]
 
     def test_trial_zero_guard_catches_a_changed_stream(self, monkeypatch):
         monkeypatch.setattr(link, "_PCG_MULT", link._PCG_MULT + 2)
         with pytest.raises(RuntimeError, match="default_rng"):
-            theorem_trials(3, b_values=(1,))
+            theorem_trials(3, b_values=(1,), seed=0, n_antennas=4)
 
     def test_bad_seed_raises_numpy_error(self):
         with pytest.raises(ValueError, match="expected non-negative integer"):
-            theorem_trials(3, seed=-1)
+            theorem_trials(**{**AUDIT, "n_trials": 3, "seed": -1})
 
 
 def _audit_outputs(tmp_path, workers, **kwargs):
@@ -281,7 +301,7 @@ def _audit_outputs(tmp_path, workers, **kwargs):
     real one when workers is None; leaves no child process behind."""
     count = forked.resolve_workers if workers is None else lambda n=None: min(workers, n)
     with mock.patch.object(forked, "resolve_workers", count):
-        res = theorem_trials(**kwargs)
+        res = theorem_trials(**{**AUDIT, **kwargs})
         path = tmp_path / f"trials-{workers}.csv"
         fileio.write_trials_csv(res, path)
     assert not multiprocessing.active_children()
@@ -325,19 +345,19 @@ class TestForkedTrials:
 
         self.in_child(monkeypatch, "_audit_rows", fail)
         with pytest.raises(FloatingPointError, match="planted in the child"):
-            theorem_trials(20, b_values=(1, 2))
+            theorem_trials(20, b_values=(1, 2), seed=0, n_antennas=4)
         assert not multiprocessing.active_children()
 
     def test_child_killed_by_a_signal_is_a_runtime_error(self, monkeypatch):
         self.in_child(monkeypatch, "_audit_rows", lambda: os.kill(os.getpid(), signal.SIGKILL))
         message = f"trials 10-19: audit process exited with code -{int(signal.SIGKILL)}"
         with pytest.raises(RuntimeError, match=message):
-            theorem_trials(20, b_values=(1, 2))
+            theorem_trials(20, b_values=(1, 2), seed=0, n_antennas=4)
         assert not multiprocessing.active_children()
 
     def test_trial_zero_guard_runs_in_this_process(self, monkeypatch):
         monkeypatch.setattr(forked, "resolve_workers", lambda n=None: 2)
         monkeypatch.setattr(link, "_PCG_MULT", link._PCG_MULT + 2)
         with pytest.raises(RuntimeError, match="default_rng"):
-            theorem_trials(20, b_values=(1,))
+            theorem_trials(20, b_values=(1,), seed=0, n_antennas=4)
         assert not multiprocessing.active_children()

@@ -22,6 +22,11 @@ from beamshadow.metrics import (
 )
 from conftest import cell_of
 
+# the paper's settings: RoI thresholds (dB), rectangle and percentiles
+G1_DB, G2_DB = 7.5, 2.5
+THETA_RANGE, PHI_RANGE = (0.0, 180.0), (150.0, 360.0)
+PERCENTILES = (10.0, 50.0, 80.0, 90.0)
+
 
 def constant_field(grid, values, n=None):
     """Field whose per-antenna samples are spatially constant."""
@@ -51,15 +56,15 @@ class TestRoi:
         # and blocked 3 dB (above G2) where free happens to be weak
         free = constant_field(coarse_grid, [10.0 ** (9.0 / 20.0)])
         blocked = constant_field(coarse_grid, [10.0 ** (-20.0 / 20.0)])
-        roi = roi_mask(free, blocked, 0)
+        roi = roi_mask(free, blocked, 0, G1_DB, G2_DB)
         assert roi.mask.all()
 
         weak_free = constant_field(coarse_grid, [10.0 ** (0.0 / 20.0)])
         ok_blocked = constant_field(coarse_grid, [10.0 ** (3.0 / 20.0)])
-        roi2 = roi_mask(weak_free, ok_blocked, 0)
+        roi2 = roi_mask(weak_free, ok_blocked, 0, G1_DB, G2_DB)
         assert roi2.mask.all()
 
-        neither = roi_mask(weak_free, blocked, 0)
+        neither = roi_mask(weak_free, blocked, 0, G1_DB, G2_DB)
         assert not neither.mask.any()
         assert neither.area_fraction == 0.0
 
@@ -70,26 +75,25 @@ class TestRoi:
         assert hi.area_fraction <= lo.area_fraction
 
     def test_rect_roi_default_fraction(self, coarse_grid):
-        roi = rect_roi(coarse_grid)
+        roi = rect_roi(coarse_grid, THETA_RANGE, PHI_RANGE)
         assert roi.area_fraction == pytest.approx(210.0 / 360.0, abs=1e-15)
-        assert roi.source == "rect"
         # mask covers full theta, phi in [150, 360)
         sel = coarse_grid.phis >= 150.0
         assert np.array_equal(roi.mask.any(axis=0), sel)
 
     def test_rect_roi_band_fraction(self, coarse_grid):
-        roi = rect_roi(coarse_grid, theta_range=(60.0, 120.0))
+        roi = rect_roi(coarse_grid, (60.0, 120.0), PHI_RANGE)
         # cos(60)-cos(120) = 1 covers half the sphere's 2 span
         assert roi.area_fraction == pytest.approx((210.0 / 360.0) / 2.0, abs=1e-15)
 
     def test_rect_roi_empty_is_rejected(self, coarse_grid):
         with pytest.raises(ValueError):
-            rect_roi(coarse_grid, theta_range=(60.0, 60.0))
+            rect_roi(coarse_grid, (60.0, 60.0), PHI_RANGE)
 
 
 class TestLossSamples:
     def test_zero_distortion_means_zero_loss(self, free_field, coarse_grid):
-        roi = rect_roi(coarse_grid)
+        roi = rect_roi(coarse_grid, THETA_RANGE, PHI_RANGE)
         for i in range(free_field.n_antennas):
             losses = loss_samples(free_field, free_field, i, roi)
             assert losses.shape == (int(roi.mask.sum()),)
@@ -99,7 +103,7 @@ class TestLossSamples:
         scaled = AntennaFieldMap(
             grid=coarse_grid, samples=0.5 * free_field.samples, label="scaled"
         )
-        roi = rect_roi(coarse_grid)
+        roi = rect_roi(coarse_grid, THETA_RANGE, PHI_RANGE)
         losses = loss_samples(free_field, scaled, 1, roi)
         assert np.allclose(losses, 20.0 * math.log10(2.0), atol=1e-9)
 
@@ -108,7 +112,7 @@ class TestLossSamples:
         it, ip = cell_of(coarse_grid, 90.0, 270.0)
         samples[0, it, ip] = 0.0
         holed = AntennaFieldMap(grid=coarse_grid, samples=samples, label="holed")
-        roi = rect_roi(coarse_grid)
+        roi = rect_roi(coarse_grid, THETA_RANGE, PHI_RANGE)
         with pytest.raises(ValueError, match=r"antenna 0 .*theta=90.0, phi=270.0"):
             loss_samples(free_field, holed, 0, roi)
 
@@ -118,14 +122,14 @@ class TestLossSamples:
         it, ip = cell_of(coarse_grid, 0.0, 150.0)  # first RoI cell
         samples[0, it, ip] = 0.5
         blocked = AntennaFieldMap(grid=coarse_grid, samples=samples, label="b")
-        losses = loss_samples(free, blocked, 0, rect_roi(coarse_grid))
+        losses = loss_samples(free, blocked, 0, rect_roi(coarse_grid, THETA_RANGE, PHI_RANGE))
         assert losses[0] == pytest.approx(20.0 * math.log10(2.0))
         assert np.count_nonzero(losses) == 1
 
 
 class TestCdfSummary:
     def test_one_through_ten(self):
-        s = cdf_summary(np.arange(1.0, 11.0))
+        s = cdf_summary(np.arange(1.0, 11.0), PERCENTILES)
         pct = dict(s.percentiles)
         assert pct[50.0] == 5.5
         assert pct[10.0] == pytest.approx(1.9)
@@ -155,21 +159,21 @@ class TestCdfSummary:
         assert dict(s.percentiles)[50.0] == pytest.approx(2.0 + (0.5 - 0.375) / 0.375)
 
     def test_to_dict_uses_repr_percentile_keys(self):
-        d = cdf_summary([1.0, 2.0]).to_dict()
+        d = cdf_summary([1.0, 2.0], PERCENTILES).to_dict()
         assert set(d["percentiles"]) == {"10.0", "50.0", "80.0", "90.0"}
         assert d["n_samples"] == 2
 
     def test_validation(self):
         with pytest.raises(ValueError, match="at least one"):
-            cdf_summary([])
+            cdf_summary([], PERCENTILES)
         with pytest.raises(ValueError, match="finite"):
-            cdf_summary([1.0, math.nan])
+            cdf_summary([1.0, math.nan], PERCENTILES)
         with pytest.raises(ValueError, match="outside"):
             cdf_summary([1.0], percentiles=(120.0,))
         with pytest.raises(ValueError, match="weights"):
-            cdf_summary([1.0, 2.0], weights=[1.0])
+            cdf_summary([1.0, 2.0], PERCENTILES, weights=[1.0])
         with pytest.raises(ValueError, match="weights"):
-            cdf_summary([1.0, 2.0], weights=[-1.0, 1.0])
+            cdf_summary([1.0, 2.0], PERCENTILES, weights=[-1.0, 1.0])
 
     @given(
         st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=40),
@@ -184,12 +188,12 @@ class TestCdfSummary:
 
 class TestCoverage:
     def test_rows_against_direct_computation(self, free_field, blocked_field):
-        rows = coverage_stats(free_field, blocked_field)
+        rows = coverage_stats(free_field, blocked_field, G1_DB, G2_DB)
         assert [r.antenna for r in rows] == list(range(free_field.n_antennas))
         for r in rows:
             gf = elemental_gain_map(free_field, r.antenna)
             assert r.max_free_gain_db == gf.max()
-            roi = roi_mask(free_field, blocked_field, r.antenna)
+            roi = roi_mask(free_field, blocked_field, r.antenna, G1_DB, G2_DB)
             assert r.roi_area_pct == pytest.approx(100.0 * roi.area_fraction)
             assert 0.0 < r.roi_area_pct < 100.0
 
@@ -198,7 +202,6 @@ class TestPhaseDiff:
     def test_antipodal_phase_pair(self, coarse_grid):
         fld = constant_field(coarse_grid, [1.0, -1.0])
         diff = pair_phase_diff(fld, 0, 1)
-        assert diff.pair == (0, 1)
         assert np.allclose(diff.values_deg, 180.0)
         assert diff.valid.all()
 
@@ -221,7 +224,7 @@ class TestPhaseDiff:
 class TestPhaseMixing:
     def make_diff(self, grid, values, valid=None):
         valid = np.ones(grid.shape, dtype=bool) if valid is None else valid
-        return PhaseDiffMap(grid=grid, pair=(0, 1), values_deg=values, valid=valid)
+        return PhaseDiffMap(grid=grid, values_deg=values, valid=valid)
 
     def test_constant_map_scores_zero(self, coarse_grid):
         d = self.make_diff(coarse_grid, np.full(coarse_grid.shape, 37.0))
@@ -230,9 +233,8 @@ class TestPhaseMixing:
     def test_theta_ramp_scores_slope(self, coarse_grid):
         t = np.arange(coarse_grid.n_theta, dtype=float)[:, None]
         d = self.make_diff(coarse_grid, np.broadcast_to(7.0 * t, coarse_grid.shape).copy())
-        # 7 deg per 5-deg row == 7 deg per reference step
-        assert phase_mixing(d, ref_step_deg=5.0) == pytest.approx(7.0, abs=1e-12)
-        assert phase_mixing(d, ref_step_deg=10.0) == pytest.approx(14.0, abs=1e-12)
+        # 7 deg per 5-deg row == 7 deg per 5 deg of theta
+        assert phase_mixing(d) == pytest.approx(7.0, abs=1e-12)
 
     def test_slope_is_grid_step_invariant(self):
         for step in (2.5, 5.0, 10.0):
@@ -241,7 +243,7 @@ class TestPhaseMixing:
             vals = np.broadcast_to(1.4 * step * t, grid.shape).copy()
             d = self.make_diff(grid, vals)
             # 1.4 deg of phase per degree of theta -> 7 per 5-deg reference
-            assert phase_mixing(d, ref_step_deg=5.0) == pytest.approx(7.0, abs=1e-9)
+            assert phase_mixing(d) == pytest.approx(7.0, abs=1e-9)
 
     def test_alternating_rows_score_180(self, coarse_grid):
         t = np.arange(coarse_grid.n_theta)[:, None]
@@ -277,7 +279,7 @@ def test_finger_occlusion_produces_positive_losses(coarse_grid, free_field):
     )
     dist = gen_distortion(spec, coarse_grid, free_field.n_antennas)
     blocked = apply_distortion(free_field, dist)
-    roi = rect_roi(coarse_grid)
+    roi = rect_roi(coarse_grid, THETA_RANGE, PHI_RANGE)
     losses = loss_samples(free_field, blocked, 0, roi)
     assert losses.min() >= -1e-12  # pure attenuation can only lose gain
     assert losses.max() == pytest.approx(16.0, abs=1e-9)
