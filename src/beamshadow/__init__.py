@@ -43,7 +43,6 @@ from .fileio import (
     write_distortion_file,
     write_field_file,
     write_gain_map_csv,
-    write_trials_csv,
 )
 from .link import (
     BoundReport,

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import statistics
 import sys
 from pathlib import Path
 
@@ -31,7 +30,6 @@ from .fileio import (
     write_distortion_file,
     write_field_file,
     write_gain_map_csv,
-    write_trials_csv,
 )
 from .link import theorem_trials
 from .metrics import (
@@ -60,7 +58,14 @@ def _float_list(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from exc
 
 
+def _refuse_unwritable(flag: str, path: str | None) -> None:
+    """Refuse, before any work, an output path that is a directory or lies in a missing one."""
+    if path and (Path(path).is_dir() or not Path(path).parent.is_dir()):
+        raise ValueError(f"cannot write {path}: {flag} must name a file in an existing directory")
+
+
 def _cmd_synth(args) -> int:
+    _refuse_unwritable("--out", args.out)
     grid = make_grid(args.theta_step, args.phi_step)
     config = ArrayConfig(
         n_antennas=args.n_antennas,
@@ -101,9 +106,8 @@ def _scenario_spec(args) -> DistortionSpec:
 
 def _cmd_distort(args) -> int:
     # refused before the first write, so that a bad --dist-out leaves no --out
-    for path in map(Path, filter(None, (args.out, args.dist_out))):
-        if path.is_dir() or not path.parent.is_dir():
-            raise ValueError(f"cannot write {path}: it is a directory or its directory is missing")
+    _refuse_unwritable("--out", args.out)
+    _refuse_unwritable("--dist-out", args.dist_out)
     field = read_field_file(args.field)
     spec = _scenario_spec(args)
     dist = gen_distortion(spec, field.grid, field.n_antennas)
@@ -149,6 +153,7 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    _refuse_unwritable("--out", args.out)
     field = read_field_file(args.field)
     n = field.n_antennas
     if search_power_overflows(n, float(abs(field.samples).max())):
@@ -170,14 +175,12 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_theorem_check(args) -> int:
+    import statistics
+
+    _refuse_unwritable("--out", args.out)
     result = theorem_trials(
-        n_trials=args.trials,
-        b_values=args.b_values,
-        seed=args.seed,
-        n_antennas=args.n_antennas,
+        args.trials, args.b_values, args.seed, args.n_antennas, args.out or None
     )
-    if args.out:
-        write_trials_csv(result, args.out)
     print(
         f"theorem-check: trials={result.n_trials} B={list(result.b_values)} "
         f"antennas={result.n_antennas} seed={result.seed}"

@@ -35,7 +35,6 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass,
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from .codebook import (
     Codebook,
@@ -258,6 +257,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
 
 def config_from_yaml(path) -> ExperimentConfig:
+    import yaml
+
     try:
         with open(path) as fh:
             data = yaml.safe_load(fh)
@@ -272,6 +273,8 @@ def config_from_yaml(path) -> ExperimentConfig:
 
 
 def config_to_yaml(config: ExperimentConfig, path) -> None:
+    import yaml
+
     with open(path, "w") as fh:
         yaml.safe_dump(config.to_dict(), fh, sort_keys=False)
 

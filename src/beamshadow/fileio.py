@@ -35,9 +35,9 @@ at a time, each value as ``repr`` of a Python float, and written to a binary
 handle after the header, which is encoded as UTF-8, the readers' encoding.
 A header is built, and a bad label refused, before the file is opened.
 
-``write_trials_csv`` formats the trials' rows in ranges from
-``forked.split`` and writes a hidden sibling file, renamed onto the path,
-so a failed write leaves no partial file.
+``trials_csv_rows`` formats a range of ``link.theorem_trials`` rows in the
+process that audited it; ``open_trials_csv`` writes them to a hidden sibling
+file, renamed onto the path only when every range is written.
 """
 
 from __future__ import annotations
@@ -65,7 +65,8 @@ __all__ = [
     "write_gain_map_csv",
     "write_cdf_csv",
     "write_coverage_csv",
-    "write_trials_csv",
+    "trials_csv_rows",
+    "open_trials_csv",
 ]
 
 FIELD_MAGIC = "beamshadow-field v1"
@@ -400,27 +401,22 @@ def write_coverage_csv(rows, path) -> None:
     _write_table(path, header, (antennas,), np.array(values, dtype=float).reshape(-1, 3).T)
 
 
-def _trials_rows(result, start: int, stop: int):
-    """The CSV rows of trials start..stop-1 in (trial, B) order, as ASCII
-    bytes of at most ``_CHUNK_ROWS`` rows each."""
-    b_tokens = [str(b) for b in result.b_values]
+def trials_csv_rows(first_trial: int, b_values, var, lower, delta, margin):
+    """CSV rows ``trial,B,var_blockage,lower_bound,delta_achieved,margin`` of
+    trials first_trial.. in (trial, B) order, floats as ``repr``, in ASCII
+    chunks of at most ``_CHUNK_ROWS`` rows; the columns after ``var`` are (trials, B)."""
+    b_tokens = [str(b) for b in b_values]
     # each trial's variance is formatted once, into its rows' prefixes
-    var_tokens = map(repr, result.var_blockage[start:stop].tolist())
-    prefixes = [
-        f"{t},{b},{var}" for t, var in zip(range(start, stop), var_tokens) for b in b_tokens
-    ]
-    columns = (
-        result.lower_bound[start:stop].ravel(),
-        result.delta_achieved[start:stop].ravel(),
-        result.margin[start:stop].ravel(),
-    )
-    yield from _table_chunks((prefixes,), columns)
+    trials = range(first_trial, first_trial + len(var))
+    prefixes = [f"{t},{b},{v}" for t, v in zip(trials, map(repr, var.tolist())) for b in b_tokens]
+    yield from _table_chunks((prefixes,), (lower.ravel(), delta.ravel(), margin.ravel()))
 
 
 @contextmanager
-def _written_in_place_of(path: Path):
-    """A binary handle on a new hidden file beside path, renamed onto path
-    when the block succeeds and removed when it fails."""
+def open_trials_csv(path):
+    """A binary handle on a new hidden file beside path, the trials CSV header
+    written; renamed onto path when the block succeeds, removed when it fails."""
+    path = Path(path)
     partial = path.parent / f".{path.name}.{os.getpid()}.partial"
     try:
         fh = partial.open("wb")
@@ -428,30 +424,9 @@ def _written_in_place_of(path: Path):
         raise OSError(exc.errno, exc.strerror, str(path)) from None
     try:
         with fh:
+            fh.write(b"trial,B,var_blockage,lower_bound,delta_achieved,margin\n")
             yield fh
         os.replace(partial, path)
     except BaseException:
         partial.unlink(missing_ok=True)
         raise
-
-
-def write_trials_csv(result, path) -> None:
-    """Dump a theorem audit as CSV rows
-    ``trial,B,var_blockage,lower_bound,delta_achieved,margin`` in (trial, B)
-    order, floats written with ``repr``.
-
-    The trials are split by ``forked.split``.  This process formats and
-    writes the first range; a child forked per further range formats its
-    rows meanwhile and sends them back as one byte string, written in trial
-    order, so the file is the same for any split.  The file is written beside
-    ``path`` and renamed onto it, so a failed write leaves neither a partial
-    ``path`` nor a temporary file.
-    """
-    with _written_in_place_of(Path(path)) as fh, forked.split(
-        result.n_trials,
-        lambda lo, hi: f"trials {lo}-{hi - 1}: CSV writer",
-        lambda lo, hi: b"".join(_trials_rows(result, lo, hi)),
-    ) as (own, replies):
-        fh.write(b"trial,B,var_blockage,lower_bound,delta_achieved,margin\n")
-        fh.writelines(_trials_rows(result, *own))
-        fh.writelines(replies)

@@ -25,9 +25,10 @@ numeric margin of every step.
 ``default_rng([seed, t])`` stream; the streams are computed a block of
 trials at a time (numpy's SeedSequence hashing and PCG64 generator, redone
 on uint64 arrays, each 128-bit state a pair of uint64 words) and checked
-against numpy itself on trial 0 of every call.  The trials are split across
-forked children by ``forked.split``, which decides the worker count; the
-result does not depend on the split.
+against numpy itself on trial 0 of every call.  The trials are split once
+by ``forked.split``, which decides the worker count: each range is drawn,
+searched and, for a CSV, formatted by the process that owns it, so neither
+the result nor the file depends on the split.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ import numpy as np
 
 from . import forked
 from .codebook import Codebook, best_entries, phase_lattice, phase_levels
+from .fileio import open_trials_csv, trials_csv_rows
 from .sphere import mod_2pi, wrap_rad
 
 __all__ = [
@@ -58,30 +60,43 @@ __all__ = [
 BOUND_TOLERANCE = 1e-9
 
 
-def _var_rows(e_rows: np.ndarray) -> np.ndarray:
-    """``var_blockage`` of every row of a C-ordered (vectors, N) array."""
-    p = e_rows.real * e_rows.real + e_rows.imag * e_rows.imag
-    c = np.sqrt(p)
+def _row_terms(e_rows: np.ndarray):
+    """The B-independent terms of every row of a C-ordered (vectors, N) field
+    array: (var_blockage, (sum_i |E_i|)^2, sum_i S_i, sqrt(S_i) * E_i) with
+    S_i = |E_i|^2."""
+    s = e_rows.real * e_rows.real + e_rows.imag * e_rows.imag
+    c = np.sqrt(s)
     # squares go through Python floats, whose ``x ** 2`` calls pow() as a
     # numpy scalar's does; an array square differs in the last bit at times
-    return np.array(
-        [max(pm - cm**2, 0.0) for pm, cm in zip(p.mean(axis=1).tolist(), c.mean(axis=1).tolist())]
-    )
+    means = zip(s.mean(axis=1).tolist(), c.mean(axis=1).tolist())
+    var = np.array([max(sm - cm**2, 0.0) for sm, cm in means])
+    c_sum_sq = np.array([v**2 for v in c.sum(axis=1).tolist()])
+    return var, c_sum_sq, s.sum(axis=1), c * e_rows
 
 
-def _lower_bound_rows(e_rows: np.ndarray, b_bits: int, var: np.ndarray) -> np.ndarray:
-    """``theorem1_lb`` of every row, given the rows' ``_var_rows``."""
+def _lower_bounds(e_rows: np.ndarray, b_bits: int, terms) -> np.ndarray:
+    """``theorem1_lb`` of every row, given the rows' ``_row_terms``."""
     n = e_rows.shape[1]
+    var, c_sum_sq = terms[:2]
     half = math.pi / 2**b_bits
-    c = np.sqrt(e_rows.real * e_rows.real + e_rows.imag * e_rows.imag)
-    c_sum_sq = np.array([s**2 for s in c.sum(axis=1).tolist()])
     return n * var * math.cos(half) ** 2 - (2.0 * math.sin(half) ** 2 / n) * c_sum_sq
+
+
+def _codebook_maxima(e_rows: np.ndarray, b_bits: int, terms) -> tuple[np.ndarray, np.ndarray]:
+    """Exhaustive-search best linear gains (phase+amp, phase-only) of every
+    row, given the rows' ``_row_terms``."""
+    n = e_rows.shape[1]
+    s_sum, weighted = terms[2:]
+    u = phase_lattice(n, b_bits)
+    max_phase = best_entries(u, e_rows)[0] / n
+    best_amp = best_entries(u, weighted)[0]
+    max_amp = np.divide(best_amp, s_sum, out=np.zeros_like(best_amp), where=s_sum != 0.0)
+    return max_amp, max_phase
 
 
 def var_blockage(e_vec) -> float:
     """Population variance of the per-antenna field magnitudes (>= 0)."""
-    e = np.asarray(e_vec, dtype=np.complex128)
-    return float(_var_rows(e[None, :])[0])
+    return float(_row_terms(np.asarray(e_vec, dtype=np.complex128)[None, :])[0][0])
 
 
 def theorem1_lb(e_vec, b_bits: int) -> float:
@@ -90,27 +105,14 @@ def theorem1_lb(e_vec, b_bits: int) -> float:
     if b_bits < 1:
         raise ValueError("b_bits must be >= 1")
     e = np.asarray(e_vec, dtype=np.complex128)[None, :]
-    return float(_lower_bound_rows(e, b_bits, _var_rows(e))[0])
-
-
-def _codebook_maxima(e_rows: np.ndarray, b_bits: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exhaustive-search best linear gains (phase+amp, phase-only) for every
-    row of a C-ordered (vectors, N) field array."""
-    n = e_rows.shape[1]
-    u = phase_lattice(n, b_bits)
-    strengths = e_rows.real * e_rows.real + e_rows.imag * e_rows.imag
-    total = strengths.sum(axis=1)
-    max_phase = best_entries(u, e_rows)[0] / n
-    best_amp = best_entries(u, np.sqrt(strengths) * e_rows)[0]
-    max_amp = np.divide(best_amp, total, out=np.zeros_like(best_amp), where=total != 0.0)
-    return max_amp, max_phase
+    return float(_lower_bounds(e, b_bits, _row_terms(e))[0])
 
 
 def delta_snr_achieved(e_vec, b_bits: int) -> float:
     """Achieved SNR improvement of the phase+amplitude codebook over the
     phase-only codebook, both by exhaustive search, for |alpha_1| = 1."""
-    e = np.asarray(e_vec, dtype=np.complex128)
-    max_amp, max_phase = _codebook_maxima(e[None, :], b_bits)
+    e = np.asarray(e_vec, dtype=np.complex128)[None, :]
+    max_amp, max_phase = _codebook_maxima(e, b_bits, _row_terms(e))
     return float(max_amp[0] - max_phase[0])
 
 
@@ -244,7 +246,8 @@ def inequality_chain_check(e_free_vec, amp_vec, phase_vec, b_bits: int) -> Bound
         ) / total
     else:
         nearest_amp_value = 0.0
-    max_amp, max_phase = (float(v[0]) for v in _codebook_maxima(e_blk[None, :], b_bits))
+    row = e_blk[None, :]
+    max_amp, max_phase = (float(v[0]) for v in _codebook_maxima(row, b_bits, _row_terms(row)))
     c_sum = float(c.sum())
     lb = theorem1_lb(e_blk, b_bits)
     phase_cap = (c_sum**2 / n) * (1.0 + math.sin(half) ** 2)
@@ -443,26 +446,33 @@ def _trial_fields(seed: int, start: int, stop: int, n_antennas: int) -> np.ndarr
 def _audit_rows(e_rows: np.ndarray, b_values: tuple[int, ...]):
     """(var_blockage, lower_bound, delta_achieved) of every row of a trial
     field array; the last two have one column per B."""
-    var = _var_rows(e_rows)
+    terms = _row_terms(e_rows)
     lower = np.empty((e_rows.shape[0], len(b_values)))
     delta = np.empty_like(lower)
     for j, b in enumerate(b_values):
-        max_amp, max_phase = _codebook_maxima(e_rows, b)
-        lower[:, j] = _lower_bound_rows(e_rows, b, var)
+        max_amp, max_phase = _codebook_maxima(e_rows, b, terms)
+        lower[:, j] = _lower_bounds(e_rows, b, terms)
         delta[:, j] = max_amp - max_phase
-    return var, lower, delta
+    return terms[0], lower, delta
 
 
-def _audit_trials(seed, n_antennas, b_values, start, stop):
-    """``_audit_rows`` of trials start..stop-1, drawn here."""
-    return _audit_rows(_trial_fields(seed, start, stop, n_antennas), b_values)
+def _csv_rows(start: int, b_values: tuple[int, ...], var, lower, delta):
+    """``fileio.trials_csv_rows`` of audited trials start.."""
+    return trials_csv_rows(start, b_values, var, lower, delta, delta - lower)
+
+
+def _audit_trials(seed, n_antennas, b_values, write, start, stop):
+    """``_audit_rows`` of trials start..stop-1, drawn here, and their CSV bytes or None."""
+    audit = _audit_rows(_trial_fields(seed, start, stop, n_antennas), b_values)
+    return audit, b"".join(_csv_rows(start, b_values, *audit)) if write else None
 
 
 def theorem_trials(
-    n_trials: int, b_values: tuple[int, ...], seed: int, n_antennas: int
+    n_trials: int, b_values: tuple[int, ...], seed: int, n_antennas: int, out
 ) -> TheoremCheckResult:
     """Randomized bound audit: uniform magnitudes in [0, 2), uniform phases
-    in [0, 2*pi), one derived RNG per trial.
+    in [0, 2*pi), one derived RNG per trial; with a path ``out`` (None for
+    none), also the trials CSV (``fileio.trials_csv_rows``) written there.
 
     Trial t is the ``default_rng([seed, t])`` stream.  The streams are
     computed a block of trials at a time by reimplementing numpy's seeding
@@ -472,10 +482,11 @@ def theorem_trials(
     what ``var_blockage``, ``theorem1_lb`` and ``delta_snr_achieved`` return
     for that trial alone.
 
-    The trials are split by ``forked.split``.  This process draws and
-    searches the first range; a child forked per further range draws and
-    searches its own and sends the rows back, which are joined in trial
-    order, so the result is the same for any split.
+    The trials are split by ``forked.split``: each range is drawn, searched
+    and, given ``out``, formatted by the process that owns it (this one
+    streams its rows), then joined in trial order, so neither the result nor
+    the file depends on the split.  ``fileio.open_trials_csv`` renames the
+    file onto ``out`` only when every range succeeded.
     """
     if not 1 <= n_trials <= 2**32:
         raise ValueError("n_trials must be in 1..2**32")
@@ -490,6 +501,11 @@ def theorem_trials(
         phase_lattice(n_antennas, b)  # an oversized lattice fails before any draw
     # numpy draws trial 0 first: a bad seed raises its own error
     first = _trial_field(seed, 0, n_antennas)
+    if _trial_fields(seed, 0, 1, n_antennas).tobytes() != first.tobytes():
+        raise RuntimeError(
+            "vectorized trial draw differs from numpy.random.default_rng "
+            f"{np.__version__} at trial 0"
+        )
     with forked.split(
         n_trials,
         lambda lo, hi: f"trials {lo}-{hi - 1}: audit",
@@ -497,14 +513,18 @@ def theorem_trials(
         seed,
         n_antennas,
         b_values,
+        out is not None,
     ) as ((start, stop), replies):
-        e = _trial_fields(seed, start, stop, n_antennas)
-        if e[0].tobytes() != first.tobytes():
-            raise RuntimeError(
-                "vectorized trial draw differs from numpy.random.default_rng "
-                f"{np.__version__} at trial 0"
-            )
-        parts = [_audit_rows(e, b_values), *replies]
+        # no field array is kept while a child's reply is unpickled
+        parts = [_audit_rows(_trial_fields(seed, start, stop, n_antennas), b_values)]
+        if out is None:
+            parts += (audit for audit, _ in replies)
+        else:
+            with open_trials_csv(out) as fh:
+                fh.writelines(_csv_rows(start, b_values, *parts[0]))
+                for audit, rows in replies:
+                    parts.append(audit)
+                    fh.write(rows)
     var, lower, delta = (np.concatenate(column) for column in zip(*parts))
     return TheoremCheckResult(
         n_trials=n_trials,

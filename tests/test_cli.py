@@ -230,7 +230,7 @@ def test_theorem_check_writes_rows(tmp_path, capsys):
     stdout = capsys.readouterr().out.splitlines()
     assert "violations=0" in stdout[1]
     # one summary line per B, from the same margins the CSV holds
-    result = theorem_trials(25, b_values=(2, 3), seed=0, n_antennas=4)
+    result = theorem_trials(25, b_values=(2, 3), seed=0, n_antennas=4, out=None)
     margins = {b: [float(r.split(",")[5]) for r in lines[1:] if r.split(",")[1] == str(b)]
                for b in (2, 3)}
     for j, b in enumerate((2, 3)):
@@ -265,8 +265,68 @@ def test_theorem_check_names_the_out_path_it_cannot_write(tmp_path, capsys):
     rc = main(["theorem-check", "--trials", "3", "--out", str(out)])
     assert rc == 1
     err = capsys.readouterr().err
-    assert f"No such file or directory: '{out}'" in err and "Traceback" not in err
+    assert f"cannot write {out}: --out must name a file in an existing directory" in err
+    assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started")
+
+
+@pytest.mark.parametrize("out", ["missing/x.out", "taken"])
+@pytest.mark.parametrize(
+    "argv, work",
+    [(["synth"], "synth_freespace_field"),
+     (["distort", "--field", "f.field", "--scenario", "tight-grip-one-finger"], "read_field_file"),
+     (["evaluate", "--field", "f.field", "--scheme", "mrc"], "read_field_file"),
+     (["theorem-check", "--trials", "100000"], "theorem_trials")],
+)
+def test_unwritable_out_is_refused_before_any_work(tmp_path, monkeypatch, capsys, argv, work,
+                                                   out):
+    """A directory, or a path in a missing one, fails before the command's
+    first step and leaves no file."""
+    monkeypatch.setattr(f"beamshadow.cli.{work}", _no_work)
+    (tmp_path / "taken").mkdir()
+    out = tmp_path / out
+    rc = main([*argv, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert f"error: cannot write {out}: --out must name a file in an existing directory" in err
+    assert "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+    assert list((tmp_path / "taken").iterdir()) == []
+
+
+@needs_fork
+def test_run_metrics_and_theorem_check_each_split_once(metrics_inputs, tmp_path, monkeypatch):
+    """Each command forks its work in one ``forked.split``, whatever binding
+    of it the package calls."""
+    real, calls = forked.split, []
+
+    def counted(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "beamshadow":
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, counted)
+    monkeypatch.setattr(forked, "resolve_workers", lambda n=None: 2)
+    cfg_path = tmp_path / "cfg.yaml"
+    config_to_yaml(tiny_config(2), cfg_path)
+    free, blocked = metrics_inputs
+    commands = [
+        ["run", "--config", str(cfg_path), "--out", str(tmp_path / "run")],
+        ["metrics", "--free", str(free), "--blocked", str(blocked), "--out", str(tmp_path / "m")],
+        ["theorem-check", "--trials", "20", "--out", str(tmp_path / "trials.csv")],
+    ]
+    for argv in commands:
+        calls.clear()
+        assert main(argv) == 0
+        assert len(calls) == 1, argv[0]
+    assert not multiprocessing.active_children()
 
 
 @settings(max_examples=100)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import beamshadow as bs
-from beamshadow import fileio, forked
+from beamshadow import fileio, forked, link
 from beamshadow.distortion import DistortionSpec, gen_distortion
 from beamshadow.fileio import (
     DISTORTION_MAGIC,
@@ -23,7 +23,6 @@ from beamshadow.fileio import (
     write_distortion_file,
     write_field_file,
     write_gain_map_csv,
-    write_trials_csv,
 )
 from beamshadow.link import TheoremCheckResult
 from test_experiment import needs_fork
@@ -472,10 +471,28 @@ def _trials_reference(res) -> str:
     return "\n".join(want) + "\n"
 
 
+def _write_in_ranges(result, parts: int, path) -> None:
+    """Write ``result`` through the public trials CSV writer, its trials
+    formatted in ``parts`` ranges as ``forked.split`` cuts them."""
+    bounds = [result.n_trials * i // parts for i in range(parts + 1)]
+    with fileio.open_trials_csv(path) as fh:
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            columns = (result.var_blockage, result.lower_bound, result.delta_achieved,
+                       result.margin)
+            fh.writelines(fileio.trials_csv_rows(lo, result.b_values,
+                                                 *(c[lo:hi] for c in columns)))
+
+
 @pytest.mark.parametrize("workers, chunk_rows", [(1, 2048), (2, 5), (3, 4)])
 def test_trials_csv_matches_a_per_row_repr_loop(tmp_path, monkeypatch, workers, chunk_rows):
     """The same bytes for any split of the trials and any chunk size."""
-    res = bs.theorem_trials(12, b_values=(1, 3), seed=3, n_antennas=2)
+    monkeypatch.setattr(forked, "resolve_workers", lambda n=None: workers)
+    monkeypatch.setattr(fileio, "_CHUNK_ROWS", chunk_rows)
+    path = tmp_path / "trials.csv"
+    res = bs.theorem_trials(12, b_values=(1, 3), seed=3, n_antennas=2, out=path)
+    assert not multiprocessing.active_children()
+    assert [p.name for p in tmp_path.iterdir()] == ["trials.csv"]
+    assert path.read_text() == _trials_reference(res)
     res.var_blockage[2] = 0.0  # the variance of equal magnitudes
     res.margin[4, 1] = -0.0  # a signed zero keeps its sign
     # each trial's variance is formatted once for all its rows: repr's sign,
@@ -486,12 +503,8 @@ def test_trials_csv_matches_a_per_row_repr_loop(tmp_path, monkeypatch, workers, 
         var_blockage=np.array([-0.0, 5e-324, 1e16, 1e-05]),
         lower_bound=rows, delta_achieved=rows + 0.5, margin=rows / 3,
     )  # fmt: skip
-    monkeypatch.setattr(forked, "resolve_workers", lambda n=None: workers)
-    monkeypatch.setattr(fileio, "_CHUNK_ROWS", chunk_rows)
     for result in (res, edges):
-        path = tmp_path / "trials.csv"
-        write_trials_csv(result, path)
-        assert not multiprocessing.active_children()
+        _write_in_ranges(result, workers, path)
         assert [p.name for p in tmp_path.iterdir()] == ["trials.csv"]
         assert path.read_text() == _trials_reference(result)
 
@@ -499,20 +512,22 @@ def test_trials_csv_matches_a_per_row_repr_loop(tmp_path, monkeypatch, workers, 
 @pytest.mark.parametrize("chunk_rows", [1, 7])
 @pytest.mark.parametrize("n_trials", [1, 2, 10001])
 def test_trials_csv_bytes_for_any_trial_count(tmp_path, monkeypatch, n_trials, chunk_rows):
-    res = bs.theorem_trials(n_trials, b_values=(1, 2, 3), seed=11, n_antennas=4)
+    monkeypatch.setattr(fileio, "_CHUNK_ROWS", chunk_rows)
+    path = tmp_path / "trials.csv"
+    res = bs.theorem_trials(n_trials, b_values=(1, 2, 3), seed=11, n_antennas=4, out=path)
+    assert path.read_bytes() == _trials_reference(res).encode("ascii")
     last = n_trials - 1
     res.var_blockage[last] = 5e-324
     res.lower_bound[0, :] = (-0.0, -1.7976931348623157e308, 2.2250738585072014e-308 / 3)
     res.margin[last, -1] = 1.7976931348623157e308
-    monkeypatch.setattr(fileio, "_CHUNK_ROWS", chunk_rows)
-    write_trials_csv(res, tmp_path / "trials.csv")
-    assert (tmp_path / "trials.csv").read_bytes() == _trials_reference(res).encode("ascii")
+    _write_in_ranges(res, 1, path)
+    assert path.read_bytes() == _trials_reference(res).encode("ascii")
 
 
 def _planted_in_trials_rows(monkeypatch, in_child: bool, action):
-    """Make fileio._trials_rows call action() after its first chunk, in a
-    child process or in this one, with the trials split in two."""
-    real, parent = fileio._trials_rows, os.getpid()
+    """Make the audit's trials_csv_rows call action() after its first chunk,
+    in a child process or in this one, with the trials split in two."""
+    real, parent = fileio.trials_csv_rows, os.getpid()
 
     def rows(*args):
         chunks = real(*args)
@@ -521,7 +536,7 @@ def _planted_in_trials_rows(monkeypatch, in_child: bool, action):
             action()
         yield from chunks
 
-    monkeypatch.setattr(fileio, "_trials_rows", rows)
+    monkeypatch.setattr(link, "trials_csv_rows", rows)
     monkeypatch.setattr(fileio, "_CHUNK_ROWS", 5)
     monkeypatch.setattr(forked, "resolve_workers", lambda n=None: 2)
 
@@ -534,24 +549,24 @@ def _raise_planted():
 @pytest.mark.parametrize(
     "in_child, action, error, message",
     [(True, _raise_planted, FloatingPointError, "planted"),
-     (True, lambda: os._exit(3), RuntimeError, "trials 20-39: CSV writer process exited with code 3"),
+     (True, lambda: os._exit(3), RuntimeError, "trials 20-39: audit process exited with code 3"),
      (False, _raise_planted, FloatingPointError, "planted")],
 )
 def test_failed_trials_write_leaves_no_file(tmp_path, monkeypatch, in_child, action, error,
                                             message):
     """A write that fails midway, in a child or here, leaves the old file
     as it was and no temporary file beside it."""
-    res = bs.theorem_trials(40, b_values=(1, 2), seed=1, n_antennas=4)
+    audit = {"n_trials": 40, "b_values": (1, 2), "seed": 1, "n_antennas": 4}
     path = tmp_path / "trials.csv"
     path.write_bytes(b"previous\n")
     _planted_in_trials_rows(monkeypatch, in_child, action)
     with pytest.raises(error, match=message):
-        write_trials_csv(res, path)
+        bs.theorem_trials(**audit, out=path)
     assert not multiprocessing.active_children()
     assert [p.name for p in tmp_path.iterdir()] == ["trials.csv"]
     assert path.read_bytes() == b"previous\n"
     monkeypatch.undo()
-    write_trials_csv(res, path)  # and a later write replaces it
+    bs.theorem_trials(**audit, out=path)  # and a later write replaces it
     assert path.read_bytes().startswith(b"trial,B,")
     assert [p.name for p in tmp_path.iterdir()] == ["trials.csv"]
 

@@ -55,8 +55,9 @@ def test_only_forked_starts_processes_and_only_through_split():
 
 
 def test_cli_import_loads_no_process_or_scipy_modules():
-    """The fork, shared-memory and scipy code is imported only when a command needs it."""
-    lazy = ("multiprocessing", "concurrent.futures", "mmap", "scipy")
+    """The fork, shared-memory, scipy and YAML code is imported only when a
+    command needs it."""
+    lazy = ("multiprocessing", "concurrent.futures", "mmap", "scipy", "yaml", "statistics")
     code = f"import sys, beamshadow.cli; print([m for m in {lazy!r} if m in sys.modules])"
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,

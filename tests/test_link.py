@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import beamshadow as bs
 from test_experiment import needs_fork
 from beamshadow.codebook import directional_codebook, enh_phase_codebook
-from beamshadow import fileio, forked, link
+from beamshadow import forked, link
 from beamshadow.link import (
     delta_snr_achieved,
     inequality_chain_check,
@@ -37,7 +37,7 @@ CHAIN_STEPS = (
 
 # the audit ``theorem-check`` runs by default
 AUDIT_B = (1, 2, 3)
-AUDIT = {"b_values": AUDIT_B, "seed": 0, "n_antennas": 4}
+AUDIT = {"b_values": AUDIT_B, "seed": 0, "n_antennas": 4, "out": None}
 
 
 def _assert_rows_equal_per_vector_calls(fields, rows):
@@ -171,7 +171,7 @@ class TestInequalityChain:
 
 class TestTheoremTrials:
     def test_small_run_holds_and_counts(self):
-        res = theorem_trials(50, b_values=(2, 3), seed=11, n_antennas=4)
+        res = theorem_trials(50, b_values=(2, 3), seed=11, n_antennas=4, out=None)
         assert res.n_violations == 0
         assert res.min_margin >= -1e-9
         assert res.margin.size == 100
@@ -184,7 +184,7 @@ class TestTheoremTrials:
         # seed 19, N=4: trial 31's sum and mean of magnitudes square to a
         # different last bit as an array (x*x) than as a scalar (pow)
         seed = 19
-        res = theorem_trials(60, b_values=AUDIT_B, seed=seed, n_antennas=n)
+        res = theorem_trials(60, b_values=AUDIT_B, seed=seed, n_antennas=n, out=None)
         assert res.var_blockage.shape == (60,)
         assert res.lower_bound.shape == res.delta_achieved.shape == res.margin.shape == (60, 3)
         fields = []
@@ -209,17 +209,17 @@ class TestTheoremTrials:
         _assert_rows_equal_per_vector_calls(rows, link._audit_rows(rows, AUDIT_B))
 
     def test_seed_matters(self):
-        a = theorem_trials(10, b_values=(2,), seed=1, n_antennas=4)
-        b = theorem_trials(10, b_values=(2,), seed=2, n_antennas=4)
+        a = theorem_trials(10, b_values=(2,), seed=1, n_antennas=4, out=None)
+        b = theorem_trials(10, b_values=(2,), seed=2, n_antennas=4, out=None)
         assert a.lower_bound.tolist() != b.lower_bound.tolist()
 
     def test_margin_property(self):
-        res = theorem_trials(5, b_values=(2,), seed=0, n_antennas=4)
+        res = theorem_trials(5, b_values=(2,), seed=0, n_antennas=4, out=None)
         assert res.margin[0, 0] == res.delta_achieved[0, 0] - res.lower_bound[0, 0]
         assert np.array_equal(res.margin, res.delta_achieved - res.lower_bound)
 
     def test_per_b_summary_comes_from_the_margin_columns(self):
-        res = theorem_trials(40, b_values=(1, 3), seed=4, n_antennas=4)
+        res = theorem_trials(40, b_values=(1, 3), seed=4, n_antennas=4, out=None)
         res.margin[7, 1] = -1.0  # plant one violation under B=3
         assert res.violations_by_b.tolist() == [0, 1]
         assert res.min_margin_by_b.tolist() == [res.margin[:, 0].min(), -1.0]
@@ -282,14 +282,14 @@ class TestTrialStream:
 
     def test_audit_rows_equal_per_trial_draws_across_blocks(self, monkeypatch):
         monkeypatch.setattr(link, "_TRIAL_BLOCK", 7)
-        res = theorem_trials(30, b_values=(2,), seed=2**64 + 5, n_antennas=3)
+        res = theorem_trials(30, b_values=(2,), seed=2**64 + 5, n_antennas=3, out=None)
         e = _numpy_fields(2**64 + 5, 30, 3)
         assert res.lower_bound[:, 0].tolist() == [theorem1_lb(v, 2) for v in e]
 
     def test_trial_zero_guard_catches_a_changed_stream(self, monkeypatch):
         monkeypatch.setattr(link, "_PCG_MULT", link._PCG_MULT + 2)
         with pytest.raises(RuntimeError, match="default_rng"):
-            theorem_trials(3, b_values=(1,), seed=0, n_antennas=4)
+            theorem_trials(3, b_values=(1,), seed=0, n_antennas=4, out=None)
 
     def test_bad_seed_raises_numpy_error(self):
         with pytest.raises(ValueError, match="expected non-negative integer"):
@@ -300,10 +300,9 @@ def _audit_outputs(tmp_path, workers, **kwargs):
     """(result arrays, trials.csv bytes) with the worker count fixed, or the
     real one when workers is None; leaves no child process behind."""
     count = forked.resolve_workers if workers is None else lambda n=None: min(workers, n)
+    path = tmp_path / f"trials-{workers}.csv"
     with mock.patch.object(forked, "resolve_workers", count):
-        res = theorem_trials(**{**AUDIT, **kwargs})
-        path = tmp_path / f"trials-{workers}.csv"
-        fileio.write_trials_csv(res, path)
+        res = theorem_trials(**{**AUDIT, **kwargs, "out": path})
     assert not multiprocessing.active_children()
     arrays = (res.var_blockage, res.lower_bound, res.delta_achieved, res.margin)
     return [a.tobytes() for a in arrays], path.read_bytes()
@@ -326,6 +325,10 @@ class TestForkedTrials:
         serial = _audit_outputs(tmp_path, 1, **kwargs)
         assert _audit_outputs(tmp_path, None, **kwargs) == serial
         assert _audit_outputs(tmp_path, 3, **kwargs) == serial
+        # without a CSV the arrays are the same
+        res = theorem_trials(**{**AUDIT, **kwargs})
+        arrays = (res.var_blockage, res.lower_bound, res.delta_achieved, res.margin)
+        assert [a.tobytes() for a in arrays] == serial[0]
 
     def in_child(self, monkeypatch, name, action):
         """Patch link.<name> so that it runs action() in a child process."""
@@ -345,19 +348,19 @@ class TestForkedTrials:
 
         self.in_child(monkeypatch, "_audit_rows", fail)
         with pytest.raises(FloatingPointError, match="planted in the child"):
-            theorem_trials(20, b_values=(1, 2), seed=0, n_antennas=4)
+            theorem_trials(20, b_values=(1, 2), seed=0, n_antennas=4, out=None)
         assert not multiprocessing.active_children()
 
     def test_child_killed_by_a_signal_is_a_runtime_error(self, monkeypatch):
         self.in_child(monkeypatch, "_audit_rows", lambda: os.kill(os.getpid(), signal.SIGKILL))
         message = f"trials 10-19: audit process exited with code -{int(signal.SIGKILL)}"
         with pytest.raises(RuntimeError, match=message):
-            theorem_trials(20, b_values=(1, 2), seed=0, n_antennas=4)
+            theorem_trials(20, b_values=(1, 2), seed=0, n_antennas=4, out=None)
         assert not multiprocessing.active_children()
 
     def test_trial_zero_guard_runs_in_this_process(self, monkeypatch):
         monkeypatch.setattr(forked, "resolve_workers", lambda n=None: 2)
         monkeypatch.setattr(link, "_PCG_MULT", link._PCG_MULT + 2)
         with pytest.raises(RuntimeError, match="default_rng"):
-            theorem_trials(20, b_values=(1,), seed=0, n_antennas=4)
+            theorem_trials(20, b_values=(1,), seed=0, n_antennas=4, out=None)
         assert not multiprocessing.active_children()
