@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from .codebook import (
@@ -23,6 +24,7 @@ from .distortion import DistortionSpec, apply_distortion, gen_distortion
 from .experiment import ExperimentConfig, config_from_yaml, default_config, run_experiment
 from .fields import ArrayConfig, synth_freespace_field
 from .fileio import (
+    published,
     read_field_file,
     read_field_files,
     write_cdf_csv,
@@ -58,25 +60,19 @@ def _float_list(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from exc
 
 
-def _refuse_unwritable(flag: str, path: str | None) -> None:
-    """Refuse, before any work, an output path that is a directory or lies in a missing one."""
-    if path and (Path(path).is_dir() or not Path(path).parent.is_dir()):
-        raise ValueError(f"cannot write {path}: {flag} must name a file in an existing directory")
-
-
 def _cmd_synth(args) -> int:
-    _refuse_unwritable("--out", args.out)
-    grid = make_grid(args.theta_step, args.phi_step)
-    config = ArrayConfig(
-        n_antennas=args.n_antennas,
-        element_spacing=args.spacing,
-        boresight_theta=args.boresight_theta,
-        boresight_phi=args.boresight_phi,
-        element_exponent=args.exponent,
-        peak_element_gain_db=args.peak_gain,
-    )
-    field = synth_freespace_field(config, grid)
-    write_field_file(field, args.out)
+    with published(args.out, False) as out:
+        grid = make_grid(args.theta_step, args.phi_step)
+        config = ArrayConfig(
+            n_antennas=args.n_antennas,
+            element_spacing=args.spacing,
+            boresight_theta=args.boresight_theta,
+            boresight_phi=args.boresight_phi,
+            element_exponent=args.exponent,
+            peak_element_gain_db=args.peak_gain,
+        )
+        field = synth_freespace_field(config, grid)
+        write_field_file(field, out)
     print(f"wrote {field.n_antennas}-antenna field on {grid.n_theta}x{grid.n_phi} grid to {args.out}")
     return 0
 
@@ -105,16 +101,17 @@ def _scenario_spec(args) -> DistortionSpec:
 
 
 def _cmd_distort(args) -> int:
-    # refused before the first write, so that a bad --dist-out leaves no --out
-    _refuse_unwritable("--out", args.out)
-    _refuse_unwritable("--dist-out", args.dist_out)
-    field = read_field_file(args.field)
-    spec = _scenario_spec(args)
-    dist = gen_distortion(spec, field.grid, field.n_antennas)
-    blocked = apply_distortion(field, dist)
-    write_field_file(blocked, args.out)
-    if args.dist_out:
-        write_distortion_file(dist, args.dist_out)
+    # both are checked before the read and published only when both are written
+    with published(args.out, False) as out, (
+        nullcontext() if args.dist_out is None else published(args.dist_out, False)
+    ) as dist_out:
+        field = read_field_file(args.field)
+        spec = _scenario_spec(args)
+        dist = gen_distortion(spec, field.grid, field.n_antennas)
+        blocked = apply_distortion(field, dist)
+        write_field_file(blocked, out)
+        if dist_out is not None:
+            write_distortion_file(dist, dist_out)
     print(f"wrote blocked field to {args.out} (mode={spec.mode}, seed={spec.seed})")
     return 0
 
@@ -124,52 +121,51 @@ def _cmd_metrics(args) -> int:
     for flag, value in (("--g1", args.g1), ("--g2", args.g2)):
         if not math.isfinite(value):
             raise ValueError(f"{flag} must be finite, got {value!r}")
-    free, blocked = read_field_files([args.free, args.blocked])
-    # every table and line is computed before the first write, so that a
-    # failure leaves no --out
-    coverage = coverage_stats(free, blocked, args.g1, args.g2)
-    summaries, summary_lines = [], []
-    for i in range(free.n_antennas):
-        roi = roi_mask(free, blocked, i, args.g1, args.g2)
-        s = cdf_summary(loss_samples(free, blocked, i, roi), args.percentiles)
-        summaries.append(s)
-        median = dict(s.percentiles).get(50.0)
-        loss = f"mean_loss={s.mean:.2f}" if median is None else f"median_loss={median:.2f}"
-        summary_lines.append(f"antenna {i}: roi={100 * roi.area_fraction:.1f}% {loss} dB")
-    for i in range(free.n_antennas - 1):
-        mix_f = phase_mixing(pair_phase_diff(free, i, i + 1))
-        mix_b = phase_mixing(pair_phase_diff(blocked, i, i + 1))
-        summary_lines.append(
-            f"pair {i}-{i + 1}: phase mixing free={mix_f:.1f} blocked={mix_b:.1f} deg/5deg"
-        )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_coverage_csv(coverage, out / "coverage.csv")
-    for i, s in enumerate(summaries):
-        write_cdf_csv(s, out / f"cdf_loss_antenna{i}.csv")
+    with published(args.out, True) as out:
+        free, blocked = read_field_files([args.free, args.blocked])
+        # every table and line is computed before the tree, or a missing parent, is created
+        coverage = coverage_stats(free, blocked, args.g1, args.g2)
+        summaries, summary_lines = [], []
+        for i in range(free.n_antennas):
+            roi = roi_mask(free, blocked, i, args.g1, args.g2)
+            s = cdf_summary(loss_samples(free, blocked, i, roi), args.percentiles)
+            summaries.append(s)
+            median = dict(s.percentiles).get(50.0)
+            loss = f"mean_loss={s.mean:.2f}" if median is None else f"median_loss={median:.2f}"
+            summary_lines.append(f"antenna {i}: roi={100 * roi.area_fraction:.1f}% {loss} dB")
+        for i in range(free.n_antennas - 1):
+            mix_f = phase_mixing(pair_phase_diff(free, i, i + 1))
+            mix_b = phase_mixing(pair_phase_diff(blocked, i, i + 1))
+            summary_lines.append(
+                f"pair {i}-{i + 1}: phase mixing free={mix_f:.1f} blocked={mix_b:.1f} deg/5deg"
+            )
+        out.mkdir(parents=True)
+        write_coverage_csv(coverage, out / "coverage.csv")
+        for i, s in enumerate(summaries):
+            write_cdf_csv(s, out / f"cdf_loss_antenna{i}.csv")
     print("\n".join(summary_lines))
-    print(f"wrote metrics tables to {out}")
+    print(f"wrote metrics tables to {args.out}")
     return 0
 
 
 def _cmd_evaluate(args) -> int:
-    _refuse_unwritable("--out", args.out)
-    field = read_field_file(args.field)
-    n = field.n_antennas
-    if search_power_overflows(n, float(abs(field.samples).max())):
-        raise ValueError(f"{args.field}: its field power overflows the beamformed search")
-    if args.scheme == "mrc":
-        gmap = gain_map("mrc", field)
-    elif args.scheme == "directional":
-        cbk = directional_codebook(n, args.beams, ArrayConfig.element_spacing, args.quant_bits)
-        gmap = gain_map(cbk, field)
-    elif args.scheme == "enh-phase":
-        gmap = gain_map(enh_phase_codebook(n, args.b_bits), field)
-    elif args.scheme == "enh-phase-amp":
-        gmap = amp_gain_map(field, args.b_bits)
-    else:  # argparse choices guard this
-        raise ValueError(f"unknown scheme {args.scheme!r}")
-    write_gain_map_csv(field.grid, gmap, args.out)
+    with published(args.out, False) as out:
+        field = read_field_file(args.field)
+        n = field.n_antennas
+        if search_power_overflows(n, float(abs(field.samples).max())):
+            raise ValueError(f"{args.field}: its field power overflows the beamformed search")
+        if args.scheme == "mrc":
+            gmap = gain_map("mrc", field)
+        elif args.scheme == "directional":
+            cbk = directional_codebook(n, args.beams, ArrayConfig.element_spacing, args.quant_bits)
+            gmap = gain_map(cbk, field)
+        elif args.scheme == "enh-phase":
+            gmap = gain_map(enh_phase_codebook(n, args.b_bits), field)
+        elif args.scheme == "enh-phase-amp":
+            gmap = amp_gain_map(field, args.b_bits)
+        else:  # argparse choices guard this
+            raise ValueError(f"unknown scheme {args.scheme!r}")
+        write_gain_map_csv(field.grid, gmap, out)
     print(f"wrote {args.scheme} gain map to {args.out}")
     return 0
 
@@ -177,10 +173,7 @@ def _cmd_evaluate(args) -> int:
 def _cmd_theorem_check(args) -> int:
     import statistics
 
-    _refuse_unwritable("--out", args.out)
-    result = theorem_trials(
-        args.trials, args.b_values, args.seed, args.n_antennas, args.out or None
-    )
+    result = theorem_trials(args.trials, args.b_values, args.seed, args.n_antennas, args.out)
     print(
         f"theorem-check: trials={result.n_trials} B={list(result.b_values)} "
         f"antennas={result.n_antennas} seed={result.seed}"

@@ -25,12 +25,9 @@ from __future__ import annotations
 import json
 import math
 import numbers
-import os
 import re
-import shutil
 import types
 import typing
-from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
@@ -53,6 +50,7 @@ from .distortion import (
 )
 from .fields import AntennaFieldMap, ArrayConfig, synth_freespace_field
 from .fileio import (
+    published,
     write_cdf_csv,
     write_coverage_csv,
     write_distortion_file,
@@ -414,22 +412,6 @@ def _run_scenarios(tasks, start: int, stop: int) -> tuple:
     return tuple(_run_scenario(*task) for task in tasks[start:stop])
 
 
-@contextmanager
-def _built_in_place_of(out: Path):
-    """A new directory beside out, renamed onto it when the block succeeds
-    and removed when it fails.  rename(2) replaces an empty directory."""
-    out = Path(os.path.abspath(out))
-    out.parent.mkdir(parents=True, exist_ok=True)
-    build = out.parent / f".{out.name}.{os.getpid()}.partial"
-    build.mkdir()
-    try:
-        yield build
-        os.replace(build, out)
-    except BaseException:
-        shutil.rmtree(build, ignore_errors=True)
-        raise
-
-
 def run_experiment(config: ExperimentConfig, out_dir, seed: int | None) -> ExperimentReport:
     """Run every scenario and write the full report tree under out_dir.
 
@@ -437,54 +419,53 @@ def run_experiment(config: ExperimentConfig, out_dir, seed: int | None) -> Exper
     derive from it (seed * 1009 + scenario index) instead of the per-spec seeds.
     The scenarios are split by ``forked.split``; the output is the same for
     any split.  out_dir must be absent or an empty directory; the tree is
-    built beside it and renamed onto it, so a run that fails leaves no tree.
+    built in the sibling ``fileio.published`` yields, once nothing a bad
+    config can trip on is left, so a run that fails leaves no tree.
     """
-    out = Path(out_dir)
-    if out.exists() and not (out.is_dir() and not any(out.iterdir())):
-        raise ValueError(f"output path {out} exists and is not an empty directory")
-    grid = make_grid(
-        config.theta_step_deg,
-        config.phi_step_deg,
-    )
-    # everything a bad config can trip on is built before the first write
-    check_percentiles(config.percentiles)
-    rect = rect_roi(grid, config.roi_theta_range, config.roi_phi_range)
-    dir_cbk = directional_codebook(
-        config.array.n_antennas,
-        config.n_beams,
-        config.array.element_spacing,
-        config.steer_quant_bits,
-    )
-    phase_cbks = {b: enh_phase_codebook(config.array.n_antennas, b) for b in config.b_values}
+    with published(out_dir, True) as build:
+        grid = make_grid(
+            config.theta_step_deg,
+            config.phi_step_deg,
+        )
+        # everything a bad config can trip on is built before the first write
+        check_percentiles(config.percentiles)
+        rect = rect_roi(grid, config.roi_theta_range, config.roi_phi_range)
+        dir_cbk = directional_codebook(
+            config.array.n_antennas,
+            config.n_beams,
+            config.array.element_spacing,
+            config.steer_quant_bits,
+        )
+        phase_cbks = {b: enh_phase_codebook(config.array.n_antennas, b) for b in config.b_values}
 
-    effective_seed = config.seed if seed is None else int(seed)
-    names = list(config.scenarios)
-    specs = []
-    for idx, name in enumerate(names):
-        spec = config.scenarios[name]
-        if effective_seed is not None:
-            spec = replace(spec, seed=effective_seed * 1009 + idx)
-        specs.append(spec)
-    dists = []
-    for name, spec in zip(names, specs):
-        try:
-            dists.append(gen_distortion(spec, grid, config.array.n_antennas))
-        except ValueError as exc:
-            raise ValueError(f"scenarios.{name}: {exc}") from None
-    free = synth_freespace_field(config.array, grid)
-    # ArrayConfig bounds the free field's search power; a scenario's amplitude
-    # ripple lifts it by max(amp)**4
-    peak = float(np.abs(free.samples).max())
-    for name, dist in zip(names, dists):
-        if search_power_overflows(config.array.n_antennas, peak * float(dist.amp.max())):
-            raise ValueError(
-                f"scenarios.{name}: its amplitude ripple overflows the beamformed power "
-                f"at array.peak_element_gain_db {config.array.peak_element_gain_db!r}"
-            )
-    g_opt_free = gain_map("mrc", free)
-    roi_weights = grid.solid_angle_map()[rect.mask]
+        effective_seed = config.seed if seed is None else int(seed)
+        names = list(config.scenarios)
+        specs = []
+        for idx, name in enumerate(names):
+            spec = config.scenarios[name]
+            if effective_seed is not None:
+                spec = replace(spec, seed=effective_seed * 1009 + idx)
+            specs.append(spec)
+        dists = []
+        for name, spec in zip(names, specs):
+            try:
+                dists.append(gen_distortion(spec, grid, config.array.n_antennas))
+            except ValueError as exc:
+                raise ValueError(f"scenarios.{name}: {exc}") from None
+        free = synth_freespace_field(config.array, grid)
+        # ArrayConfig bounds the free field's search power; a scenario's amplitude
+        # ripple lifts it by max(amp)**4
+        peak = float(np.abs(free.samples).max())
+        for name, dist in zip(names, dists):
+            if search_power_overflows(config.array.n_antennas, peak * float(dist.amp.max())):
+                raise ValueError(
+                    f"scenarios.{name}: its amplitude ripple overflows the beamformed power "
+                    f"at array.peak_element_gain_db {config.array.peak_element_gain_db!r}"
+                )
+        g_opt_free = gain_map("mrc", free)
+        roi_weights = grid.solid_angle_map()[rect.mask]
 
-    with _built_in_place_of(out) as build:
+        build.mkdir(parents=True)
         tasks = [
             (name, spec, dist, config, free, rect, dir_cbk, phase_cbks, g_opt_free, roi_weights,
              build)

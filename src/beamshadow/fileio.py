@@ -36,14 +36,19 @@ handle after the header, which is encoded as UTF-8, the readers' encoding.
 A header is built, and a bad label refused, before the file is opened.
 
 ``trials_csv_rows`` formats a range of ``link.theorem_trials`` rows in the
-process that audited it; ``open_trials_csv`` writes them to a hidden sibling
-file, renamed onto the path only when every range is written.
+process that audited it, after the ``TRIALS_CSV_HEADER`` line.
+
+Every output, file or directory tree, becomes visible through
+``published``: it checks the path before any work, the block writes a
+hidden sibling, and the sibling is renamed onto the path only when the
+block succeeds, so a failed command leaves no half-written output.
 """
 
 from __future__ import annotations
 
 import os
 import re
+import shutil
 from contextlib import contextmanager
 from itertools import islice, product
 from pathlib import Path
@@ -65,8 +70,9 @@ __all__ = [
     "write_gain_map_csv",
     "write_cdf_csv",
     "write_coverage_csv",
+    "TRIALS_CSV_HEADER",
     "trials_csv_rows",
-    "open_trials_csv",
+    "published",
 ]
 
 FIELD_MAGIC = "beamshadow-field v1"
@@ -401,6 +407,9 @@ def write_coverage_csv(rows, path) -> None:
     _write_table(path, header, (antennas,), np.array(values, dtype=float).reshape(-1, 3).T)
 
 
+TRIALS_CSV_HEADER = b"trial,B,var_blockage,lower_bound,delta_achieved,margin\n"
+
+
 def trials_csv_rows(first_trial: int, b_values, var, lower, delta, margin):
     """CSV rows ``trial,B,var_blockage,lower_bound,delta_achieved,margin`` of
     trials first_trial.. in (trial, B) order, floats as ``repr``, in ASCII
@@ -413,20 +422,26 @@ def trials_csv_rows(first_trial: int, b_values, var, lower, delta, margin):
 
 
 @contextmanager
-def open_trials_csv(path):
-    """A binary handle on a new hidden file beside path, the trials CSV header
-    written; renamed onto path when the block succeeds, removed when it fails."""
-    path = Path(path)
-    partial = path.parent / f".{path.name}.{os.getpid()}.partial"
+def published(path, directory: bool):
+    """Publish the output ``path``, a directory tree if ``directory``, else a
+    file.  On entry only checks, creating nothing: a file must not be a
+    directory (``""`` included) and its directory must exist; a directory
+    must be absent or empty.  Yields the hidden sibling
+    ``.<name>.<pid>.partial``, which the block creates; renames it onto
+    ``path`` when the block succeeds and removes it when it fails."""
+    target = Path(os.path.abspath(path) if directory else path)
+    if directory:
+        if target.exists() and not (target.is_dir() and not any(target.iterdir())):
+            raise ValueError(f"output path {path} exists and is not an empty directory")
+    elif target.is_dir() or not target.parent.is_dir():
+        raise ValueError(f"cannot write {path}: it must be a file in an existing directory")
+    partial = target.parent / f".{target.name}.{os.getpid()}.partial"
     try:
-        fh = partial.open("wb")
-    except OSError as exc:  # name the file the caller asked for
-        raise OSError(exc.errno, exc.strerror, str(path)) from None
-    try:
-        with fh:
-            fh.write(b"trial,B,var_blockage,lower_bound,delta_achieved,margin\n")
-            yield fh
-        os.replace(partial, path)
+        yield partial
+        os.replace(partial, target)  # rename(2) replaces an empty directory
     except BaseException:
-        partial.unlink(missing_ok=True)
+        if directory:
+            shutil.rmtree(partial, ignore_errors=True)
+        else:
+            partial.unlink(missing_ok=True)
         raise

@@ -34,13 +34,14 @@ the result nor the file depends on the split.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import forked
 from .codebook import Codebook, best_entries, phase_lattice, phase_levels
-from .fileio import open_trials_csv, trials_csv_rows
+from .fileio import TRIALS_CSV_HEADER, published, trials_csv_rows
 from .sphere import mod_2pi, wrap_rad
 
 __all__ = [
@@ -485,46 +486,48 @@ def theorem_trials(
     The trials are split by ``forked.split``: each range is drawn, searched
     and, given ``out``, formatted by the process that owns it (this one
     streams its rows), then joined in trial order, so neither the result nor
-    the file depends on the split.  ``fileio.open_trials_csv`` renames the
-    file onto ``out`` only when every range succeeded.
+    the file depends on the split.  ``out`` is checked before any draw and
+    published by ``fileio.published`` only when every range succeeded.
     """
-    if not 1 <= n_trials <= 2**32:
-        raise ValueError("n_trials must be in 1..2**32")
-    if n_antennas < 1:
-        raise ValueError("n_antennas must be >= 1")
-    b_values = tuple(int(b) for b in b_values)
-    if not b_values or any(b < 1 for b in b_values):
-        raise ValueError("b_values must be a non-empty list of bit widths >= 1")
-    for b in b_values:
-        if b_values.count(b) > 1:
-            raise ValueError(f"b_values repeats bit width {b}")
-        phase_lattice(n_antennas, b)  # an oversized lattice fails before any draw
-    # numpy draws trial 0 first: a bad seed raises its own error
-    first = _trial_field(seed, 0, n_antennas)
-    if _trial_fields(seed, 0, 1, n_antennas).tobytes() != first.tobytes():
-        raise RuntimeError(
-            "vectorized trial draw differs from numpy.random.default_rng "
-            f"{np.__version__} at trial 0"
-        )
-    with forked.split(
-        n_trials,
-        lambda lo, hi: f"trials {lo}-{hi - 1}: audit",
-        _audit_trials,
-        seed,
-        n_antennas,
-        b_values,
-        out is not None,
-    ) as ((start, stop), replies):
-        # no field array is kept while a child's reply is unpickled
-        parts = [_audit_rows(_trial_fields(seed, start, stop, n_antennas), b_values)]
-        if out is None:
-            parts += (audit for audit, _ in replies)
-        else:
-            with open_trials_csv(out) as fh:
-                fh.writelines(_csv_rows(start, b_values, *parts[0]))
-                for audit, rows in replies:
-                    parts.append(audit)
-                    fh.write(rows)
+    with nullcontext() if out is None else published(out, False) as partial:
+        if not 1 <= n_trials <= 2**32:
+            raise ValueError("n_trials must be in 1..2**32")
+        if n_antennas < 1:
+            raise ValueError("n_antennas must be >= 1")
+        b_values = tuple(int(b) for b in b_values)
+        if not b_values or any(b < 1 for b in b_values):
+            raise ValueError("b_values must be a non-empty list of bit widths >= 1")
+        for b in b_values:
+            if b_values.count(b) > 1:
+                raise ValueError(f"b_values repeats bit width {b}")
+            phase_lattice(n_antennas, b)  # an oversized lattice fails before any draw
+        # numpy draws trial 0 first: a bad seed raises its own error
+        first = _trial_field(seed, 0, n_antennas)
+        if _trial_fields(seed, 0, 1, n_antennas).tobytes() != first.tobytes():
+            raise RuntimeError(
+                "vectorized trial draw differs from numpy.random.default_rng "
+                f"{np.__version__} at trial 0"
+            )
+        with forked.split(
+            n_trials,
+            lambda lo, hi: f"trials {lo}-{hi - 1}: audit",
+            _audit_trials,
+            seed,
+            n_antennas,
+            b_values,
+            out is not None,
+        ) as ((start, stop), replies):
+            # no field array is kept while a child's reply is unpickled
+            parts = [_audit_rows(_trial_fields(seed, start, stop, n_antennas), b_values)]
+            if out is None:
+                parts += (audit for audit, _ in replies)
+            else:
+                with partial.open("wb") as fh:
+                    fh.write(TRIALS_CSV_HEADER)
+                    fh.writelines(_csv_rows(start, b_values, *parts[0]))
+                    for audit, rows in replies:
+                        parts.append(audit)
+                        fh.write(rows)
     var, lower, delta = (np.concatenate(column) for column in zip(*parts))
     return TheoremCheckResult(
         n_trials=n_trials,

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import json
 import multiprocessing
@@ -265,7 +266,7 @@ def test_theorem_check_names_the_out_path_it_cannot_write(tmp_path, capsys):
     rc = main(["theorem-check", "--trials", "3", "--out", str(out)])
     assert rc == 1
     err = capsys.readouterr().err
-    assert f"cannot write {out}: --out must name a file in an existing directory" in err
+    assert f"cannot write {out}: it must be a file in an existing directory" in err
     assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
 
@@ -274,28 +275,120 @@ def _no_work(*args, **kwargs):
     raise AssertionError("work started")
 
 
-@pytest.mark.parametrize("out", ["missing/x.out", "taken"])
+@pytest.mark.parametrize("out", ["missing/x.out", "taken", ""])
 @pytest.mark.parametrize(
     "argv, work",
-    [(["synth"], "synth_freespace_field"),
-     (["distort", "--field", "f.field", "--scenario", "tight-grip-one-finger"], "read_field_file"),
-     (["evaluate", "--field", "f.field", "--scheme", "mrc"], "read_field_file"),
-     (["theorem-check", "--trials", "100000"], "theorem_trials")],
+    [(["synth"], "cli.synth_freespace_field"),
+     (["distort", "--field", "f.field", "--scenario", "tight-grip-one-finger"],
+      "cli.read_field_file"),
+     (["evaluate", "--field", "f.field", "--scheme", "mrc"], "cli.read_field_file"),
+     (["theorem-check", "--trials", "100000"], "link._trial_field")],
 )
 def test_unwritable_out_is_refused_before_any_work(tmp_path, monkeypatch, capsys, argv, work,
                                                    out):
-    """A directory, or a path in a missing one, fails before the command's
-    first step and leaves no file."""
-    monkeypatch.setattr(f"beamshadow.cli.{work}", _no_work)
+    """A directory (``""`` is the current one), or a path in a missing one,
+    fails before the command's first step and leaves no file."""
+    monkeypatch.setattr(f"beamshadow.{work}", _no_work)
+    monkeypatch.chdir(tmp_path)
     (tmp_path / "taken").mkdir()
-    out = tmp_path / out
-    rc = main([*argv, "--out", str(out)])
+    out = str(tmp_path / out) if out else out
+    rc = main([*argv, "--out", out])
     err = capsys.readouterr().err
     assert rc == 1
-    assert f"error: cannot write {out}: --out must name a file in an existing directory" in err
+    assert f"error: cannot write {out}: it must be a file in an existing directory" in err
     assert "Traceback" not in err
     assert [p.name for p in tmp_path.iterdir()] == ["taken"]
     assert list((tmp_path / "taken").iterdir()) == []
+
+
+def _tree(root: Path) -> dict:
+    """Every path under root, hidden ones included, with its bytes (None for
+    a directory)."""
+    return {p: None if p.is_dir() else p.read_bytes() for p in root.rglob("*")}
+
+
+@pytest.mark.parametrize("out", ["free.field", "taken", ""])
+def test_metrics_refuses_a_file_or_non_empty_out_before_reading(
+    free_file, tmp_path, monkeypatch, capsys, out
+):
+    """An existing file, a non-empty directory or ``""`` (the current one)
+    fails before either field is read and changes nothing."""
+    monkeypatch.setattr("beamshadow.cli.read_field_files", _no_work)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "taken").mkdir()
+    (tmp_path / "taken" / "keep.txt").write_text("kept")
+    out = str(tmp_path / out) if out else out
+    before = _tree(tmp_path)
+    rc = main(["metrics", "--free", str(free_file), "--blocked", str(free_file), "--out", out])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert f"error: output path {out} exists and is not an empty directory" in err
+    assert "Traceback" not in err
+    assert _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize(
+    "command, failing",
+    [("synth", 0), ("evaluate", 0), ("metrics", 0), ("metrics", 2), ("distort", 0),
+     ("distort", 1)],
+)
+def test_a_write_that_fails_midway_leaves_no_output(
+    metrics_inputs, tmp_path, monkeypatch, capsys, command, failing
+):
+    """A table write that fails after its first chunk, in the command's
+    first write (0) or a later one, leaves no --out, no --dist-out and no
+    hidden sibling; for ``distort`` write 1 is --dist-out's."""
+    free, blocked = metrics_inputs
+    out, dist = tmp_path / "out", tmp_path / "screens.dist"
+    argv = {
+        "synth": ["synth", "--theta-step", "15", "--phi-step", "15"],
+        "evaluate": ["evaluate", "--field", str(free), "--scheme", "mrc"],
+        "metrics": ["metrics", "--free", str(free), "--blocked", str(blocked)],
+        "distort": ["distort", "--field", str(free), "--dist-out", str(dist),
+                    "--scenario", "tight-grip-one-finger"],
+    }[command]
+    real, writes = fileio._table_chunks, []
+
+    def chunks(*args):
+        rows = real(*args)
+        yield next(rows)
+        writes.append(args)
+        if len(writes) > failing:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        yield from rows
+
+    monkeypatch.setattr(fileio, "_table_chunks", chunks)
+    before = _tree(tmp_path)
+    rc = main([*argv, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "No space left on device" in err and "Traceback" not in err
+    assert len(writes) == failing + 1
+    assert _tree(tmp_path) == before
+
+
+def test_each_command_names_its_out_as_given(metrics_inputs, tmp_path, monkeypatch, capsys):
+    """The last stdout line names --out exactly as typed, never the hidden
+    sibling the output was written in."""
+    free, blocked = metrics_inputs
+    monkeypatch.chdir(tmp_path)
+    commands = [
+        (["synth", "--theta-step", "15", "--phi-step", "15"], "./s.field",
+         "wrote 4-antenna field on 12x24 grid to ./s.field"),
+        (["distort", "--field", str(free), "--scenario", "tight-grip-one-finger", "--seed", "3"],
+         "b.field", "wrote blocked field to b.field (mode=combined, seed=3)"),
+        (["evaluate", "--field", str(free), "--scheme", "mrc"], "./g.csv",
+         "wrote mrc gain map to ./g.csv"),
+        (["metrics", "--free", str(free), "--blocked", str(blocked)], "m/",
+         "wrote metrics tables to m/"),
+    ]
+    for argv, out, last in commands:
+        capsys.readouterr()
+        assert main([*argv, "--out", out]) == 0
+        stdout = capsys.readouterr().out
+        assert stdout.splitlines()[-1] == last
+        assert ".partial" not in stdout
+    assert not [p for p in tmp_path.rglob("*") if p.name.startswith(".")]
 
 
 @needs_fork

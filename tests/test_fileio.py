@@ -472,10 +472,11 @@ def _trials_reference(res) -> str:
 
 
 def _write_in_ranges(result, parts: int, path) -> None:
-    """Write ``result`` through the public trials CSV writer, its trials
-    formatted in ``parts`` ranges as ``forked.split`` cuts them."""
+    """Publish ``result`` as its trials CSV through ``fileio.published``, its
+    trials formatted in ``parts`` ranges as ``forked.split`` cuts them."""
     bounds = [result.n_trials * i // parts for i in range(parts + 1)]
-    with fileio.open_trials_csv(path) as fh:
+    with fileio.published(path, False) as partial, partial.open("wb") as fh:
+        fh.write(fileio.TRIALS_CSV_HEADER)
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             columns = (result.var_blockage, result.lower_bound, result.delta_achieved,
                        result.margin)

@@ -54,6 +54,31 @@ def test_only_forked_starts_processes_and_only_through_split():
     assert not offenders, "\n".join(offenders)
 
 
+def test_only_fileio_published_renames_or_removes_a_partial_output():
+    """``os.replace``, ``os.rename``, ``shutil.rmtree`` and ``.partial`` names
+    appear in one function of the package, ``fileio.published``, which
+    owns when an output becomes visible."""
+    owners = set()
+    for path in sorted(Path(beamshadow.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for top in tree.body:
+            scope = top.name if isinstance(top, ast.FunctionDef) else "<module>"
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute):
+                    name = f"{getattr(node.value, 'id', '')}.{node.attr}"
+                elif isinstance(node, ast.ImportFrom):
+                    name = " ".join(f"{node.module}.{alias.name}" for alias in node.names)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    name = node.value
+                else:
+                    continue
+                if ".partial" in name or any(
+                    call in name.split() for call in ("os.replace", "os.rename", "shutil.rmtree")
+                ):
+                    owners.add(f"{path.name}:{scope}")
+    assert owners == {"fileio.py:published"}
+
+
 def test_cli_import_loads_no_process_or_scipy_modules():
     """The fork, shared-memory, scipy and YAML code is imported only when a
     command needs it."""
