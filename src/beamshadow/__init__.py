@@ -26,7 +26,6 @@ from .distortion import (
 )
 from .experiment import (
     ExperimentConfig,
-    ExperimentReport,
     config_from_yaml,
     config_to_yaml,
     default_config,

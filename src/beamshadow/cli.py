@@ -193,12 +193,28 @@ def _cmd_theorem_check(args) -> int:
 def _cmd_run(args) -> int:
     config = config_from_yaml(args.config) if args.config else default_config()
     report = run_experiment(config, args.out, seed=args.seed)
-    print(f"ran {len(report.scenarios)} scenario(s) -> {Path(args.out) / 'report.json'}")
-    for name, data in report.scenarios.items():
-        med = data["beamforming_cdfs_db"]["loss_optimal_blocked_vs_optimal_free_db"]
-        med = med["unweighted"]["percentiles"].get("50.0")
-        if med is not None:
-            print(f"  {name}: median optimal-gain loss {med:.2f} dB")
+    scenarios = report["scenarios"]
+    print(f"ran {len(scenarios)} scenario(s) -> {Path(args.out) / 'report.json'}")
+    print(f"RoI covers {100.0 * report['roi']['area_fraction']:.1f}% of the sphere\n")
+    # as metrics' median_loss: the mean when 50 is not among the percentiles
+    stat = "median" if 50.0 in config.percentiles else "mean"
+    labels = ["opt loss", "dir loss"]
+    keys = ["loss_optimal_blocked_vs_optimal_free_db", "loss_directional_vs_optimal_blocked_db"]
+    for b in config.b_values:
+        labels += [f"ph B={b}", f"ph+amp B={b}"]
+        keys += [f"gap_enh_phase_b{b}_to_optimal_db", f"gap_enh_phase_amp_b{b}_to_optimal_db"]
+    header = f"{'scenario':<22}" + "".join(f"{label:>12}" for label in labels)
+    print(f"{header}   (weighted {stat} dB vs optimal)")
+    for name, data in scenarios.items():
+        cdfs = [data["beamforming_cdfs_db"][key]["solid_angle_weighted"] for key in keys]
+        values = [c["percentiles"]["50.0"] if stat == "median" else c["mean"] for c in cdfs]
+        print(f"{name:<22}" + "".join(f"{value:>12.2f}" for value in values))
+    if config.array.n_antennas > 1:  # one antenna has no pairs to mix
+        print("\nphase mixing (deg per 5 deg), averaged over antenna pairs:")
+        for name, data in scenarios.items():
+            mixing = data["phase_mixing_deg_per_5deg"]
+            free, blocked = (sum(mixing[k].values()) / len(mixing[k]) for k in ("free", "blocked"))
+            print(f"  {name:<22} free {free:6.2f}   blocked {blocked:6.2f}")
     return 0
 
 

@@ -73,7 +73,6 @@ from .sphere import make_grid
 
 __all__ = [
     "ExperimentConfig",
-    "ExperimentReport",
     "default_scenarios",
     "default_config",
     "config_from_yaml",
@@ -281,27 +280,6 @@ def default_config() -> ExperimentConfig:
     return ExperimentConfig()
 
 
-@dataclass(eq=False)
-class ExperimentReport:
-    config: ExperimentConfig
-    effective_seed: int | None
-    grid_info: dict
-    roi_info: dict
-    free_field: dict
-    scenarios: dict[str, dict]
-
-    def to_dict(self) -> dict:
-        return {
-            "format": "beamshadow-report v1",
-            "config": self.config.to_dict(),
-            "effective_seed": self.effective_seed,
-            "grid": self.grid_info,
-            "roi": self.roi_info,
-            "free_field": self.free_field,
-            "scenarios": self.scenarios,
-        }
-
-
 def _both_summaries(samples: np.ndarray, weights: np.ndarray, percentiles) -> tuple:
     """The unweighted ``CdfSummary`` (for ``cdf_*.csv``) and the report.json
     dict of it and the solid-angle-weighted one."""
@@ -400,7 +378,7 @@ def _run_scenario(
         "distortion": _plain(asdict(spec)),
         "beamforming_cdfs_db": cdfs,
         "elemental_loss_cdfs_db": elemental,
-        "coverage": [row.to_dict() for row in coverage],
+        "coverage": [asdict(row) for row in coverage],
         "phase_mixing_deg_per_5deg": {"free": mixing_free, "blocked": mixing_blocked},
         "consistency_max_abs_residual_db": consistency,
     }
@@ -408,12 +386,19 @@ def _run_scenario(
 
 def _run_scenarios(tasks, start: int, stop: int) -> tuple:
     """``_run_scenario`` of tasks start..stop-1, in order (a tuple, which a
-    forked child sends back whole)."""
-    return tuple(_run_scenario(*task) for task in tasks[start:stop])
+    forked child sends back whole); a ``ValueError`` names its scenario."""
+    results = []
+    for task in tasks[start:stop]:
+        try:
+            results.append(_run_scenario(*task))
+        except ValueError as exc:
+            raise ValueError(f"scenarios.{task[0]}: {exc}") from None
+    return tuple(results)
 
 
-def run_experiment(config: ExperimentConfig, out_dir, seed: int | None) -> ExperimentReport:
-    """Run every scenario and write the full report tree under out_dir.
+def run_experiment(config: ExperimentConfig, out_dir, seed: int | None) -> dict:
+    """Run every scenario, write the full report tree under out_dir, and
+    return the dict that its ``report.json`` holds.
 
     ``seed`` overrides the config seed unless None; when set, scenario seeds
     derive from it (seed * 1009 + scenario index) instead of the per-spec seeds.
@@ -483,29 +468,30 @@ def run_experiment(config: ExperimentConfig, out_dir, seed: int | None) -> Exper
             for reply in replies:
                 results.extend(reply)
 
-        report = ExperimentReport(
-            config=config,
-            effective_seed=effective_seed,
-            grid_info={
+        report = {
+            "format": "beamshadow-report v1",
+            "config": config.to_dict(),
+            "effective_seed": effective_seed,
+            "grid": {
                 "theta_step_deg": config.theta_step_deg,
                 "phi_step_deg": config.phi_step_deg,
                 "n_theta": grid.n_theta,
                 "n_phi": grid.n_phi,
             },
-            roi_info={
+            "roi": {
                 "theta_range": list(config.roi_theta_range),
                 "phi_range": list(config.roi_phi_range),
                 "area_fraction": rect.area_fraction,
                 "n_directions": rect.n_directions,
             },
-            free_field={
+            "free_field": {
                 "optimal_gain_dbi": _both_summaries(
                     g_opt_free[rect.mask], roi_weights, config.percentiles
                 )[1]
             },
-            scenarios=dict(zip(names, results)),
-        )
+            "scenarios": dict(zip(names, results)),
+        }
         with (build / "report.json").open("w") as fh:
-            json.dump(report.to_dict(), fh, sort_keys=True, indent=2)
+            json.dump(report, fh, sort_keys=True, indent=2)
             fh.write("\n")
     return report

@@ -432,9 +432,9 @@ def published(path, directory: bool):
     target = Path(os.path.abspath(path) if directory else path)
     if directory:
         if target.exists() and not (target.is_dir() and not any(target.iterdir())):
-            raise ValueError(f"output path {path} exists and is not an empty directory")
+            raise ValueError(f"output path {str(path)!r} exists and is not an empty directory")
     elif target.is_dir() or not target.parent.is_dir():
-        raise ValueError(f"cannot write {path}: it must be a file in an existing directory")
+        raise ValueError(f"cannot write {str(path)!r}: it must be a file in an existing directory")
     partial = target.parent / f".{target.name}.{os.getpid()}.partial"
     try:
         yield partial

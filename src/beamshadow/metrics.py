@@ -127,13 +127,16 @@ def loss_samples(
     """Per-direction elemental loss (free minus blocked gain, dB) inside a
     region of interest, theta-major order.
 
-    Raises if any selected direction has an exactly-zero field: the loss is
-    undefined there, and silently dropping or infilling it would bias CDFs.
+    Raises if the RoI selects no direction, or if any selected direction
+    has an exactly-zero field: the loss is undefined there, and silently
+    dropping or infilling it would bias CDFs.
     """
     if blocked.grid != free.grid or roi.grid != free.grid:
         raise ValueError("free, blocked, and RoI grids must all match")
     if not 0 <= antenna < free.n_antennas:
         raise ValueError(f"antenna {antenna} outside 0..{free.n_antennas - 1}")
+    if not roi.mask.any():
+        raise ValueError(f"antenna {antenna} has no direction inside the RoI")
     gf = elemental_gain_map(free, antenna)
     gb = elemental_gain_map(blocked, antenna)
     null = roi.mask & (np.isneginf(gf) | np.isneginf(gb))
@@ -225,14 +228,6 @@ class CoverageRow:
     max_free_gain_db: float
     max_blocked_gain_db: float
     roi_area_pct: float
-
-    def to_dict(self) -> dict:
-        return {
-            "antenna": self.antenna,
-            "max_free_gain_db": self.max_free_gain_db,
-            "max_blocked_gain_db": self.max_blocked_gain_db,
-            "roi_area_pct": self.roi_area_pct,
-        }
 
 
 def coverage_stats(

@@ -161,17 +161,22 @@ def test_failed_metrics_leaves_no_output(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("dist_out", ["nodir/x.dist", "."])
+@pytest.mark.parametrize("dist_out", ["nodir/x.dist", ".", ""])
 def test_distort_refuses_a_dist_out_it_cannot_write_before_writing(
-    free_file, tmp_path, capsys, dist_out
+    free_file, tmp_path, monkeypatch, capsys, dist_out
 ):
-    out, dist = tmp_path / "blocked.field", tmp_path / dist_out
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "blocked.field"
+    dist = str(tmp_path / dist_out) if dist_out else dist_out
     rc = main(["distort", "--field", str(free_file), "--out", str(out),
-               "--dist-out", str(dist), "--scenario", "tight-grip-one-finger"])
+               "--dist-out", dist, "--scenario", "tight-grip-one-finger"])
     err = capsys.readouterr().err
     assert rc == 1
-    assert f"error: cannot write {dist}" in err and "Traceback" not in err
-    assert not out.exists() and not dist.is_file()
+    assert f"error: cannot write {dist!r}: it must be a file in an existing directory" in err
+    assert "Traceback" not in err
+    assert not out.exists() and not Path(dist).is_file()
+    if not dist_out:
+        assert "cannot write ''" in err
 
 
 def test_evaluate_all_schemes(free_file, tmp_path):
@@ -266,7 +271,7 @@ def test_theorem_check_names_the_out_path_it_cannot_write(tmp_path, capsys):
     rc = main(["theorem-check", "--trials", "3", "--out", str(out)])
     assert rc == 1
     err = capsys.readouterr().err
-    assert f"cannot write {out}: it must be a file in an existing directory" in err
+    assert f"cannot write {str(out)!r}: it must be a file in an existing directory" in err
     assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
 
@@ -295,8 +300,10 @@ def test_unwritable_out_is_refused_before_any_work(tmp_path, monkeypatch, capsys
     rc = main([*argv, "--out", out])
     err = capsys.readouterr().err
     assert rc == 1
-    assert f"error: cannot write {out}: it must be a file in an existing directory" in err
+    assert f"error: cannot write {out!r}: it must be a file in an existing directory" in err
     assert "Traceback" not in err
+    if not out:
+        assert "cannot write ''" in err
     assert [p.name for p in tmp_path.iterdir()] == ["taken"]
     assert list((tmp_path / "taken").iterdir()) == []
 
@@ -322,8 +329,10 @@ def test_metrics_refuses_a_file_or_non_empty_out_before_reading(
     rc = main(["metrics", "--free", str(free_file), "--blocked", str(free_file), "--out", out])
     err = capsys.readouterr().err
     assert rc == 1
-    assert f"error: output path {out} exists and is not an empty directory" in err
+    assert f"error: output path {out!r} exists and is not an empty directory" in err
     assert "Traceback" not in err
+    if not out:
+        assert "output path ''" in err
     assert _tree(tmp_path) == before
 
 
@@ -466,16 +475,78 @@ def test_crossover_script_writes_float_cells(tmp_path):
     assert {len(row) for row in cells} == {4}
 
 
-def test_run_subcommand(tmp_path, capsys):
+# the columns of run's table for tiny_config's B values, in print order
+RUN_COLUMNS = (
+    "loss_optimal_blocked_vs_optimal_free_db",
+    "loss_directional_vs_optimal_blocked_db",
+    "gap_enh_phase_b2_to_optimal_db",
+    "gap_enh_phase_amp_b2_to_optimal_db",
+)
+
+
+@pytest.mark.parametrize(
+    "overrides, stat",
+    [({}, "median"), ({"array": {"n_antennas": 1}}, "median"),
+     ({"percentiles": (10.0, 90.0)}, "mean")],
+    ids=["default", "one-antenna", "no-50th-percentile"],
+)
+def test_run_subcommand(tmp_path, capsys, overrides, stat):
+    """Every printed cell is the .2f of the solid-angle-weighted median in
+    report.json, or of the weighted mean when 50 is not a percentile; each
+    mixing line is the mean over antenna pairs, and one antenna prints none."""
     cfg_path = tmp_path / "cfg.yaml"
-    config_to_yaml(tiny_config(1), cfg_path)
+    config_to_yaml(tiny_config(2, **overrides), cfg_path)
     out_dir = tmp_path / "out"
     rc = main(["run", "--config", str(cfg_path), "--out", str(out_dir)])
     assert rc == 0
     report = json.loads((out_dir / "report.json").read_text())
-    assert set(report["scenarios"]) == {"grip-a"}
-    stdout = capsys.readouterr().out
-    assert "median optimal-gain loss" in stdout
+    assert set(report["scenarios"]) == {"grip-a", "grip-b"}
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == [
+        f"ran 2 scenario(s) -> {out_dir / 'report.json'}",
+        f"RoI covers {100.0 * report['roi']['area_fraction']:.1f}% of the sphere",
+    ]
+    header = lines.index("") + 1
+    assert lines[header].split()[0] == "scenario"
+    assert lines[header].endswith(f"(weighted {stat} dB vs optimal)")
+    cells = {row.split()[0]: row.split()[1:] for row in lines[header + 1:header + 3]}
+    mixing = {row.split()[0]: row.split()[1:] for row in lines if row.startswith("  ")}
+    expected_mixing = {}
+    for name, data in report["scenarios"].items():
+        expected = []
+        for key in RUN_COLUMNS:
+            weighted = data["beamforming_cdfs_db"][key]["solid_angle_weighted"]
+            expected.append(weighted["mean"] if stat == "mean" else weighted["percentiles"]["50.0"])
+        assert cells[name] == [f"{v:.2f}" for v in expected]
+        pairs = data["phase_mixing_deg_per_5deg"]
+        if pairs["free"]:
+            free, blocked = (sum(pairs[k].values()) / len(pairs[k]) for k in ("free", "blocked"))
+            expected_mixing[name] = ["free", f"{free:.2f}", "blocked", f"{blocked:.2f}"]
+    assert mixing == expected_mixing
+    assert bool(mixing) == ("array" not in overrides)
+    assert any("phase mixing" in line for line in lines) == bool(mixing)
+
+
+@pytest.mark.parametrize("command", ["metrics", "run"])
+def test_an_empty_elemental_roi_fails_naming_the_antenna(free_file, tmp_path, capsys, command):
+    """No direction reaches g1 free or g2 blocked: exit 1 naming the antenna
+    (and the scenario), with no output or partial tree left."""
+    if command == "metrics":
+        argv = ["metrics", "--free", str(free_file), "--blocked", str(free_file),
+                "--g1", "100", "--g2", "100"]
+        where = ""
+    else:
+        cfg_path = tmp_path / "cfg.yaml"
+        config_to_yaml(tiny_config(1, g1_db=100.0, g2_db=100.0), cfg_path)
+        argv = ["run", "--config", str(cfg_path)]
+        where = "scenarios.grip-a: "
+    before = sorted(tmp_path.iterdir())
+    rc = main([*argv, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert f"error: {where}antenna 0 has no direction inside the RoI" in err
+    assert "Traceback" not in err
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_run_rejects_bad_quant_bits_without_output(tmp_path, capsys):
@@ -631,17 +702,20 @@ def test_run_reports_a_worker_failure_without_traceback(tmp_path, capsys, monkey
 
 
 def test_run_refuses_a_non_empty_out_before_any_work(tmp_path, capsys, monkeypatch):
+    """A non-empty directory, a file or ``""`` (the current directory)."""
     monkeypatch.setattr(beamshadow.experiment, "make_grid", None)  # any work would raise
+    monkeypatch.chdir(tmp_path)
     cfg_path = tmp_path / "cfg.yaml"
     config_to_yaml(tiny_config(1), cfg_path)
     out_dir = tmp_path / "out"
     out_dir.mkdir()
     (out_dir / "keep.txt").write_text("kept")
-    for out in (out_dir, cfg_path):
-        rc = main(["run", "--config", str(cfg_path), "--out", str(out)])
+    for out in (str(out_dir), str(cfg_path), ""):
+        rc = main(["run", "--config", str(cfg_path), "--out", out])
         assert rc == 1
         err = capsys.readouterr().err
-        assert f"output path {out} exists and is not an empty directory" in err
+        assert f"output path {out!r} exists and is not an empty directory" in err
+    assert "output path ''" in err
     assert [p.name for p in out_dir.iterdir()] == ["keep.txt"]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml", "out"]
 

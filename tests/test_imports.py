@@ -202,3 +202,12 @@ def test_every_optional_parameter_is_both_set_and_left_by_the_program():
         elif all(passed):
             unsettled.append(f"{where}: {name}({param}=...) is never left at its default")
     assert not unsettled, "\n".join(unsettled)
+
+
+def test_every_script_is_named_by_a_test():
+    """Each ``scripts/*.py`` is named in some test file, so that no script
+    goes unrun."""
+    root = Path(beamshadow.__file__).parents[2]
+    tests = "".join(path.read_text() for path in (root / "tests").glob("*.py"))
+    unnamed = [p.name for p in sorted((root / "scripts").glob("*.py")) if p.name not in tests]
+    assert not unnamed, unnamed
