@@ -13,13 +13,7 @@ import sys
 from contextlib import nullcontext
 from pathlib import Path
 
-from .codebook import (
-    amp_gain_map,
-    directional_codebook,
-    enh_phase_codebook,
-    gain_map,
-    search_power_overflows,
-)
+from .codebook import CODEBOOK_KINDS, scheme_maps, search_power_overflows
 from .distortion import DistortionSpec, apply_distortion, gen_distortion
 from .experiment import ExperimentConfig, config_from_yaml, default_config, run_experiment
 from .fields import ArrayConfig, synth_freespace_field
@@ -149,23 +143,16 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    # only the enhanced schemes have a B, and only they build B's lattice
+    b_values = (args.b_bits,) if args.scheme.startswith("enh-") else ()
+    name = args.scheme.replace("-", "_") + "".join(f"_b{b}" for b in b_values)
     with published(args.out, False) as out:
         field = read_field_file(args.field)
         n = field.n_antennas
         if search_power_overflows(n, float(abs(field.samples).max())):
             raise ValueError(f"{args.field}: its field power overflows the beamformed search")
-        if args.scheme == "mrc":
-            gmap = gain_map("mrc", field)
-        elif args.scheme == "directional":
-            cbk = directional_codebook(n, args.beams, ArrayConfig.element_spacing, args.quant_bits)
-            gmap = gain_map(cbk, field)
-        elif args.scheme == "enh-phase":
-            gmap = gain_map(enh_phase_codebook(n, args.b_bits), field)
-        elif args.scheme == "enh-phase-amp":
-            gmap = amp_gain_map(field, args.b_bits)
-        else:  # argparse choices guard this
-            raise ValueError(f"unknown scheme {args.scheme!r}")
-        write_gain_map_csv(field.grid, gmap, out)
+        schemes = scheme_maps(n, b_values, args.beams, ArrayConfig.element_spacing, args.quant_bits)
+        write_gain_map_csv(field.grid, schemes[name](field), out)
     print(f"wrote {args.scheme} gain map to {args.out}")
     return 0
 
@@ -198,18 +185,25 @@ def _cmd_run(args) -> int:
     print(f"RoI covers {100.0 * report['roi']['area_fraction']:.1f}% of the sphere\n")
     # as metrics' median_loss: the mean when 50 is not among the percentiles
     stat = "median" if 50.0 in config.percentiles else "mean"
-    labels = ["opt loss", "dir loss"]
+    array = config.array
+    schemes = scheme_maps(
+        array.n_antennas, config.b_values, config.n_beams, array.element_spacing,
+        config.steer_quant_bits,
+    )
+    enhanced = list(schemes)[2:]  # after mrc and directional
+    labels = ["opt loss", "dir loss"] + [
+        name.replace("enh_phase", "ph").replace("_amp", "+amp").replace("_b", " B=")
+        for name in enhanced
+    ]
     keys = ["loss_optimal_blocked_vs_optimal_free_db", "loss_directional_vs_optimal_blocked_db"]
-    for b in config.b_values:
-        labels += [f"ph B={b}", f"ph+amp B={b}"]
-        keys += [f"gap_enh_phase_b{b}_to_optimal_db", f"gap_enh_phase_amp_b{b}_to_optimal_db"]
+    keys += [f"gap_{name}_to_optimal_db" for name in enhanced]
     header = f"{'scenario':<22}" + "".join(f"{label:>12}" for label in labels)
     print(f"{header}   (weighted {stat} dB vs optimal)")
     for name, data in scenarios.items():
         cdfs = [data["beamforming_cdfs_db"][key]["solid_angle_weighted"] for key in keys]
         values = [c["percentiles"]["50.0"] if stat == "median" else c["mean"] for c in cdfs]
         print(f"{name:<22}" + "".join(f"{value:>12.2f}" for value in values))
-    if config.array.n_antennas > 1:  # one antenna has no pairs to mix
+    if array.n_antennas > 1:  # one antenna has no pairs to mix
         print("\nphase mixing (deg per 5 deg), averaged over antenna pairs:")
         for name, data in scenarios.items():
             mixing = data["phase_mixing_deg_per_5deg"]
@@ -284,7 +278,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--scheme",
         required=True,
-        choices=("mrc", "directional", "enh-phase", "enh-phase-amp"),
+        choices=("mrc", *CODEBOOK_KINDS),
     )
     p.add_argument("--B", dest="b_bits", type=int, default=2, help="phase bits for enhanced schemes")
     p.add_argument(

@@ -66,6 +66,7 @@ __all__ = [
     "enh_phase_amp_codebook",
     "gain_map",
     "amp_gain_map",
+    "scheme_maps",
     "best_entries",
     "search_power_overflows",
     "phase_lattice",
@@ -406,3 +407,29 @@ def amp_gain_map(field: AntennaFieldMap, b_bits: int) -> np.ndarray:
     # normalization becomes a single division of the squared magnitude.
     best, _ = best_entries(u, np.sqrt(strengths) * e)
     return np.reshape(_gains_db(best, strengths.sum(axis=1)), field.grid.shape)
+
+
+def scheme_maps(
+    n_antennas: int,
+    b_values: tuple[int, ...],
+    n_beams: int | None,
+    element_spacing: float,
+    quant_bits: int,
+) -> dict:
+    """Each scheme's ``field -> gain map (dB)`` function, in report order and
+    keyed by its gain-map file name: ``mrc``, ``directional``, then
+    ``enh_phase_b{B}`` and ``enh_phase_amp_b{B}`` for each B of ``b_values``.
+
+    Every codebook is built here, so a bad size fails before a field is read
+    or an output written.
+    """
+    directional = directional_codebook(n_antennas, n_beams, element_spacing, quant_bits)
+    maps = {
+        "mrc": lambda field: gain_map("mrc", field),
+        "directional": lambda field: gain_map(directional, field),
+    }
+    for b in b_values:
+        phase = enh_phase_codebook(n_antennas, b)
+        maps[f"enh_phase_b{b}"] = lambda field, phase=phase: gain_map(phase, field)
+        maps[f"enh_phase_amp_b{b}"] = lambda field, b=b: amp_gain_map(field, b)
+    return maps

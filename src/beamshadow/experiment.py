@@ -33,14 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .codebook import (
-    Codebook,
-    amp_gain_map,
-    directional_codebook,
-    enh_phase_codebook,
-    gain_map,
-    search_power_overflows,
-)
+from .codebook import scheme_maps, search_power_overflows
 from .distortion import (
     DistortionField,
     DistortionSpec,
@@ -297,31 +290,32 @@ def _run_scenario(
     config: ExperimentConfig,
     free: AntennaFieldMap,
     rect,
-    dir_cbk: Codebook,
-    phase_cbks: dict[int, Codebook],
+    schemes: dict,
     g_opt_free: np.ndarray,
     roi_weights: np.ndarray,
     out: Path,
 ) -> dict:
     grid = free.grid
+    blocked = apply_distortion(free, dist)
+    # an empty elemental RoI fails here, before this scenario's first write
+    elemental = {}
+    for i in range(free.n_antennas):
+        roi_i = roi_mask(free, blocked, i, config.g1_db, config.g2_db)
+        losses = loss_samples(free, blocked, i, roi_i)
+        elemental[str(i)] = cdf_summary(losses, config.percentiles).to_dict()
+        elemental[str(i)]["roi_area_fraction"] = roi_i.area_fraction
+
     sdir = out / name
     sdir.mkdir(parents=True, exist_ok=True)
-    blocked = apply_distortion(free, dist)
     write_field_file(blocked, sdir / "blocked.field")
     write_distortion_file(dist, sdir / "distortion.dist")
-
-    g_opt_blk = gain_map("mrc", blocked)
-    g_dir = gain_map(dir_cbk, blocked)
-    g_phase = {b: gain_map(cbk, blocked) for b, cbk in phase_cbks.items()}
-    g_amp = {b: amp_gain_map(blocked, b) for b in config.b_values}
-
-    write_gain_map_csv(grid, g_opt_blk, sdir / "gain_map_mrc.csv")
-    write_gain_map_csv(grid, g_dir, sdir / "gain_map_directional.csv")
-    for b in config.b_values:
-        write_gain_map_csv(grid, g_phase[b], sdir / f"gain_map_enh_phase_b{b}.csv")
-        write_gain_map_csv(grid, g_amp[b], sdir / f"gain_map_enh_phase_amp_b{b}.csv")
+    gains = {}
+    for scheme, map_of in schemes.items():
+        gains[scheme] = map_of(blocked)
+        write_gain_map_csv(grid, gains[scheme], sdir / f"gain_map_{scheme}.csv")
 
     m = rect.mask
+    g_opt_blk, g_dir = gains.pop("mrc"), gains.pop("directional")
     dir_loss = (g_opt_blk - g_dir)[m]
     samples: dict[str, np.ndarray] = {
         "optimal_gain_blocked_dbi": g_opt_blk[m],
@@ -331,18 +325,15 @@ def _run_scenario(
         "loss_directional_vs_optimal_free_db": (g_opt_free - g_dir)[m],
     }
     consistency = 0.0
-    for b in config.b_values:
-        for label, gmap in (("enh_phase", g_phase[b]), ("enh_phase_amp", g_amp[b])):
-            improvement = (gmap - g_dir)[m]
-            gap = (g_opt_blk - gmap)[m]
-            samples[f"gain_{label}_b{b}_dbi"] = gmap[m]
-            samples[f"improvement_{label}_b{b}_over_directional_db"] = improvement
-            samples[f"gap_{label}_b{b}_to_optimal_db"] = gap
-            # improvement-over-directional + gap-to-optimal must telescope to
-            # the directional loss at every direction, up to float reassociation
-            consistency = max(
-                consistency, float(np.abs((improvement + gap) - dir_loss).max())
-            )
+    for scheme, gmap in gains.items():  # the enhanced schemes
+        improvement = (gmap - g_dir)[m]
+        gap = (g_opt_blk - gmap)[m]
+        samples[f"gain_{scheme}_dbi"] = gmap[m]
+        samples[f"improvement_{scheme}_over_directional_db"] = improvement
+        samples[f"gap_{scheme}_to_optimal_db"] = gap
+        # improvement-over-directional + gap-to-optimal must telescope to
+        # the directional loss at every direction, up to float reassociation
+        consistency = max(consistency, float(np.abs((improvement + gap) - dir_loss).max()))
     if consistency > 1e-9:
         raise RuntimeError(
             f"scenario {name}: gain decomposition drifted by {consistency} dB"
@@ -355,13 +346,6 @@ def _run_scenario(
     for key, arr in samples.items():
         unweighted, cdfs[key] = _both_summaries(arr, roi_weights, config.percentiles)
         write_cdf_csv(unweighted, sdir / f"cdf_{key}.csv")
-
-    elemental = {}
-    for i in range(free.n_antennas):
-        roi_i = roi_mask(free, blocked, i, config.g1_db, config.g2_db)
-        losses = loss_samples(free, blocked, i, roi_i)
-        elemental[str(i)] = cdf_summary(losses, config.percentiles).to_dict()
-        elemental[str(i)]["roi_area_fraction"] = roi_i.area_fraction
 
     coverage = coverage_stats(free, blocked, config.g1_db, config.g2_db)
     write_coverage_csv(coverage, sdir / "coverage.csv")
@@ -408,20 +392,15 @@ def run_experiment(config: ExperimentConfig, out_dir, seed: int | None) -> dict:
     config can trip on is left, so a run that fails leaves no tree.
     """
     with published(out_dir, True) as build:
-        grid = make_grid(
-            config.theta_step_deg,
-            config.phi_step_deg,
-        )
+        grid = make_grid(config.theta_step_deg, config.phi_step_deg)
         # everything a bad config can trip on is built before the first write
         check_percentiles(config.percentiles)
         rect = rect_roi(grid, config.roi_theta_range, config.roi_phi_range)
-        dir_cbk = directional_codebook(
-            config.array.n_antennas,
-            config.n_beams,
-            config.array.element_spacing,
+        array = config.array
+        schemes = scheme_maps(
+            array.n_antennas, config.b_values, config.n_beams, array.element_spacing,
             config.steer_quant_bits,
         )
-        phase_cbks = {b: enh_phase_codebook(config.array.n_antennas, b) for b in config.b_values}
 
         effective_seed = config.seed if seed is None else int(seed)
         names = list(config.scenarios)
@@ -434,26 +413,25 @@ def run_experiment(config: ExperimentConfig, out_dir, seed: int | None) -> dict:
         dists = []
         for name, spec in zip(names, specs):
             try:
-                dists.append(gen_distortion(spec, grid, config.array.n_antennas))
+                dists.append(gen_distortion(spec, grid, array.n_antennas))
             except ValueError as exc:
                 raise ValueError(f"scenarios.{name}: {exc}") from None
-        free = synth_freespace_field(config.array, grid)
+        free = synth_freespace_field(array, grid)
         # ArrayConfig bounds the free field's search power; a scenario's amplitude
         # ripple lifts it by max(amp)**4
         peak = float(np.abs(free.samples).max())
         for name, dist in zip(names, dists):
-            if search_power_overflows(config.array.n_antennas, peak * float(dist.amp.max())):
+            if search_power_overflows(array.n_antennas, peak * float(dist.amp.max())):
                 raise ValueError(
                     f"scenarios.{name}: its amplitude ripple overflows the beamformed power "
-                    f"at array.peak_element_gain_db {config.array.peak_element_gain_db!r}"
+                    f"at array.peak_element_gain_db {array.peak_element_gain_db!r}"
                 )
-        g_opt_free = gain_map("mrc", free)
+        g_opt_free = schemes["mrc"](free)
         roi_weights = grid.solid_angle_map()[rect.mask]
 
         build.mkdir(parents=True)
         tasks = [
-            (name, spec, dist, config, free, rect, dir_cbk, phase_cbks, g_opt_free, roi_weights,
-             build)
+            (name, spec, dist, config, free, rect, schemes, g_opt_free, roi_weights, build)
             for name, spec, dist in zip(names, specs, dists)
         ]
 

@@ -189,6 +189,46 @@ def test_evaluate_all_schemes(free_file, tmp_path):
         assert header == "theta_deg,phi_deg,gain_db"
 
 
+def test_evaluate_reproduces_every_gain_map_of_run(tmp_path, capsys):
+    """``evaluate`` on a scenario's ``blocked.field`` writes each of that
+    scenario's ``gain_map_<name>.csv`` byte for byte, for every scheme and B."""
+    cfg_path, run_dir = tmp_path / "cfg.yaml", tmp_path / "run"
+    config_to_yaml(tiny_config(2, b_values=(2, 3), seed=2), cfg_path)
+    assert main(["run", "--config", str(cfg_path), "--out", str(run_dir)]) == 0
+    argvs = {"mrc": ["--scheme", "mrc"], "directional": ["--scheme", "directional"]}
+    for b in (2, 3):
+        argvs[f"enh_phase_b{b}"] = ["--scheme", "enh-phase", "--B", str(b)]
+        argvs[f"enh_phase_amp_b{b}"] = ["--scheme", "enh-phase-amp", "--B", str(b)]
+    for scenario in ("grip-a", "grip-b"):
+        maps = sorted(p.name for p in (run_dir / scenario).glob("gain_map_*.csv"))
+        assert maps == sorted(f"gain_map_{name}.csv" for name in argvs)
+        for name, argv in argvs.items():
+            out = tmp_path / f"{scenario}-{name}.csv"
+            blocked = run_dir / scenario / "blocked.field"
+            assert main(["evaluate", "--field", str(blocked), "--out", str(out), *argv]) == 0
+            expected = (run_dir / scenario / f"gain_map_{name}.csv").read_bytes()
+            assert out.read_bytes() == expected, (scenario, name)
+    capsys.readouterr()
+
+
+def test_evaluate_mrc_builds_no_enhanced_codebook(tmp_path, capsys):
+    """A 12-antenna field has no enhanced codebook under the size limit, but
+    ``evaluate --scheme mrc`` and ``directional`` need none."""
+    field = tmp_path / "free12.field"
+    assert main(["synth", "--out", str(field), "--n-antennas", "12",
+                 "--theta-step", "15", "--phi-step", "15"]) == 0
+    for scheme in ("mrc", "directional"):
+        out = tmp_path / f"{scheme}.csv"
+        assert main(["evaluate", "--field", str(field), "--out", str(out),
+                     "--scheme", scheme]) == 0
+        assert len(out.read_text().splitlines()) == 1 + 12 * 24
+    out = tmp_path / "enh.csv"
+    assert main(["evaluate", "--field", str(field), "--out", str(out),
+                 "--scheme", "enh-phase", "--B", "2"]) == 1
+    assert "would have 4194304 entries" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_evaluate_rejects_unknown_scheme(free_file, tmp_path):
     with pytest.raises(SystemExit):  # argparse choices
         main(["evaluate", "--field", str(free_file), "--out", str(tmp_path / "x.csv"),
@@ -528,7 +568,9 @@ def test_run_subcommand(tmp_path, capsys, overrides, stat):
 
 
 @pytest.mark.parametrize("command", ["metrics", "run"])
-def test_an_empty_elemental_roi_fails_naming_the_antenna(free_file, tmp_path, capsys, command):
+def test_an_empty_elemental_roi_fails_naming_the_antenna(
+    free_file, tmp_path, capsys, monkeypatch, command
+):
     """No direction reaches g1 free or g2 blocked: exit 1 naming the antenna
     (and the scenario), with no output or partial tree left."""
     if command == "metrics":
@@ -541,12 +583,19 @@ def test_an_empty_elemental_roi_fails_naming_the_antenna(free_file, tmp_path, ca
         argv = ["run", "--config", str(cfg_path)]
         where = "scenarios.grip-a: "
     before = sorted(tmp_path.iterdir())
+    written = []
+    for writer in ("write_distortion_file", "write_gain_map_csv"):
+        # one scenario runs in this process, so a spy sees every scenario write
+        monkeypatch.setattr(
+            beamshadow.experiment, writer, lambda *args, writer=writer: written.append(writer)
+        )
     rc = main([*argv, "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert rc == 1
     assert f"error: {where}antenna 0 has no direction inside the RoI" in err
     assert "Traceback" not in err
     assert sorted(tmp_path.iterdir()) == before
+    assert written == []
 
 
 def test_run_rejects_bad_quant_bits_without_output(tmp_path, capsys):
