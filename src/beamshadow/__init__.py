@@ -44,7 +44,6 @@ from .fileio import (
     write_gain_map_csv,
 )
 from .link import (
-    BoundReport,
     delta_snr_achieved,
     inequality_chain_check,
     theorem1_lb,

@@ -185,12 +185,11 @@ def _cmd_run(args) -> int:
     print(f"RoI covers {100.0 * report['roi']['area_fraction']:.1f}% of the sphere\n")
     # as metrics' median_loss: the mean when 50 is not among the percentiles
     stat = "median" if 50.0 in config.percentiles else "mean"
-    array = config.array
-    schemes = scheme_maps(
-        array.n_antennas, config.b_values, config.n_beams, array.element_spacing,
-        config.steer_quant_bits,
-    )
-    enhanced = list(schemes)[2:]  # after mrc and directional
+    # the enhanced schemes, in report order, from their gap-to-optimal keys
+    first = next(iter(scenarios.values()))["beamforming_cdfs_db"]
+    enhanced = [
+        k.removeprefix("gap_").removesuffix("_to_optimal_db") for k in first if k.startswith("gap_")
+    ]
     labels = ["opt loss", "dir loss"] + [
         name.replace("enh_phase", "ph").replace("_amp", "+amp").replace("_b", " B=")
         for name in enhanced
@@ -203,7 +202,7 @@ def _cmd_run(args) -> int:
         cdfs = [data["beamforming_cdfs_db"][key]["solid_angle_weighted"] for key in keys]
         values = [c["percentiles"]["50.0"] if stat == "median" else c["mean"] for c in cdfs]
         print(f"{name:<22}" + "".join(f"{value:>12.2f}" for value in values))
-    if array.n_antennas > 1:  # one antenna has no pairs to mix
+    if config.array.n_antennas > 1:  # one antenna has no pairs to mix
         print("\nphase mixing (deg per 5 deg), averaged over antenna pairs:")
         for name, data in scenarios.items():
             mixing = data["phase_mixing_deg_per_5deg"]

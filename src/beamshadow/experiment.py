@@ -16,8 +16,8 @@ seeds, ordered writes, repr float formatting, no timestamps.  Every
 distortion is drawn before the first write; the scenarios are then split into
 contiguous ranges by ``forked.split``, which decides the worker count.  A
 child forked per range after the first runs its scenarios, each writing only
-its own directory, while the caller writes ``free.field`` and runs the first
-range; the results are joined in scenario order before ``report.json``.
+its own directory, while the caller runs the first range and then writes
+``free.field``; the results are joined in scenario order before ``report.json``.
 """
 
 from __future__ import annotations
@@ -283,6 +283,16 @@ def _both_summaries(samples: np.ndarray, weights: np.ndarray, percentiles) -> tu
     }
 
 
+def _pair_mixing(field: AntennaFieldMap) -> dict[str, float]:
+    """``phase_mixing`` of every antenna pair i < j, keyed ``"i-j"``."""
+    n = field.n_antennas
+    return {
+        f"{i}-{j}": phase_mixing(pair_phase_diff(field, i, j))
+        for i in range(n)
+        for j in range(i + 1, n)
+    }
+
+
 def _run_scenario(
     name: str,
     spec: DistortionSpec,
@@ -293,11 +303,12 @@ def _run_scenario(
     schemes: dict,
     g_opt_free: np.ndarray,
     roi_weights: np.ndarray,
+    mixing_free: dict,
     out: Path,
 ) -> dict:
     grid = free.grid
     blocked = apply_distortion(free, dist)
-    # an empty elemental RoI fails here, before this scenario's first write
+    # every check runs before this scenario's first write
     elemental = {}
     for i in range(free.n_antennas):
         roi_i = roi_mask(free, blocked, i, config.g1_db, config.g2_db)
@@ -305,17 +316,18 @@ def _run_scenario(
         elemental[str(i)] = cdf_summary(losses, config.percentiles).to_dict()
         elemental[str(i)]["roi_area_fraction"] = roi_i.area_fraction
 
-    sdir = out / name
-    sdir.mkdir(parents=True, exist_ok=True)
-    write_field_file(blocked, sdir / "blocked.field")
-    write_distortion_file(dist, sdir / "distortion.dist")
-    gains = {}
-    for scheme, map_of in schemes.items():
-        gains[scheme] = map_of(blocked)
-        write_gain_map_csv(grid, gains[scheme], sdir / f"gain_map_{scheme}.csv")
-
+    gains = {scheme: map_of(blocked) for scheme, map_of in schemes.items()}
     m = rect.mask
-    g_opt_blk, g_dir = gains.pop("mrc"), gains.pop("directional")
+    for scheme, gmap in gains.items():
+        # an exact null, or a power that underflows, has no loss to summarize
+        null = m & np.isneginf(gmap)
+        if null.any():
+            it, ip = np.argwhere(null)[0]
+            raise ValueError(
+                f"no power survives the blockage inside the RoI at theta={grid.thetas[it]}, "
+                f"phi={grid.phis[ip]}: gain_map_{scheme} is -inf there"
+            )
+    g_opt_blk, g_dir = gains["mrc"], gains["directional"]
     dir_loss = (g_opt_blk - g_dir)[m]
     samples: dict[str, np.ndarray] = {
         "optimal_gain_blocked_dbi": g_opt_blk[m],
@@ -324,8 +336,8 @@ def _run_scenario(
         "loss_directional_vs_optimal_blocked_db": dir_loss,
         "loss_directional_vs_optimal_free_db": (g_opt_free - g_dir)[m],
     }
-    consistency = 0.0
-    for scheme, gmap in gains.items():  # the enhanced schemes
+    residuals = []
+    for scheme, gmap in list(gains.items())[2:]:  # the enhanced schemes
         improvement = (gmap - g_dir)[m]
         gap = (g_opt_blk - gmap)[m]
         samples[f"gain_{scheme}_dbi"] = gmap[m]
@@ -333,8 +345,9 @@ def _run_scenario(
         samples[f"gap_{scheme}_to_optimal_db"] = gap
         # improvement-over-directional + gap-to-optimal must telescope to
         # the directional loss at every direction, up to float reassociation
-        consistency = max(consistency, float(np.abs((improvement + gap) - dir_loss).max()))
-    if consistency > 1e-9:
+        residuals.append(float(np.abs((improvement + gap) - dir_loss).max()))
+    consistency = float(np.max(residuals))  # a NaN residual stays NaN
+    if not consistency <= 1e-9:
         raise RuntimeError(
             f"scenario {name}: gain decomposition drifted by {consistency} dB"
         )
@@ -342,20 +355,21 @@ def _run_scenario(
         if arr.size != rect.n_directions:
             raise RuntimeError(f"scenario {name}: {key} lost samples inside the RoI")
 
-    cdfs = {}
+    cdfs, tables = {}, {}
     for key, arr in samples.items():
-        unweighted, cdfs[key] = _both_summaries(arr, roi_weights, config.percentiles)
-        write_cdf_csv(unweighted, sdir / f"cdf_{key}.csv")
-
+        tables[key], cdfs[key] = _both_summaries(arr, roi_weights, config.percentiles)
     coverage = coverage_stats(free, blocked, config.g1_db, config.g2_db)
-    write_coverage_csv(coverage, sdir / "coverage.csv")
+    mixing_blocked = _pair_mixing(blocked)
 
-    mixing_free, mixing_blocked = {}, {}
-    for i in range(free.n_antennas):
-        for j in range(i + 1, free.n_antennas):
-            key = f"{i}-{j}"
-            mixing_free[key] = phase_mixing(pair_phase_diff(free, i, j))
-            mixing_blocked[key] = phase_mixing(pair_phase_diff(blocked, i, j))
+    sdir = out / name
+    sdir.mkdir(parents=True, exist_ok=True)
+    write_field_file(blocked, sdir / "blocked.field")
+    write_distortion_file(dist, sdir / "distortion.dist")
+    for scheme, gmap in gains.items():
+        write_gain_map_csv(grid, gmap, sdir / f"gain_map_{scheme}.csv")
+    for key, table in tables.items():
+        write_cdf_csv(table, sdir / f"cdf_{key}.csv")
+    write_coverage_csv(coverage, sdir / "coverage.csv")
 
     return {
         "seed": spec.seed,
@@ -428,10 +442,16 @@ def run_experiment(config: ExperimentConfig, out_dir, seed: int | None) -> dict:
                 )
         g_opt_free = schemes["mrc"](free)
         roi_weights = grid.solid_angle_map()[rect.mask]
+        try:  # every scenario's free mixing; one theta row fails before any write
+            mixing_free = _pair_mixing(free)
+        except ValueError as exc:
+            where = f"config key 'theta_step_deg' {config.theta_step_deg!r}"
+            raise ValueError(f"{where}: {exc}") from None
 
         build.mkdir(parents=True)
         tasks = [
-            (name, spec, dist, config, free, rect, schemes, g_opt_free, roi_weights, build)
+            (name, spec, dist, config, free, rect, schemes, g_opt_free, roi_weights,
+             mixing_free, build)
             for name, spec, dist in zip(names, specs, dists)
         ]
 
@@ -441,8 +461,8 @@ def run_experiment(config: ExperimentConfig, out_dir, seed: int | None) -> dict:
             _run_scenarios,
             tasks,
         ) as (own, replies):
-            write_field_file(free, build / "free.field")
             results = list(_run_scenarios(tasks, *own))
+            write_field_file(free, build / "free.field")
             for reply in replies:
                 results.extend(reply)
 

@@ -17,8 +17,9 @@ achieved improvement from exhaustive search is always >= the bound.
 
 ``inequality_chain_check`` replays the derivation one inequality at a time
 (quantizer residual bound, nearest-entry floor for the amplitude codebook,
-triangle/cap bounds for the phase codebook, final closure) and reports the
-numeric margin of every step.
+triangle/cap bounds for the phase codebook, final closure) on every row of
+a (rows, N) field array, and returns each step's margins as a (rows,)
+array; it shares the bound and the codebook search with ``theorem_trials``.
 
 ``theorem_trials`` audits the bound on random fields: magnitudes uniform in
 [0, 2), phases uniform in [0, 2*pi).  Trial t is drawn from the
@@ -45,8 +46,6 @@ from .fileio import TRIALS_CSV_HEADER, published, trials_csv_rows
 from .sphere import mod_2pi, wrap_rad
 
 __all__ = [
-    "ChainStep",
-    "BoundReport",
     "TheoremCheckResult",
     "var_blockage",
     "theorem1_lb",
@@ -150,62 +149,15 @@ def worst_case_dir_snr(e_free_vec, amp_vec, codebook: Codebook) -> float:
     return best**2 / n
 
 
-@dataclass(frozen=True)
-class ChainStep:
-    """One inequality of the derivation, asserted as lhs <= rhs."""
+def inequality_chain_check(e_rows: np.ndarray, b_bits: int) -> dict[str, np.ndarray]:
+    """Audit every inequality in the improvement-bound derivation on each row
+    of a (rows, N) blocked-field array ``E_free * A * exp(1j*P)``, taken
+    C-ordered as ``theorem_trials`` takes its trial fields.
 
-    name: str
-    lhs: float
-    rhs: float
-
-    @property
-    def margin(self) -> float:
-        return self.rhs - self.lhs
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "lhs": self.lhs, "rhs": self.rhs, "margin": self.margin}
-
-
-@dataclass(eq=False)
-class BoundReport:
-    """Step-by-step audit of the improvement bound on one field vector."""
-
-    n_antennas: int
-    b_bits: int
-    var_blockage: float
-    lower_bound: float
-    delta_achieved: float
-    residuals: tuple[float, ...]
-    steps: tuple[ChainStep, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(s.margin >= -BOUND_TOLERANCE for s in self.steps)
-
-    @property
-    def min_margin(self) -> float:
-        return min(s.margin for s in self.steps)
-
-    def to_dict(self) -> dict:
-        return {
-            "n_antennas": self.n_antennas,
-            "b_bits": self.b_bits,
-            "var_blockage": self.var_blockage,
-            "lower_bound": self.lower_bound,
-            "delta_achieved": self.delta_achieved,
-            "residuals_rad": list(self.residuals),
-            "ok": self.ok,
-            "min_margin": self.min_margin,
-            "steps": [s.to_dict() for s in self.steps],
-        }
-
-
-def inequality_chain_check(e_free_vec, amp_vec, phase_vec, b_bits: int) -> BoundReport:
-    """Audit every inequality in the improvement-bound derivation.
-
-    Builds the blocked field ``E_free * A * exp(1j*P)``, quantizes its
-    relative phases to the nearest B-bit level (reference: first antenna
-    with nonzero magnitude), and checks, with numeric margins:
+    Each row's relative phases are quantized to the nearest B-bit level
+    (reference: the row's first antenna with nonzero magnitude).  Returns,
+    in derivation order, each step's name mapped to the (rows,) margins
+    rhs - lhs of its inequality lhs <= rhs:
 
     1. every quantizer residual obeys |theta_i| <= pi/2**B;
     2. the nearest entry of the amplitude codebook achieves at least
@@ -214,69 +166,45 @@ def inequality_chain_check(e_free_vec, amp_vec, phase_vec, b_bits: int) -> Bound
     4. the phase codebook's cos term is capped by (sum c)^2;
     5. its sin term is capped by sin(pi/2**B) * sum c;
     6. its exhaustive max is capped by (1/N)(sum c)^2 (1 + sin^2(pi/2**B));
-    7. the achieved improvement dominates the closed-form lower bound,
-       which itself matches the floor-minus-cap algebra.
+    7. the closed-form lower bound matches the floor-minus-cap algebra;
+    8. the achieved improvement dominates that bound: ``theorem_trials``'
+       margin, bit for bit, on the same rows.
     """
     if b_bits < 1:
         raise ValueError("b_bits must be >= 1")
-    e_free = np.asarray(e_free_vec, dtype=np.complex128)
-    a = np.asarray(amp_vec, dtype=float)
-    p = np.asarray(phase_vec, dtype=float)
-    if not (e_free.shape == a.shape == p.shape) or e_free.ndim != 1:
-        raise ValueError("field, amplitude, and phase vectors must be 1-D of equal length")
-    if np.any(a < 0.0):
-        raise ValueError("amplitude factors must be >= 0")
-    n = e_free.size
-    e_blk = e_free * a * np.exp(1j * p)
-    c = np.sqrt(e_blk.real * e_blk.real + e_blk.imag * e_blk.imag)
-    strengths = c * c
-    total = float(strengths.sum())
+    e = np.ascontiguousarray(e_rows, dtype=np.complex128)
+    if e.ndim != 2 or e.shape[1] < 1:
+        raise ValueError("the blocked field must be a (rows, N) array with N >= 1")
+    n = e.shape[1]
+    terms = _row_terms(e)
+    c_sum_sq, total = terms[1], terms[2]
+    s = e.real * e.real + e.imag * e.imag
+    c = np.sqrt(s)
     half = math.pi / 2**b_bits
-    levels = phase_levels(b_bits)
-    nz = np.flatnonzero(c)
-    residuals = np.zeros(n)
-    if nz.size:
-        psi = np.angle(e_blk) - np.angle(e_blk[nz[0]])
-        k = np.round(mod_2pi(psi) / (2.0 * math.pi / 2**b_bits)).astype(np.int64) % 2**b_bits
-        residuals[nz] = wrap_rad(psi[nz] - levels[k[nz]])
-
+    angle = np.angle(e)
+    reference = angle[np.arange(e.shape[0]), np.argmax(c > 0.0, axis=1)]
+    psi = angle - reference[:, None]
+    k = np.round(mod_2pi(psi) / (2.0 * half)).astype(np.int64) % 2**b_bits
+    residuals = np.where(c > 0.0, wrap_rad(psi - phase_levels(b_bits)[k]), 0.0)
     cos_t, sin_t = np.cos(residuals), np.sin(residuals)
-    if total > 0.0:
-        nearest_amp_value = (
-            float((strengths * cos_t).sum()) ** 2 + float((strengths * sin_t).sum()) ** 2
-        ) / total
-    else:
-        nearest_amp_value = 0.0
-    row = e_blk[None, :]
-    max_amp, max_phase = (float(v[0]) for v in _codebook_maxima(row, b_bits, _row_terms(row)))
-    c_sum = float(c.sum())
-    lb = theorem1_lb(e_blk, b_bits)
-    phase_cap = (c_sum**2 / n) * (1.0 + math.sin(half) ** 2)
-    algebra_gap = abs(lb - (math.cos(half) ** 2 * total - phase_cap))
 
-    steps = (
-        ChainStep("residual-within-quantizer-halfstep", float(np.abs(residuals).max()), half),
-        ChainStep(
-            "amp-nearest-entry-floor", math.cos(half) ** 2 * total, nearest_amp_value
-        ),
-        ChainStep("amp-max-dominates-nearest-entry", nearest_amp_value, max_amp),
-        ChainStep("phase-cos-term-cap", float((c * cos_t).sum()) ** 2, c_sum**2),
-        ChainStep(
-            "phase-sin-term-cap", abs(float((c * sin_t).sum())), math.sin(half) * c_sum
-        ),
-        ChainStep("phase-max-cap", max_phase, phase_cap),
-        ChainStep("bound-algebra-closure", algebra_gap, 1e-9 * max(1.0, abs(lb))),
-        ChainStep("achieved-dominates-lower-bound", lb, max_amp - max_phase),
-    )
-    return BoundReport(
-        n_antennas=n,
-        b_bits=b_bits,
-        var_blockage=var_blockage(e_blk),
-        lower_bound=lb,
-        delta_achieved=max_amp - max_phase,
-        residuals=tuple(float(r) for r in residuals),
-        steps=steps,
-    )
+    nearest_sq = (s * cos_t).sum(axis=1) ** 2 + (s * sin_t).sum(axis=1) ** 2
+    nearest = np.divide(nearest_sq, total, out=np.zeros_like(total), where=total != 0.0)
+    max_amp, max_phase = _codebook_maxima(e, b_bits, terms)
+    lb = _lower_bounds(e, b_bits, terms)
+    floor = math.cos(half) ** 2 * total
+    phase_cap = (c_sum_sq / n) * (1.0 + math.sin(half) ** 2)
+    return {
+        "residual-within-quantizer-halfstep": half - np.abs(residuals).max(axis=1),
+        "amp-nearest-entry-floor": nearest - floor,
+        "amp-max-dominates-nearest-entry": max_amp - nearest,
+        "phase-cos-term-cap": c_sum_sq - (c * cos_t).sum(axis=1) ** 2,
+        "phase-sin-term-cap": math.sin(half) * c.sum(axis=1) - np.abs((c * sin_t).sum(axis=1)),
+        "phase-max-cap": phase_cap - max_phase,
+        "bound-algebra-closure": 1e-9 * np.maximum(1.0, np.abs(lb))
+        - np.abs(lb - (floor - phase_cap)),
+        "achieved-dominates-lower-bound": (max_amp - max_phase) - lb,
+    }
 
 
 @dataclass(eq=False)

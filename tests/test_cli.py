@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 import beamshadow.experiment
 from beamshadow import fileio, forked
 from beamshadow.cli import main
+from beamshadow.distortion import DistortionSpec, FingerSpec
 from beamshadow.experiment import config_to_yaml
 from beamshadow.fileio import read_field_file
 from beamshadow.link import theorem_trials
@@ -596,6 +597,85 @@ def test_an_empty_elemental_roi_fails_naming_the_antenna(
     assert "Traceback" not in err
     assert sorted(tmp_path.iterdir()) == before
     assert written == []
+
+
+RUN_WRITERS = (
+    "write_field_file",
+    "write_distortion_file",
+    "write_gain_map_csv",
+    "write_cdf_csv",
+    "write_coverage_csv",
+)
+
+
+def _nan_enhanced_map(monkeypatch):
+    """Make the first enhanced scheme's gain map NaN at every direction."""
+    real = beamshadow.experiment.scheme_maps
+
+    def scheme_maps(*args):
+        maps = real(*args)
+        name = list(maps)[2]
+        maps[name] = lambda field, inner=maps[name]: inner(field) * np.nan
+        return maps
+
+    monkeypatch.setattr(beamshadow.experiment, "scheme_maps", scheme_maps)
+
+
+@pytest.mark.parametrize(
+    "overrides, patch, message",
+    [
+        *(
+            # a finger at (90, 180), outside every elemental RoI but inside
+            # the rect RoI: at 10000 dB its amplitude is exactly 0 on every
+            # antenna, at 3400 dB every antenna's power underflows, and at
+            # 2000 dB only the strength-weighted field's power does
+            (
+                {"scenarios": {"null": DistortionSpec(
+                    mode="finger-occlusion", fingers=(FingerSpec(90.0, 180.0, 20.0, depth),)
+                )}},
+                None,
+                "error: scenarios.null: no power survives the blockage inside the RoI "
+                f"at theta=90.0, phi=180.0: gain_map_{scheme} is -inf there",
+            )
+            for depth, scheme in ((10000.0, "mrc"), (3400.0, "mrc"), (2000.0, "enh_phase_amp_b2"))
+        ),
+        (
+            {},
+            _nan_enhanced_map,
+            "error: scenario grip-a: gain decomposition drifted by nan dB",
+        ),
+        (
+            # two scenarios: the second would run in a forked child
+            {"scenarios": tiny_config(2).scenarios, "theta_step_deg": 180.0,
+             "g1_db": -100.0, "g2_db": -100.0},
+            None,
+            "error: config key 'theta_step_deg' 180.0: phase mixing needs at least two theta rows",
+        ),
+    ],
+    ids=["zero-field", "underflowing-field", "underflowing-weighted-field", "nan-decomposition",
+         "one-theta-row"],
+)
+def test_run_fails_before_any_write(tmp_path, capsys, monkeypatch, overrides, patch, message):
+    """A field, gain map or grid the run cannot summarize fails with exit 1,
+    a message naming its cause, no numpy warning, and no writer called."""
+    cfg_path = tmp_path / "cfg.yaml"
+    config_to_yaml(tiny_config(1, **overrides), cfg_path)
+    if patch is not None:
+        patch(monkeypatch)
+    written = []
+    for writer in RUN_WRITERS:
+        monkeypatch.setattr(
+            beamshadow.experiment, writer, lambda *args, writer=writer: written.append(writer)
+        )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert message in err and "Traceback" not in err
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert written == []
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_rejects_bad_quant_bits_without_output(tmp_path, capsys):

@@ -95,10 +95,11 @@ def test_cli_import_loads_no_process_or_scipy_modules():
 # Public names kept without a caller in the program, each for a stated reason.
 UNCALLED_PUBLIC_API = {
     "worst_case_dir_snr": "the directional floor the report is to carry (ROADMAP)",
-    "inequality_chain_check": "the bound audit run on the experiment's fields (ROADMAP)",
+    "inequality_chain_check": "the row-wise bound audit of the experiment's fields (ROADMAP)",
     "config_to_yaml": "the inverse of config_from_yaml",
     "read_distortion_file": "the inverse of write_distortion_file",
     "delta_snr_achieved": "the paper's achieved improvement, for one field vector",
+    "theorem1_lb": "the paper's closed-form bound, for one field vector",
 }
 
 

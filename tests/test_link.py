@@ -1,4 +1,3 @@
-import json
 import math
 import multiprocessing
 import os
@@ -125,48 +124,79 @@ class TestWorstCaseDirectional:
             worst_case_dir_snr(np.ones(n, dtype=complex), np.ones(n), cbk)
 
 
+def _trial_rows(seed: int, n: int, count: int) -> np.ndarray:
+    """Trials 0..count-1 of ``theorem_trials(seed=seed, n_antennas=n)``,
+    drawn by numpy itself, as a (count, n) field array."""
+    fields = []
+    for t in range(count):
+        rng = np.random.default_rng([seed, t])
+        amps = rng.uniform(0.0, 2.0, n)
+        fields.append(amps * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, n)))
+    return np.array(fields)
+
+
 class TestInequalityChain:
-    def random_case(self, rng, b):
-        e = rng.uniform(0.0, 2.0, 4) * np.exp(1j * rng.uniform(0.0, 2 * math.pi, 4))
-        amp = rng.uniform(0.0, 1.5, 4)
-        phase = rng.uniform(0.0, 2 * math.pi, 4)
-        return inequality_chain_check(e, amp, phase, b)
+    def random_rows(self, rng, count):
+        shape = (count, 4)
+        e = rng.uniform(0.0, 2.0, shape) * np.exp(1j * rng.uniform(0.0, 2 * math.pi, shape))
+        amp = rng.uniform(0.0, 1.5, shape)
+        return e * amp * np.exp(1j * rng.uniform(0.0, 2 * math.pi, shape))
 
-    def test_all_steps_hold_on_random_cases(self, rng):
-        for k in range(200):
-            rep = self.random_case(rng, 1 + k % 3)
-            assert rep.ok, [s.name for s in rep.steps if s.lhs > s.rhs + link.BOUND_TOLERANCE]
-            assert rep.min_margin >= -link.BOUND_TOLERANCE
+    def test_all_steps_hold_on_random_rows(self, rng):
+        for b in (1, 2, 3):
+            margins = inequality_chain_check(self.random_rows(rng, 70), b)
+            failed = [name for name, m in margins.items() if m.min() < -link.BOUND_TOLERANCE]
+            assert not failed, (b, failed)
 
-    def test_step_names_and_order(self, rng):
-        rep = self.random_case(rng, 2)
-        assert tuple(s.name for s in rep.steps) == CHAIN_STEPS
+    def test_step_names_order_and_shapes(self, rng):
+        margins = inequality_chain_check(self.random_rows(rng, 5), 2)
+        assert tuple(margins) == CHAIN_STEPS
+        assert all(m.shape == (5,) and m.dtype == np.float64 for m in margins.values())
 
     def test_residuals_within_quantizer_halfstep(self, rng):
         for b in (1, 2, 3):
-            rep = self.random_case(rng, b)
-            half = math.pi / 2**b
-            assert np.all(np.abs(rep.residuals) <= half + 1e-12)
+            margins = inequality_chain_check(self.random_rows(rng, 20), b)
+            assert margins["residual-within-quantizer-halfstep"].min() >= -1e-12
 
     def test_degenerate_one_bit_chain(self, rng):
         # with one phase bit the bound goes negative; the chain must still close
-        rep = self.random_case(rng, 1)
-        assert rep.ok
-        assert rep.lower_bound <= rep.delta_achieved + link.BOUND_TOLERANCE
+        e = self.random_rows(rng, 20)
+        margins = inequality_chain_check(e, 1)
+        assert margins["achieved-dominates-lower-bound"].min() >= -link.BOUND_TOLERANCE
+        assert all(theorem1_lb(row, 1) < 0.0 for row in e)
 
-    def test_zero_amplitude_antennas_are_tolerated(self):
-        e = np.array([0.0, 1.0, 0.5, 0.0], dtype=complex)
-        rep = inequality_chain_check(e, np.ones(4), np.zeros(4), 2)
-        assert rep.ok
-        assert rep.residuals[0] == 0.0 and rep.residuals[3] == 0.0
+    def test_zero_amplitude_antennas_and_rows_are_tolerated(self):
+        e = np.array([[0.0, 1.0, 0.5, 0.0], [0.0, 0.0, 0.0, 0.0]], dtype=complex)
+        margins = inequality_chain_check(e, 2)
+        assert all(np.isfinite(m).all() for m in margins.values())
+        assert min(m.min() for m in margins.values()) >= -link.BOUND_TOLERANCE
+        # zero antennas carry no residual, and the nonzero ones sit on level 0
+        assert (margins["residual-within-quantizer-halfstep"] == math.pi / 4).all()
 
-    def test_report_round_trips_through_json(self, rng):
-        rep = self.random_case(rng, 2)
-        blob = json.dumps(rep.to_dict(), sort_keys=True)
-        back = json.loads(blob)
-        assert back["n_antennas"] == 4
-        assert back["b_bits"] == 2
-        assert len(back["steps"]) == len(CHAIN_STEPS)
+    def test_rows_are_audited_independently(self, rng):
+        e = self.random_rows(rng, 6)
+        whole = inequality_chain_check(e, 3)
+        for t, row in enumerate(e):
+            one = inequality_chain_check(row[None, :], 3)
+            assert [m[t] for m in whole.values()] == [m[0] for m in one.values()]
+
+    def test_rejects_a_vector_or_an_empty_row(self):
+        with pytest.raises(ValueError, match=r"\(rows, N\)"):
+            inequality_chain_check(np.ones(4, dtype=complex), 2)
+        with pytest.raises(ValueError, match=r"\(rows, N\)"):
+            inequality_chain_check(np.ones((3, 0), dtype=complex), 2)
+        with pytest.raises(ValueError, match="b_bits"):
+            inequality_chain_check(np.ones((1, 4), dtype=complex), 0)
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_last_step_is_the_trial_margin_bit_for_bit(self, n):
+        """On the fields of ``test_rows_equal_per_trial_calls``, the chain's
+        closing step is ``theorem_trials``' margin, bit for bit."""
+        res = theorem_trials(60, b_values=AUDIT_B, seed=19, n_antennas=n, out=None)
+        e = _trial_rows(19, n, 60)
+        for j, b in enumerate(AUDIT_B):
+            last = inequality_chain_check(e, b)["achieved-dominates-lower-bound"]
+            assert last.tobytes() == np.ascontiguousarray(res.margin[:, j]).tobytes()
 
 
 class TestTheoremTrials:
@@ -187,13 +217,8 @@ class TestTheoremTrials:
         res = theorem_trials(60, b_values=AUDIT_B, seed=seed, n_antennas=n, out=None)
         assert res.var_blockage.shape == (60,)
         assert res.lower_bound.shape == res.delta_achieved.shape == res.margin.shape == (60, 3)
-        fields = []
-        for t in range(60):
-            rng = np.random.default_rng([seed, t])
-            amps = rng.uniform(0.0, 2.0, n)
-            fields.append(amps * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, n)))
         _assert_rows_equal_per_vector_calls(
-            fields, (res.var_blockage, res.lower_bound, res.delta_achieved)
+            _trial_rows(seed, n, 60), (res.var_blockage, res.lower_bound, res.delta_achieved)
         )
 
     @pytest.mark.parametrize(
