@@ -54,6 +54,13 @@ def _float_list(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from exc
 
 
+def _seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return seed
+
+
 def _cmd_synth(args) -> int:
     with published(args.out, False) as out:
         grid = make_grid(args.theta_step, args.phi_step)
@@ -127,9 +134,13 @@ def _cmd_metrics(args) -> int:
             median = dict(s.percentiles).get(50.0)
             loss = f"mean_loss={s.mean:.2f}" if median is None else f"median_loss={median:.2f}"
             summary_lines.append(f"antenna {i}: roi={100 * roi.area_fraction:.1f}% {loss} dB")
-        for i in range(free.n_antennas - 1):
-            mix_f = phase_mixing(pair_phase_diff(free, i, i + 1))
-            mix_b = phase_mixing(pair_phase_diff(blocked, i, i + 1))
+        mixing, pairs = [], range(free.n_antennas - 1)
+        for path, field in ((args.free, free), (args.blocked, blocked)):
+            try:
+                mixing.append([phase_mixing(pair_phase_diff(field, i, i + 1)) for i in pairs])
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
+        for i, (mix_f, mix_b) in enumerate(zip(*mixing)):
             summary_lines.append(
                 f"pair {i}-{i + 1}: phase mixing free={mix_f:.1f} blocked={mix_b:.1f} deg/5deg"
             )
@@ -255,7 +266,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phase-std", type=float, default=30.0)
     p.add_argument("--amp-std", type=float, default=DistortionSpec.amp_std_db)
     p.add_argument("--corr-length", type=float, default=DistortionSpec.corr_length_deg)
-    p.add_argument("--seed", type=int, help="override the scenario seed")
+    p.add_argument("--seed", type=_seed, help="override the scenario seed")
     p.set_defaults(func=_cmd_distort)
 
     p = sub.add_parser("metrics", help="RoI/CDF/coverage tables from two field files")
@@ -291,7 +302,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("theorem-check", help="Monte-Carlo audit of the improvement bound")
     p.add_argument("--trials", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--B", dest="b_values", type=_int_list, default=(1, 2, 3))
     p.add_argument("--n-antennas", type=int, default=4)
     p.add_argument("--out", help="optional CSV of per-trial rows")
@@ -300,7 +311,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="full experiment: all scenarios of a config")
     p.add_argument("--config", help="experiment config YAML (default: built-in)")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, help="override config/scenario seeds")
+    p.add_argument("--seed", type=_seed, help="override config/scenario seeds")
     p.set_defaults(func=_cmd_run)
 
     return parser

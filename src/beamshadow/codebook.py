@@ -11,8 +11,8 @@ Schemes
 - Enhanced phase+amplitude codebook: the same phase lattice with per-antenna
   magnitudes proportional to measured element strengths.
 
-A ``Codebook`` is one read-only (entries, N) complex ``weight_matrix`` whose
-row k is entry k's unit-norm weight vector, validated once as a whole.  The
+A ``Codebook`` keeps only what the search reads: an (entries, N) matrix of
+unit-norm rows or an enhanced codebook's level vectors (below).  The
 phase+amplitude codebook is trained per direction, so ``amp_gain_map``
 searches the phase lattice on strength-weighted field vectors instead.
 
@@ -36,10 +36,10 @@ would not):
 
 Enhanced codebooks are lattices: entry k takes antenna i's weight from the
 i-th base-2**B digit of k (antenna 1 fixed, antenna 2 the slowest digit),
-so antenna i has only 2**B distinct weights.  Their constructors keep these
-level vectors (``Codebook.levels``); given them as a tuple, ``best_entries``
-forms 2**B products ``conj(w) * e_i`` per antenna, and broadcasting them
-through the add tree yields every entry's response without forming the
+so antenna i has only 2**B distinct weights.  Their ``Codebook.weights``
+are these level vectors; given them as a tuple, ``best_entries`` forms
+2**B products ``conj(w) * e_i`` per antenna, and broadcasting them through
+the add tree yields every entry's response without forming the
 (entries x antennas) product.  A matrix is multiplied whole; no lattice is
 read back from one.  Field vectors are processed in blocks of at most
 ``_BLOCK_PRODUCTS`` entry-vector pairs, which bounds the temporaries.
@@ -87,62 +87,55 @@ CODEBOOK_KINDS = ("directional", "enh-phase", "enh-phase-amp")
 
 @dataclasses.dataclass(eq=False)
 class Codebook:
-    """Codebook of one kind: a read-only (entries, n_antennas) complex matrix
-    whose row k is the unit-norm weight vector of entry k.
+    """The entries ``best_entries`` searches, ``weights``: a read-only
+    (entries, N) complex matrix of weight vectors or a tuple of per-antenna
+    level vectors, whose lattice is the entries.  Checked once: finite, every
+    entry's norm ``sqrt(sum re*re + im*im)`` within 1e-12 of 1.  A lattice
+    checks two entries, of each antenna's smallest and of its largest squared
+    level (argmin/argmax pick a NaN); every other entry's norm lies between."""
 
-    ``weight_matrix`` may be a tuple of per-antenna level vectors instead:
-    they are kept, read-only, as ``levels`` and expanded into their lattice.
-    The matrix is copied and checked once: 2-D, not empty, finite, every
-    row norm ``sqrt(sum re*re + im*im)`` within 1e-12 of 1.  Size
-    invariants per kind: enhanced codebooks must have exactly
-    ``(2**B)**(n_antennas - 1)`` entries; a directional codebook has one
-    entry per beam.
-    """
-
-    kind: str
-    weight_matrix: np.ndarray
-    b_bits: int | None = None
-    levels: tuple[np.ndarray, ...] | None = dataclasses.field(init=False, default=None, repr=False)
+    weights: np.ndarray | tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        if self.kind not in CODEBOOK_KINDS:
-            raise ValueError(f"kind must be one of {CODEBOOK_KINDS}, got {self.kind!r}")
-        if isinstance(self.weight_matrix, tuple):
-            self.levels = _level_vectors(self.weight_matrix)
-            grids = np.meshgrid(*self.levels, indexing="ij")
-            w = np.stack([g.reshape(-1) for g in grids], axis=1)
+        if isinstance(self.weights, tuple):
+            w = _level_vectors(self.weights)
+            powers = [v.real * v.real + v.imag * v.imag for v in w]
+            picks = [[int(p.argmin()) for p in powers], [int(p.argmax()) for p in powers]]
+            rows = np.array([[v[i] for v, i in zip(w, pick)] for pick in picks])
         else:
-            w = np.array(self.weight_matrix, dtype=np.complex128, order="C")
-        if w.ndim != 2 or w.size < 1:
-            raise ValueError("weight matrix must be a non-empty (entries, antennas) array")
-        if not np.isfinite(w).all():
+            w = rows = np.array(self.weights, dtype=np.complex128, order="C")
+            if w.ndim != 2 or w.size < 1:
+                raise ValueError("weight matrix must be a non-empty (entries, antennas) array")
+            w.flags.writeable = False
+        if not np.isfinite(rows).all():
             raise ValueError("weights must be finite")
         # a C-ordered row sum adds each row as a 1-D .sum does
-        norms = np.sqrt((w.real * w.real + w.imag * w.imag).sum(axis=1))
+        norms = np.sqrt((rows.real * rows.real + rows.imag * rows.imag).sum(axis=1))
         bad = np.flatnonzero(np.abs(norms - 1.0) > 1e-12)
         if bad.size:
             k = int(bad[0])
+            where = f"the entry of levels {picks[k]}" if isinstance(w, tuple) else f"entry {k}"
             raise ValueError(
-                f"entry {k}: weight vector norm {norms[k]} deviates from 1 by more than 1e-12"
+                f"{where}: weight vector norm {norms[k]} deviates from 1 by more than 1e-12"
             )
-        n_entries, n = w.shape
-        if self.kind in ("enh-phase", "enh-phase-amp"):
-            if self.b_bits is None or self.b_bits < 1:
-                raise ValueError("enhanced codebooks require b_bits >= 1")
-            expected = (2**self.b_bits) ** (n - 1)
-            if n_entries != expected:
-                raise ValueError(
-                    f"{self.kind} codebook must have {expected} entries, got {n_entries}"
-                )
+        self.weights = w
+
+    @property
+    def weight_matrix(self) -> np.ndarray:
+        """The read-only (entries, N) matrix; a lattice is expanded on each read."""
+        if not isinstance(self.weights, tuple):
+            return self.weights
+        w = np.stack([g.reshape(-1) for g in np.meshgrid(*self.weights, indexing="ij")], 1)
         w.flags.writeable = False
-        self.weight_matrix = w
+        return w
 
     @property
     def n_antennas(self) -> int:
-        return self.weight_matrix.shape[1]
+        return len(self.weights) if isinstance(self.weights, tuple) else self.weights.shape[1]
 
     def __len__(self) -> int:
-        return self.weight_matrix.shape[0]
+        w = self.weights
+        return math.prod(v.size for v in w) if isinstance(w, tuple) else len(w)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -160,13 +153,6 @@ class StrengthVector:
             raise ValueError("strengths must be finite and >= 0")
         if sum(vals) <= 0.0:
             raise ValueError("strengths must not all be zero")
-
-    @property
-    def n_antennas(self) -> int:
-        return len(self.values)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=float)
 
 
 def _require_int(value, name: str) -> None:
@@ -334,13 +320,13 @@ def directional_codebook(
     k = np.round(np.mod(np.angle(ideal), 2.0 * math.pi) / step).astype(np.int64) % len(levels)
     w = np.exp(1j * levels[k]) / math.sqrt(n_antennas)
     norms = np.sqrt((w.real * w.real + w.imag * w.imag).sum(axis=1))
-    return Codebook("directional", w / norms[:, None])
+    return Codebook(w / norms[:, None])
 
 
 def enh_phase_codebook(n_antennas: int, b_bits: int) -> Codebook:
     """Exhaustive B-bit relative-phase codebook, equal magnitudes."""
     levels = phase_lattice(n_antennas, b_bits)
-    return Codebook("enh-phase", tuple(v / math.sqrt(n_antennas) for v in levels), b_bits)
+    return Codebook(tuple(v / math.sqrt(n_antennas) for v in levels))
 
 
 def enh_phase_amp_codebook(n_antennas: int, b_bits: int, strengths) -> Codebook:
@@ -350,12 +336,12 @@ def enh_phase_amp_codebook(n_antennas: int, b_bits: int, strengths) -> Codebook:
     strengths silence the matching antennas.
     """
     s = strengths if isinstance(strengths, StrengthVector) else StrengthVector(tuple(strengths))
-    if s.n_antennas != n_antennas:
+    sv = np.array(s.values)
+    if len(sv) != n_antennas:
         raise ValueError("strength vector length must equal n_antennas")
-    sv = s.as_array()
     scale = math.sqrt(sv.sum())
     levels = zip(np.sqrt(sv), phase_lattice(n_antennas, b_bits))
-    return Codebook("enh-phase-amp", tuple(r * v / scale for r, v in levels), b_bits)
+    return Codebook(tuple(r * v / scale for r, v in levels))
 
 
 def _gains_db(power: np.ndarray, total: np.ndarray | None = None) -> list[float]:
@@ -388,7 +374,7 @@ def gain_map(scheme: Codebook | str, field: AntennaFieldMap) -> np.ndarray:
         return power_db((s.real * s.real + s.imag * s.imag).sum(axis=0))
     if scheme.n_antennas != field.n_antennas:
         raise ValueError("codebook and field antenna counts differ")
-    best, _ = best_entries(scheme.levels or scheme.weight_matrix, _field_vectors(field))
+    best, _ = best_entries(scheme.weights, _field_vectors(field))
     return np.reshape(_gains_db(best), field.grid.shape)
 
 

@@ -80,6 +80,8 @@ class DistortionSpec:
             raise ValueError("screen standard deviations must be >= 0")
         if self.corr_length_deg <= 0.0:
             raise ValueError("corr_length_deg must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "fingers", tuple(self.fingers))
 
 

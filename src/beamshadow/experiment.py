@@ -155,6 +155,8 @@ class ExperimentConfig:
             setattr(self, f.name, _typed(hints[f.name], getattr(self, f.name), f.name))
         if not self.b_values:
             raise ValueError("b_values must not be empty")
+        if self.seed is not None and self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.scenarios:
             raise ValueError("config needs at least one scenario")
         for name in self.scenarios:

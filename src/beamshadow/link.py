@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import forked
-from .codebook import Codebook, best_entries, phase_lattice, phase_levels
+from .codebook import best_entries, phase_lattice, phase_levels
 from .fileio import TRIALS_CSV_HEADER, published, trials_csv_rows
 from .sphere import mod_2pi, wrap_rad
 
@@ -116,17 +116,15 @@ def delta_snr_achieved(e_vec, b_bits: int) -> float:
     return float(max_amp[0] - max_phase[0])
 
 
-def worst_case_dir_snr(e_free_vec, amp_vec, codebook: Codebook) -> float:
+def worst_case_dir_snr(e_free_vec, amp_vec) -> float:
     """Directional-codebook gain floor under adversarial blockage phases.
 
     For magnitudes m_i = |E_free,i| * A_i the worst phase screen reduces
     every steered beam to ``(1/N) * (sum_i m_i a_i)^2`` with signs a_i; the
-    beam index drops out (all entries have equal-magnitude weights), so the
-    floor is the minimum over the 2^N sign patterns.  Exact enumeration,
-    guarded to N <= 20.
+    beam index drops out (every directional entry has equal-magnitude
+    weights), so the floor needs no codebook: it is the minimum over the
+    2^N sign patterns.  Exact enumeration, guarded to N <= 20.
     """
-    if codebook.kind != "directional":
-        raise ValueError(f"expected a directional codebook, got kind {codebook.kind!r}")
     e = np.asarray(e_free_vec, dtype=np.complex128)
     a = np.asarray(amp_vec, dtype=float)
     if e.shape != a.shape or e.ndim != 1:
@@ -134,8 +132,6 @@ def worst_case_dir_snr(e_free_vec, amp_vec, codebook: Codebook) -> float:
     if np.any(a < 0.0):
         raise ValueError("amplitude factors must be >= 0")
     n = e.size
-    if codebook.n_antennas != n:
-        raise ValueError("codebook antenna count does not match the vectors")
     if n > 20:
         raise ValueError("sign enumeration is limited to n_antennas <= 20")
     m = np.sqrt(e.real * e.real + e.imag * e.imag) * a

@@ -162,6 +162,23 @@ def test_failed_metrics_leaves_no_output(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_metrics_names_the_file_whose_phase_mixing_fails(tmp_path, capsys):
+    """A field with one theta row has no adjacent rows to mix; the error
+    names the file, and nothing is written."""
+    free, blocked, out = tmp_path / "free.field", tmp_path / "blocked.field", tmp_path / "m"
+    assert main(["synth", "--out", str(free), "--theta-step", "180", "--phi-step", "15"]) == 0
+    assert main(["distort", "--field", str(free), "--out", str(blocked),
+                 "--scenario", "tight-grip-one-finger"]) == 0
+    capsys.readouterr()
+    rc = main(["metrics", "--free", str(free), "--blocked", str(blocked), "--out", str(out),
+               "--g1", "-100", "--g2", "-100"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert f"error: {free}: phase mixing needs at least two theta rows" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("dist_out", ["nodir/x.dist", ".", ""])
 def test_distort_refuses_a_dist_out_it_cannot_write_before_writing(
     free_file, tmp_path, monkeypatch, capsys, dist_out
@@ -294,7 +311,6 @@ def test_theorem_check_writes_rows(tmp_path, capsys):
     "argv, message",
     [(["--n-antennas", "0"], "n_antennas must be >= 1"),
      (["--n-antennas", "40"], "enhanced codebook would have"),
-     (["--seed", "-1"], "expected non-negative integer"),
      (["--n-antennas", "1", "--B", "40"], "b_bits must be in 1..16"),
      (["--B", "2,2"], "b_values repeats bit width 2")],
 )
@@ -305,6 +321,22 @@ def test_theorem_check_rejects_bad_arguments_without_output(tmp_path, capsys, ar
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["distort", "theorem-check", "run"])
+def test_a_negative_seed_flag_is_a_usage_error(free_file, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    argv = {
+        "distort": ["--field", str(free_file), "--out", str(out)],
+        "theorem-check": ["--trials", "3", "--out", str(out)],
+        "run": ["--out", str(out)],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *argv, "--seed", "-1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --seed: expected a non-negative integer, got '-1'" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["free.field"]
 
 
 def test_theorem_check_names_the_out_path_it_cannot_write(tmp_path, capsys):
@@ -728,6 +760,8 @@ MALFORMED = [
     (("g1_db",), None, "'g1_db'"),
     (("scenarios", "grip-a", "fingers", 0, "radius_deg"), -1, "scenarios.grip-a.fingers[0]"),
     (("array", "n_antennas"), 0, "'array'"),
+    (("seed",), -3, "error: seed must be >= 0, got -3"),
+    (("scenarios", "grip-a", "seed"), -3, "'scenarios.grip-a': seed must be >= 0, got -3"),
 ]
 
 

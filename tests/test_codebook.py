@@ -22,6 +22,7 @@ from beamshadow.codebook import (
     gain_map,
     phase_lattice,
     phase_levels,
+    scheme_maps,
 )
 from beamshadow.fields import AntennaFieldMap
 from conftest import (
@@ -82,7 +83,6 @@ class TestPhaseLevels:
 class TestDirectionalCodebook:
     def test_default_beam_count_equals_antennas(self):
         cbk = directional_codebook(4, None, 0.5, 5)
-        assert cbk.kind == "directional"
         assert len(cbk) == 4
         assert cbk.n_antennas == 4
         assert cbk.weight_matrix.shape == (4, 4)
@@ -184,7 +184,6 @@ class TestEnhancedCodebooks:
         phase = enh_phase_codebook(4, 2)
         amp = enh_phase_amp_codebook(4, 2, StrengthVector((1.0, 1.0, 1.0, 1.0)))
         assert np.array_equal(amp.weight_matrix, phase.weight_matrix)
-        assert amp.kind == "enh-phase-amp"
 
     def test_amp_codebook_weights_follow_strengths(self):
         s = StrengthVector((4.0, 1.0, 1.0, 0.0))
@@ -205,12 +204,7 @@ class TestEnhancedCodebooks:
 class TestSweepAndWeights:
     def test_beam_weight_norm_guard(self):
         with pytest.raises(ValueError, match="norm"):
-            Codebook("directional", np.array([[1.0, 1.0]], dtype=complex))
-
-    def test_codebook_cardinality_invariants(self):
-        rows = enh_phase_codebook(4, 2).weight_matrix[:10]
-        with pytest.raises(ValueError, match="cardinality|entries"):
-            Codebook(kind="enh-phase", weight_matrix=rows, b_bits=2)
+            Codebook(np.array([[1.0, 1.0]], dtype=complex))
 
 
 def scalar_row_ok(row):
@@ -236,12 +230,73 @@ def test_property_codebook_accepts_exactly_unit_norm_rows(n, offsets, fortran, s
     ok = [scalar_row_ok(r) for r in rows]
     given_rows = np.asfortranarray(rows) if fortran else rows
     if all(ok):
-        cbk = Codebook("directional", given_rows)
+        cbk = Codebook(given_rows)
         assert cbk.weight_matrix.tobytes() == rows.tobytes()
         assert (len(cbk), cbk.n_antennas) == rows.shape
     else:
         with pytest.raises(ValueError, match=f"entry {ok.index(False)}: weight vector norm"):
-            Codebook("directional", given_rows)
+            Codebook(given_rows)
+
+
+def levels_with_extreme_norms(sizes, d_low, d_high, rng):
+    """Random per-antenna level vectors whose lattice's smallest and largest
+    entry norms sit at 1 + d*1e-13 for d = d_low <= d_high: each level's
+    squared magnitude is an affine image of a random power, which keeps the
+    entries' order by norm; a one-entry lattice takes d_low."""
+    powers = [rng.random(k) + 0.5 for k in sizes]
+    low, high = sum(p.min() for p in powers), sum(p.max() for p in powers)
+    t_low, t_high = (1.0 + d_low * 1e-13) ** 2, (1.0 + d_high * 1e-13) ** 2
+    scale = (t_high - t_low) / (high - low) if high > low else 0.0
+    shift = (t_low - scale * low) / len(sizes)
+    return tuple(
+        np.sqrt(scale * p + shift) * np.exp(2j * math.pi * rng.random(p.size)) for p in powers
+    )
+
+
+off_tolerance = st.integers(-15, 15).filter(lambda d: abs(d) != 10)
+
+
+@given(
+    st.lists(st.integers(1, 3), min_size=1, max_size=6),
+    off_tolerance,
+    off_tolerance,
+    st.integers(0, 2**32 - 1),
+)
+def test_property_lattice_accepts_exactly_unit_norm_entries(sizes, d1, d2, seed):
+    """A lattice checks two entries, yet must accept exactly when every row
+    of its expanded matrix passes the scalar per-row check."""
+    d_low, d_high = sorted((d1, d2)) if math.prod(sizes) > 1 else (d1, d1)
+    levels = levels_with_extreme_norms(sizes, d_low, d_high, np.random.default_rng(seed))
+    ok = all(scalar_row_ok(row) for row in lattice_matrix(levels))
+    # |d| = 10 sits on the tolerance, so the construction lands on one side
+    assert ok == (max(abs(d_low), abs(d_high)) < 10)
+    if ok:
+        cbk = Codebook(levels)
+        assert cbk.weight_matrix.tobytes() == lattice_matrix(levels).tobytes()
+        assert (len(cbk), cbk.n_antennas) == (math.prod(sizes), len(sizes))
+    else:
+        with pytest.raises(ValueError, match="the entry of levels .*: weight vector norm"):
+            Codebook(levels)
+
+
+def test_enhanced_codebooks_are_built_without_their_matrix():
+    """An 18-antenna B=1 lattice has 131072 entries, 37.7 MB as a matrix;
+    neither its codebook nor the scheme table expands it."""
+    import tracemalloc
+
+    phase_lattice.cache_clear()
+    tracemalloc.start()
+    try:
+        cbk = enh_phase_codebook(18, 1)
+        codebook_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        scheme_maps(18, (1,), None, 0.5, 5)
+        maps_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cbk) == 2**17
+    assert codebook_peak < 1 << 20
+    assert maps_peak < 1 << 20
 
 
 class TestCodebookMatrix:
@@ -253,7 +308,7 @@ class TestCodebookMatrix:
 
     def test_weight_matrix_does_not_alias_the_input(self):
         rows = np.eye(3, dtype=complex)
-        cbk = Codebook("directional", rows)
+        cbk = Codebook(rows)
         assert not np.shares_memory(cbk.weight_matrix, rows)
         assert rows.flags.writeable
         rows[0] = rows[1]
@@ -266,17 +321,15 @@ class TestCodebookMatrix:
             (np.array([[np.inf, 0.0], [0.0, 1.0]]), "finite"),
             (np.array([1.0, 0.0]), "non-empty"),
             (np.zeros((0, 2)), "non-empty"),
+            # a lattice checks two entries, which must take its non-finite levels
+            ((np.full(1, 0.6), np.array([0.8, np.nan, -0.8])), "finite"),
+            ((np.full(1, 0.6), np.array([0.8, np.inf, -0.8])), "finite"),
+            ((np.full(1, 0.6), np.array([0.8, complex(0.8, np.nan), -0.8])), "finite"),
         ],
     )
     def test_bad_matrices_raise(self, rows, message):
         with pytest.raises(ValueError, match=message):
-            Codebook("directional", rows)
-
-    def test_unknown_kind_and_missing_b_bits(self):
-        with pytest.raises(ValueError, match="kind must be one of"):
-            Codebook("zap", np.eye(2))
-        with pytest.raises(ValueError, match="b_bits"):
-            Codebook("enh-phase", enh_phase_codebook(2, 1).weight_matrix)
+            Codebook(rows)
 
 
 class TestMrcAndRealized:
@@ -535,7 +588,7 @@ def test_enhanced_weight_matrices_keep_their_bytes(n, b):
     u = pre_level_phase_lattice(n, b)
     phase = enh_phase_codebook(n, b)
     assert phase.weight_matrix.tobytes() == (u / math.sqrt(n)).tobytes()
-    assert phase.weight_matrix.tobytes() == lattice_matrix(phase.levels).tobytes()
+    assert phase.weight_matrix.tobytes() == lattice_matrix(phase.weights).tobytes()
     for sv in (np.ones(n), rng.random(n), rng.random(n) * 1e-300, np.r_[1.0, np.zeros(n - 1)]):
         amp = enh_phase_amp_codebook(n, b, sv)
         want = (np.sqrt(sv)[None, :] * u) / math.sqrt(sv.sum())
@@ -551,15 +604,16 @@ def test_malformed_level_tuples_are_refused(levels):
     with pytest.raises(ValueError, match="levels must be"):
         best_entries(levels, np.ones((3, max(len(levels), 1))))
     with pytest.raises(ValueError, match="levels must be"):
-        Codebook("directional", levels)
+        Codebook(levels)
 
 
 def test_enhanced_codebooks_keep_read_only_levels():
     cbk = enh_phase_codebook(3, 2)
-    assert [v.size for v in cbk.levels] == [1, 4, 4]
-    assert all(not v.flags.writeable for v in cbk.levels)
+    assert [v.size for v in cbk.weights] == [1, 4, 4]
+    assert all(not v.flags.writeable for v in cbk.weights)
     assert all(not v.flags.writeable for v in phase_lattice(3, 2))
-    assert directional_codebook(3, None, 0.5, 5).levels is None
+    directional = directional_codebook(3, None, 0.5, 5).weights
+    assert directional.shape == (3, 3) and not directional.flags.writeable
 
 
 def test_search_rejects_mismatched_shapes():

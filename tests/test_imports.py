@@ -216,15 +216,28 @@ def test_every_script_is_named_by_a_test():
 
 def test_the_names_the_benchmark_traces_keep_their_parameters():
     """The benchmark's tracing hooks read ``gain_map``'s ``scheme`` and
-    ``field``, ``amp_gain_map``'s ``field`` and ``b_bits``, and wrap
-    ``experiment._run_scenario``; a rename would make every traced op raise."""
+    ``field``, ``amp_gain_map``'s ``field`` and ``b_bits`` and a codebook's
+    ``len``, and wrap ``experiment._run_scenario``; a rename would make every
+    traced op raise.  Its naive reference enumerates the ``weight_matrix`` of
+    each codebook constructor, the amplitude one given a ``StrengthVector``."""
     import inspect
+
+    import numpy as np
 
     from beamshadow import codebook, experiment
 
     assert list(inspect.signature(codebook.gain_map).parameters) == ["scheme", "field"]
     assert list(inspect.signature(codebook.amp_gain_map).parameters) == ["field", "b_bits"]
     assert inspect.isfunction(experiment._run_scenario)
+    strengths = codebook.StrengthVector((1.0, 2.0, 0.5))
+    for cbk in (
+        codebook.directional_codebook(3, None, 0.5, 5),
+        codebook.enh_phase_codebook(3, 2),
+        codebook.enh_phase_amp_codebook(3, 2, strengths),
+    ):
+        w = cbk.weight_matrix
+        assert isinstance(w, np.ndarray) and w.dtype == np.complex128
+        assert w.shape == (len(cbk), cbk.n_antennas) and not w.flags.writeable
 
 
 SRC_LINE_BUDGET = 3316

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 import beamshadow as bs
 from test_experiment import needs_fork
-from beamshadow.codebook import directional_codebook, enh_phase_codebook
 from beamshadow import forked, link
 from beamshadow.link import (
     delta_snr_achieved,
@@ -105,23 +104,16 @@ class TestBoundIngredients:
 
 class TestWorstCaseDirectional:
     def test_balanced_magnitudes_can_cancel(self):
-        cbk = directional_codebook(4, 1, 0.5, 5)
-        assert worst_case_dir_snr(np.ones(4, dtype=complex), np.ones(4), cbk) == 0.0
+        assert worst_case_dir_snr(np.ones(4, dtype=complex), np.ones(4)) == 0.0
 
     def test_dominant_magnitude_leaves_a_floor(self):
-        cbk = directional_codebook(4, 1, 0.5, 5)
-        out = worst_case_dir_snr(np.array([4.0, 1, 1, 1], dtype=complex), np.ones(4), cbk)
+        out = worst_case_dir_snr(np.array([4.0, 1, 1, 1], dtype=complex), np.ones(4))
         assert out == pytest.approx(0.25, abs=1e-12)
-
-    def test_requires_directional_codebook(self):
-        with pytest.raises(ValueError, match="directional"):
-            worst_case_dir_snr(np.ones(4, dtype=complex), np.ones(4), enh_phase_codebook(4, 2))
 
     def test_enumeration_guard(self):
         n = 24
-        cbk = directional_codebook(n, 1, 0.5, 5)
         with pytest.raises(ValueError, match="20"):
-            worst_case_dir_snr(np.ones(n, dtype=complex), np.ones(n), cbk)
+            worst_case_dir_snr(np.ones(n, dtype=complex), np.ones(n))
 
 
 def _trial_rows(seed: int, n: int, count: int) -> np.ndarray:
