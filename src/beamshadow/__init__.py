@@ -55,7 +55,6 @@ from .metrics import (
     NULL_GAIN_DB,
     CdfSummary,
     CoverageRow,
-    PhaseDiffMap,
     RoIMask,
     cdf_summary,
     coverage_stats,

@@ -28,15 +28,7 @@ from .fileio import (
     write_gain_map_csv,
 )
 from .link import theorem_trials
-from .metrics import (
-    cdf_summary,
-    check_percentiles,
-    coverage_stats,
-    loss_samples,
-    pair_phase_diff,
-    phase_mixing,
-    roi_mask,
-)
+from .metrics import check_percentiles, coverage_stats, elemental_summaries, phase_mixing
 from .sphere import make_grid
 
 
@@ -126,27 +118,25 @@ def _cmd_metrics(args) -> int:
         free, blocked = read_field_files([args.free, args.blocked])
         # every table and line is computed before the tree, or a missing parent, is created
         coverage = coverage_stats(free, blocked, args.g1, args.g2)
-        summaries, summary_lines = [], []
-        for i in range(free.n_antennas):
-            roi = roi_mask(free, blocked, i, args.g1, args.g2)
-            s = cdf_summary(loss_samples(free, blocked, i, roi), args.percentiles)
-            summaries.append(s)
+        summaries = elemental_summaries(free, blocked, args.g1, args.g2, args.percentiles)
+        summary_lines = []
+        for i, (roi, s) in enumerate(summaries):
             median = dict(s.percentiles).get(50.0)
             loss = f"mean_loss={s.mean:.2f}" if median is None else f"median_loss={median:.2f}"
             summary_lines.append(f"antenna {i}: roi={100 * roi.area_fraction:.1f}% {loss} dB")
-        mixing, pairs = [], range(free.n_antennas - 1)
+        mixing, pairs = [], [(i, i + 1) for i in range(free.n_antennas - 1)]
         for path, field in ((args.free, free), (args.blocked, blocked)):
             try:
-                mixing.append([phase_mixing(pair_phase_diff(field, i, i + 1)) for i in pairs])
+                mixing.append(phase_mixing(field, pairs))
             except ValueError as exc:
                 raise ValueError(f"{path}: {exc}") from None
-        for i, (mix_f, mix_b) in enumerate(zip(*mixing)):
+        for (pair, mix_f), mix_b in zip(mixing[0].items(), mixing[1].values()):
             summary_lines.append(
-                f"pair {i}-{i + 1}: phase mixing free={mix_f:.1f} blocked={mix_b:.1f} deg/5deg"
+                f"pair {pair}: phase mixing free={mix_f:.1f} blocked={mix_b:.1f} deg/5deg"
             )
         out.mkdir(parents=True)
         write_coverage_csv(coverage, out / "coverage.csv")
-        for i, s in enumerate(summaries):
+        for i, (_, s) in enumerate(summaries):
             write_cdf_csv(s, out / f"cdf_loss_antenna{i}.csv")
     print("\n".join(summary_lines))
     print(f"wrote metrics tables to {args.out}")
@@ -304,7 +294,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--B", dest="b_values", type=_int_list, default=(1, 2, 3))
-    p.add_argument("--n-antennas", type=int, default=4)
+    p.add_argument("--n-antennas", type=int, default=ArrayConfig.n_antennas)
     p.add_argument("--out", help="optional CSV of per-trial rows")
     p.set_defaults(func=_cmd_theorem_check)
 

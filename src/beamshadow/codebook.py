@@ -71,9 +71,11 @@ __all__ = [
     "search_power_overflows",
     "phase_lattice",
     "MAX_ENH_ENTRIES",
+    "MAX_PHASE_BITS",
 ]
 
 MAX_ENH_ENTRIES = 1_000_000
+MAX_PHASE_BITS = 16
 
 # entry x field-vector responses formed at once by best_entries; larger
 # blocks buy little speed and raise peak memory
@@ -164,8 +166,8 @@ def _require_int(value, name: str) -> None:
 def phase_levels(b_bits: int) -> np.ndarray:
     """The 2**B quantized phases ``k * 2*pi / 2**B`` in [0, 2*pi)."""
     _require_int(b_bits, "b_bits")
-    if not 1 <= b_bits <= 16:
-        raise ValueError("b_bits must be in 1..16")
+    if not 1 <= b_bits <= MAX_PHASE_BITS:
+        raise ValueError(f"b_bits must be in 1..{MAX_PHASE_BITS}")
     # k * (2*pi / 2**B): dividing by powers of two is exact, so level k at
     # resolution B is bitwise equal to level 2k at B+1 and codebook nesting
     # holds exactly in floating point.
@@ -309,8 +311,8 @@ def directional_codebook(
     _require_int(n_beams, "n_beams")
     if n_beams < 1:
         raise ValueError("n_beams must be >= 1")
-    if not 1 <= quant_bits <= 16:
-        raise ValueError(f"quant_bits must be in 1..16, got {quant_bits}")
+    if not 1 <= quant_bits <= MAX_PHASE_BITS:
+        raise ValueError(f"quant_bits must be in 1..{MAX_PHASE_BITS}, got {quant_bits}")
     j = np.arange(1, n_beams + 1, dtype=float)
     u = -1.0 + (2.0 * j - 1.0) / n_beams
     i = np.arange(n_antennas, dtype=float)

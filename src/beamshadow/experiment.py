@@ -29,11 +29,12 @@ import re
 import types
 import typing
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 
-from .codebook import scheme_maps, search_power_overflows
+from .codebook import MAX_PHASE_BITS, scheme_maps, search_power_overflows
 from .distortion import (
     DistortionField,
     DistortionSpec,
@@ -56,11 +57,9 @@ from .metrics import (
     cdf_summary,
     check_percentiles,
     coverage_stats,
-    loss_samples,
-    pair_phase_diff,
+    elemental_summaries,
     phase_mixing,
     rect_roi,
-    roi_mask,
 )
 from .sphere import make_grid
 
@@ -153,8 +152,15 @@ class ExperimentConfig:
         hints = typing.get_type_hints(ExperimentConfig)
         for f in fields(self):
             setattr(self, f.name, _typed(hints[f.name], getattr(self, f.name), f.name))
-        if not self.b_values:
-            raise ValueError("b_values must not be empty")
+        bits, top = self.b_values, MAX_PHASE_BITS
+        if not bits or len(set(bits)) < len(bits) or not all(1 <= b <= top for b in bits):
+            raise ValueError(f"b_values must be distinct bit widths in 1..{top}, got {list(bits)}")
+        if not 1 <= self.steer_quant_bits <= top:
+            raise ValueError(f"steer_quant_bits must be in 1..{top}, got {self.steer_quant_bits}")
+        for key in ("roi_theta_range", "roi_phi_range"):
+            lo, hi = getattr(self, key)
+            if not lo < hi:
+                raise ValueError(f"{key} must satisfy lo < hi, got {[lo, hi]}")
         if self.seed is not None and self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.scenarios:
@@ -285,16 +291,6 @@ def _both_summaries(samples: np.ndarray, weights: np.ndarray, percentiles) -> tu
     }
 
 
-def _pair_mixing(field: AntennaFieldMap) -> dict[str, float]:
-    """``phase_mixing`` of every antenna pair i < j, keyed ``"i-j"``."""
-    n = field.n_antennas
-    return {
-        f"{i}-{j}": phase_mixing(pair_phase_diff(field, i, j))
-        for i in range(n)
-        for j in range(i + 1, n)
-    }
-
-
 def _run_scenario(
     name: str,
     spec: DistortionSpec,
@@ -311,12 +307,12 @@ def _run_scenario(
     grid = free.grid
     blocked = apply_distortion(free, dist)
     # every check runs before this scenario's first write
-    elemental = {}
-    for i in range(free.n_antennas):
-        roi_i = roi_mask(free, blocked, i, config.g1_db, config.g2_db)
-        losses = loss_samples(free, blocked, i, roi_i)
-        elemental[str(i)] = cdf_summary(losses, config.percentiles).to_dict()
-        elemental[str(i)]["roi_area_fraction"] = roi_i.area_fraction
+    elemental = {
+        str(i): {**summary.to_dict(), "roi_area_fraction": roi.area_fraction}
+        for i, (roi, summary) in enumerate(
+            elemental_summaries(free, blocked, config.g1_db, config.g2_db, config.percentiles)
+        )
+    }
 
     gains = {scheme: map_of(blocked) for scheme, map_of in schemes.items()}
     m = rect.mask
@@ -361,7 +357,7 @@ def _run_scenario(
     for key, arr in samples.items():
         tables[key], cdfs[key] = _both_summaries(arr, roi_weights, config.percentiles)
     coverage = coverage_stats(free, blocked, config.g1_db, config.g2_db)
-    mixing_blocked = _pair_mixing(blocked)
+    mixing_blocked = phase_mixing(blocked, combinations(range(blocked.n_antennas), 2))
 
     sdir = out / name
     sdir.mkdir(parents=True, exist_ok=True)
@@ -418,6 +414,8 @@ def run_experiment(config: ExperimentConfig, out_dir, seed: int | None) -> dict:
             config.steer_quant_bits,
         )
 
+        if seed is not None and seed < 0:  # checked before scenario seeds derive from it
+            raise ValueError(f"seed must be >= 0, got {seed}")
         effective_seed = config.seed if seed is None else int(seed)
         names = list(config.scenarios)
         specs = []
@@ -445,7 +443,7 @@ def run_experiment(config: ExperimentConfig, out_dir, seed: int | None) -> dict:
         g_opt_free = schemes["mrc"](free)
         roi_weights = grid.solid_angle_map()[rect.mask]
         try:  # every scenario's free mixing; one theta row fails before any write
-            mixing_free = _pair_mixing(free)
+            mixing_free = phase_mixing(free, combinations(range(array.n_antennas), 2))
         except ValueError as exc:
             where = f"config key 'theta_step_deg' {config.theta_step_deg!r}"
             raise ValueError(f"{where}: {exc}") from None

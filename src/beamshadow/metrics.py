@@ -1,5 +1,7 @@
 """Blockage metrics: elemental gains, regions of interest, loss CDFs,
-coverage tables, and phase-mixing statistics.
+coverage tables, and phase-mixing statistics.  ``elemental_summaries`` and
+``phase_mixing`` are the per-antenna and per-pair analysis of a (free,
+blocked) field pair that both ``metrics`` and ``run`` report.
 
 Gains are dB of linear power, ``10*log10(|E|^2)``.  A direction with an
 exactly-zero field has no defined gain; it is represented by the sentinel
@@ -22,7 +24,6 @@ __all__ = [
     "RoIMask",
     "CdfSummary",
     "CoverageRow",
-    "PhaseDiffMap",
     "power_db",
     "elemental_gain_map",
     "roi_mask",
@@ -30,6 +31,7 @@ __all__ = [
     "loss_samples",
     "check_percentiles",
     "cdf_summary",
+    "elemental_summaries",
     "coverage_stats",
     "pair_phase_diff",
     "phase_mixing",
@@ -222,6 +224,22 @@ def cdf_summary(samples, percentiles: tuple[float, ...], weights=None) -> CdfSum
     )
 
 
+def elemental_summaries(
+    free: AntennaFieldMap,
+    blocked: AntennaFieldMap,
+    g1_db: float,
+    g2_db: float,
+    percentiles: tuple[float, ...],
+) -> list[tuple[RoIMask, CdfSummary]]:
+    """Each antenna's ``roi_mask`` and the unweighted ``cdf_summary`` of its
+    ``loss_samples`` inside it, in antenna order."""
+    summaries = []
+    for i in range(free.n_antennas):
+        roi = roi_mask(free, blocked, i, g1_db, g2_db)
+        summaries.append((roi, cdf_summary(loss_samples(free, blocked, i, roi), percentiles)))
+    return summaries
+
+
 @dataclass(frozen=True)
 class CoverageRow:
     antenna: int
@@ -251,51 +269,40 @@ def coverage_stats(
     return rows
 
 
-@dataclass(eq=False)
-class PhaseDiffMap:
-    """Wrapped phase difference (degrees) between two antennas per direction.
-
-    valid flags directions where both antennas have a nonzero field; values
-    are forced to 0 elsewhere (the phase of a null sample is meaningless).
-    """
-
-    grid: SphericalGrid
-    values_deg: np.ndarray
-    valid: np.ndarray
-
-    def __post_init__(self):
-        self.values_deg = np.asarray(self.values_deg, dtype=float)
-        self.valid = np.asarray(self.valid)
-        if self.values_deg.shape != self.grid.shape or self.valid.shape != self.grid.shape:
-            raise ValueError(f"maps must have shape {self.grid.shape}")
-        if self.valid.dtype != np.bool_:
-            raise ValueError("valid must be boolean")
-
-
-def pair_phase_diff(field: AntennaFieldMap, i: int, j: int) -> PhaseDiffMap:
-    """Phase of antenna j relative to antenna i, wrapped to (-180, 180]."""
+def pair_phase_diff(field: AntennaFieldMap, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Phase of antenna j relative to antenna i per direction, wrapped to
+    (-180, 180] degrees, and the boolean map of directions where both
+    antennas have a nonzero field; values are 0 elsewhere (the phase of a
+    null sample is meaningless)."""
     for a in (i, j):
         if not 0 <= a < field.n_antennas:
             raise ValueError(f"antenna {a} outside 0..{field.n_antennas - 1}")
     ei, ej = field.samples[i], field.samples[j]
     valid = (ei != 0) & (ej != 0)
     values = wrap_deg(np.degrees(np.angle(ej)) - np.degrees(np.angle(ei)))
-    values = np.where(valid, values, 0.0)
-    return PhaseDiffMap(grid=field.grid, values_deg=values, valid=valid)
+    return np.where(valid, values, 0.0), valid
 
 
-def phase_mixing(diff: PhaseDiffMap) -> float:
-    """Mean absolute wrapped change of the pair phase along theta, rescaled
-    to degrees per 5 degrees of theta.
+def phase_mixing(field: AntennaFieldMap, pairs) -> dict[str, float]:
+    """Phase mixing of each antenna pair ``(i, j)`` of ``pairs``, keyed
+    ``"i-j"``: the mean absolute wrapped change of ``pair_phase_diff`` along
+    theta, rescaled to degrees per 5 degrees of theta.
 
     A linear ramp of k degrees of phase per degree of theta scores
     ``abs(k) * 5`` regardless of the grid step; a constant map scores 0.
-    Differences touching an invalid cell are excluded.
+    Differences touching an invalid cell are excluded.  A field with one
+    theta row is refused only if it is given a pair.
     """
-    if diff.grid.n_theta < 2:
-        raise ValueError("phase mixing needs at least two theta rows")
-    steps = wrap_deg(diff.values_deg[1:] - diff.values_deg[:-1])
-    ok = diff.valid[1:] & diff.valid[:-1]
-    if not ok.any():
-        raise ValueError("no valid adjacent theta pairs to difference")
-    return float(np.abs(steps[ok]).mean() * (_MIXING_STEP_DEG / diff.grid.theta_step))
+    scale = _MIXING_STEP_DEG / field.grid.theta_step
+    mixing = {}
+    for i, j in pairs:
+        values, valid = pair_phase_diff(field, i, j)
+        if field.grid.n_theta < 2:
+            raise ValueError("phase mixing needs at least two theta rows")
+        steps = wrap_deg(values[1:] - values[:-1])
+        ok = valid[1:] & valid[:-1]
+        if not ok.any():
+            raise ValueError("no valid adjacent theta pairs to difference")
+        mixing[f"{i}-{j}"] = float(np.abs(steps[ok]).mean() * scale)
+        del values, valid, steps, ok  # freed before the next pair's maps, which set peak RSS
+    return mixing

@@ -63,6 +63,17 @@ def vector_at(field, theta_deg, phi_deg):
     return field.samples[:, it, ip].copy()
 
 
+def phase_pair_field(grid, values_deg, valid=None):
+    """2-antenna field whose pair phase ``pair_phase_diff(field, 0, 1)`` is
+    ``values_deg`` (wrapped): antenna 0 is 1, and antenna 1 is
+    ``e^{j values}``, or 0 where ``valid`` is False."""
+    e1 = np.exp(1j * np.radians(values_deg))
+    if valid is not None:
+        e1 = np.where(valid, e1, 0.0)
+    samples = np.stack([np.ones(grid.shape, dtype=complex), e1])
+    return bs.AntennaFieldMap(grid=grid, samples=samples, label="phase pair")
+
+
 def mrc_gain_db(e):
     """The matched-combining bound ``10*log10(sum |E_i|^2)`` of one vector."""
     total = float((e.real * e.real + e.imag * e.imag).sum())

@@ -37,14 +37,12 @@ from beamshadow.link import (
     theorem_trials,
 )
 from beamshadow.metrics import (
-    PhaseDiffMap,
     loss_samples,
-    pair_phase_diff,
     phase_mixing,
     power_db,
     rect_roi,
 )
-from conftest import mrc_gain_db, naive_best_entry, searched_entry, vector_at
+from conftest import mrc_gain_db, naive_best_entry, phase_pair_field, searched_entry, vector_at
 
 
 @pytest.fixture(scope="module")
@@ -270,19 +268,17 @@ def test_criterion_09_metric_identities(free_field):
     for i in range(free_field.n_antennas):
         assert np.allclose(loss_samples(free_field, twisted, i, roi), 0.0, atol=1e-9)
     # ... while scrambling the inter-antenna phase structure
-    assert phase_mixing(pair_phase_diff(twisted, 0, 1)) > phase_mixing(
-        pair_phase_diff(free_field, 0, 1)
-    )
+    pair = [(0, 1)]
+    assert phase_mixing(twisted, pair)["0-1"] > phase_mixing(free_field, pair)["0-1"]
 
     # phase-mixing oracle values: constants score 0, ramps score |k| * step
-    valid = np.ones(grid.shape, dtype=bool)
-    const = PhaseDiffMap(grid=grid, values_deg=np.full(grid.shape, 12.0), valid=valid)
-    assert phase_mixing(const) == 0.0
+    const = phase_pair_field(grid, np.full(grid.shape, 12.0))
+    assert phase_mixing(const, pair) == {"0-1": 0.0}
     t = np.arange(grid.n_theta, dtype=float)[:, None]
     for k in (1.3, -0.4):
         ramp = np.broadcast_to(k * grid.theta_step * t, grid.shape).copy()
-        d = PhaseDiffMap(grid=grid, values_deg=ramp, valid=valid)
-        assert phase_mixing(d) == pytest.approx(abs(k) * 5.0, abs=1e-9)
+        mix = phase_mixing(phase_pair_field(grid, ramp), pair)["0-1"]
+        assert mix == pytest.approx(abs(k) * 5.0, abs=1e-9)
     print("PASS criterion 9: loss/scale/phase-mixing identities all hold")
 
 

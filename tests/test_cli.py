@@ -179,6 +179,45 @@ def test_metrics_names_the_file_whose_phase_mixing_fails(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_metrics_on_a_runs_fields_reproduces_its_report(tmp_path, capsys):
+    """``metrics`` on a run's ``free.field`` and a scenario's ``blocked.field``,
+    with the run's thresholds and percentiles, writes each antenna's elemental
+    loss table and prints each adjacent pair's mixing as the report holds them."""
+    config = tiny_config(2, seed=4)
+    cfg_path, run_dir = tmp_path / "cfg.yaml", tmp_path / "run"
+    config_to_yaml(config, cfg_path)
+    assert main(["run", "--config", str(cfg_path), "--out", str(run_dir)]) == 0
+    report = json.loads((run_dir / "report.json").read_text())
+    n = config.array.n_antennas
+    for scenario in ("grip-a", "grip-b"):
+        out = tmp_path / f"metrics-{scenario}"
+        capsys.readouterr()
+        assert main([
+            "metrics", "--free", str(run_dir / "free.field"),
+            "--blocked", str(run_dir / scenario / "blocked.field"), "--out", str(out),
+            "--g1", repr(config.g1_db), "--g2", repr(config.g2_db),
+            "--percentiles", ",".join(map(repr, config.percentiles)),
+        ]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        data = report["scenarios"][scenario]
+        for i in range(n):
+            elemental = data["elemental_loss_cdfs_db"][str(i)]
+            header, *rows = (out / f"cdf_loss_antenna{i}.csv").read_text().splitlines()
+            assert header == "percentile,value_db"
+            table = {p: float(v) for p, v in (row.split(",") for row in rows)}
+            assert table == elemental["percentiles"], (scenario, i)
+            assert lines[i] == (
+                f"antenna {i}: roi={100 * elemental['roi_area_fraction']:.1f}% "
+                f"median_loss={elemental['percentiles']['50.0']:.2f} dB"
+            )
+        mixing = data["phase_mixing_deg_per_5deg"]
+        assert lines[n:-1] == [
+            f"pair {i}-{i + 1}: phase mixing free={mixing['free'][f'{i}-{i + 1}']:.1f} "
+            f"blocked={mixing['blocked'][f'{i}-{i + 1}']:.1f} deg/5deg"
+            for i in range(n - 1)
+        ]
+
+
 @pytest.mark.parametrize("dist_out", ["nodir/x.dist", ".", ""])
 def test_distort_refuses_a_dist_out_it_cannot_write_before_writing(
     free_file, tmp_path, monkeypatch, capsys, dist_out
@@ -712,7 +751,7 @@ def test_run_fails_before_any_write(tmp_path, capsys, monkeypatch, overrides, pa
 
 def test_run_rejects_bad_quant_bits_without_output(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.yaml"
-    config_to_yaml(tiny_config(1, steer_quant_bits=64), cfg_path)
+    cfg_path.write_text(yaml.safe_dump(config_dict_with(("steer_quant_bits",), 64)))
     out_dir = tmp_path / "out"
     rc = main(["run", "--config", str(cfg_path), "--out", str(out_dir)])
     assert rc == 1
@@ -762,6 +801,11 @@ MALFORMED = [
     (("array", "n_antennas"), 0, "'array'"),
     (("seed",), -3, "error: seed must be >= 0, got -3"),
     (("scenarios", "grip-a", "seed"), -3, "'scenarios.grip-a': seed must be >= 0, got -3"),
+    (("b_values",), [2, 2], "error: b_values must be distinct bit widths in 1..16, got [2, 2]"),
+    (("b_values",), [0], "error: b_values must be distinct bit widths in 1..16, got [0]"),
+    (("steer_quant_bits",), 0, "error: steer_quant_bits must be in 1..16, got 0"),
+    (("roi_theta_range",), [10.0, 5.0], "error: roi_theta_range must satisfy lo < hi"),
+    (("roi_phi_range",), [200.0, 200.0], "error: roi_phi_range must satisfy lo < hi"),
 ]
 
 

@@ -437,6 +437,12 @@ class TestSeedOverride:
         seeds = [data["scenarios"][n]["seed"] for n in ("grip-a", "grip-b")]
         assert seeds == [7 * 1009, 7 * 1009 + 1]
 
+    def test_a_negative_override_is_refused_naming_it(self, tmp_path):
+        out = tmp_path / "seeded"
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            run_experiment(tiny_config(2), out, seed=-1)
+        assert list(tmp_path.iterdir()) == []
+
     def test_no_override_keeps_scenario_seeds(self, tmp_path):
         out = tmp_path / "plain"
         run_experiment(tiny_config(2), out, seed=None)

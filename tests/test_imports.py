@@ -240,6 +240,42 @@ def test_the_names_the_benchmark_traces_keep_their_parameters():
         assert w.shape == (len(cbk), cbk.n_antennas) and not w.flags.writeable
 
 
+def _bench_assigned(filename: str, name: str) -> ast.expr:
+    """The expression assigned to ``name`` at the top level of
+    ``bench/<filename>``, read without importing the benchmark."""
+    path = Path(beamshadow.__file__).parents[2] / "bench" / filename
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == name for t in node.targets):
+            return node.value
+    raise AssertionError(f"bench/{filename} assigns no {name}")
+
+
+def test_every_name_the_benchmark_traces_resolves():
+    """Each ``module.function`` of ``REQUIRED_SPANS`` in ``bench/worker.py`` and
+    of the ``HOOKS`` keys in ``bench/tracing.py`` is a function of that
+    ``beamshadow`` module; a span named by ``EXTRA_SPANS`` is checked through
+    the function it is mapped from.  A traced function that is deleted or
+    renamed fails here, not as an absent span of a benchmark run."""
+    import importlib
+    import inspect
+
+    spans = ast.literal_eval(_bench_assigned("worker.py", "REQUIRED_SPANS"))
+    hooks = [ast.literal_eval(key) for key in _bench_assigned("tracing.py", "HOOKS").keys]
+    extra = {
+        span: ".".join(function)
+        for function, span in ast.literal_eval(_bench_assigned("tracing.py", "EXTRA_SPANS")).items()
+    }
+    assert "metrics.phase_mixing" in spans and "codebook.gain_map" in hooks
+    assert extra["experiment.scenario"] == "experiment._run_scenario"
+    unresolved = []
+    for name in (*spans, *hooks):
+        layer, _, attr = extra.get(name, name).partition(".")
+        module = importlib.import_module(f"beamshadow.{layer}")
+        if not inspect.isfunction(getattr(module, attr, None)):
+            unresolved.append(name)
+    assert not unresolved, unresolved
+
+
 SRC_LINE_BUDGET = 3316
 
 

@@ -10,7 +10,6 @@ from beamshadow.distortion import DistortionSpec, FingerSpec, gen_distortion, ap
 from beamshadow.fields import AntennaFieldMap
 from beamshadow.metrics import (
     NULL_GAIN_DB,
-    PhaseDiffMap,
     cdf_summary,
     coverage_stats,
     elemental_gain_map,
@@ -20,7 +19,7 @@ from beamshadow.metrics import (
     rect_roi,
     roi_mask,
 )
-from conftest import cell_of
+from conftest import cell_of, phase_pair_field
 
 # the paper's settings: RoI thresholds (dB), rectangle and percentiles
 G1_DB, G2_DB = 7.5, 2.5
@@ -201,60 +200,57 @@ class TestCoverage:
 class TestPhaseDiff:
     def test_antipodal_phase_pair(self, coarse_grid):
         fld = constant_field(coarse_grid, [1.0, -1.0])
-        diff = pair_phase_diff(fld, 0, 1)
-        assert np.allclose(diff.values_deg, 180.0)
-        assert diff.valid.all()
+        values, valid = pair_phase_diff(fld, 0, 1)
+        assert np.allclose(values, 180.0)
+        assert valid.all()
 
     def test_freespace_pair_follows_array_phase(self, free_field, coarse_grid):
-        diff = pair_phase_diff(free_field, 0, 1)
+        values, _ = pair_phase_diff(free_field, 0, 1)
         it = list(coarse_grid.thetas).index(60.0)
         # adjacent antennas differ by 360*0.5*cos(theta) = 90 deg at 60 deg
-        assert np.allclose(diff.values_deg[it], 90.0, atol=1e-9)
+        assert np.allclose(values[it], 90.0, atol=1e-9)
 
     def test_zero_cells_are_flagged_invalid(self, coarse_grid):
         samples = np.ones((2,) + coarse_grid.shape, dtype=complex)
         samples[0, 3, 4] = 0.0
         fld = AntennaFieldMap(grid=coarse_grid, samples=samples, label="x")
-        diff = pair_phase_diff(fld, 0, 1)
-        assert not diff.valid[3, 4]
-        assert diff.valid.sum() == diff.valid.size - 1
-        assert diff.values_deg[3, 4] == 0.0
+        values, valid = pair_phase_diff(fld, 0, 1)
+        assert not valid[3, 4]
+        assert valid.sum() == valid.size - 1
+        assert values[3, 4] == 0.0
 
 
 class TestPhaseMixing:
-    def make_diff(self, grid, values, valid=None):
-        valid = np.ones(grid.shape, dtype=bool) if valid is None else valid
-        return PhaseDiffMap(grid=grid, values_deg=values, valid=valid)
+    def mixing(self, grid, values, valid=None):
+        """``phase_mixing`` of the one pair of a field whose pair phase is ``values``."""
+        return phase_mixing(phase_pair_field(grid, values, valid), [(0, 1)])["0-1"]
 
     def test_constant_map_scores_zero(self, coarse_grid):
-        d = self.make_diff(coarse_grid, np.full(coarse_grid.shape, 37.0))
-        assert phase_mixing(d) == 0.0
+        assert self.mixing(coarse_grid, np.full(coarse_grid.shape, 37.0)) == 0.0
 
     def test_theta_ramp_scores_slope(self, coarse_grid):
         t = np.arange(coarse_grid.n_theta, dtype=float)[:, None]
-        d = self.make_diff(coarse_grid, np.broadcast_to(7.0 * t, coarse_grid.shape).copy())
+        mix = self.mixing(coarse_grid, np.broadcast_to(7.0 * t, coarse_grid.shape).copy())
         # 7 deg per 5-deg row == 7 deg per 5 deg of theta
-        assert phase_mixing(d) == pytest.approx(7.0, abs=1e-12)
+        assert mix == pytest.approx(7.0, abs=1e-12)
 
     def test_slope_is_grid_step_invariant(self):
         for step in (2.5, 5.0, 10.0):
             grid = bs.make_grid(step, 30.0)
             t = np.arange(grid.n_theta, dtype=float)[:, None]
             vals = np.broadcast_to(1.4 * step * t, grid.shape).copy()
-            d = self.make_diff(grid, vals)
             # 1.4 deg of phase per degree of theta -> 7 per 5-deg reference
-            assert phase_mixing(d) == pytest.approx(7.0, abs=1e-9)
+            assert self.mixing(grid, vals) == pytest.approx(7.0, abs=1e-9)
 
     def test_alternating_rows_score_180(self, coarse_grid):
         t = np.arange(coarse_grid.n_theta)[:, None]
         vals = np.broadcast_to(np.where(t % 2 == 0, 90.0, -90.0), coarse_grid.shape).copy()
-        d = self.make_diff(coarse_grid, vals)
-        assert phase_mixing(d) == pytest.approx(180.0)
+        assert self.mixing(coarse_grid, vals) == pytest.approx(180.0)
 
     def test_constant_offset_is_ignored(self, coarse_grid, rng):
         vals = rng.uniform(-180.0, 180.0, coarse_grid.shape)
-        a = phase_mixing(self.make_diff(coarse_grid, vals))
-        b = phase_mixing(self.make_diff(coarse_grid, vals + 55.0))
+        a = self.mixing(coarse_grid, vals)
+        b = self.mixing(coarse_grid, vals + 55.0)
         assert a == pytest.approx(b, abs=1e-9)
 
     def test_invalid_cells_are_excluded(self, coarse_grid):
@@ -263,14 +259,23 @@ class TestPhaseMixing:
         vals[5, :] = 1e6  # garbage that must not contribute
         valid = np.ones(coarse_grid.shape, dtype=bool)
         valid[5, :] = False
-        d = self.make_diff(coarse_grid, vals, valid)
-        assert phase_mixing(d) == pytest.approx(7.0, abs=1e-12)
+        assert self.mixing(coarse_grid, vals, valid) == pytest.approx(7.0, abs=1e-12)
 
     def test_blockage_raises_mixing(self, free_field, blocked_field):
-        for (i, j) in [(0, 1), (0, 2)]:
-            free_mix = phase_mixing(pair_phase_diff(free_field, i, j))
-            blocked_mix = phase_mixing(pair_phase_diff(blocked_field, i, j))
-            assert blocked_mix > free_mix
+        pairs = [(0, 1), (0, 2)]
+        free_mix = phase_mixing(free_field, pairs)
+        blocked_mix = phase_mixing(blocked_field, pairs)
+        assert list(free_mix) == list(blocked_mix) == ["0-1", "0-2"]
+        for key in free_mix:
+            assert blocked_mix[key] > free_mix[key]
+
+    def test_one_theta_row_is_refused_only_with_a_pair(self):
+        grid = bs.make_grid(180.0, 30.0)
+        assert grid.n_theta == 1
+        fld = constant_field(grid, [1.0], n=1)
+        assert phase_mixing(fld, []) == {}
+        with pytest.raises(ValueError, match="at least two theta rows"):
+            phase_mixing(constant_field(grid, [1.0, 1j]), [(0, 1)])
 
 
 def test_finger_occlusion_produces_positive_losses(coarse_grid, free_field):
