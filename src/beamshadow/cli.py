@@ -1,20 +1,25 @@
 """Command-line front end.
 
-Subcommands: synth, distort, metrics, evaluate, theorem-check, run.
-Exit status is 0 on success, 1 with a diagnostic on stderr for data or
-bound-check failures, 2 for usage errors (argparse).
+Subcommands: synth, distort, metrics, evaluate, theorem-check, run.  Every
+setting of the experiment comes from one config: synth, distort, metrics,
+evaluate and run read it with ``--config PATH`` (the built-in default when
+absent), and their flags only name files, a scenario, a scheme and B, or
+override a seed.  The field file decides the grid and the antenna count of
+distort, metrics and evaluate.  theorem-check has flags of its own, none a
+config key.  Exit status is 0 on success, 1 with a diagnostic on stderr for
+config, data or bound-check failures, 2 for usage errors (argparse).
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from contextlib import nullcontext
+from dataclasses import replace
 from pathlib import Path
 
 from .codebook import CODEBOOK_KINDS, scheme_maps, search_power_overflows
-from .distortion import DistortionSpec, apply_distortion, gen_distortion
+from .distortion import apply_distortion, gen_distortion
 from .experiment import ExperimentConfig, config_from_yaml, default_config, run_experiment
 from .fields import ArrayConfig, synth_freespace_field
 from .fileio import (
@@ -28,7 +33,7 @@ from .fileio import (
     write_gain_map_csv,
 )
 from .link import theorem_trials
-from .metrics import check_percentiles, coverage_stats, elemental_summaries, phase_mixing
+from .metrics import coverage_stats, elemental_summaries, phase_mixing
 from .sphere import make_grid
 
 
@@ -39,13 +44,6 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
 
 
-def _float_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(v) for v in text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from exc
-
-
 def _seed(text: str) -> int:
     seed = int(text)
     if seed < 0:
@@ -53,53 +51,35 @@ def _seed(text: str) -> int:
     return seed
 
 
+def _config(args) -> ExperimentConfig:
+    """The run's config: the ``--config`` YAML, or the built-in default."""
+    return config_from_yaml(args.config) if args.config else default_config()
+
+
 def _cmd_synth(args) -> int:
+    config = _config(args)
     with published(args.out, False) as out:
-        grid = make_grid(args.theta_step, args.phi_step)
-        config = ArrayConfig(
-            n_antennas=args.n_antennas,
-            element_spacing=args.spacing,
-            boresight_theta=args.boresight_theta,
-            boresight_phi=args.boresight_phi,
-            element_exponent=args.exponent,
-            peak_element_gain_db=args.peak_gain,
-        )
-        field = synth_freespace_field(config, grid)
+        grid = make_grid(config.theta_step_deg, config.phi_step_deg)
+        field = synth_freespace_field(config.array, grid)
         write_field_file(field, out)
     print(f"wrote {field.n_antennas}-antenna field on {grid.n_theta}x{grid.n_phi} grid to {args.out}")
     return 0
 
 
-def _scenario_spec(args) -> DistortionSpec:
-    if args.scenario is not None:
-        config = config_from_yaml(args.config) if args.config else default_config()
-        if args.scenario not in config.scenarios:
-            raise ValueError(
-                f"scenario {args.scenario!r} not found; available: "
-                f"{', '.join(config.scenarios)}"
-            )
-        spec = config.scenarios[args.scenario]
-    else:
-        spec = DistortionSpec(
-            mode=args.mode,
-            phase_std_deg=args.phase_std,
-            amp_std_db=args.amp_std,
-            corr_length_deg=args.corr_length,
-        )
-    if args.seed is not None:
-        from dataclasses import replace
-
-        spec = replace(spec, seed=args.seed)
-    return spec
-
-
 def _cmd_distort(args) -> int:
+    config = _config(args)
+    if args.scenario not in config.scenarios:
+        raise ValueError(
+            f"scenario {args.scenario!r} not found; available: {', '.join(config.scenarios)}"
+        )
+    spec = config.scenarios[args.scenario]
+    if args.seed is not None:
+        spec = replace(spec, seed=args.seed)
     # both are checked before the read and published only when both are written
     with published(args.out, False) as out, (
         nullcontext() if args.dist_out is None else published(args.dist_out, False)
     ) as dist_out:
         field = read_field_file(args.field)
-        spec = _scenario_spec(args)
         dist = gen_distortion(spec, field.grid, field.n_antennas)
         blocked = apply_distortion(field, dist)
         write_field_file(blocked, out)
@@ -110,15 +90,13 @@ def _cmd_distort(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    check_percentiles(args.percentiles)
-    for flag, value in (("--g1", args.g1), ("--g2", args.g2)):
-        if not math.isfinite(value):
-            raise ValueError(f"{flag} must be finite, got {value!r}")
+    config = _config(args)
+    g1, g2 = config.g1_db, config.g2_db
     with published(args.out, True) as out:
         free, blocked = read_field_files([args.free, args.blocked])
         # every table and line is computed before the tree, or a missing parent, is created
-        coverage = coverage_stats(free, blocked, args.g1, args.g2)
-        summaries = elemental_summaries(free, blocked, args.g1, args.g2, args.percentiles)
+        coverage = coverage_stats(free, blocked, g1, g2)
+        summaries = elemental_summaries(free, blocked, g1, g2, config.percentiles)
         summary_lines = []
         for i, (roi, s) in enumerate(summaries):
             median = dict(s.percentiles).get(50.0)
@@ -144,6 +122,7 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    config = _config(args)
     # only the enhanced schemes have a B, and only they build B's lattice
     b_values = (args.b_bits,) if args.scheme.startswith("enh-") else ()
     name = args.scheme.replace("-", "_") + "".join(f"_b{b}" for b in b_values)
@@ -152,7 +131,9 @@ def _cmd_evaluate(args) -> int:
         n = field.n_antennas
         if search_power_overflows(n, float(abs(field.samples).max())):
             raise ValueError(f"{args.field}: its field power overflows the beamformed search")
-        schemes = scheme_maps(n, b_values, args.beams, ArrayConfig.element_spacing, args.quant_bits)
+        schemes = scheme_maps(
+            n, b_values, config.n_beams, config.array.element_spacing, config.steer_quant_bits
+        )
         write_gain_map_csv(field.grid, schemes[name](field), out)
     print(f"wrote {args.scheme} gain map to {args.out}")
     return 0
@@ -179,7 +160,7 @@ def _cmd_theorem_check(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    config = config_from_yaml(args.config) if args.config else default_config()
+    config = _config(args)
     report = run_experiment(config, args.out, seed=args.seed)
     scenarios = report["scenarios"]
     print(f"ran {len(scenarios)} scenario(s) -> {Path(args.out) / 'report.json'}")
@@ -219,75 +200,34 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="synthesize a free-space field map")
+    config_help = "experiment config YAML (default: built-in)"
+    p = sub.add_parser("synth", help="synthesize the config's free-space field map")
+    p.add_argument("--config", help=config_help)
     p.add_argument("--out", required=True, help="output field file")
-    p.add_argument("--theta-step", type=float, default=ExperimentConfig.theta_step_deg)
-    p.add_argument("--phi-step", type=float, default=ExperimentConfig.phi_step_deg)
-    p.add_argument("--n-antennas", type=int, default=ArrayConfig.n_antennas)
-    p.add_argument(
-        "--spacing",
-        type=float,
-        default=ArrayConfig.element_spacing,
-        help="element spacing, wavelengths",
-    )
-    p.add_argument("--boresight-theta", type=float, default=ArrayConfig.boresight_theta)
-    p.add_argument("--boresight-phi", type=float, default=ArrayConfig.boresight_phi)
-    p.add_argument(
-        "--exponent",
-        type=float,
-        default=ArrayConfig.element_exponent,
-        help="cos^q envelope exponent",
-    )
-    p.add_argument(
-        "--peak-gain",
-        type=float,
-        default=ArrayConfig.peak_element_gain_db,
-        help="peak elemental gain, dB",
-    )
     p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("distort", help="apply a blockage scenario to a field file")
+    p = sub.add_parser("distort", help="apply a scenario of the config to a field file")
+    p.add_argument("--config", help=config_help)
+    p.add_argument("--scenario", required=True, help="scenario name from the config")
     p.add_argument("--field", required=True, help="input field file")
     p.add_argument("--out", required=True, help="output (blocked) field file")
     p.add_argument("--dist-out", help="also write the distortion screens here")
-    p.add_argument("--config", help="experiment config YAML with scenarios")
-    p.add_argument("--scenario", help="scenario name from the config (or a default one)")
-    p.add_argument("--mode", default="phase-screen", help="ad-hoc mode when no scenario given")
-    p.add_argument("--phase-std", type=float, default=30.0)
-    p.add_argument("--amp-std", type=float, default=DistortionSpec.amp_std_db)
-    p.add_argument("--corr-length", type=float, default=DistortionSpec.corr_length_deg)
     p.add_argument("--seed", type=_seed, help="override the scenario seed")
     p.set_defaults(func=_cmd_distort)
 
     p = sub.add_parser("metrics", help="RoI/CDF/coverage tables from two field files")
+    p.add_argument("--config", help=config_help)
     p.add_argument("--free", required=True)
     p.add_argument("--blocked", required=True)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument(
-        "--g1", type=float, default=ExperimentConfig.g1_db, help="free-gain RoI threshold, dB"
-    )
-    p.add_argument(
-        "--g2", type=float, default=ExperimentConfig.g2_db, help="blocked-gain RoI threshold, dB"
-    )
-    p.add_argument("--percentiles", type=_float_list, default=ExperimentConfig.percentiles)
     p.set_defaults(func=_cmd_metrics)
 
     p = sub.add_parser("evaluate", help="realized-gain map for one scheme")
+    p.add_argument("--config", help=config_help)
     p.add_argument("--field", required=True)
     p.add_argument("--out", required=True, help="output gain-map CSV")
-    p.add_argument(
-        "--scheme",
-        required=True,
-        choices=("mrc", *CODEBOOK_KINDS),
-    )
+    p.add_argument("--scheme", required=True, choices=("mrc", *CODEBOOK_KINDS))
     p.add_argument("--B", dest="b_bits", type=int, default=2, help="phase bits for enhanced schemes")
-    p.add_argument(
-        "--beams",
-        type=int,
-        default=ExperimentConfig.n_beams,
-        help="directional beam count (default: N)",
-    )
-    p.add_argument("--quant-bits", type=int, default=ExperimentConfig.steer_quant_bits)
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("theorem-check", help="Monte-Carlo audit of the improvement bound")
@@ -299,7 +239,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_theorem_check)
 
     p = sub.add_parser("run", help="full experiment: all scenarios of a config")
-    p.add_argument("--config", help="experiment config YAML (default: built-in)")
+    p.add_argument("--config", help=config_help)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=_seed, help="override config/scenario seeds")
     p.set_defaults(func=_cmd_run)

@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .codebook import MAX_PHASE_BITS, scheme_maps, search_power_overflows
+from .codebook import MAX_PHASE_BITS, phase_lattice, scheme_maps, search_power_overflows
 from .distortion import (
     DistortionField,
     DistortionSpec,
@@ -161,6 +161,21 @@ class ExperimentConfig:
             lo, hi = getattr(self, key)
             if not lo < hi:
                 raise ValueError(f"{key} must satisfy lo < hi, got {[lo, hi]}")
+        try:
+            check_percentiles(self.percentiles)
+        except ValueError as exc:
+            raise ValueError(f"percentiles: {exc}") from None
+        steps = f"theta_step_deg {self.theta_step_deg!r} and phi_step_deg {self.phi_step_deg!r}"
+        try:
+            grid = make_grid(self.theta_step_deg, self.phi_step_deg)
+        except ValueError as exc:
+            raise ValueError(f"{steps}: {exc}") from None
+        try:
+            rect_roi(grid, self.roi_theta_range, self.roi_phi_range)
+        except ValueError as exc:
+            theta, phi = list(self.roi_theta_range), list(self.roi_phi_range)
+            where = f"roi_theta_range {theta} and roi_phi_range {phi} on {steps}"
+            raise ValueError(f"{where}: {exc}") from None
         if self.seed is not None and self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.scenarios:
@@ -349,9 +364,6 @@ def _run_scenario(
         raise RuntimeError(
             f"scenario {name}: gain decomposition drifted by {consistency} dB"
         )
-    for key, arr in samples.items():
-        if arr.size != rect.n_directions:
-            raise RuntimeError(f"scenario {name}: {key} lost samples inside the RoI")
 
     cdfs, tables = {}, {}
     for key, arr in samples.items():
@@ -405,10 +417,15 @@ def run_experiment(config: ExperimentConfig, out_dir, seed: int | None) -> dict:
     """
     with published(out_dir, True) as build:
         grid = make_grid(config.theta_step_deg, config.phi_step_deg)
-        # everything a bad config can trip on is built before the first write
-        check_percentiles(config.percentiles)
         rect = rect_roi(grid, config.roi_theta_range, config.roi_phi_range)
+        # ExperimentConfig checked those two; the rest a bad config can trip on
+        # is built before the first write
         array = config.array
+        try:  # the largest B has the largest lattice
+            phase_lattice(array.n_antennas, max(config.b_values))
+        except ValueError as exc:
+            where = f"b_values {list(config.b_values)} and array.n_antennas {array.n_antennas}"
+            raise ValueError(f"{where}: {exc}") from None
         schemes = scheme_maps(
             array.n_antennas, config.b_values, config.n_beams, array.element_spacing,
             config.steer_quant_bits,

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import errno
 import io
@@ -10,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -20,9 +22,10 @@ from hypothesis import strategies as st
 
 import beamshadow.experiment
 from beamshadow import fileio, forked
-from beamshadow.cli import main
+from beamshadow.cli import _build_parser, main
 from beamshadow.distortion import DistortionSpec, FingerSpec
-from beamshadow.experiment import config_to_yaml
+from beamshadow.experiment import ExperimentConfig, config_to_yaml
+from beamshadow.fields import ArrayConfig
 from beamshadow.fileio import read_field_file
 from beamshadow.link import theorem_trials
 from beamshadow.metrics import cdf_summary, loss_samples, roi_mask
@@ -36,16 +39,29 @@ from test_experiment import (
 )
 
 
+def config_file(path: Path, **keys) -> str:
+    """Write a config YAML at path, the defaults on a 15 degree grid updated
+    by keys, and return the path as an argument."""
+    path.write_text(yaml.safe_dump({"theta_step_deg": 15.0, "phi_step_deg": 15.0, **keys}))
+    return str(path)
+
+
+@pytest.fixture(scope="session")
+def coarse_config(tmp_path_factory):
+    """The defaults on a 15 degree grid, kept out of each test's tmp_path."""
+    return config_file(tmp_path_factory.mktemp("config") / "coarse.yaml")
+
+
 @pytest.fixture()
-def free_file(tmp_path):
+def free_file(tmp_path, coarse_config):
     path = tmp_path / "free.field"
-    assert main(["synth", "--out", str(path), "--theta-step", "15", "--phi-step", "15"]) == 0
+    assert main(["synth", "--config", coarse_config, "--out", str(path)]) == 0
     return path
 
 
-def test_synth_writes_a_readable_field(tmp_path, capsys):
+def test_synth_writes_a_readable_field(tmp_path, capsys, coarse_config):
     path = tmp_path / "free.field"
-    assert main(["synth", "--out", str(path), "--theta-step", "15", "--phi-step", "15"]) == 0
+    assert main(["synth", "--config", coarse_config, "--out", str(path)]) == 0
     assert "4-antenna field" in capsys.readouterr().out
     fld = read_field_file(path)
     assert fld.n_antennas == 4
@@ -53,37 +69,14 @@ def test_synth_writes_a_readable_field(tmp_path, capsys):
     assert fld.label == "free"
 
 
-def test_synth_rejects_bad_grid(tmp_path, capsys):
-    rc = main(["synth", "--out", str(tmp_path / "x.field"), "--theta-step", "7"])
-    assert rc == 1
-    assert "error:" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("step, message", [("1e-320", "does not evenly divide"), ("1e-300", "cells")])
-def test_synth_rejects_degenerate_steps_without_traceback(tmp_path, capsys, step, message):
-    out = tmp_path / "x.field"
-    rc = main(["synth", "--out", str(out), "--theta-step", step])
-    err = capsys.readouterr().err
-    assert rc == 1
-    assert "error:" in err and message in err
-    assert "Traceback" not in err
-    assert not out.exists()
-
-
-def test_distort_ad_hoc_mode(free_file, tmp_path, capsys):
+def test_distort_a_phase_screen_scenario_of_the_config(free_file, tmp_path, capsys):
     out = tmp_path / "blocked.field"
     dist = tmp_path / "screens.dist"
-    rc = main(
-        [
-            "distort",
-            "--field", str(free_file),
-            "--out", str(out),
-            "--dist-out", str(dist),
-            "--mode", "phase-screen",
-            "--phase-std", "25",
-            "--seed", "5",
-        ]
+    cfg = config_file(
+        tmp_path / "cfg.yaml", scenarios={"screen": {"mode": "phase-screen", "phase_std_deg": 25.0}}
     )
+    rc = main(["distort", "--config", cfg, "--scenario", "screen", "--field", str(free_file),
+               "--out", str(out), "--dist-out", str(dist), "--seed", "5"])
     assert rc == 0
     blocked = read_field_file(out)
     free = read_field_file(free_file)
@@ -132,8 +125,9 @@ def test_metrics_prints_the_mean_as_the_mean(free_file, tmp_path, capsys):
     main(["distort", "--field", str(free_file), "--out", str(blocked),
           "--scenario", "loose-grip-one-finger"])
     capsys.readouterr()
-    rc = main(["metrics", "--free", str(free_file), "--blocked", str(blocked),
-               "--out", str(tmp_path / "metrics"), "--percentiles", "10,90"])
+    cfg = config_file(tmp_path / "cfg.yaml", percentiles=[10.0, 90.0])
+    rc = main(["metrics", "--config", cfg, "--free", str(free_file), "--blocked", str(blocked),
+               "--out", str(tmp_path / "metrics")])
     assert rc == 0
     free, blk = read_field_file(free_file), read_field_file(blocked)
     roi = roi_mask(free, blk, 0, 7.5, 2.5)
@@ -146,14 +140,14 @@ def test_failed_metrics_leaves_no_output(tmp_path, capsys):
     """A finger deep enough to zero the field inside the RoI fails the
     command before anything is written."""
     free, blocked, out = tmp_path / "free.field", tmp_path / "blocked.field", tmp_path / "m"
-    config = tmp_path / "deep.yaml"
     finger = {"center_theta": 90, "center_phi": 270, "radius_deg": 30, "depth_db": 8000}
-    config.write_text(yaml.safe_dump(
-        {"scenarios": {"deep": {"mode": "finger-occlusion", "fingers": [finger]}}}
-    ))
-    assert main(["synth", "--out", str(free), "--theta-step", "10", "--phi-step", "10"]) == 0
+    config = config_file(
+        tmp_path / "deep.yaml", theta_step_deg=10.0, phi_step_deg=10.0,
+        scenarios={"deep": {"mode": "finger-occlusion", "fingers": [finger]}},
+    )
+    assert main(["synth", "--config", config, "--out", str(free)]) == 0
     assert main(["distort", "--field", str(free), "--out", str(blocked),
-                 "--config", str(config), "--scenario", "deep"]) == 0
+                 "--config", config, "--scenario", "deep"]) == 0
     capsys.readouterr()
     rc = main(["metrics", "--free", str(free), "--blocked", str(blocked), "--out", str(out)])
     err = capsys.readouterr().err
@@ -166,12 +160,13 @@ def test_metrics_names_the_file_whose_phase_mixing_fails(tmp_path, capsys):
     """A field with one theta row has no adjacent rows to mix; the error
     names the file, and nothing is written."""
     free, blocked, out = tmp_path / "free.field", tmp_path / "blocked.field", tmp_path / "m"
-    assert main(["synth", "--out", str(free), "--theta-step", "180", "--phi-step", "15"]) == 0
-    assert main(["distort", "--field", str(free), "--out", str(blocked),
+    cfg = config_file(tmp_path / "cfg.yaml", theta_step_deg=180.0, g1_db=-100.0, g2_db=-100.0)
+    assert main(["synth", "--config", cfg, "--out", str(free)]) == 0
+    assert main(["distort", "--config", cfg, "--field", str(free), "--out", str(blocked),
                  "--scenario", "tight-grip-one-finger"]) == 0
     capsys.readouterr()
-    rc = main(["metrics", "--free", str(free), "--blocked", str(blocked), "--out", str(out),
-               "--g1", "-100", "--g2", "-100"])
+    rc = main(["metrics", "--config", cfg, "--free", str(free), "--blocked", str(blocked),
+               "--out", str(out)])
     err = capsys.readouterr().err
     assert rc == 1
     assert f"error: {free}: phase mixing needs at least two theta rows" in err
@@ -179,30 +174,54 @@ def test_metrics_names_the_file_whose_phase_mixing_fails(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_metrics_on_a_runs_fields_reproduces_its_report(tmp_path, capsys):
-    """``metrics`` on a run's ``free.field`` and a scenario's ``blocked.field``,
-    with the run's thresholds and percentiles, writes each antenna's elemental
-    loss table and prints each adjacent pair's mixing as the report holds them."""
-    config = tiny_config(2, seed=4)
-    cfg_path, run_dir = tmp_path / "cfg.yaml", tmp_path / "run"
+def test_each_stage_reproduces_its_part_of_a_run(tmp_path, capsys):
+    """With a run's config, ``synth`` writes its ``free.field``; ``distort``,
+    given a scenario and its derived seed, that scenario's ``blocked.field``
+    and ``distortion.dist``; ``evaluate`` on that ``blocked.field`` each
+    ``gain_map_<name>.csv`` for every scheme and B; and ``metrics`` each
+    antenna's elemental loss table and line, and each adjacent pair's mixing,
+    as ``report.json`` holds them.  The config sets every setting these
+    commands read away from its default."""
+    config = tiny_config(
+        2, array=ArrayConfig(element_spacing=0.7), n_beams=3, steer_quant_bits=3,
+        b_values=(2, 3), g1_db=6.0, g2_db=1.5, percentiles=(20.0, 50.0, 95.0),
+    )
+    seed, cfg_path, run_dir = 4, tmp_path / "cfg.yaml", tmp_path / "run"
     config_to_yaml(config, cfg_path)
-    assert main(["run", "--config", str(cfg_path), "--out", str(run_dir)]) == 0
+    cfg = ["--config", str(cfg_path)]
+    assert main(["run", *cfg, "--out", str(run_dir), "--seed", str(seed)]) == 0
     report = json.loads((run_dir / "report.json").read_text())
+    free = run_dir / "free.field"
+    assert main(["synth", *cfg, "--out", str(tmp_path / "free.field")]) == 0
+    assert (tmp_path / "free.field").read_bytes() == free.read_bytes()
+    schemes = {"mrc": ["--scheme", "mrc"], "directional": ["--scheme", "directional"]}
+    for b in config.b_values:
+        schemes[f"enh_phase_b{b}"] = ["--scheme", "enh-phase", "--B", str(b)]
+        schemes[f"enh_phase_amp_b{b}"] = ["--scheme", "enh-phase-amp", "--B", str(b)]
     n = config.array.n_antennas
-    for scenario in ("grip-a", "grip-b"):
-        out = tmp_path / f"metrics-{scenario}"
+    for index, scenario in enumerate(config.scenarios):
+        sdir, mine = run_dir / scenario, tmp_path / scenario
+        mine.mkdir()
+        assert main(["distort", *cfg, "--scenario", scenario, "--seed", str(seed * 1009 + index),
+                     "--field", str(free), "--out", str(mine / "blocked.field"),
+                     "--dist-out", str(mine / "distortion.dist")]) == 0
+        for name in ("blocked.field", "distortion.dist"):
+            assert (mine / name).read_bytes() == (sdir / name).read_bytes(), (scenario, name)
+        blocked = sdir / "blocked.field"
+        maps = sorted(p.name for p in sdir.glob("gain_map_*.csv"))
+        assert maps == sorted(f"gain_map_{name}.csv" for name in schemes)
+        for name, argv in schemes.items():
+            out = mine / f"gain_map_{name}.csv"
+            assert main(["evaluate", *cfg, "--field", str(blocked), "--out", str(out), *argv]) == 0
+            assert out.read_bytes() == (sdir / out.name).read_bytes(), (scenario, name)
         capsys.readouterr()
-        assert main([
-            "metrics", "--free", str(run_dir / "free.field"),
-            "--blocked", str(run_dir / scenario / "blocked.field"), "--out", str(out),
-            "--g1", repr(config.g1_db), "--g2", repr(config.g2_db),
-            "--percentiles", ",".join(map(repr, config.percentiles)),
-        ]) == 0
+        assert main(["metrics", *cfg, "--free", str(free), "--blocked", str(blocked),
+                     "--out", str(mine / "metrics")]) == 0
         lines = capsys.readouterr().out.splitlines()
         data = report["scenarios"][scenario]
         for i in range(n):
             elemental = data["elemental_loss_cdfs_db"][str(i)]
-            header, *rows = (out / f"cdf_loss_antenna{i}.csv").read_text().splitlines()
+            header, *rows = (mine / "metrics" / f"cdf_loss_antenna{i}.csv").read_text().splitlines()
             assert header == "percentile,value_db"
             table = {p: float(v) for p, v in (row.split(",") for row in rows)}
             assert table == elemental["percentiles"], (scenario, i)
@@ -246,34 +265,12 @@ def test_evaluate_all_schemes(free_file, tmp_path):
         assert header == "theta_deg,phi_deg,gain_db"
 
 
-def test_evaluate_reproduces_every_gain_map_of_run(tmp_path, capsys):
-    """``evaluate`` on a scenario's ``blocked.field`` writes each of that
-    scenario's ``gain_map_<name>.csv`` byte for byte, for every scheme and B."""
-    cfg_path, run_dir = tmp_path / "cfg.yaml", tmp_path / "run"
-    config_to_yaml(tiny_config(2, b_values=(2, 3), seed=2), cfg_path)
-    assert main(["run", "--config", str(cfg_path), "--out", str(run_dir)]) == 0
-    argvs = {"mrc": ["--scheme", "mrc"], "directional": ["--scheme", "directional"]}
-    for b in (2, 3):
-        argvs[f"enh_phase_b{b}"] = ["--scheme", "enh-phase", "--B", str(b)]
-        argvs[f"enh_phase_amp_b{b}"] = ["--scheme", "enh-phase-amp", "--B", str(b)]
-    for scenario in ("grip-a", "grip-b"):
-        maps = sorted(p.name for p in (run_dir / scenario).glob("gain_map_*.csv"))
-        assert maps == sorted(f"gain_map_{name}.csv" for name in argvs)
-        for name, argv in argvs.items():
-            out = tmp_path / f"{scenario}-{name}.csv"
-            blocked = run_dir / scenario / "blocked.field"
-            assert main(["evaluate", "--field", str(blocked), "--out", str(out), *argv]) == 0
-            expected = (run_dir / scenario / f"gain_map_{name}.csv").read_bytes()
-            assert out.read_bytes() == expected, (scenario, name)
-    capsys.readouterr()
-
-
 def test_evaluate_mrc_builds_no_enhanced_codebook(tmp_path, capsys):
     """A 12-antenna field has no enhanced codebook under the size limit, but
     ``evaluate --scheme mrc`` and ``directional`` need none."""
     field = tmp_path / "free12.field"
-    assert main(["synth", "--out", str(field), "--n-antennas", "12",
-                 "--theta-step", "15", "--phi-step", "15"]) == 0
+    cfg = config_file(tmp_path / "cfg.yaml", array={"n_antennas": 12})
+    assert main(["synth", "--config", cfg, "--out", str(field)]) == 0
     for scheme in ("mrc", "directional"):
         out = tmp_path / f"{scheme}.csv"
         assert main(["evaluate", "--field", str(field), "--out", str(out),
@@ -292,23 +289,12 @@ def test_evaluate_rejects_unknown_scheme(free_file, tmp_path):
               "--scheme", "zap"])
 
 
-@pytest.mark.parametrize("bits", ["0", "17", "64"])
-def test_evaluate_rejects_bad_quant_bits_without_output(free_file, tmp_path, capsys, bits):
-    out = tmp_path / "dir.csv"
-    rc = main(["evaluate", "--field", str(free_file), "--out", str(out),
-               "--scheme", "directional", "--quant-bits", bits])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert "quant_bits must be in 1..16" in err and "Traceback" not in err
-    assert not out.exists()
-
-
 def test_evaluate_refuses_a_field_whose_power_overflows_the_search(tmp_path, capsys):
     """1535 dB passes ArrayConfig for 4 antennas, but a grip's amplitude
     ripple lifts the blocked field past what the search can square."""
     free, blocked, out = tmp_path / "free.field", tmp_path / "blocked.field", tmp_path / "g.csv"
-    assert main(["synth", "--out", str(free), "--peak-gain", "1535",
-                 "--theta-step", "15", "--phi-step", "15"]) == 0
+    cfg = config_file(tmp_path / "cfg.yaml", array={"peak_element_gain_db": 1535.0})
+    assert main(["synth", "--config", cfg, "--out", str(free)]) == 0
     assert main(["distort", "--field", str(free), "--out", str(blocked),
                  "--scenario", "loose-grip-one-finger"]) == 0
     capsys.readouterr()
@@ -366,7 +352,7 @@ def test_theorem_check_rejects_bad_arguments_without_output(tmp_path, capsys, ar
 def test_a_negative_seed_flag_is_a_usage_error(free_file, tmp_path, capsys, command):
     out = tmp_path / "out"
     argv = {
-        "distort": ["--field", str(free_file), "--out", str(out)],
+        "distort": ["--field", str(free_file), "--out", str(out), "--scenario", "grip-a"],
         "theorem-check": ["--trials", "3", "--out", str(out)],
         "run": ["--out", str(out)],
     }[command]
@@ -454,7 +440,7 @@ def test_metrics_refuses_a_file_or_non_empty_out_before_reading(
      ("distort", 1)],
 )
 def test_a_write_that_fails_midway_leaves_no_output(
-    metrics_inputs, tmp_path, monkeypatch, capsys, command, failing
+    metrics_inputs, tmp_path, monkeypatch, capsys, coarse_config, command, failing
 ):
     """A table write that fails after its first chunk, in the command's
     first write (0) or a later one, leaves no --out, no --dist-out and no
@@ -462,7 +448,7 @@ def test_a_write_that_fails_midway_leaves_no_output(
     free, blocked = metrics_inputs
     out, dist = tmp_path / "out", tmp_path / "screens.dist"
     argv = {
-        "synth": ["synth", "--theta-step", "15", "--phi-step", "15"],
+        "synth": ["synth", "--config", coarse_config],
         "evaluate": ["evaluate", "--field", str(free), "--scheme", "mrc"],
         "metrics": ["metrics", "--free", str(free), "--blocked", str(blocked)],
         "distort": ["distort", "--field", str(free), "--dist-out", str(dist),
@@ -488,13 +474,15 @@ def test_a_write_that_fails_midway_leaves_no_output(
     assert _tree(tmp_path) == before
 
 
-def test_each_command_names_its_out_as_given(metrics_inputs, tmp_path, monkeypatch, capsys):
+def test_each_command_names_its_out_as_given(
+    metrics_inputs, tmp_path, monkeypatch, capsys, coarse_config
+):
     """The last stdout line names --out exactly as typed, never the hidden
     sibling the output was written in."""
     free, blocked = metrics_inputs
     monkeypatch.chdir(tmp_path)
     commands = [
-        (["synth", "--theta-step", "15", "--phi-step", "15"], "./s.field",
+        (["synth", "--config", coarse_config], "./s.field",
          "wrote 4-antenna field on 12x24 grid to ./s.field"),
         (["distort", "--field", str(free), "--scenario", "tight-grip-one-finger", "--seed", "3"],
          "b.field", "wrote blocked field to b.field (mode=combined, seed=3)"),
@@ -645,15 +633,12 @@ def test_an_empty_elemental_roi_fails_naming_the_antenna(
 ):
     """No direction reaches g1 free or g2 blocked: exit 1 naming the antenna
     (and the scenario), with no output or partial tree left."""
+    cfg_path = tmp_path / "cfg.yaml"
+    config_to_yaml(tiny_config(1, g1_db=100.0, g2_db=100.0), cfg_path)
+    argv = [command, "--config", str(cfg_path)]
     if command == "metrics":
-        argv = ["metrics", "--free", str(free_file), "--blocked", str(free_file),
-                "--g1", "100", "--g2", "100"]
-        where = ""
-    else:
-        cfg_path = tmp_path / "cfg.yaml"
-        config_to_yaml(tiny_config(1, g1_db=100.0, g2_db=100.0), cfg_path)
-        argv = ["run", "--config", str(cfg_path)]
-        where = "scenarios.grip-a: "
+        argv += ["--free", str(free_file), "--blocked", str(free_file)]
+    where = "scenarios.grip-a: " if command == "run" else ""
     before = sorted(tmp_path.iterdir())
     written = []
     for writer in ("write_distortion_file", "write_gain_map_csv"):
@@ -722,9 +707,16 @@ def _nan_enhanced_map(monkeypatch):
             None,
             "error: config key 'theta_step_deg' 180.0: phase mixing needs at least two theta rows",
         ),
+        (
+            # synth and metrics build no codebook, so only run refuses this
+            {"array": ArrayConfig(n_antennas=9), "b_values": (3,)},
+            None,
+            "error: b_values [3] and array.n_antennas 9: enhanced codebook would have 16777216 "
+            "entries (limit 1000000)",
+        ),
     ],
     ids=["zero-field", "underflowing-field", "underflowing-weighted-field", "nan-decomposition",
-         "one-theta-row"],
+         "one-theta-row", "oversized-lattice"],
 )
 def test_run_fails_before_any_write(tmp_path, capsys, monkeypatch, overrides, patch, message):
     """A field, gain map or grid the run cannot summarize fails with exit 1,
@@ -747,17 +739,6 @@ def test_run_fails_before_any_write(tmp_path, capsys, monkeypatch, overrides, pa
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     assert written == []
     assert not (tmp_path / "out").exists()
-
-
-def test_run_rejects_bad_quant_bits_without_output(tmp_path, capsys):
-    cfg_path = tmp_path / "cfg.yaml"
-    cfg_path.write_text(yaml.safe_dump(config_dict_with(("steer_quant_bits",), 64)))
-    out_dir = tmp_path / "out"
-    rc = main(["run", "--config", str(cfg_path), "--out", str(out_dir)])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert "quant_bits must be in 1..16" in err and "Traceback" not in err
-    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("path, value, key", NON_INTEGERS)
@@ -806,43 +787,71 @@ MALFORMED = [
     (("steer_quant_bits",), 0, "error: steer_quant_bits must be in 1..16, got 0"),
     (("roi_theta_range",), [10.0, 5.0], "error: roi_theta_range must satisfy lo < hi"),
     (("roi_phi_range",), [200.0, 200.0], "error: roi_phi_range must satisfy lo < hi"),
+    (("steer_quant_bits",), 17, "error: steer_quant_bits must be in 1..16, got 17"),
+    (("steer_quant_bits",), 64, "error: steer_quant_bits must be in 1..16, got 64"),
+    (("percentiles",), [10, 120], "error: percentiles: percentile 120.0 outside [0, 100]"),
+    (("theta_step_deg",), 7, "error: theta_step_deg 7.0 and phi_step_deg 15.0: theta step 7.0 "
+     "does not evenly divide"),
+    (("theta_step_deg",), 1e-320, "error: theta_step_deg 1e-320 and phi_step_deg 15.0: theta "
+     "step 1e-320 does not evenly divide"),
+    (("theta_step_deg",), 1e-300, "error: theta_step_deg 1e-300 and phi_step_deg 15.0: grid "
+     "would have"),
+    (("phi_step_deg",), 0.0001, "error: theta_step_deg 15.0 and phi_step_deg 0.0001: grid would "
+     "have 43200000 cells (limit 10000000)"),
+    (("roi_theta_range",), [1, 2], "error: roi_theta_range [1.0, 2.0] and roi_phi_range "
+     "[150.0, 360.0] on theta_step_deg 15.0 and phi_step_deg 15.0: rectangle selects no grid"),
 ]
 
 
 @pytest.mark.parametrize("path, value, key", MALFORMED)
-def test_run_rejects_malformed_config_without_output(tmp_path, capsys, path, value, key):
+def test_every_command_refuses_a_malformed_config_alike(tmp_path, capsys, path, value, key):
+    """synth, distort, metrics, evaluate and run read the config one way:
+    each exits 1 with the same error line, naming the key path or the file,
+    before it reads a field (these are absent) or creates anything."""
     cfg_path = tmp_path / "cfg.yaml"
     data = config_dict_with(path, value)
     cfg_path.write_bytes(data if isinstance(data, bytes) else yaml.safe_dump(data).encode())
-    out_dir = tmp_path / "out"
-    rc = main(["run", "--config", str(cfg_path), "--out", str(out_dir)])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert (key or str(cfg_path)) in err and "Traceback" not in err
-    assert not out_dir.exists()
+    field = str(tmp_path / "absent.field")
+    errors = {}
+    for argv in (
+        ["synth"],
+        ["distort", "--field", field, "--scenario", "grip-a"],
+        ["metrics", "--free", field, "--blocked", field],
+        ["evaluate", "--field", field, "--scheme", "enh-phase-amp"],
+        ["run"],
+    ):
+        assert main([*argv, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+        errors[argv[0]] = capsys.readouterr().err
+    assert len(set(errors.values())) == 1, errors
+    err = errors["run"]
+    assert err.startswith("error: ") and (key or str(cfg_path)) in err and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.yaml"]  # no output, partial or not
 
 
 NAN, INF = float("nan"), float("inf")
 
-# (command, config change or extra flags, key the error names): NaN and
-# infinities, a peak gain whose power overflows a search, and a correlation
-# length whose screen filter no array can hold
+# (command, config change, key the error names): NaN and infinities, a peak
+# gain whose power overflows a search, and a correlation length whose screen
+# filter no array can hold
 NON_FINITE = [
     ("run", (("g1_db",), NAN), "'g1_db'"),
     ("run", (("array", "peak_element_gain_db"), -INF), "array.peak_element_gain_db"),
     ("run", (("array", "peak_element_gain_db"), 1e308), "peak_element_gain_db"),
     ("run", (("scenarios", "grip-a", "corr_length_deg"), INF), "grip-a.corr_length_deg"),
     ("run", (("scenarios", "grip-a", "fingers", 0, "radius_deg"), NAN), "fingers[0].radius_deg"),
-    ("synth", ["--exponent", "nan"], "element_exponent"),
-    ("synth", ["--spacing", "inf"], "element_spacing"),
-    ("synth", ["--peak-gain", "1e308"], "peak_element_gain_db"),
-    ("distort", ["--phase-std", "nan"], "phase_std_deg"),
-    ("distort", ["--phase-std", "10", "--corr-length", "nan"], "corr_length_deg"),
-    ("distort", ["--phase-std", "10", "--corr-length", "inf"], "corr_length_deg"),
+    ("synth", (("array", "element_exponent"), NAN), "array.element_exponent"),
+    ("synth", (("array", "element_spacing"), INF), "array.element_spacing"),
+    ("synth", (("array", "peak_element_gain_db"), 1e308), "peak_element_gain_db"),
+    ("distort", (("scenarios", "grip-a", "phase_std_deg"), NAN), "grip-a.phase_std_deg"),
+    ("distort", (("scenarios", "grip-a", "corr_length_deg"), NAN), "grip-a.corr_length_deg"),
+    ("distort", (("scenarios", "grip-a", "corr_length_deg"), INF), "grip-a.corr_length_deg"),
+    ("metrics", (("g1_db",), NAN), "'g1_db'"),
+    ("metrics", (("g2_db",), NAN), "'g2_db'"),
+    ("metrics", (("g1_db",), -INF), "'g1_db'"),
     ("run", (("array", "peak_element_gain_db"), 3000.0), "peak_element_gain_db"),
-    ("synth", ["--peak-gain", "3000"], "peak_element_gain_db"),
+    ("synth", (("array", "peak_element_gain_db"), 3000.0), "peak_element_gain_db"),
     ("run", (("scenarios", "grip-a", "corr_length_deg"), 1e300), "grip-a: corr_length_deg"),
-    ("distort", ["--phase-std", "10", "--corr-length", "1e300"], "corr_length_deg"),
+    ("distort", (("scenarios", "grip-a", "corr_length_deg"), 1e300), "corr_length_deg 1e+300"),
 ]
 
 
@@ -850,17 +859,16 @@ NON_FINITE = [
 def test_non_finite_or_overflowing_floats_are_refused_without_output(
     tmp_path, capsys, free_file, command, change, key
 ):
-    out = tmp_path / "out"
-    if command == "run":
-        cfg_path = tmp_path / "cfg.yaml"
-        cfg_path.write_text(yaml.safe_dump(config_dict_with(*change)))
-        argv = ["run", "--config", str(cfg_path), "--out", str(out)]
-    elif command == "synth":
-        argv = ["synth", "--out", str(out), "--theta-step", "15", "--phi-step", "15", *change]
-    else:
-        argv = ["distort", "--field", str(free_file), "--out", str(out), *change]
+    out, cfg_path = tmp_path / "out", tmp_path / "cfg.yaml"
+    cfg_path.write_text(yaml.safe_dump(config_dict_with(*change)))
+    argv = {
+        "run": [],
+        "synth": [],
+        "distort": ["--field", str(free_file), "--scenario", "grip-a"],
+        "metrics": ["--free", str(free_file), "--blocked", str(free_file)],
+    }[command]
     capsys.readouterr()
-    rc = main(argv)
+    rc = main([command, *argv, "--config", str(cfg_path), "--out", str(out)])
     err = capsys.readouterr().err
     assert rc == 1
     assert key in err and "Traceback" not in err
@@ -910,7 +918,8 @@ def test_run_reports_a_worker_failure_without_traceback(tmp_path, capsys, monkey
 
 def test_run_refuses_a_non_empty_out_before_any_work(tmp_path, capsys, monkeypatch):
     """A non-empty directory, a file or ``""`` (the current directory)."""
-    monkeypatch.setattr(beamshadow.experiment, "make_grid", None)  # any work would raise
+    # loading the config builds the grid and the RoI; the run's next step would raise
+    monkeypatch.setattr(beamshadow.experiment, "phase_lattice", None)
     monkeypatch.chdir(tmp_path)
     cfg_path = tmp_path / "cfg.yaml"
     config_to_yaml(tiny_config(1), cfg_path)
@@ -940,6 +949,40 @@ def test_missing_input_file_is_reported(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+# each subcommand's options, in order: a setting of the experiment is a
+# config key, not a flag
+CLI_OPTIONS = {
+    "synth": ["--config", "--out"],
+    "distort": ["--config", "--scenario", "--field", "--out", "--dist-out", "--seed"],
+    "metrics": ["--config", "--free", "--blocked", "--out"],
+    "evaluate": ["--config", "--field", "--out", "--scheme", "--B"],
+    "theorem-check": ["--trials", "--seed", "--B", "--n-antennas", "--out"],
+    "run": ["--config", "--out", "--seed"],
+}
+
+
+def test_the_cli_surface_is_pinned():
+    """Every option of every subcommand, against CLI_OPTIONS.  Besides a
+    seed override, only theorem-check, which audits without a config, has a
+    flag whose destination is a config key."""
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    surface = {
+        name: [o for a in parser._actions for o in a.option_strings if o not in ("-h", "--help")]
+        for name, parser in sub.choices.items()
+    }
+    assert surface == CLI_OPTIONS
+    keys = {
+        f.name for kind in (ExperimentConfig, ArrayConfig, DistortionSpec, FingerSpec)
+        for f in fields(kind)
+    } - {"seed"}
+    settings = {
+        name: {a.dest for a in parser._actions} & keys for name, parser in sub.choices.items()
+    }
+    assert settings == {name: set() for name in CLI_OPTIONS} | {
+        "theorem-check": {"b_values", "n_antennas"}
+    }
+
+
 def test_console_entry_point_help():
     proc = subprocess.run(
         [sys.executable, "-m", "beamshadow", "--help"],
@@ -952,31 +995,12 @@ def test_console_entry_point_help():
         assert name in proc.stdout
 
 
-def test_metrics_rejects_bad_percentiles_before_writing(free_file, tmp_path, capsys):
-    out_dir = tmp_path / "metrics"
-    rc = main(["metrics", "--free", str(free_file), "--blocked", str(free_file),
-               "--out", str(out_dir), "--percentiles", "50,150"])
-    assert rc == 1
-    assert "percentile 150.0" in capsys.readouterr().err
-    assert not out_dir.exists()
-
-
-@pytest.mark.parametrize("flag, value", [("--g1", "nan"), ("--g2", "nan"), ("--g1", "-inf")])
-def test_metrics_refuses_non_finite_thresholds_before_reading(tmp_path, capsys, flag, value):
-    out_dir = tmp_path / "metrics"
-    absent = str(tmp_path / "absent.field")  # any read would fail on this name
-    rc = main(["metrics", "--free", absent, "--blocked", absent, "--out", str(out_dir),
-               f"{flag}={value}"])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert f"{flag} must be finite" in err and "absent" not in err and "Traceback" not in err
-    assert not out_dir.exists()
-
-
 def test_distort_accepts_a_vanishing_correlation_length(free_file, tmp_path, capsys):
     out = tmp_path / "b.field"
-    rc = main(["distort", "--field", str(free_file), "--out", str(out),
-               "--phase-std", "10", "--corr-length", "1e-200"])
+    spec = {"mode": "phase-screen", "phase_std_deg": 10.0, "corr_length_deg": 1e-200}
+    cfg = config_file(tmp_path / "cfg.yaml", scenarios={"fine": spec})
+    rc = main(["distort", "--config", cfg, "--scenario", "fine", "--field", str(free_file),
+               "--out", str(out)])
     assert rc == 0, capsys.readouterr().err
     assert read_field_file(out).n_antennas == 4
 

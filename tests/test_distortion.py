@@ -335,8 +335,9 @@ from beamshadow.cli import main
 forked.resolve_workers = lambda n=None: 1  # every scenario in this process
 d = {str(tmp_path)!r}
 assert main(["run", "--config", {str(cfg_path)!r}, "--out", d + "/run"]) == 0
-assert main(["distort", "--field", d + "/run/free.field", "--out", d + "/b.field",
-             "--dist-out", d + "/b.dist", "--phase-std", "30", "--amp-std", "1"]) == 0
+assert main(["distort", "--config", {str(cfg_path)!r}, "--scenario", "grip-b",
+             "--field", d + "/run/free.field", "--out", d + "/b.field",
+             "--dist-out", d + "/b.dist"]) == 0
 print([m for m in sys.modules if m.partition(".")[0] == "scipy"])
 """
     proc = subprocess.run(
