@@ -18,9 +18,9 @@ from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
 
-from .codebook import CODEBOOK_KINDS, scheme_maps, search_power_overflows
+from .codebook import CODEBOOK_KINDS, phase_lattice, scheme_maps, search_power_overflows
 from .distortion import apply_distortion, gen_distortion
-from .experiment import ExperimentConfig, config_from_yaml, default_config, run_experiment
+from .experiment import ExperimentConfig, config_from_yaml, default_config, prefixed, run_experiment
 from .fields import ArrayConfig, synth_freespace_field
 from .fileio import (
     published,
@@ -30,6 +30,7 @@ from .fileio import (
     write_coverage_csv,
     write_distortion_file,
     write_field_file,
+    write_files,
     write_gain_map_csv,
 )
 from .link import theorem_trials
@@ -80,7 +81,8 @@ def _cmd_distort(args) -> int:
         nullcontext() if args.dist_out is None else published(args.dist_out, False)
     ) as dist_out:
         field = read_field_file(args.field)
-        dist = gen_distortion(spec, field.grid, field.n_antennas)
+        with prefixed(f"scenarios.{args.scenario}"):
+            dist = gen_distortion(spec, field.grid, field.n_antennas)
         blocked = apply_distortion(field, dist)
         write_field_file(blocked, out)
         if dist_out is not None:
@@ -97,25 +99,21 @@ def _cmd_metrics(args) -> int:
         # every table and line is computed before the tree, or a missing parent, is created
         coverage = coverage_stats(free, blocked, g1, g2)
         summaries = elemental_summaries(free, blocked, g1, g2, config.percentiles)
-        summary_lines = []
+        summary_lines, files = [], [("coverage.csv", write_coverage_csv, coverage)]
         for i, (roi, s) in enumerate(summaries):
             median = dict(s.percentiles).get(50.0)
             loss = f"mean_loss={s.mean:.2f}" if median is None else f"median_loss={median:.2f}"
             summary_lines.append(f"antenna {i}: roi={100 * roi.area_fraction:.1f}% {loss} dB")
+            files.append((f"cdf_loss_antenna{i}.csv", write_cdf_csv, s))
         mixing, pairs = [], [(i, i + 1) for i in range(free.n_antennas - 1)]
         for path, field in ((args.free, free), (args.blocked, blocked)):
-            try:
+            with prefixed(str(path)):
                 mixing.append(phase_mixing(field, pairs))
-            except ValueError as exc:
-                raise ValueError(f"{path}: {exc}") from None
         for (pair, mix_f), mix_b in zip(mixing[0].items(), mixing[1].values()):
             summary_lines.append(
                 f"pair {pair}: phase mixing free={mix_f:.1f} blocked={mix_b:.1f} deg/5deg"
             )
-        out.mkdir(parents=True)
-        write_coverage_csv(coverage, out / "coverage.csv")
-        for i, (_, s) in enumerate(summaries):
-            write_cdf_csv(s, out / f"cdf_loss_antenna{i}.csv")
+        write_files(out, files)
     print("\n".join(summary_lines))
     print(f"wrote metrics tables to {args.out}")
     return 0
@@ -131,6 +129,9 @@ def _cmd_evaluate(args) -> int:
         n = field.n_antennas
         if search_power_overflows(n, float(abs(field.samples).max())):
             raise ValueError(f"{args.field}: its field power overflows the beamformed search")
+        for b in b_values:  # the lattice an enhanced scheme searches
+            with prefixed(f"{args.field}: --B {b} with {n} antennas"):
+                phase_lattice(n, b)
         schemes = scheme_maps(
             n, b_values, config.n_beams, config.array.element_spacing, config.steer_quant_bits
         )

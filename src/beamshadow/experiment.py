@@ -1,23 +1,19 @@
 """End-to-end experiment pipeline: synthesize a free-space field, distort it
 per scenario, evaluate every beamforming scheme, and summarize losses.
 
-Outputs under the chosen directory::
-
-    free.field                      free-space field map
-    report.json                     all summaries + config echo (sorted keys)
-    <scenario>/blocked.field        distorted field map
-    <scenario>/distortion.dist      the screens that produced it
-    <scenario>/gain_map_*.csv       per-scheme realized-gain maps
-    <scenario>/cdf_*.csv            percentile tables (one row per percentile)
-    <scenario>/coverage.csv         per-antenna peaks and RoI areas
+The output directory holds ``free.field``, ``report.json`` (all summaries and
+the config echo, sorted keys) and one directory per scenario, whose files are
+named in one place: the files table that ``_run_scenario`` returns, which
+``fileio.write_files`` writes in order.
 
 Reruns with the same config and seed are byte-identical: derived per-trial
 seeds, ordered writes, repr float formatting, no timestamps.  Every
 distortion is drawn before the first write; the scenarios are then split into
 contiguous ranges by ``forked.split``, which decides the worker count.  A
-child forked per range after the first runs its scenarios, each writing only
-its own directory, while the caller runs the first range and then writes
-``free.field``; the results are joined in scenario order before ``report.json``.
+child forked per range after the first computes and writes its scenarios'
+tables, and sends back only their report entries, while the caller does the
+same for the first range and then writes ``free.field``; the entries are
+joined in scenario order before ``report.json``.
 """
 
 from __future__ import annotations
@@ -28,9 +24,9 @@ import numbers
 import re
 import types
 import typing
+from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from itertools import combinations
-from pathlib import Path
 
 import numpy as np
 
@@ -49,6 +45,7 @@ from .fileio import (
     write_coverage_csv,
     write_distortion_file,
     write_field_file,
+    write_files,
     write_gain_map_csv,
 )
 # resolve_workers is re-exported because bench/worker.py imports it from here
@@ -161,21 +158,14 @@ class ExperimentConfig:
             lo, hi = getattr(self, key)
             if not lo < hi:
                 raise ValueError(f"{key} must satisfy lo < hi, got {[lo, hi]}")
-        try:
+        with prefixed("percentiles"):
             check_percentiles(self.percentiles)
-        except ValueError as exc:
-            raise ValueError(f"percentiles: {exc}") from None
         steps = f"theta_step_deg {self.theta_step_deg!r} and phi_step_deg {self.phi_step_deg!r}"
-        try:
+        with prefixed(steps):
             grid = make_grid(self.theta_step_deg, self.phi_step_deg)
-        except ValueError as exc:
-            raise ValueError(f"{steps}: {exc}") from None
-        try:
+        theta, phi = list(self.roi_theta_range), list(self.roi_phi_range)
+        with prefixed(f"roi_theta_range {theta} and roi_phi_range {phi} on {steps}"):
             rect_roi(grid, self.roi_theta_range, self.roi_phi_range)
-        except ValueError as exc:
-            theta, phi = list(self.roi_theta_range), list(self.roi_phi_range)
-            where = f"roi_theta_range {theta} and roi_phi_range {phi} on {steps}"
-            raise ValueError(f"{where}: {exc}") from None
         if self.seed is not None and self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.scenarios:
@@ -189,6 +179,15 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         return _plain(asdict(self))
+
+
+@contextmanager
+def prefixed(where: str):
+    """Re-raise a ``ValueError`` of the block as one whose message starts ``where: ``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def _plain(value):
@@ -233,12 +232,10 @@ def _typed(hint, value, key: str):
             name: _typed(hints[name], v, f"{key}.{name}" if key else name)
             for name, v in value.items()
         }
-        try:
+        if not key:  # the top-level checks name their own keys
             return hint(**kwargs)
-        except ValueError as exc:  # a range check in the dataclass's __post_init__
-            if not key:
-                raise  # the top-level checks name their own keys
-            raise ValueError(f"{where}: {exc}") from None
+        with prefixed(where):  # a range check in the dataclass's __post_init__
+            return hint(**kwargs)
     if typing.get_origin(hint) is dict:
         if not isinstance(value, dict):
             raise ValueError(f"{where} must be a mapping, got {value!r}")
@@ -317,11 +314,10 @@ def _run_scenario(
     g_opt_free: np.ndarray,
     roi_weights: np.ndarray,
     mixing_free: dict,
-    out: Path,
-) -> dict:
+) -> tuple[dict, list]:
+    """The scenario's report entry, and its directory's ``(name, writer, value)`` rows."""
     grid = free.grid
     blocked = apply_distortion(free, dist)
-    # every check runs before this scenario's first write
     elemental = {
         str(i): {**summary.to_dict(), "roi_area_fraction": roi.area_fraction}
         for i, (roi, summary) in enumerate(
@@ -371,16 +367,14 @@ def _run_scenario(
     coverage = coverage_stats(free, blocked, config.g1_db, config.g2_db)
     mixing_blocked = phase_mixing(blocked, combinations(range(blocked.n_antennas), 2))
 
-    sdir = out / name
-    sdir.mkdir(parents=True, exist_ok=True)
-    write_field_file(blocked, sdir / "blocked.field")
-    write_distortion_file(dist, sdir / "distortion.dist")
-    for scheme, gmap in gains.items():
-        write_gain_map_csv(grid, gmap, sdir / f"gain_map_{scheme}.csv")
-    for key, table in tables.items():
-        write_cdf_csv(table, sdir / f"cdf_{key}.csv")
-    write_coverage_csv(coverage, sdir / "coverage.csv")
-
+    files = [
+        ("blocked.field", write_field_file, blocked),
+        ("distortion.dist", write_distortion_file, dist),
+        *((f"gain_map_{scheme}.csv", lambda g, path: write_gain_map_csv(grid, g, path), gmap)
+          for scheme, gmap in gains.items()),
+        *((f"cdf_{key}.csv", write_cdf_csv, table) for key, table in tables.items()),
+        ("coverage.csv", write_coverage_csv, coverage),
+    ]
     return {
         "seed": spec.seed,
         "distortion": _plain(asdict(spec)),
@@ -389,18 +383,19 @@ def _run_scenario(
         "coverage": [asdict(row) for row in coverage],
         "phase_mixing_deg_per_5deg": {"free": mixing_free, "blocked": mixing_blocked},
         "consistency_max_abs_residual_db": consistency,
-    }
+    }, files
 
 
-def _run_scenarios(tasks, start: int, stop: int) -> tuple:
-    """``_run_scenario`` of tasks start..stop-1, in order (a tuple, which a
-    forked child sends back whole); a ``ValueError`` names its scenario."""
+def _run_scenarios(tasks, out, start: int, stop: int) -> tuple:
+    """Run tasks start..stop-1 in order, each writing its files table under
+    ``out/<name>``; returns their report entries (a tuple, which a forked
+    child sends back whole).  A ``ValueError`` names its scenario."""
     results = []
     for task in tasks[start:stop]:
-        try:
-            results.append(_run_scenario(*task))
-        except ValueError as exc:
-            raise ValueError(f"scenarios.{task[0]}: {exc}") from None
+        with prefixed(f"scenarios.{task[0]}"):
+            entry, files = _run_scenario(*task)
+            write_files(out / task[0], files)
+        results.append(entry)
     return tuple(results)
 
 
@@ -421,11 +416,9 @@ def run_experiment(config: ExperimentConfig, out_dir, seed: int | None) -> dict:
         # ExperimentConfig checked those two; the rest a bad config can trip on
         # is built before the first write
         array = config.array
-        try:  # the largest B has the largest lattice
+        # the largest B has the largest lattice
+        with prefixed(f"b_values {list(config.b_values)} and array.n_antennas {array.n_antennas}"):
             phase_lattice(array.n_antennas, max(config.b_values))
-        except ValueError as exc:
-            where = f"b_values {list(config.b_values)} and array.n_antennas {array.n_antennas}"
-            raise ValueError(f"{where}: {exc}") from None
         schemes = scheme_maps(
             array.n_antennas, config.b_values, config.n_beams, array.element_spacing,
             config.steer_quant_bits,
@@ -443,10 +436,8 @@ def run_experiment(config: ExperimentConfig, out_dir, seed: int | None) -> dict:
             specs.append(spec)
         dists = []
         for name, spec in zip(names, specs):
-            try:
+            with prefixed(f"scenarios.{name}"):
                 dists.append(gen_distortion(spec, grid, array.n_antennas))
-            except ValueError as exc:
-                raise ValueError(f"scenarios.{name}: {exc}") from None
         free = synth_freespace_field(array, grid)
         # ArrayConfig bounds the free field's search power; a scenario's amplitude
         # ripple lifts it by max(amp)**4
@@ -459,16 +450,12 @@ def run_experiment(config: ExperimentConfig, out_dir, seed: int | None) -> dict:
                 )
         g_opt_free = schemes["mrc"](free)
         roi_weights = grid.solid_angle_map()[rect.mask]
-        try:  # every scenario's free mixing; one theta row fails before any write
+        # every scenario's free mixing; one theta row fails before any write
+        with prefixed(f"config key 'theta_step_deg' {config.theta_step_deg!r}"):
             mixing_free = phase_mixing(free, combinations(range(array.n_antennas), 2))
-        except ValueError as exc:
-            where = f"config key 'theta_step_deg' {config.theta_step_deg!r}"
-            raise ValueError(f"{where}: {exc}") from None
 
-        build.mkdir(parents=True)
         tasks = [
-            (name, spec, dist, config, free, rect, schemes, g_opt_free, roi_weights,
-             mixing_free, build)
+            (name, spec, dist, config, free, rect, schemes, g_opt_free, roi_weights, mixing_free)
             for name, spec, dist in zip(names, specs, dists)
         ]
 
@@ -477,9 +464,10 @@ def run_experiment(config: ExperimentConfig, out_dir, seed: int | None) -> dict:
             lambda lo, hi: f"scenarios {', '.join(names[lo:hi])}",
             _run_scenarios,
             tasks,
+            build,
         ) as (own, replies):
-            results = list(_run_scenarios(tasks, *own))
-            write_field_file(free, build / "free.field")
+            results = list(_run_scenarios(tasks, build, *own))
+            write_files(build, [("free.field", write_field_file, free)])
             for reply in replies:
                 results.extend(reply)
 

@@ -34,6 +34,7 @@ is formatted by one chunk generator, ``_table_chunks``: a few thousand rows
 at a time, each value as ``repr`` of a Python float, and written to a binary
 handle after the header, which is encoded as UTF-8, the readers' encoding.
 A header is built, and a bad label refused, before the file is opened.
+``write_files`` writes a directory's table of ``(name, writer, value)`` rows.
 
 ``trials_csv_rows`` formats a range of ``link.theorem_trials`` rows in the
 process that audited it, after the ``TRIALS_CSV_HEADER`` line.
@@ -70,6 +71,7 @@ __all__ = [
     "write_gain_map_csv",
     "write_cdf_csv",
     "write_coverage_csv",
+    "write_files",
     "TRIALS_CSV_HEADER",
     "trials_csv_rows",
     "published",
@@ -405,6 +407,14 @@ def write_coverage_csv(rows, path) -> None:
     antennas = [str(r.antenna) for r in rows]
     values = [(r.max_free_gain_db, r.max_blocked_gain_db, r.roi_area_pct) for r in rows]
     _write_table(path, header, (antennas,), np.array(values, dtype=float).reshape(-1, 3).T)
+
+
+def write_files(root, rows) -> None:
+    """Create the directory ``root`` with its parents, then call
+    ``writer(value, root / name)`` for each ``(name, writer, value)`` row, in order."""
+    root.mkdir(parents=True, exist_ok=True)
+    for name, writer, value in rows:
+        writer(value, root / name)
 
 
 TRIALS_CSV_HEADER = b"trial,B,var_blockage,lower_bound,delta_achieved,margin\n"

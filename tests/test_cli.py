@@ -279,7 +279,10 @@ def test_evaluate_mrc_builds_no_enhanced_codebook(tmp_path, capsys):
     out = tmp_path / "enh.csv"
     assert main(["evaluate", "--field", str(field), "--out", str(out),
                  "--scheme", "enh-phase", "--B", "2"]) == 1
-    assert "would have 4194304 entries" in capsys.readouterr().err
+    assert (
+        f"error: {field}: --B 2 with 12 antennas: enhanced codebook would have 4194304 entries"
+        in capsys.readouterr().err
+    )
     assert not out.exists()
 
 
@@ -852,6 +855,9 @@ NON_FINITE = [
     ("synth", (("array", "peak_element_gain_db"), 3000.0), "peak_element_gain_db"),
     ("run", (("scenarios", "grip-a", "corr_length_deg"), 1e300), "grip-a: corr_length_deg"),
     ("distort", (("scenarios", "grip-a", "corr_length_deg"), 1e300), "corr_length_deg 1e+300"),
+    # distort names the scenario's key, with run's message
+    ("distort", (("scenarios", "grip-a", "corr_length_deg"), 1e300),
+     "error: scenarios.grip-a: corr_length_deg 1e+300 needs a screen filter wider than"),
 ]
 
 
@@ -1039,7 +1045,10 @@ def test_metrics_concurrent_read_is_byte_identical_to_serial(
         tree = {p.name: p.read_bytes() for p in out_dir.iterdir()}
         results[workers] = stdout, tree
         shutil.rmtree(out_dir)
-    assert len(results[1][1]) == 5  # coverage.csv and one CDF table per antenna
+    # exactly coverage.csv and one CDF table per antenna
+    assert sorted(results[1][1]) == sorted(
+        ["coverage.csv", *(f"cdf_loss_antenna{i}.csv" for i in range(4))]
+    )
     assert results[1] == results[2]
 
 

@@ -156,20 +156,45 @@ def run_dir(tmp_path_factory):
 
 
 class TestRunExperiment:
-    def test_expected_files_exist(self, run_dir):
-        out, _ = run_dir
-        names = {str(p) for p in all_files(out)}
-        assert "report.json" in names
-        assert "free.field" in names
-        for scen in ("grip-a", "grip-b"):
-            assert f"{scen}/blocked.field" in names
-            assert f"{scen}/distortion.dist" in names
-            assert f"{scen}/gain_map_mrc.csv" in names
-            assert f"{scen}/gain_map_directional.csv" in names
-            assert f"{scen}/gain_map_enh_phase_b2.csv" in names
-            assert f"{scen}/gain_map_enh_phase_amp_b2.csv" in names
-            assert f"{scen}/coverage.csv" in names
-            assert f"{scen}/cdf_optimal_gain_blocked_dbi.csv" in names
+    def test_expected_files_exist(self, tmp_path, monkeypatch):
+        """The tree holds ``free.field``, ``report.json`` and, in each scenario's
+        directory, exactly the files of the table ``_run_scenario`` returns,
+        written by one ``write_files`` call in table order."""
+        workers_patched(monkeypatch, 1)  # every write in this process, where the spies see it
+        real_scenario, real_write = experiment._run_scenario, experiment.write_files
+        tables, written = {}, []
+
+        def run_scenario(name, *args):
+            entry, files = real_scenario(name, *args)
+            tables[name] = [row[0] for row in files]
+            return entry, files
+
+        def write_files(root, rows):
+            written.append((root.name, [row[0] for row in rows]))
+            real_write(root, rows)
+
+        monkeypatch.setattr(experiment, "_run_scenario", run_scenario)
+        monkeypatch.setattr(experiment, "write_files", write_files)
+        out = tmp_path / "run"
+        report = run_experiment(tiny_config(2), out, seed=None)
+        schemes = ["mrc", "directional", "enh_phase_b2", "enh_phase_amp_b2"]
+        for name, table in tables.items():
+            cdfs = report["scenarios"][name]["beamforming_cdfs_db"]
+            assert table == [
+                "blocked.field",
+                "distortion.dist",
+                *(f"gain_map_{scheme}.csv" for scheme in schemes),
+                *(f"cdf_{key}.csv" for key in cdfs),
+                "coverage.csv",
+            ]
+        assert list(tables) == ["grip-a", "grip-b"]
+        assert written[:2] == list(tables.items())
+        assert [rows for _, rows in written[2:]] == [["free.field"]]
+        assert {str(p) for p in all_files(out)} == {
+            "free.field",
+            "report.json",
+            *(f"{name}/{file}" for name, table in tables.items() for file in table),
+        }
 
     def test_report_structure(self, run_dir):
         out, _ = run_dir
@@ -402,6 +427,26 @@ def test_worker_exception_reaches_caller_as_its_type(tmp_path, monkeypatch):
         run_experiment(tiny_config(2), tmp_path / "run", seed=None)
     # raised in a forked worker, not in this process
     assert str(info.value) != f"apply_distortion failed in process {os.getpid()}"
+    assert not multiprocessing.active_children()
+    assert list(tmp_path.iterdir()) == []  # no tree, no build directory
+
+
+@needs_fork
+def test_a_writer_that_raises_in_a_child_fails_the_run(tmp_path, monkeypatch):
+    """A write that fails in a forked child reaches the caller with its
+    type, and leaves no child, tree or partial sibling behind."""
+    workers_patched(monkeypatch, 2)
+    real, parent = experiment.write_coverage_csv, os.getpid()
+
+    def write_coverage_csv(rows, path):
+        if os.getpid() != parent:
+            raise PermissionError(f"{path.name} refused in process {os.getpid()}")
+        real(rows, path)
+
+    monkeypatch.setattr(experiment, "write_coverage_csv", write_coverage_csv)
+    with pytest.raises(PermissionError, match="coverage.csv refused in process") as info:
+        run_experiment(tiny_config(2), tmp_path / "run", seed=None)
+    assert str(info.value) != f"coverage.csv refused in process {parent}"
     assert not multiprocessing.active_children()
     assert list(tmp_path.iterdir()) == []  # no tree, no build directory
 
