@@ -96,6 +96,11 @@ def _cmd_metrics(args) -> int:
     g1, g2 = config.g1_db, config.g2_db
     with published(args.out, True) as out:
         free, blocked = read_field_files([args.free, args.blocked])
+        if (free.n_antennas, free.grid) != (blocked.n_antennas, blocked.grid):
+            raise ValueError("the --free and --blocked fields differ: " + " vs ".join(
+                f"{path} (N={f.n_antennas}, {f.grid.n_theta} x {f.grid.n_phi} grid)"
+                for path, f in ((args.free, free), (args.blocked, blocked))
+            ))
         # every table and line is computed before the tree, or a missing parent, is created
         coverage = coverage_stats(free, blocked, g1, g2)
         summaries = elemental_summaries(free, blocked, g1, g2, config.percentiles)

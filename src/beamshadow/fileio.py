@@ -14,20 +14,22 @@ trip reproduces every sample bit for bit.  Distortion files use the magic
 phase_rad``.  Readers validate ordering, row count, and finiteness and
 report the offending line on failure.
 
-Files are read as UTF-8.  Rows exactly as the writers emit them take a bulk
-path that parses a few thousand rows per step.  Any other valid spelling
-(``0`` for ``0.0``, ``\r\n`` endings, padding) is still accepted, at
-per-line speed, by the reference loop that also names the first bad
-``path:line``; every reader error, undecodable bytes included, is a
-``FileFormatError``.
+Files are read as UTF-8, and each line may end in ``\n`` or ``\r\n``.  Rows
+exactly as the writers emit them take a bulk path that parses a few
+thousand rows per step.  Any other valid spelling (``0`` for ``0.0``,
+``\r\n`` endings, padding) is still accepted, at per-line speed, by the
+reference loop that also names the first bad ``path:line``; every reader
+error, undecodable bytes included, is a ``FileFormatError``.
 
-``read_field_files`` reads several field files at once, since the ``float``
-parse that bounds a read cannot go faster in one process.  This process
-parses every header and allocates each file's samples in an anonymous
-shared mapping; the files are then split by ``forked.split``, and each range
-parses its rows straight into the mappings and sends back only "done" or
-its exception.  Errors surface in path order, as a serial loop would raise
-them.
+Every read, of one file or of several (``read_field_files``, since the
+``float`` parse that bounds a read cannot go faster in one process), goes
+through ``_read_tables``.  This process parses each header once and
+allocates each file's samples in an anonymous shared mapping; the files are
+then split by ``forked.split``, and each range re-opens its files at their
+first data row, parses the rows straight into the mappings and sends back
+only "done" or its exception.  One file is read in this process, with no
+process machinery.  Errors surface in path order, as a serial loop would
+raise them.
 
 Every table, the field and distortion data rows and the CSV tables alike,
 is formatted by one chunk generator, ``_table_chunks``: a few thousand rows
@@ -161,7 +163,7 @@ def write_distortion_file(distortion: DistortionField, path) -> None:
 
 
 def _parse_header(path: Path, line: str, magic: str, columns: str, second: str):
-    m = _HEADER_RE.match(line.rstrip("\n"))
+    m = _HEADER_RE.match(line.rstrip("\r\n"))
     if m is None or m.group("magic") != magic:
         raise FileFormatError(f"{path}:1: not a '{magic}' file")
     try:
@@ -176,7 +178,7 @@ def _parse_header(path: Path, line: str, magic: str, columns: str, second: str):
         raise FileFormatError(f"{path}:1: bad header: {exc}") from exc
     if n < 1:
         raise FileFormatError(f"{path}:1: antenna count must be >= 1")
-    if second.rstrip("\n") != columns:
+    if second.rstrip("\r\n") != columns:
         raise FileFormatError(f"{path}:2: expected column header '{columns}'")
     return n, grid, m.group("label")
 
@@ -299,26 +301,48 @@ def _read_rows_loop(path: Path, fh, n: int, grid: SphericalGrid, values: np.ndar
         )
 
 
-def _read_table(path, magic: str, columns: str, n_values: int, out: np.ndarray | None = None):
-    """Parse header plus ordered data rows; returns (n, grid, label, values).
+def _read_tables(paths, magic: str, columns: str):
+    """Per path, (n, grid, label, values), the values a (rows, 2) float
+    array in file order in a shared mapping (see the module docstring)."""
+    import mmap
 
-    values is a C-ordered float array of shape (rows, n_values) in file order,
-    ``out`` when given (its shape must match the header).  Rows go through
-    the bulk fast path; if any chunk is not writer-canonical the data is
-    re-read from its first row by the per-line loop, which accepts every
-    other valid spelling and reports the first bad ``path:line``.
-    """
-    path = Path(path)
-    with _open_text(path) as fh:
-        n, grid, label, rows = _start_table(path, fh, magic, columns)
-        values = np.empty((rows, n_values)) if out is None else out
-        if values.shape != (rows, n_values):
-            raise FileFormatError(f"{path}: file changed while it was being read")
-        data_start = fh.tell()
-        if not _read_rows_fast(fh, n, grid, values):
-            fh.seek(data_start)
-            _read_rows_loop(path, fh, n, grid, values)
-    return n, grid, label, values
+    paths = [Path(p) for p in paths]
+    tables = []  # per path: (n, grid, label, shared values, data offset), or its header's error
+    for path in paths:
+        try:
+            with _open_text(path) as fh:
+                n, grid, label, rows = _start_table(path, fh, magic, columns)
+                offset = fh.tell()
+        except (FileFormatError, OSError) as exc:
+            tables.append(exc)  # raised by its range, in path order
+            continue
+        values = np.frombuffer(mmap.mmap(-1, 16 * rows), np.float64).reshape(rows, 2)
+        tables.append((n, grid, label, values, offset))
+    with forked.split(
+        len(paths),
+        lambda lo, hi: f"{', '.join(map(str, paths[lo:hi]))}: reader",
+        _read_range,
+        paths,
+        tables,
+    ) as (own, replies):
+        _read_range(paths, tables, *own)
+        list(replies)  # a child's error, in range order
+    return [table[:4] for table in tables]
+
+
+def _read_range(paths, tables, start: int, stop: int) -> None:
+    """A range's work: parse the data rows of files start..stop-1, in path
+    order; a file whose header failed raises that error here.  A file that
+    is not writer-canonical is re-read by the per-line loop from its first row."""
+    for path, table in zip(paths[start:stop], tables[start:stop]):
+        if isinstance(table, Exception):
+            raise table
+        n, grid, _, values, offset = table
+        with _open_text(path) as fh:
+            fh.seek(offset)
+            if not _read_rows_fast(fh, n, grid, values):
+                fh.seek(offset)
+                _read_rows_loop(path, fh, n, grid, values)
 
 
 def _field_map(n: int, grid: SphericalGrid, label: str, values: np.ndarray) -> AntennaFieldMap:
@@ -329,58 +353,21 @@ def _field_map(n: int, grid: SphericalGrid, label: str, values: np.ndarray) -> A
 
 def read_field_file(path) -> AntennaFieldMap:
     """Read a beamshadow-field v1 file back into an AntennaFieldMap."""
-    return _field_map(*_read_table(path, FIELD_MAGIC, _FIELD_COLUMNS, 2))
-
-
-def _parse_files(paths, tables, start: int, stop: int) -> None:
-    """A range's work: parse files start..stop-1 into their shared values,
-    in path order; a file whose header failed raises that error here."""
-    for path, table in zip(paths[start:stop], tables[start:stop]):
-        if isinstance(table, Exception):
-            raise table
-        _read_table(path, FIELD_MAGIC, _FIELD_COLUMNS, 2, out=table[3])
+    return read_field_files([path])[0]
 
 
 def read_field_files(paths) -> list[AntennaFieldMap]:
     """``[read_field_file(p) for p in paths]``, read concurrently (see the
     module docstring); the first bad path's error is raised, as there."""
-    import mmap
-
-    paths = [Path(p) for p in paths]
-    tables = []  # per path: (n, grid, label, shared values), or its header's error
-    for path in paths:
-        try:
-            with _open_text(path) as fh:
-                n, grid, label, rows = _start_table(path, fh, FIELD_MAGIC, _FIELD_COLUMNS)
-        except (FileFormatError, OSError) as exc:
-            tables.append(exc)  # raised by its range, in path order
-            continue
-        values = np.frombuffer(mmap.mmap(-1, 16 * rows), np.float64).reshape(rows, 2)
-        tables.append((n, grid, label, values))
-    with forked.split(
-        len(paths),
-        lambda lo, hi: f"{', '.join(map(str, paths[lo:hi]))}: reader",
-        _parse_files,
-        paths,
-        tables,
-    ) as (own, replies):
-        _parse_files(paths, tables, *own)
-        list(replies)  # a child's error, in range order
-    return [_field_map(*table) for table in tables]
+    return [_field_map(*table) for table in _read_tables(paths, FIELD_MAGIC, _FIELD_COLUMNS)]
 
 
 def read_distortion_file(path) -> DistortionField:
     """Read a beamshadow-distortion v1 file back into a DistortionField."""
-    path = Path(path)
-    n, grid, label, values = _read_table(path, DISTORTION_MAGIC, _DISTORTION_COLUMNS, 2)
-    shape = (n, grid.n_theta, grid.n_phi)
+    [(n, grid, label, values)] = _read_tables([path], DISTORTION_MAGIC, _DISTORTION_COLUMNS)
+    amp, phase = values.T.reshape(2, n, grid.n_theta, grid.n_phi)
     try:
-        return DistortionField(
-            grid=grid,
-            amp=values[:, 0].reshape(shape),
-            phase=values[:, 1].reshape(shape),
-            label=label,
-        )
+        return DistortionField(grid=grid, amp=amp, phase=phase, label=label)
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
 

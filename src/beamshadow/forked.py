@@ -4,8 +4,8 @@ The worker count is decided here and nowhere else (``resolve_workers``), and
 ``split`` is the only way the package forks.  Each child runs in a
 ``fork``-context process, so it sees this process's memory as it was at the
 fork and nothing is pickled on the way in; only its reply is, as one value.
-``multiprocessing`` is imported on first use, so importing this module loads
-no process machinery.
+``multiprocessing`` is imported on first use, so importing this module, or a
+split of at most one item, loads no process machinery.
 """
 
 from __future__ import annotations
@@ -18,15 +18,18 @@ __all__ = ["resolve_workers", "split"]
 
 def resolve_workers(n_tasks: int | None) -> int:
     """Worker process count: the usable CPUs, capped at ``n_tasks`` unless it
-    is None, but at least 1; 1 where the ``fork`` start method is missing, so
-    that the work runs in the calling process."""
+    is None, but at least 1; 1, so that the work runs in the calling process,
+    for at most one task (without importing ``multiprocessing``) or where the
+    ``fork`` start method is missing."""
+    if n_tasks is not None and n_tasks <= 1:
+        return 1
     import multiprocessing
 
     if "fork" not in multiprocessing.get_all_start_methods():
         return 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     cpus = cpus or 1
-    return cpus if n_tasks is None else min(max(n_tasks, 1), cpus)
+    return cpus if n_tasks is None else min(n_tasks, cpus)
 
 
 @contextmanager

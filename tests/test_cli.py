@@ -25,7 +25,7 @@ from beamshadow import fileio, forked
 from beamshadow.cli import _build_parser, main
 from beamshadow.distortion import DistortionSpec, FingerSpec
 from beamshadow.experiment import ExperimentConfig, config_to_yaml
-from beamshadow.fields import ArrayConfig
+from beamshadow.fields import AntennaFieldMap, ArrayConfig
 from beamshadow.fileio import read_field_file
 from beamshadow.link import theorem_trials
 from beamshadow.metrics import cdf_summary, loss_samples, roi_mask
@@ -1086,14 +1086,14 @@ def test_metrics_concurrent_read_errors_match_serial(
 def test_metrics_reader_process_that_dies_is_an_error(
     metrics_inputs, tmp_path, monkeypatch, capfd
 ):
-    read_table, parent = fileio._read_table, os.getpid()
+    read_range, parent = fileio._read_range, os.getpid()
 
     def die_in_child(*args, **kwargs):
         if os.getpid() != parent:
             os._exit(3)
-        return read_table(*args, **kwargs)
+        return read_range(*args, **kwargs)
 
-    monkeypatch.setattr(fileio, "_read_table", die_in_child)
+    monkeypatch.setattr(fileio, "_read_range", die_in_child)
     out_dir = tmp_path / "metrics"
     rc, stdout, err = run_metrics(monkeypatch, capfd, 2, *metrics_inputs, out_dir)
     message = f"{metrics_inputs[1]}: reader process exited with code 3"
@@ -1103,3 +1103,26 @@ def test_metrics_reader_process_that_dies_is_an_error(
     with pytest.raises(RuntimeError, match=message):
         fileio.read_field_files(metrics_inputs)
     assert not multiprocessing.active_children()
+
+
+@pytest.mark.parametrize("differs", ["antennas", "grid"])
+def test_metrics_refuses_a_pair_that_differs(free_file, tmp_path, capsys, differs):
+    """A --free/--blocked pair of other antenna counts or grids is refused,
+    naming both paths and each file's N and grid, before any output."""
+    blocked = tmp_path / "blocked.field"
+    if differs == "antennas":
+        free = read_field_file(free_file)
+        fileio.write_field_file(AntennaFieldMap(free.grid, free.samples[:2], "b"), blocked)
+        sides = "(N=4, 12 x 24 grid) vs", "(N=2, 12 x 24 grid)"
+    else:
+        cfg = config_file(tmp_path / "cfg.yaml", theta_step_deg=30.0)
+        assert main(["synth", "--config", cfg, "--out", str(blocked)]) == 0
+        sides = "(N=4, 12 x 24 grid) vs", "(N=4, 6 x 24 grid)"
+    out = tmp_path / "metrics"
+    capsys.readouterr()
+    rc = main(["metrics", "--free", str(free_file), "--blocked", str(blocked), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1 and not captured.out
+    message = f"the --free and --blocked fields differ: {free_file} {sides[0]} {blocked} {sides[1]}"
+    assert captured.err == f"error: {message}\n"
+    assert not out.exists() and not list(tmp_path.glob(".*.partial"))

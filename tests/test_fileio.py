@@ -1,5 +1,8 @@
 import multiprocessing
 import os
+import re
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -28,15 +31,20 @@ from beamshadow.link import TheoremCheckResult
 from test_experiment import needs_fork
 
 
-def _read_table_loop(path, magic: str, columns: str, n_values: int):
-    """``fileio._read_table`` without the fast path: the reference reader
-    that the bulk path must agree with."""
+def _read_table_loop(path, magic: str, columns: str):
+    """``fileio._read_tables`` of one file without the fast path: the
+    reference reader that the bulk path must agree with."""
     path = Path(path)
     with fileio._open_text(path) as fh:
         n, grid, label, rows = fileio._start_table(path, fh, magic, columns)
-        values = np.empty((rows, n_values))
+        values = np.empty((rows, 2))
         fileio._read_rows_loop(path, fh, n, grid, values)
     return n, grid, label, values
+
+
+def _read_table(path, magic: str, columns: str):
+    """The package's one reader on one file."""
+    return fileio._read_tables([path], magic, columns)[0]
 
 
 @pytest.fixture()
@@ -224,7 +232,7 @@ def test_signed_zeros_round_trip(tmp_path):
     samples = np.array([[[-0.0 + 1j, complex(1.0, -0.0), complex(-0.0, -0.0), 0j]] * 2])
     path = tmp_path / "z.field"
     write_field_file(AntennaFieldMap(grid=grid, samples=samples), path)
-    values = _read_table_loop(path, FIELD_MAGIC, fileio._FIELD_COLUMNS, 2)[3]
+    values = _read_table_loop(path, FIELD_MAGIC, fileio._FIELD_COLUMNS)[3]
     assert np.array_equal(np.signbit(values), np.signbit(samples.view(float).reshape(-1, 2)))
     with mock.patch.object(forked, "resolve_workers", lambda n=None: 2):
         read = [read_field_file(path), *fileio.read_field_files([path, path])]
@@ -244,9 +252,9 @@ def test_read_field_files_equals_the_serial_loop(tmp_path, small_field, monkeypa
     monkeypatch.setattr(forked, "resolve_workers", lambda n=None: 2)
     got = fileio.read_field_files(paths)
     assert not multiprocessing.active_children()
-    want = [read_field_file(p) for p in paths]
-    assert [(f.grid, f.label) for f in got] == [(f.grid, f.label) for f in want]
-    assert [f.samples.tobytes() for f in got] == [f.samples.tobytes() for f in want]
+    want = [_read_table_loop(p, FIELD_MAGIC, fileio._FIELD_COLUMNS) for p in paths]
+    assert [(f.grid, f.label) for f in got] == [(grid, label) for _, grid, label, _ in want]
+    assert [f.samples.tobytes() for f in got] == [values.tobytes() for *_, values in want]
 
 
 def test_read_field_files_of_no_paths_is_empty():
@@ -276,6 +284,78 @@ def test_read_field_files_errors_in_path_order_inside_a_child_range(
     with pytest.raises(FileFormatError) as info:
         fileio.read_field_files(paths)
     assert str(info.value).startswith(f"{paths[want]}:")
+    assert not multiprocessing.active_children()
+
+
+@needs_fork
+def test_each_read_parses_each_header_once(tmp_path, small_field, small_distortion, monkeypatch):
+    """A spy, which the ranges' child processes also log to, sees one
+    header parse per path per read: the rows are read without a second."""
+    log, parse = tmp_path / "calls.log", fileio._parse_header
+
+    def spy(path, *args):
+        with log.open("a") as fh:
+            fh.write(f"{path}\n")
+        return parse(path, *args)
+
+    monkeypatch.setattr(fileio, "_parse_header", spy)
+    monkeypatch.setattr(forked, "resolve_workers", lambda n=None: min(n, 2))
+    paths, dist = [tmp_path / f"{i}.field" for i in range(3)], tmp_path / "a.dist"
+    for path in paths:
+        write_field_file(small_field, path)
+    write_distortion_file(small_distortion, dist)
+    reads = [(read_field_file, paths[0], paths[:1]), (fileio.read_field_files, paths, paths),
+             (read_distortion_file, dist, [dist])]
+    for read, arg, want in reads:
+        log.write_text("")
+        read(arg)
+        assert log.read_text().splitlines() == [str(p) for p in want]
+    assert not multiprocessing.active_children()
+
+
+def test_reading_one_file_loads_no_process_machinery(tmp_path, small_field, small_distortion):
+    """One field file and one distortion file are read in the calling
+    process: ``multiprocessing`` is never imported and nothing forks."""
+    field, dist = tmp_path / "a.field", tmp_path / "a.dist"
+    write_field_file(small_field, field)
+    write_distortion_file(small_distortion, dist)
+    code = (
+        "import os, sys\n"
+        "os.fork = lambda: sys.exit('forked')\n"
+        "from beamshadow.fileio import read_distortion_file, read_field_file\n"
+        f"read_field_file({str(field)!r}), read_distortion_file({str(dist)!r})\n"
+        "print([m for m in sys.modules if m.partition('.')[0] == 'multiprocessing'])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(Path(bs.__file__).parents[1])},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+@needs_fork
+@pytest.mark.parametrize("magic", [FIELD_MAGIC, DISTORTION_MAGIC])
+def test_a_header_promising_more_rows_than_the_file_holds_is_refused(tmp_path, monkeypatch,
+                                                                     magic):
+    """The size check names line 1, alone and in a two-file read, where the
+    first bad path in path order wins."""
+    monkeypatch.setattr(forked, "resolve_workers", lambda n=None: min(n, 2))
+    good, big, bad = (tmp_path / name for name in ("good", "big", "bad"))
+    good.write_text(_CANONICAL[magic])
+    big.write_text(_CANONICAL[magic].replace("N=2,", "N=3000,", 1))
+    bad.write_text(_CANONICAL[magic].replace("beamshadow-", "beamshadow-x", 1))
+    size = big.stat().st_size
+    promise = (f"{big}:1: header promises 135000 data rows (N=3000 x 5 x 9), "
+               f"more than a {size}-byte file can hold")
+    reader = read_field_file if magic == FIELD_MAGIC else read_distortion_file
+    with pytest.raises(FileFormatError, match=f"^{re.escape(promise)}$"):
+        reader(big)
+    for paths, first in (([good, big], big), ([big, bad], big), ([bad, big], bad)):
+        with pytest.raises(FileFormatError) as info:
+            fileio._read_tables(paths, magic, _COLUMNS[magic])
+        assert str(info.value).startswith(f"{first}:1: ")
+        assert (str(info.value) == promise) == (first == big)
     assert not multiprocessing.active_children()
 
 
@@ -386,7 +466,7 @@ def _mutated_text(draw):
 
 def _outcome(reader, path, magic):
     try:
-        n, grid, label, values = reader(path, magic, _COLUMNS[magic], 2)
+        n, grid, label, values = reader(path, magic, _COLUMNS[magic])
     except FileFormatError as exc:
         return str(exc)
     return n, grid, label, values.tobytes()
@@ -414,7 +494,7 @@ def test_fast_reader_agrees_with_the_line_loop(case, chunk):
         path = Path(tmp) / "m.txt"
         path.write_bytes(text.encode("utf-8"))
         with mock.patch.object(fileio, "_CHUNK_ROWS", chunk):
-            fast = _outcome(fileio._read_table, path, magic)
+            fast = _outcome(_read_table, path, magic)
         assert fast == _outcome(_read_table_loop, path, magic)
 
 
@@ -427,7 +507,7 @@ def test_writer_made_rows_take_the_fast_path(tmp_path, magic, chunk):
         n, grid, _, rows = fileio._start_table(path, fh, magic, _COLUMNS[magic])
         values = np.empty((rows, 2))
         assert fileio._read_rows_fast(fh, n, grid, values)
-    assert values.tobytes() == _read_table_loop(path, magic, _COLUMNS[magic], 2)[3].tobytes()
+    assert values.tobytes() == _read_table_loop(path, magic, _COLUMNS[magic])[3].tobytes()
 
 
 def test_other_spellings_are_read_by_the_loop(tmp_path, small_field):
@@ -439,6 +519,30 @@ def test_other_spellings_are_read_by_the_loop(tmp_path, small_field):
     with path.open(newline="") as fh:
         n, grid, _, rows = fileio._start_table(path, fh, FIELD_MAGIC, fileio._FIELD_COLUMNS)
         assert not fileio._read_rows_fast(fh, n, grid, np.empty((rows, 2)))
+
+
+@needs_fork
+def test_crlf_files_read_back_bit_identical(tmp_path, small_field, small_distortion, monkeypatch):
+    """Files with every line, the header's included, ended by ``\\r\\n`` read
+    back bit for bit with their labels, alone and two at a time."""
+    monkeypatch.setattr(forked, "resolve_workers", lambda n=None: min(n, 2))
+    field, dist = tmp_path / "a.field", tmp_path / "a.dist"
+    write_field_file(small_field, field)
+    write_distortion_file(small_distortion, dist)
+    for path in (field, dist):
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    for back in (read_field_file(field), *fileio.read_field_files([field, field])):
+        assert (back.grid, back.label) == (small_field.grid, "free")
+        assert back.samples.tobytes() == small_field.samples.tobytes()
+    want = np.column_stack([small_distortion.amp.reshape(-1), small_distortion.phase.reshape(-1)])
+    back = read_distortion_file(dist)
+    assert (back.grid, back.label) == (small_distortion.grid, small_distortion.label)
+    assert np.column_stack([back.amp.reshape(-1), back.phase.reshape(-1)]).tobytes() == want.tobytes()
+    for _, grid, label, values in fileio._read_tables([dist, dist], DISTORTION_MAGIC,
+                                                      fileio._DISTORTION_COLUMNS):
+        assert (grid, label) == (small_distortion.grid, small_distortion.label)
+        assert values.tobytes() == want.tobytes()
+    assert not multiprocessing.active_children()
 
 
 @given(
