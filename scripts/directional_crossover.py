@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Profile the steered-codebook crossover loss along the boresight azimuth cut.
 
-Sweeps theta at phi=270 on a fine grid, compares the directional codebook
-against optimal combining, writes the cut to a CSV, and prints the
-beam-center and crossover extremes of the gap.
+Sweeps theta at phi=270 on the config's theta step, compares the directional
+codebook against optimal combining, writes the cut to a CSV, and prints the
+beam-center and crossover extremes of the gap.  The array, the beam count
+and the steering quantization come from the config too.
 """
 
 import argparse
@@ -12,8 +13,8 @@ from pathlib import Path
 import numpy as np
 
 from beamshadow import (
-    ArrayConfig,
-    ExperimentConfig,
+    config_from_yaml,
+    default_config,
     directional_codebook,
     gain_map,
     make_grid,
@@ -23,17 +24,17 @@ from beamshadow import (
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--theta-step", type=float, default=1.0)
-    ap.add_argument("--antennas", type=int, default=4)
-    ap.add_argument("--beams", type=int, default=None, help="default: one per antenna")
-    ap.add_argument("--quant-bits", type=int, default=ExperimentConfig.steer_quant_bits)
+    ap.add_argument("--config", help="experiment config YAML (default: built-in)")
     ap.add_argument("--out", type=Path, default=Path("out/crossover_cut.csv"))
     args = ap.parse_args()
 
-    grid = make_grid(args.theta_step, 45.0)
-    array = ArrayConfig(n_antennas=args.antennas)
+    config = config_from_yaml(args.config) if args.config else default_config()
+    array = config.array
+    grid = make_grid(config.theta_step_deg, 45.0)
     fld = synth_freespace_field(array, grid)
-    cbk = directional_codebook(args.antennas, args.beams, array.element_spacing, args.quant_bits)
+    cbk = directional_codebook(
+        array.n_antennas, config.n_beams, array.element_spacing, config.steer_quant_bits
+    )
 
     col = list(grid.phis).index(270.0)
     g_opt = gain_map("mrc", fld)[:, col]

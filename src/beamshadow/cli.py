@@ -76,6 +76,8 @@ def _cmd_distort(args) -> int:
     spec = config.scenarios[args.scenario]
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
+    if args.dist_out is not None and Path(args.dist_out).resolve() == Path(args.out).resolve():
+        raise ValueError(f"--out {args.out} and --dist-out {args.dist_out} are the same file")
     # both are checked before the read and published only when both are written
     with published(args.out, False) as out, (
         nullcontext() if args.dist_out is None else published(args.dist_out, False)

@@ -9,11 +9,10 @@ named in one place: the files table that ``_run_scenario`` returns, which
 Reruns with the same config and seed are byte-identical: derived per-trial
 seeds, ordered writes, repr float formatting, no timestamps.  Every
 distortion is drawn before the first write; the scenarios are then split into
-contiguous ranges by ``forked.split``, which decides the worker count.  A
-child forked per range after the first computes and writes its scenarios'
-tables, and sends back only their report entries, while the caller does the
-same for the first range and then writes ``free.field``; the entries are
-joined in scenario order before ``report.json``.
+contiguous ranges by ``forked.split``, which decides the worker count.  Each
+range computes and writes its scenarios' tables and yields only their report
+entries, joined in scenario order before ``report.json``; this process runs
+the first, then writes ``free.field`` while the children still run.
 """
 
 from __future__ import annotations
@@ -465,11 +464,12 @@ def run_experiment(config: ExperimentConfig, out_dir, seed: int | None) -> dict:
             _run_scenarios,
             tasks,
             build,
-        ) as (own, replies):
-            results = list(_run_scenarios(tasks, build, *own))
+        ) as ranges:
+            results = list(next(ranges))
+            # written while the children still run
             write_files(build, [("free.field", write_field_file, free)])
-            for reply in replies:
-                results.extend(reply)
+            for entries in ranges:
+                results.extend(entries)
 
         report = {
             "format": "beamshadow-report v1",

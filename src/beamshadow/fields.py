@@ -119,10 +119,7 @@ def synth_freespace_field(config: ArrayConfig, grid: SphericalGrid) -> AntennaFi
     bt = math.radians(config.boresight_theta)
     bp = math.radians(config.boresight_phi)
     cos_psi = np.cos(th) * math.cos(bt) + np.sin(th) * math.sin(bt) * np.cos(ph - bp)
-    if config.element_exponent == 0.0:
-        envelope = np.ones(grid.shape)
-    else:
-        envelope = np.clip(cos_psi, 0.0, None) ** config.element_exponent
+    envelope = np.clip(cos_psi, 0.0, None) ** config.element_exponent
     envelope = np.maximum(envelope, 10.0 ** (config.backlobe_floor_db / 10.0))
     amp = 10.0 ** (config.peak_element_gain_db / 20.0) * np.sqrt(envelope)
     idx = np.arange(config.n_antennas)[:, None, None]

@@ -25,11 +25,11 @@ Every read, of one file or of several (``read_field_files``, since the
 ``float`` parse that bounds a read cannot go faster in one process), goes
 through ``_read_tables``.  This process parses each header once and
 allocates each file's samples in an anonymous shared mapping; the files are
-then split by ``forked.split``, and each range re-opens its files at their
-first data row, parses the rows straight into the mappings and sends back
-only "done" or its exception.  One file is read in this process, with no
-process machinery.  Errors surface in path order, as a serial loop would
-raise them.
+then split by ``forked.split``, and each range, this process's first one
+included, re-opens its files at their first data row, parses the rows
+straight into the mappings and yields only "done" or its exception.  One
+file is read in this process, with no process machinery.  Errors surface in
+path order, as a serial loop would raise them.
 
 Every table, the field and distortion data rows and the CSV tables alike,
 is formatted by one chunk generator, ``_table_chunks``: a few thousand rows
@@ -324,9 +324,8 @@ def _read_tables(paths, magic: str, columns: str):
         _read_range,
         paths,
         tables,
-    ) as (own, replies):
-        _read_range(paths, tables, *own)
-        list(replies)  # a child's error, in range order
+    ) as ranges:
+        list(ranges)  # a range's error, in range order
     return [table[:4] for table in tables]
 
 

@@ -39,9 +39,9 @@ def split(n_items: int, what, fn, *args):
     ``fn(*args, lo, hi)`` for each range after the first; ``what(lo, hi)``
     names a range's work in errors.
 
-    Yields the first ``(start, stop)``, for the caller to run while the
-    children run, and a lazy iterator of the children's replies in range
-    order: what ``fn`` returned, or raises what it raised, with its type.  A
+    Yields a lazy iterator of ``fn(*args, lo, hi)`` for every range, in range
+    order: the first runs in the caller when first asked for, while the
+    children run, and each raises what its ``fn`` raised, with its type.  A
     child that dies without replying is a ``RuntimeError`` naming its work.
     Every child is stopped and joined on exit.
     """
@@ -52,13 +52,18 @@ def split(n_items: int, what, fn, *args):
     try:
         for lo, hi in others:
             children.append((what(lo, hi), *_start(fn, *args, lo, hi)))
-        yield own, map(_reply, children)
+        yield _ranges(fn, args, own, children)
     finally:
         for _, receiver, process in children:
             receiver.close()
             if process.is_alive():
                 process.terminate()
             process.join()
+
+
+def _ranges(fn, args, own, children):
+    yield fn(*args, *own)
+    yield from map(_reply, children)
 
 
 def _start(fn, *args):

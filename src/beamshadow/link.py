@@ -27,14 +27,15 @@ array; it shares the bound and the codebook search with ``theorem_trials``.
 trials at a time (numpy's SeedSequence hashing and PCG64 generator, redone
 on uint64 arrays, each 128-bit state a pair of uint64 words) and checked
 against numpy itself on trial 0 of every call.  The trials are split once
-by ``forked.split``, which decides the worker count: each range is drawn,
-searched and, for a CSV, formatted by the process that owns it, so neither
-the result nor the file depends on the split.
+by ``forked.split``, which decides the worker count: each range, this
+process's first one included, is drawn, searched and, for a CSV, formatted
+by one call, so neither the result nor the file depends on the split.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from contextlib import nullcontext
 from dataclasses import dataclass
 
@@ -381,15 +382,12 @@ def _audit_rows(e_rows: np.ndarray, b_values: tuple[int, ...]):
     return terms[0], lower, delta
 
 
-def _csv_rows(start: int, b_values: tuple[int, ...], var, lower, delta):
-    """``fileio.trials_csv_rows`` of audited trials start.."""
-    return trials_csv_rows(start, b_values, var, lower, delta, delta - lower)
-
-
 def _audit_trials(seed, n_antennas, b_values, write, start, stop):
-    """``_audit_rows`` of trials start..stop-1, drawn here, and their CSV bytes or None."""
-    audit = _audit_rows(_trial_fields(seed, start, stop, n_antennas), b_values)
-    return audit, b"".join(_csv_rows(start, b_values, *audit)) if write else None
+    """``_audit_rows`` of trials start..stop-1, drawn here, and their CSV bytes
+    (``fileio.trials_csv_rows``), empty unless ``write``."""
+    var, lower, delta = audit = _audit_rows(_trial_fields(seed, start, stop, n_antennas), b_values)
+    rows = trials_csv_rows(start, b_values, var, lower, delta, delta - lower) if write else ()
+    return audit, b"".join(rows)
 
 
 def theorem_trials(
@@ -407,24 +405,25 @@ def theorem_trials(
     what ``var_blockage``, ``theorem1_lb`` and ``delta_snr_achieved`` return
     for that trial alone.
 
-    The trials are split by ``forked.split``: each range is drawn, searched
-    and, given ``out``, formatted by the process that owns it (this one
-    streams its rows), then joined in trial order, so neither the result nor
-    the file depends on the split.  ``out`` is checked before any draw and
-    published by ``fileio.published`` only when every range succeeded.
+    The trials are split by ``forked.split`` (see the module docstring) and
+    joined in trial order.  ``out`` is checked before any draw and published
+    by ``fileio.published`` only when every range succeeded.  An argument
+    error names the ``theorem-check`` flag and the value given.
     """
     with nullcontext() if out is None else published(out, False) as partial:
         if not 1 <= n_trials <= 2**32:
-            raise ValueError("n_trials must be in 1..2**32")
-        if n_antennas < 1:
-            raise ValueError("n_antennas must be >= 1")
+            raise ValueError(f"--trials {n_trials}: n_trials must be in 1..2**32")
         b_values = tuple(int(b) for b in b_values)
+        flag = f"--B {','.join(map(str, b_values))}"
         if not b_values or any(b < 1 for b in b_values):
-            raise ValueError("b_values must be a non-empty list of bit widths >= 1")
+            raise ValueError(f"{flag}: b_values must be a non-empty list of bit widths >= 1")
         for b in b_values:
             if b_values.count(b) > 1:
-                raise ValueError(f"b_values repeats bit width {b}")
-            phase_lattice(n_antennas, b)  # an oversized lattice fails before any draw
+                raise ValueError(f"{flag}: b_values repeats bit width {b}")
+            try:
+                phase_lattice(n_antennas, b)  # a bad N, B or lattice size fails before any draw
+            except ValueError as exc:
+                raise ValueError(f"--B {b} with --n-antennas {n_antennas}: {exc}") from None
         # numpy draws trial 0 first: a bad seed raises its own error
         first = _trial_field(seed, 0, n_antennas)
         if _trial_fields(seed, 0, 1, n_antennas).tobytes() != first.tobytes():
@@ -432,6 +431,7 @@ def theorem_trials(
                 "vectorized trial draw differs from numpy.random.default_rng "
                 f"{np.__version__} at trial 0"
             )
+        parts = []
         with forked.split(
             n_trials,
             lambda lo, hi: f"trials {lo}-{hi - 1}: audit",
@@ -440,18 +440,13 @@ def theorem_trials(
             n_antennas,
             b_values,
             out is not None,
-        ) as ((start, stop), replies):
-            # no field array is kept while a child's reply is unpickled
-            parts = [_audit_rows(_trial_fields(seed, start, stop, n_antennas), b_values)]
-            if out is None:
-                parts += (audit for audit, _ in replies)
-            else:
-                with partial.open("wb") as fh:
-                    fh.write(TRIALS_CSV_HEADER)
-                    fh.writelines(_csv_rows(start, b_values, *parts[0]))
-                    for audit, rows in replies:
-                        parts.append(audit)
-                        fh.write(rows)
+        ) as ranges, open(os.devnull, "wb") if out is None else partial.open("wb") as fh:
+            fh.write(TRIALS_CSV_HEADER)  # without ``out``, it and the empty rows are dropped
+            for audit, rows in ranges:
+                parts.append(audit)
+                fh.write(rows)
+                # released before the next reply is unpickled: one range's CSV at a time
+                del rows
     var, lower, delta = (np.concatenate(column) for column in zip(*parts))
     return TheoremCheckResult(
         n_trials=n_trials,

@@ -129,16 +129,13 @@ def loss_samples(
     """Per-direction elemental loss (free minus blocked gain, dB) inside a
     region of interest, theta-major order.
 
-    Raises if the RoI selects no direction, or if any selected direction
-    has an exactly-zero field: the loss is undefined there, and silently
-    dropping or infilling it would bias CDFs.
+    Raises if any selected direction has an exactly-zero field: the loss is
+    undefined there, and silently dropping or infilling it would bias CDFs.
     """
     if blocked.grid != free.grid or roi.grid != free.grid:
         raise ValueError("free, blocked, and RoI grids must all match")
     if not 0 <= antenna < free.n_antennas:
         raise ValueError(f"antenna {antenna} outside 0..{free.n_antennas - 1}")
-    if not roi.mask.any():
-        raise ValueError(f"antenna {antenna} has no direction inside the RoI")
     gf = elemental_gain_map(free, antenna)
     gb = elemental_gain_map(blocked, antenna)
     null = roi.mask & (np.isneginf(gf) | np.isneginf(gb))
@@ -236,6 +233,10 @@ def elemental_summaries(
     summaries = []
     for i in range(free.n_antennas):
         roi = roi_mask(free, blocked, i, g1_db, g2_db)
+        if not roi.mask.any():
+            raise ValueError(
+                f"g1_db {g1_db!r} and g2_db {g2_db!r}: antenna {i} has no direction inside the RoI"
+            )
         summaries.append((roi, cdf_summary(loss_samples(free, blocked, i, roi), percentiles)))
     return summaries
 

@@ -255,6 +255,20 @@ def test_distort_refuses_a_dist_out_it_cannot_write_before_writing(
         assert "cannot write ''" in err
 
 
+@pytest.mark.parametrize("dist_name", ["same.field", "./same.field"])
+def test_distort_refuses_one_path_for_out_and_dist_out(free_file, tmp_path, monkeypatch, capsys,
+                                                        dist_name):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("beamshadow.cli.read_field_file", _no_work)
+    rc = main(["distort", "--field", str(free_file), "--out", str(tmp_path / "same.field"),
+               "--dist-out", dist_name, "--scenario", "tight-grip-one-finger"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: --out {tmp_path / 'same.field'} and --dist-out {dist_name} are the same file\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["free.field"]
+
+
 def test_evaluate_all_schemes(free_file, tmp_path):
     for scheme in ("mrc", "directional", "enh-phase", "enh-phase-amp"):
         out = tmp_path / f"{scheme}.csv"
@@ -337,17 +351,20 @@ def test_theorem_check_writes_rows(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "argv, message",
-    [(["--n-antennas", "0"], "n_antennas must be >= 1"),
-     (["--n-antennas", "40"], "enhanced codebook would have"),
-     (["--n-antennas", "1", "--B", "40"], "b_bits must be in 1..16"),
-     (["--B", "2,2"], "b_values repeats bit width 2")],
+    [(["--trials", "0"], "--trials 0: n_trials must be in 1..2**32"),
+     (["--n-antennas", "0"], "--B 1 with --n-antennas 0: n_antennas must be >= 1"),
+     (["--B", "2,2"], "--B 2,2: b_values repeats bit width 2"),
+     (["--B", "0"], "--B 0: b_values must be a non-empty list of bit widths >= 1"),
+     (["--B", "17"], "--B 17 with --n-antennas 4: b_bits must be in 1..16"),
+     (["--n-antennas", "70", "--B", "1"],
+      "--B 1 with --n-antennas 70: enhanced codebook would have 590295810358705651712 "
+      "entries (limit 1000000); reduce B or the antenna count")],
 )
-def test_theorem_check_rejects_bad_arguments_without_output(tmp_path, capsys, argv, message):
+def test_theorem_check_refusals_name_the_flag_without_output(tmp_path, capsys, argv, message):
     out = tmp_path / "rows.csv"
     rc = main(["theorem-check", "--trials", "10", "--out", str(out), *argv])
     assert rc == 1
-    err = capsys.readouterr().err
-    assert message in err and "Traceback" not in err
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 
@@ -562,20 +579,42 @@ def test_theorem_check_exits_cleanly_on_any_arguments(trials, b_values, n_antenn
     assert not multiprocessing.active_children()
 
 
-def test_crossover_script_writes_float_cells(tmp_path):
+def crossover_cut(config: str, out: Path) -> list[list[str]]:
+    """The cells of the crossover script's CSV for a config, header first."""
     script = Path(__file__).resolve().parents[1] / "scripts" / "directional_crossover.py"
-    out = tmp_path / "cut.csv"
     proc = subprocess.run(
-        [sys.executable, str(script), "--theta-step", "30", "--out", str(out)],
+        [sys.executable, str(script), "--config", config, "--out", str(out)],
         capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": str(Path(fileio.__file__).parents[1])},
     )
     assert proc.returncode == 0, proc.stderr
-    header, *rows = out.read_text().splitlines()
-    assert header == "theta_deg,optimal_db,directional_db,gap_db"
-    cells = [[float(cell) for cell in row.split(",")] for row in rows]
+    return [row.split(",") for row in out.read_text().splitlines()]
+
+
+def test_crossover_script_writes_float_cells(tmp_path):
+    header, *rows = crossover_cut(config_file(tmp_path / "cfg.yaml", theta_step_deg=30.0),
+                                  tmp_path / "cut.csv")
+    assert header == ["theta_deg", "optimal_db", "directional_db", "gap_db"]
+    cells = [[float(cell) for cell in row] for row in rows]
     assert [row[0] for row in cells] == [0.0, 30.0, 60.0, 90.0, 120.0, 150.0]
     assert {len(row) for row in cells} == {4}
+
+
+def test_crossover_script_directional_column_matches_evaluate(tmp_path):
+    """The script takes the array, beams and steering bits from the config:
+    its directional column is, bit for bit, evaluate's on that config."""
+    config = config_file(tmp_path / "cfg.yaml", array={"element_spacing": 0.7})
+    field, gains = tmp_path / "free.field", tmp_path / "directional.csv"
+    assert main(["synth", "--config", config, "--out", str(field)]) == 0
+    assert main(["evaluate", "--config", config, "--field", str(field), "--out", str(gains),
+                 "--scheme", "directional"]) == 0
+    _, *rows = crossover_cut(config, tmp_path / "cut.csv")
+    _, *cells = (line.split(",") for line in gains.read_text().splitlines())
+    cut = [gain for theta, phi, gain in cells if float(phi) == 270.0]
+    assert [row[2] for row in rows] == cut
+    # a 0.5-wavelength array gives another cut
+    default_rows = crossover_cut(config_file(tmp_path / "half.yaml"), tmp_path / "half.csv")[1:]
+    assert [row[2] for row in default_rows] != cut
 
 
 # the columns of run's table for tiny_config's B values, in print order
@@ -634,8 +673,9 @@ def test_run_subcommand(tmp_path, capsys, overrides, stat):
 def test_an_empty_elemental_roi_fails_naming_the_antenna(
     free_file, tmp_path, capsys, monkeypatch, command
 ):
-    """No direction reaches g1 free or g2 blocked: exit 1 naming the antenna
-    (and the scenario), with no output or partial tree left."""
+    """No direction reaches g1 free or g2 blocked: exit 1 naming both
+    thresholds and the antenna (and the scenario), with no output or partial
+    tree left."""
     cfg_path = tmp_path / "cfg.yaml"
     config_to_yaml(tiny_config(1, g1_db=100.0, g2_db=100.0), cfg_path)
     argv = [command, "--config", str(cfg_path)]
@@ -652,7 +692,8 @@ def test_an_empty_elemental_roi_fails_naming_the_antenna(
     rc = main([*argv, "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert rc == 1
-    assert f"error: {where}antenna 0 has no direction inside the RoI" in err
+    refusal = "g1_db 100.0 and g2_db 100.0: antenna 0 has no direction inside the RoI"
+    assert f"error: {where}{refusal}" in err
     assert "Traceback" not in err
     assert sorted(tmp_path.iterdir()) == before
     assert written == []

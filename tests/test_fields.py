@@ -108,6 +108,13 @@ def test_backlobe_floor(free_field):
     assert np.abs(free_field.samples).min() > 0.0
 
 
+def test_isotropic_element_has_the_peak_magnitude_everywhere(coarse_grid):
+    config = bs.ArrayConfig(element_exponent=0.0, boresight_theta=30.0)
+    fld = bs.synth_freespace_field(config, coarse_grid)
+    peak = 10.0 ** (config.peak_element_gain_db / 20.0)
+    assert np.allclose(np.abs(fld.samples), peak, rtol=1e-15, atol=0.0)
+
+
 def test_progressive_phase_across_antennas(free_field, coarse_grid):
     # phase step between adjacent antennas is 2*pi*spacing*cos(theta)
     theta = 60.0
