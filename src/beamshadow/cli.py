@@ -3,11 +3,12 @@
 Subcommands: synth, distort, metrics, evaluate, theorem-check, run.  Every
 setting of the experiment comes from one config: synth, distort, metrics,
 evaluate and run read it with ``--config PATH`` (the built-in default when
-absent), and their flags only name files, a scenario, a scheme and B, or
-override a seed.  The field file decides the grid and the antenna count of
-distort, metrics and evaluate.  theorem-check has flags of its own, none a
-config key.  Exit status is 0 on success, 1 with a diagnostic on stderr for
-config, data or bound-check failures, 2 for usage errors (argparse).
+absent), and their flags only name files, a scenario, a scheme of the
+config's table, or a seed that overrides the config's as in ``run``.  The
+field file decides the grid and the antenna count of distort, metrics and
+evaluate.  theorem-check has flags of its own, none a config key.  Exit
+status is 0 on success, 1 with a diagnostic on stderr for config, data or
+bound-check failures, 2 for usage errors (argparse).
 """
 
 from __future__ import annotations
@@ -15,13 +16,12 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import nullcontext
-from dataclasses import replace
 from pathlib import Path
 
-from .codebook import CODEBOOK_KINDS, phase_lattice, scheme_maps, search_power_overflows
+from .codebook import scheme_maps
 from .distortion import apply_distortion, gen_distortion
-from .experiment import ExperimentConfig, config_from_yaml, default_config, prefixed, run_experiment
-from .fields import ArrayConfig, synth_freespace_field
+from .experiment import ExperimentConfig, config_from_yaml, prefixed, run_experiment, scenario_specs
+from .fields import ArrayConfig, search_power_overflows, synth_freespace_field
 from .fileio import (
     published,
     read_field_file,
@@ -54,7 +54,7 @@ def _seed(text: str) -> int:
 
 def _config(args) -> ExperimentConfig:
     """The run's config: the ``--config`` YAML, or the built-in default."""
-    return config_from_yaml(args.config) if args.config else default_config()
+    return config_from_yaml(args.config) if args.config else ExperimentConfig()
 
 
 def _cmd_synth(args) -> int:
@@ -69,13 +69,10 @@ def _cmd_synth(args) -> int:
 
 def _cmd_distort(args) -> int:
     config = _config(args)
-    if args.scenario not in config.scenarios:
-        raise ValueError(
-            f"scenario {args.scenario!r} not found; available: {', '.join(config.scenarios)}"
-        )
-    spec = config.scenarios[args.scenario]
-    if args.seed is not None:
-        spec = replace(spec, seed=args.seed)
+    specs = scenario_specs(config, args.seed)
+    if args.scenario not in specs:
+        raise ValueError(f"scenario {args.scenario!r} not found; available: {', '.join(specs)}")
+    spec = specs[args.scenario]
     if args.dist_out is not None and Path(args.dist_out).resolve() == Path(args.out).resolve():
         raise ValueError(f"--out {args.out} and --dist-out {args.dist_out} are the same file")
     # both are checked before the read and published only when both are written
@@ -128,21 +125,18 @@ def _cmd_metrics(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     config = _config(args)
-    # only the enhanced schemes have a B, and only they build B's lattice
-    b_values = (args.b_bits,) if args.scheme.startswith("enh-") else ()
-    name = args.scheme.replace("-", "_") + "".join(f"_b{b}" for b in b_values)
+    schemes = scheme_maps(
+        config.b_values, config.n_beams, config.array.element_spacing, config.steer_quant_bits
+    )
+    if args.scheme not in schemes:
+        raise ValueError(f"--scheme {args.scheme}: no such scheme; available: {', '.join(schemes)}")
     with published(args.out, False) as out:
         field = read_field_file(args.field)
-        n = field.n_antennas
-        if search_power_overflows(n, float(abs(field.samples).max())):
+        if search_power_overflows(field.n_antennas, float(abs(field.samples).max())):
             raise ValueError(f"{args.field}: its field power overflows the beamformed search")
-        for b in b_values:  # the lattice an enhanced scheme searches
-            with prefixed(f"{args.field}: --B {b} with {n} antennas"):
-                phase_lattice(n, b)
-        schemes = scheme_maps(
-            n, b_values, config.n_beams, config.array.element_spacing, config.steer_quant_bits
-        )
-        write_gain_map_csv(field.grid, schemes[name](field), out)
+        with prefixed(f"{args.field}: --scheme {args.scheme} with {field.n_antennas} antennas"):
+            gains = schemes[args.scheme](field)
+        write_gain_map_csv(field.grid, gains, out)
     print(f"wrote {args.scheme} gain map to {args.out}")
     return 0
 
@@ -220,7 +214,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", required=True, help="input field file")
     p.add_argument("--out", required=True, help="output (blocked) field file")
     p.add_argument("--dist-out", help="also write the distortion screens here")
-    p.add_argument("--seed", type=_seed, help="override the scenario seed")
+    p.add_argument("--seed", type=_seed, help="override the config seed, as run --seed does")
     p.set_defaults(func=_cmd_distort)
 
     p = sub.add_parser("metrics", help="RoI/CDF/coverage tables from two field files")
@@ -234,8 +228,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help=config_help)
     p.add_argument("--field", required=True)
     p.add_argument("--out", required=True, help="output gain-map CSV")
-    p.add_argument("--scheme", required=True, choices=("mrc", *CODEBOOK_KINDS))
-    p.add_argument("--B", dest="b_bits", type=int, default=2, help="phase bits for enhanced schemes")
+    p.add_argument("--scheme", required=True, help="NAME of run's gain_map_<NAME>.csv")
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("theorem-check", help="Monte-Carlo audit of the improvement bound")

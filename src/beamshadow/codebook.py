@@ -68,7 +68,6 @@ __all__ = [
     "amp_gain_map",
     "scheme_maps",
     "best_entries",
-    "search_power_overflows",
     "phase_lattice",
     "MAX_ENH_ENTRIES",
     "MAX_PHASE_BITS",
@@ -83,9 +82,6 @@ _BLOCK_PRODUCTS = 1 << 14
 
 # the -0.0 a complex ``.sum`` starts from: x + (-0.0 - 0.0j) == x bitwise
 _NEGATIVE_ZERO = complex(-0.0, -0.0)
-
-CODEBOOK_KINDS = ("directional", "enh-phase", "enh-phase-amp")
-
 
 @dataclasses.dataclass(eq=False)
 class Codebook:
@@ -285,13 +281,6 @@ def best_entries(weights, fields) -> tuple[np.ndarray, np.ndarray]:
     return best, index
 
 
-def search_power_overflows(n_antennas: int, peak: float) -> bool:
-    """Whether a search of fields whose largest ``|E_i|`` is ``peak`` can
-    overflow: it squares ``|sum_i |E_i| E_i|^2 <= (N * peak**2)**2``."""
-    power = n_antennas * (peak * peak)
-    return not math.isfinite(power * power)
-
-
 def directional_codebook(
     n_antennas: int,
     n_beams: int | None,
@@ -398,7 +387,6 @@ def amp_gain_map(field: AntennaFieldMap, b_bits: int) -> np.ndarray:
 
 
 def scheme_maps(
-    n_antennas: int,
     b_values: tuple[int, ...],
     n_beams: int | None,
     element_spacing: float,
@@ -408,16 +396,16 @@ def scheme_maps(
     keyed by its gain-map file name: ``mrc``, ``directional``, then
     ``enh_phase_b{B}`` and ``enh_phase_amp_b{B}`` for each B of ``b_values``.
 
-    Every codebook is built here, so a bad size fails before a field is read
-    or an output written.
+    Each function builds its codebook for the field it is given: the table
+    builds nothing and fits any antenna count.
     """
-    directional = directional_codebook(n_antennas, n_beams, element_spacing, quant_bits)
     maps = {
         "mrc": lambda field: gain_map("mrc", field),
-        "directional": lambda field: gain_map(directional, field),
+        "directional": lambda field: gain_map(
+            directional_codebook(field.n_antennas, n_beams, element_spacing, quant_bits), field
+        ),
     }
     for b in b_values:
-        phase = enh_phase_codebook(n_antennas, b)
-        maps[f"enh_phase_b{b}"] = lambda field, phase=phase: gain_map(phase, field)
-        maps[f"enh_phase_amp_b{b}"] = lambda field, b=b: amp_gain_map(field, b)
+        maps[f"enh_phase_b{b}"] = lambda f, b=b: gain_map(enh_phase_codebook(f.n_antennas, b), f)
+        maps[f"enh_phase_amp_b{b}"] = lambda f, b=b: amp_gain_map(f, b)
     return maps

@@ -29,7 +29,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .codebook import MAX_PHASE_BITS, phase_lattice, scheme_maps, search_power_overflows
+from .codebook import MAX_PHASE_BITS, phase_lattice, scheme_maps
 from .distortion import (
     DistortionField,
     DistortionSpec,
@@ -37,7 +37,7 @@ from .distortion import (
     apply_distortion,
     gen_distortion,
 )
-from .fields import AntennaFieldMap, ArrayConfig, synth_freespace_field
+from .fields import AntennaFieldMap, ArrayConfig, search_power_overflows, synth_freespace_field
 from .fileio import (
     published,
     write_cdf_csv,
@@ -65,6 +65,7 @@ __all__ = [
     "default_config",
     "config_from_yaml",
     "config_to_yaml",
+    "scenario_specs",
     "run_experiment",
     "resolve_workers",
 ]
@@ -153,6 +154,8 @@ class ExperimentConfig:
             raise ValueError(f"b_values must be distinct bit widths in 1..{top}, got {list(bits)}")
         if not 1 <= self.steer_quant_bits <= top:
             raise ValueError(f"steer_quant_bits must be in 1..{top}, got {self.steer_quant_bits}")
+        if self.n_beams is not None and self.n_beams < 1:
+            raise ValueError(f"n_beams must be >= 1, got {self.n_beams}")
         for key in ("roi_theta_range", "roi_phi_range"):
             lo, hi = getattr(self, key)
             if not lo < hi:
@@ -268,9 +271,20 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 def config_from_yaml(path) -> ExperimentConfig:
     import yaml
 
+    class Loader(yaml.SafeLoader):
+        def construct_mapping(self, node, deep=False):
+            seen = set()  # scalar keys; the safe loader refuses an unhashable one
+            for k in [k for k, _ in node.value if isinstance(k, yaml.ScalarNode)]:
+                if (k.tag, k.value) in seen:
+                    raise yaml.MarkedYAMLError(
+                        problem=f"repeated key {k.value!r}", problem_mark=k.start_mark
+                    )
+                seen.add((k.tag, k.value))
+            return super().construct_mapping(node, deep)
+
     try:
         with open(path) as fh:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader)
     except (yaml.YAMLError, UnicodeDecodeError) as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f"{path}:{mark.line + 1}" if mark else f"{path}"
@@ -398,12 +412,23 @@ def _run_scenarios(tasks, out, start: int, stop: int) -> tuple:
     return tuple(results)
 
 
+def scenario_specs(config: ExperimentConfig, seed: int | None) -> dict[str, DistortionSpec]:
+    """Each scenario's spec as ``run`` draws it: when ``seed``, or else the
+    config seed, is set, scenario i draws from ``seed * 1009 + i``."""
+    if seed is not None and seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    seed = config.seed if seed is None else int(seed)
+    return {
+        name: spec if seed is None else replace(spec, seed=seed * 1009 + i)
+        for i, (name, spec) in enumerate(config.scenarios.items())
+    }
+
+
 def run_experiment(config: ExperimentConfig, out_dir, seed: int | None) -> dict:
     """Run every scenario, write the full report tree under out_dir, and
     return the dict that its ``report.json`` holds.
 
-    ``seed`` overrides the config seed unless None; when set, scenario seeds
-    derive from it (seed * 1009 + scenario index) instead of the per-spec seeds.
+    ``seed`` overrides the config seed unless None, as ``scenario_specs`` says.
     The scenarios are split by ``forked.split``; the output is the same for
     any split.  out_dir must be absent or an empty directory; the tree is
     built in the sibling ``fileio.published`` yields, once nothing a bad
@@ -412,36 +437,24 @@ def run_experiment(config: ExperimentConfig, out_dir, seed: int | None) -> dict:
     with published(out_dir, True) as build:
         grid = make_grid(config.theta_step_deg, config.phi_step_deg)
         rect = rect_roi(grid, config.roi_theta_range, config.roi_phi_range)
-        # ExperimentConfig checked those two; the rest a bad config can trip on
-        # is built before the first write
+        # ExperimentConfig checked those two; a bad config can still trip on the largest lattice
         array = config.array
-        # the largest B has the largest lattice
         with prefixed(f"b_values {list(config.b_values)} and array.n_antennas {array.n_antennas}"):
             phase_lattice(array.n_antennas, max(config.b_values))
         schemes = scheme_maps(
-            array.n_antennas, config.b_values, config.n_beams, array.element_spacing,
-            config.steer_quant_bits,
+            config.b_values, config.n_beams, array.element_spacing, config.steer_quant_bits
         )
 
-        if seed is not None and seed < 0:  # checked before scenario seeds derive from it
-            raise ValueError(f"seed must be >= 0, got {seed}")
-        effective_seed = config.seed if seed is None else int(seed)
-        names = list(config.scenarios)
-        specs = []
-        for idx, name in enumerate(names):
-            spec = config.scenarios[name]
-            if effective_seed is not None:
-                spec = replace(spec, seed=effective_seed * 1009 + idx)
-            specs.append(spec)
+        specs = scenario_specs(config, seed)
         dists = []
-        for name, spec in zip(names, specs):
+        for name, spec in specs.items():
             with prefixed(f"scenarios.{name}"):
                 dists.append(gen_distortion(spec, grid, array.n_antennas))
         free = synth_freespace_field(array, grid)
         # ArrayConfig bounds the free field's search power; a scenario's amplitude
         # ripple lifts it by max(amp)**4
         peak = float(np.abs(free.samples).max())
-        for name, dist in zip(names, dists):
+        for name, dist in zip(specs, dists):
             if search_power_overflows(array.n_antennas, peak * float(dist.amp.max())):
                 raise ValueError(
                     f"scenarios.{name}: its amplitude ripple overflows the beamformed power "
@@ -455,12 +468,12 @@ def run_experiment(config: ExperimentConfig, out_dir, seed: int | None) -> dict:
 
         tasks = [
             (name, spec, dist, config, free, rect, schemes, g_opt_free, roi_weights, mixing_free)
-            for name, spec, dist in zip(names, specs, dists)
+            for (name, spec), dist in zip(specs.items(), dists)
         ]
 
         with split(
             len(tasks),
-            lambda lo, hi: f"scenarios {', '.join(names[lo:hi])}",
+            lambda lo, hi: f"scenarios {', '.join(list(specs)[lo:hi])}",
             _run_scenarios,
             tasks,
             build,
@@ -474,7 +487,7 @@ def run_experiment(config: ExperimentConfig, out_dir, seed: int | None) -> dict:
         report = {
             "format": "beamshadow-report v1",
             "config": config.to_dict(),
-            "effective_seed": effective_seed,
+            "effective_seed": config.seed if seed is None else int(seed),
             "grid": {
                 "theta_step_deg": config.theta_step_deg,
                 "phi_step_deg": config.phi_step_deg,
@@ -492,7 +505,7 @@ def run_experiment(config: ExperimentConfig, out_dir, seed: int | None) -> dict:
                     g_opt_free[rect.mask], roi_weights, config.percentiles
                 )[1]
             },
-            "scenarios": dict(zip(names, results)),
+            "scenarios": dict(zip(specs, results)),
         }
         with (build / "report.json").open("w") as fh:
             json.dump(report, fh, sort_keys=True, indent=2)

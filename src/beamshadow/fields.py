@@ -21,6 +21,7 @@ __all__ = [
     "AntennaFieldMap",
     "synth_freespace_field",
     "require_finite",
+    "search_power_overflows",
 ]
 
 
@@ -30,6 +31,13 @@ def require_finite(config) -> None:
         value = getattr(config, f.name)
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"{f.name} must be finite, got {value!r}")
+
+
+def search_power_overflows(n_antennas: int, peak: float) -> bool:
+    """Whether a search of fields whose largest ``|E_i|`` is ``peak`` can
+    overflow: it squares ``|sum_i |E_i| E_i|^2 <= (N * peak**2)**2``."""
+    power = n_antennas * (peak * peak)
+    return not math.isfinite(power * power)
 
 
 @dataclass(frozen=True)
@@ -74,13 +82,11 @@ class ArrayConfig:
             raise ValueError("boresight_theta must be in [0, 180]")
         if self.backlobe_floor_db >= 0.0:
             raise ValueError("backlobe_floor_db must be negative")
-        # the largest power a search squares is that of the amplitude-weighted
-        # enh-phase-amp entry, |sum_i |E_i| E_i|^2 <= (N * 10**(gain/10))**2
-        try:
-            power = (self.n_antennas * 10.0 ** (self.peak_element_gain_db / 10.0)) ** 2
+        try:  # the free field's largest |E_i| is its boresight amplitude
+            peak = 10.0 ** (self.peak_element_gain_db / 20.0)
         except OverflowError:
-            power = math.inf
-        if not math.isfinite(power):
+            peak = math.inf
+        if search_power_overflows(self.n_antennas, peak):
             raise ValueError(
                 f"peak_element_gain_db {self.peak_element_gain_db!r} overflows the "
                 f"beamformed power of {self.n_antennas} antennas"

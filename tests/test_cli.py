@@ -6,6 +6,7 @@ import json
 import multiprocessing
 import os
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -176,15 +177,15 @@ def test_metrics_names_the_file_whose_phase_mixing_fails(tmp_path, capsys):
 
 def test_each_stage_reproduces_its_part_of_a_run(tmp_path, capsys):
     """With a run's config, ``synth`` writes its ``free.field``; ``distort``,
-    given a scenario and its derived seed, that scenario's ``blocked.field``
-    and ``distortion.dist``; ``evaluate`` on that ``blocked.field`` each
-    ``gain_map_<name>.csv`` for every scheme and B; and ``metrics`` each
+    given a scenario and the run's ``--seed``, that scenario's ``blocked.field``
+    and ``distortion.dist``; ``evaluate --scheme <name>`` on that
+    ``blocked.field`` each ``gain_map_<name>.csv``; and ``metrics`` each
     antenna's elemental loss table and line, and each adjacent pair's mixing,
     as ``report.json`` holds them.  The config sets every setting these
     commands read away from its default."""
     config = tiny_config(
         2, array=ArrayConfig(element_spacing=0.7), n_beams=3, steer_quant_bits=3,
-        b_values=(2, 3), g1_db=6.0, g2_db=1.5, percentiles=(20.0, 50.0, 95.0),
+        b_values=(1, 3), g1_db=6.0, g2_db=1.5, percentiles=(20.0, 50.0, 95.0),
     )
     seed, cfg_path, run_dir = 4, tmp_path / "cfg.yaml", tmp_path / "run"
     config_to_yaml(config, cfg_path)
@@ -194,25 +195,23 @@ def test_each_stage_reproduces_its_part_of_a_run(tmp_path, capsys):
     free = run_dir / "free.field"
     assert main(["synth", *cfg, "--out", str(tmp_path / "free.field")]) == 0
     assert (tmp_path / "free.field").read_bytes() == free.read_bytes()
-    schemes = {"mrc": ["--scheme", "mrc"], "directional": ["--scheme", "directional"]}
-    for b in config.b_values:
-        schemes[f"enh_phase_b{b}"] = ["--scheme", "enh-phase", "--B", str(b)]
-        schemes[f"enh_phase_amp_b{b}"] = ["--scheme", "enh-phase-amp", "--B", str(b)]
     n = config.array.n_antennas
-    for index, scenario in enumerate(config.scenarios):
+    for scenario in config.scenarios:
         sdir, mine = run_dir / scenario, tmp_path / scenario
         mine.mkdir()
-        assert main(["distort", *cfg, "--scenario", scenario, "--seed", str(seed * 1009 + index),
+        assert main(["distort", *cfg, "--scenario", scenario, "--seed", str(seed),
                      "--field", str(free), "--out", str(mine / "blocked.field"),
                      "--dist-out", str(mine / "distortion.dist")]) == 0
         for name in ("blocked.field", "distortion.dist"):
             assert (mine / name).read_bytes() == (sdir / name).read_bytes(), (scenario, name)
         blocked = sdir / "blocked.field"
-        maps = sorted(p.name for p in sdir.glob("gain_map_*.csv"))
-        assert maps == sorted(f"gain_map_{name}.csv" for name in schemes)
-        for name, argv in schemes.items():
+        names = [p.name.removeprefix("gain_map_").removesuffix(".csv")
+                 for p in sorted(sdir.glob("gain_map_*.csv"))]
+        assert len(names) == 2 + 2 * len(config.b_values)
+        for name in names:
             out = mine / f"gain_map_{name}.csv"
-            assert main(["evaluate", *cfg, "--field", str(blocked), "--out", str(out), *argv]) == 0
+            assert main(["evaluate", *cfg, "--field", str(blocked), "--out", str(out),
+                         "--scheme", name]) == 0
             assert out.read_bytes() == (sdir / out.name).read_bytes(), (scenario, name)
         capsys.readouterr()
         assert main(["metrics", *cfg, "--free", str(free), "--blocked", str(blocked),
@@ -269,11 +268,32 @@ def test_distort_refuses_one_path_for_out_and_dist_out(free_file, tmp_path, monk
     assert sorted(p.name for p in tmp_path.iterdir()) == ["free.field"]
 
 
+def test_distort_draws_from_the_config_seed_as_run_does(tmp_path):
+    """Without ``--seed``, a config ``seed`` gives ``distort`` the scenario
+    seed ``run`` derives from it, so their files agree byte for byte."""
+    cfg_path, run_dir = tmp_path / "cfg.yaml", tmp_path / "run"
+    config_to_yaml(tiny_config(2, seed=7), cfg_path)
+    cfg = ["--config", str(cfg_path)]
+    assert main(["run", *cfg, "--out", str(run_dir)]) == 0
+    for scenario in ("grip-a", "grip-b"):
+        mine = tmp_path / scenario
+        mine.mkdir()
+        assert main(["distort", *cfg, "--scenario", scenario, "--field",
+                     str(run_dir / "free.field"), "--out", str(mine / "blocked.field"),
+                     "--dist-out", str(mine / "distortion.dist")]) == 0
+        for name in ("blocked.field", "distortion.dist"):
+            assert (mine / name).read_bytes() == (run_dir / scenario / name).read_bytes()
+
+
 def test_evaluate_all_schemes(free_file, tmp_path):
-    for scheme in ("mrc", "directional", "enh-phase", "enh-phase-amp"):
+    """Every name of the default config's table: mrc, directional and an
+    enhanced pair per B."""
+    names = ["mrc", "directional", "enh_phase_b2", "enh_phase_amp_b2",
+             "enh_phase_b3", "enh_phase_amp_b3"]
+    for scheme in names:
         out = tmp_path / f"{scheme}.csv"
         rc = main(["evaluate", "--field", str(free_file), "--out", str(out),
-                   "--scheme", scheme, "--B", "2"])
+                   "--scheme", scheme])
         assert rc == 0
         header = out.read_text().splitlines()[0]
         assert header == "theta_deg,phi_deg,gain_db"
@@ -291,19 +311,30 @@ def test_evaluate_mrc_builds_no_enhanced_codebook(tmp_path, capsys):
                      "--scheme", scheme]) == 0
         assert len(out.read_text().splitlines()) == 1 + 12 * 24
     out = tmp_path / "enh.csv"
+    capsys.readouterr()
     assert main(["evaluate", "--field", str(field), "--out", str(out),
-                 "--scheme", "enh-phase", "--B", "2"]) == 1
-    assert (
-        f"error: {field}: --B 2 with 12 antennas: enhanced codebook would have 4194304 entries"
-        in capsys.readouterr().err
+                 "--scheme", "enh_phase_b2"]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: {field}: --scheme enh_phase_b2 with 12 antennas: enhanced codebook would have "
+        "4194304 entries"
     )
     assert not out.exists()
 
 
-def test_evaluate_rejects_unknown_scheme(free_file, tmp_path):
-    with pytest.raises(SystemExit):  # argparse choices
-        main(["evaluate", "--field", str(free_file), "--out", str(tmp_path / "x.csv"),
-              "--scheme", "zap"])
+@pytest.mark.parametrize("scheme", ["zap", "enh-phase-amp", "enh_phase_b4"])
+def test_evaluate_rejects_unknown_scheme(tmp_path, monkeypatch, capsys, scheme):
+    """A name outside the config's table, the old ``enh-phase-amp`` spelling
+    and a B the config lacks included, is refused before the field is read,
+    listing the table's names."""
+    monkeypatch.setattr("beamshadow.cli.read_field_file", _no_work)
+    out = tmp_path / "x.csv"
+    rc = main(["evaluate", "--field", "f.field", "--out", str(out), "--scheme", scheme])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: --scheme {scheme}: no such scheme; available: mrc, directional, "
+        "enh_phase_b2, enh_phase_amp_b2, enh_phase_b3, enh_phase_amp_b3\n"
+    )
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_evaluate_refuses_a_field_whose_power_overflows_the_search(tmp_path, capsys):
@@ -318,10 +349,10 @@ def test_evaluate_refuses_a_field_whose_power_overflows_the_search(tmp_path, cap
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         rc = main(["evaluate", "--field", str(blocked), "--out", str(out),
-                   "--scheme", "enh-phase-amp", "--B", "2"])
+                   "--scheme", "enh_phase_amp_b2"])
     err = capsys.readouterr().err
     assert rc == 1
-    assert f"error: {blocked}: " in err
+    assert f"error: {blocked}: its field power overflows the beamformed search" in err
     assert "Traceback" not in err and "Warning" not in err and not caught
     assert not out.exists()
 
@@ -505,7 +536,7 @@ def test_each_command_names_its_out_as_given(
         (["synth", "--config", coarse_config], "./s.field",
          "wrote 4-antenna field on 12x24 grid to ./s.field"),
         (["distort", "--field", str(free), "--scenario", "tight-grip-one-finger", "--seed", "3"],
-         "b.field", "wrote blocked field to b.field (mode=combined, seed=3)"),
+         "b.field", "wrote blocked field to b.field (mode=combined, seed=3027)"),
         (["evaluate", "--field", str(free), "--scheme", "mrc"], "./g.csv",
          "wrote mrc gain map to ./g.csv"),
         (["metrics", "--free", str(free), "--blocked", str(blocked)], "m/",
@@ -829,6 +860,7 @@ MALFORMED = [
     (("b_values",), [2, 2], "error: b_values must be distinct bit widths in 1..16, got [2, 2]"),
     (("b_values",), [0], "error: b_values must be distinct bit widths in 1..16, got [0]"),
     (("steer_quant_bits",), 0, "error: steer_quant_bits must be in 1..16, got 0"),
+    (("n_beams",), 0, "error: n_beams must be >= 1, got 0"),
     (("roi_theta_range",), [10.0, 5.0], "error: roi_theta_range must satisfy lo < hi"),
     (("roi_phi_range",), [200.0, 200.0], "error: roi_phi_range must satisfy lo < hi"),
     (("steer_quant_bits",), 17, "error: steer_quant_bits must be in 1..16, got 17"),
@@ -861,7 +893,7 @@ def test_every_command_refuses_a_malformed_config_alike(tmp_path, capsys, path, 
         ["synth"],
         ["distort", "--field", field, "--scenario", "grip-a"],
         ["metrics", "--free", field, "--blocked", field],
-        ["evaluate", "--field", field, "--scheme", "enh-phase-amp"],
+        ["evaluate", "--field", field, "--scheme", "enh_phase_amp_b2"],
         ["run"],
     ):
         assert main([*argv, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
@@ -870,6 +902,29 @@ def test_every_command_refuses_a_malformed_config_alike(tmp_path, capsys, path, 
     err = errors["run"]
     assert err.startswith("error: ") and (key or str(cfg_path)) in err and "Traceback" not in err
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.yaml"]  # no output, partial or not
+
+
+@pytest.mark.parametrize(
+    "text, line, problem",
+    [
+        ("phi_step_deg: 30\ntheta_step_deg: 30\ntheta_step_deg: 45\n", 3,
+         "repeated key 'theta_step_deg'"),
+        ("array:\n  n_antennas: 2\n  n_antennas: 3\n", 3, "repeated key 'n_antennas'"),
+        ("scenarios:\n  a: {mode: identity}\n  a: {mode: identity}\n", 3, "repeated key 'a'"),
+        ("g1_db: 7.0\n? [1, 2]\n: 3\n", 2, "found unhashable key"),
+    ],
+)
+def test_a_repeated_or_unhashable_yaml_key_is_refused(tmp_path, capsys, text, line, problem):
+    """A key repeated in any mapping of the config is a YAML error naming its
+    line, as an unhashable key is, with exit 1 and no output."""
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(text)
+    for command in ("synth", "run"):
+        assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {cfg_path}:{line}: not a valid YAML file: {problem}\n"
+        assert captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.yaml"]
 
 
 NAN, INF = float("nan"), float("inf")
@@ -1002,7 +1057,7 @@ CLI_OPTIONS = {
     "synth": ["--config", "--out"],
     "distort": ["--config", "--scenario", "--field", "--out", "--dist-out", "--seed"],
     "metrics": ["--config", "--free", "--blocked", "--out"],
-    "evaluate": ["--config", "--field", "--out", "--scheme", "--B"],
+    "evaluate": ["--config", "--field", "--out", "--scheme"],
     "theorem-check": ["--trials", "--seed", "--B", "--n-antennas", "--out"],
     "run": ["--config", "--out", "--seed"],
 }
@@ -1028,6 +1083,26 @@ def test_the_cli_surface_is_pinned():
     assert settings == {name: set() for name in CLI_OPTIONS} | {
         "theorem-check": {"b_values", "n_antennas"}
     }
+
+
+def test_every_readme_command_parses():
+    """Each ``beamshadow ...`` line of README's ``sh`` blocks, its ``\\``
+    continuations joined, parses with the CLI's own parser, and together
+    they show every subcommand."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme.read_text(), re.M | re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line, comments=True)[1:] for line in lines
+                if line.startswith("beamshadow ")]
+    parser = _build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert {argv[0] for argv in commands} == set(sub.choices)
+    for argv in commands:
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"README: beamshadow {shlex.join(argv)}: {err.getvalue()}")
 
 
 def test_console_entry_point_help():

@@ -281,22 +281,32 @@ def test_property_lattice_accepts_exactly_unit_norm_entries(sizes, d1, d2, seed)
 
 def test_enhanced_codebooks_are_built_without_their_matrix():
     """An 18-antenna B=1 lattice has 131072 entries, 37.7 MB as a matrix;
-    neither its codebook nor the scheme table expands it."""
+    neither its codebook nor the scheme table expands it.  The table builds
+    nothing, and its row searches an 18-antenna field one direction at a
+    time, in a few MB."""
     import tracemalloc
 
+    grid = bs.make_grid(90.0, 180.0)
+    field = AntennaFieldMap(grid, np.ones((18, *grid.shape), dtype=complex))
     phase_lattice.cache_clear()
     tracemalloc.start()
     try:
         cbk = enh_phase_codebook(18, 1)
         codebook_peak = tracemalloc.get_traced_memory()[1]
+        phase_lattice.cache_clear()
         tracemalloc.reset_peak()
-        scheme_maps(18, (1,), None, 0.5, 5)
+        maps = scheme_maps((1,), None, 0.5, 5)
         maps_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        gains = maps["enh_phase_b1"](field)
+        search_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert len(cbk) == 2**17
     assert codebook_peak < 1 << 20
     assert maps_peak < 1 << 20
+    assert search_peak < 1 << 23
+    assert np.allclose(gains, 10.0 * math.log10(18))  # equal phases are an entry
 
 
 class TestCodebookMatrix:
