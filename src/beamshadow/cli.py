@@ -16,12 +16,13 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import nullcontext
+from itertools import combinations
 from pathlib import Path
 
 from .codebook import scheme_maps
 from .distortion import apply_distortion, gen_distortion
-from .experiment import ExperimentConfig, config_from_yaml, prefixed, run_experiment, scenario_specs
-from .fields import ArrayConfig, search_power_overflows, synth_freespace_field
+from .experiment import ExperimentConfig, config_from_yaml, run_experiment, scenario_specs
+from .fields import ArrayConfig, prefixed, search_power_overflows, synth_freespace_field
 from .fileio import (
     published,
     read_field_file,
@@ -57,6 +58,15 @@ def _config(args) -> ExperimentConfig:
     return config_from_yaml(args.config) if args.config else ExperimentConfig()
 
 
+def _distinct_files(*flags: tuple[str, str | None]) -> None:
+    """Refuse two ``(flag, path)`` pairs, unset paths skipped, that name one
+    file: an output must not replace an input or another output."""
+    named = [(flag, path) for flag, path in flags if path is not None]
+    for (flag1, path1), (flag2, path2) in combinations(named, 2):
+        if Path(path1).resolve() == Path(path2).resolve():
+            raise ValueError(f"{flag1} {path1} and {flag2} {path2} are the same file")
+
+
 def _cmd_synth(args) -> int:
     config = _config(args)
     with published(args.out, False) as out:
@@ -73,8 +83,7 @@ def _cmd_distort(args) -> int:
     if args.scenario not in specs:
         raise ValueError(f"scenario {args.scenario!r} not found; available: {', '.join(specs)}")
     spec = specs[args.scenario]
-    if args.dist_out is not None and Path(args.dist_out).resolve() == Path(args.out).resolve():
-        raise ValueError(f"--out {args.out} and --dist-out {args.dist_out} are the same file")
+    _distinct_files(("--field", args.field), ("--out", args.out), ("--dist-out", args.dist_out))
     # both are checked before the read and published only when both are written
     with published(args.out, False) as out, (
         nullcontext() if args.dist_out is None else published(args.dist_out, False)
@@ -130,6 +139,7 @@ def _cmd_evaluate(args) -> int:
     )
     if args.scheme not in schemes:
         raise ValueError(f"--scheme {args.scheme}: no such scheme; available: {', '.join(schemes)}")
+    _distinct_files(("--field", args.field), ("--out", args.out))
     with published(args.out, False) as out:
         field = read_field_file(args.field)
         if search_power_overflows(field.n_antennas, float(abs(field.samples).max())):

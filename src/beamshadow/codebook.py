@@ -289,17 +289,17 @@ def directional_codebook(
 ) -> Codebook:
     """Steered-beam codebook on the symmetric beamspace lattice.
 
-    J = ``n_beams`` beams, one per antenna when None.  Beam j (1-based)
-    targets ``u_j = -1 + (2j - 1) / J``; ideal weights
-    ``exp(-1j * 2*pi * spacing * i * u_j) / sqrt(N)`` are phase-quantized to
-    ``quant_bits`` bits and renormalized.
+    J = ``n_beams`` beams, one per antenna when None, at most
+    ``MAX_ENH_ENTRIES``.  Beam j (1-based) targets ``u_j = -1 + (2j - 1) / J``;
+    ideal weights ``exp(-1j * 2*pi * spacing * i * u_j) / sqrt(N)`` are
+    phase-quantized to ``quant_bits`` bits and renormalized.
     """
     if n_antennas < 1:
         raise ValueError("n_antennas must be >= 1")
     n_beams = n_antennas if n_beams is None else n_beams
     _require_int(n_beams, "n_beams")
-    if n_beams < 1:
-        raise ValueError("n_beams must be >= 1")
+    if not 1 <= n_beams <= MAX_ENH_ENTRIES:
+        raise ValueError(f"n_beams must be in 1..{MAX_ENH_ENTRIES}, got {n_beams}")
     if not 1 <= quant_bits <= MAX_PHASE_BITS:
         raise ValueError(f"quant_bits must be in 1..{MAX_PHASE_BITS}, got {quant_bits}")
     j = np.arange(1, n_beams + 1, dtype=float)

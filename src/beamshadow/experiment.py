@@ -1,5 +1,7 @@
 """End-to-end experiment pipeline: synthesize a free-space field, distort it
 per scenario, evaluate every beamforming scheme, and summarize losses.
+``ExperimentConfig`` is checked like every config dataclass (see ``fields``);
+``config_from_dict`` reads a mapping through ``fields.typed``.
 
 The output directory holds ``free.field``, ``report.json`` (all summaries and
 the config echo, sorted keys) and one directory per scenario, whose files are
@@ -18,18 +20,13 @@ the first, then writes ``free.field`` while the children still run.
 from __future__ import annotations
 
 import json
-import math
-import numbers
 import re
-import types
-import typing
-from contextlib import contextmanager
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from itertools import combinations
 
 import numpy as np
 
-from .codebook import MAX_PHASE_BITS, phase_lattice, scheme_maps
+from .codebook import MAX_ENH_ENTRIES, MAX_PHASE_BITS, phase_lattice, scheme_maps
 from .distortion import (
     DistortionField,
     DistortionSpec,
@@ -37,7 +34,8 @@ from .distortion import (
     apply_distortion,
     gen_distortion,
 )
-from .fields import AntennaFieldMap, ArrayConfig, search_power_overflows, synth_freespace_field
+from .fields import AntennaFieldMap, ArrayConfig, prefixed, search_power_overflows
+from .fields import synth_freespace_field, typed, typed_fields
 from .fileio import (
     published,
     write_cdf_csv,
@@ -71,11 +69,6 @@ __all__ = [
 ]
 
 _NAME_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]*")
-_SCALARS = {  # annotation -> (accepted type, noun for the error)
-    int: (numbers.Integral, "an integer"),
-    float: (numbers.Real, "a number"),
-    str: (str, "a string"),
-}
 
 
 def default_scenarios() -> dict[str, DistortionSpec]:
@@ -85,45 +78,18 @@ def default_scenarios() -> dict[str, DistortionSpec]:
     loose grips; two-finger variants add a second dent offset from the
     first.  Centers sit near the default boresight (theta 90, phi 270).
     """
-    return {
-        "tight-grip-one-finger": DistortionSpec(
-            mode="combined",
-            fingers=(FingerSpec(90.0, 255.0, 40.0, 16.0),),
-            phase_std_deg=45.0,
-            amp_std_db=1.5,
-            corr_length_deg=15.0,
-            seed=101,
-        ),
-        "tight-grip-two-finger": DistortionSpec(
-            mode="combined",
-            fingers=(
-                FingerSpec(90.0, 245.0, 34.0, 18.0),
-                FingerSpec(70.0, 290.0, 28.0, 13.0),
-            ),
-            phase_std_deg=55.0,
-            amp_std_db=2.0,
-            corr_length_deg=12.0,
-            seed=102,
-        ),
-        "loose-grip-one-finger": DistortionSpec(
-            mode="combined",
-            fingers=(FingerSpec(90.0, 255.0, 32.0, 9.0),),
-            phase_std_deg=30.0,
-            amp_std_db=1.0,
-            corr_length_deg=18.0,
-            seed=103,
-        ),
-        "loose-grip-two-finger": DistortionSpec(
-            mode="combined",
-            fingers=(
-                FingerSpec(90.0, 245.0, 28.0, 11.0),
-                FingerSpec(70.0, 290.0, 24.0, 8.0),
-            ),
-            phase_std_deg=40.0,
-            amp_std_db=1.5,
-            corr_length_deg=15.0,
-            seed=104,
-        ),
+    # name, fingers (center theta, center phi, radius, depth), phase std, amp std, corr length
+    grips = [
+        ("tight-grip-one-finger", [(90.0, 255.0, 40.0, 16.0)], 45.0, 1.5, 15.0),
+        ("tight-grip-two-finger", [(90.0, 245.0, 34.0, 18.0), (70.0, 290.0, 28.0, 13.0)],
+         55.0, 2.0, 12.0),
+        ("loose-grip-one-finger", [(90.0, 255.0, 32.0, 9.0)], 30.0, 1.0, 18.0),
+        ("loose-grip-two-finger", [(90.0, 245.0, 28.0, 11.0), (70.0, 290.0, 24.0, 8.0)],
+         40.0, 1.5, 15.0),
+    ]
+    return {  # seeds 101..104
+        name: DistortionSpec("combined", [FingerSpec(*f) for f in fingers], phase, amp, corr, seed)
+        for seed, (name, fingers, phase, amp, corr) in enumerate(grips, start=101)
     }
 
 
@@ -146,9 +112,7 @@ class ExperimentConfig:
     scenarios: dict[str, DistortionSpec] = field(default_factory=default_scenarios)
 
     def __post_init__(self):
-        hints = typing.get_type_hints(ExperimentConfig)
-        for f in fields(self):
-            setattr(self, f.name, _typed(hints[f.name], getattr(self, f.name), f.name))
+        typed_fields(self)
         bits, top = self.b_values, MAX_PHASE_BITS
         if not bits or len(set(bits)) < len(bits) or not all(1 <= b <= top for b in bits):
             raise ValueError(f"b_values must be distinct bit widths in 1..{top}, got {list(bits)}")
@@ -156,12 +120,13 @@ class ExperimentConfig:
             raise ValueError(f"steer_quant_bits must be in 1..{top}, got {self.steer_quant_bits}")
         if self.n_beams is not None and self.n_beams < 1:
             raise ValueError(f"n_beams must be >= 1, got {self.n_beams}")
+        if self.n_beams is not None and self.n_beams > MAX_ENH_ENTRIES:
+            raise ValueError(f"n_beams must be <= {MAX_ENH_ENTRIES}, got {self.n_beams}")
         for key in ("roi_theta_range", "roi_phi_range"):
             lo, hi = getattr(self, key)
             if not lo < hi:
                 raise ValueError(f"{key} must satisfy lo < hi, got {[lo, hi]}")
-        with prefixed("percentiles"):
-            check_percentiles(self.percentiles)
+        check_percentiles(self.percentiles)
         steps = f"theta_step_deg {self.theta_step_deg!r} and phi_step_deg {self.phi_step_deg!r}"
         with prefixed(steps):
             grid = make_grid(self.theta_step_deg, self.phi_step_deg)
@@ -183,15 +148,6 @@ class ExperimentConfig:
         return _plain(asdict(self))
 
 
-@contextmanager
-def prefixed(where: str):
-    """Re-raise a ``ValueError`` of the block as one whose message starts ``where: ``."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from None
-
-
 def _plain(value):
     """``asdict`` output with every tuple turned into a list (YAML/JSON ready)."""
     if isinstance(value, dict):
@@ -201,71 +157,8 @@ def _plain(value):
     return value
 
 
-def _typed(hint, value, key: str):
-    """``value`` checked against the annotation ``hint``; the config
-    dataclasses' fields are the whole schema.  A dataclass is built from a
-    mapping or rebuilt from an instance, so both routes run the same checks.
-    Null passes only under ``X | None``; ``int`` refuses floats and booleans,
-    ``float`` booleans, strings, NaN and infinities.  Every error is a
-    ``ValueError`` naming the key path, such as
-    ``scenarios.x.fingers[0].antennas``."""
-    where = f"config key {key!r}" if key else "config"
-    args = typing.get_args(hint)
-    if value is None:
-        if type(None) in args:
-            return None
-        raise ValueError(f"{where} must not be null")
-    if typing.get_origin(hint) is types.UnionType:
-        return _typed(args[0], value, key)  # X | None
-    if is_dataclass(hint):
-        if isinstance(value, hint):
-            value = {f.name: getattr(value, f.name) for f in fields(hint)}
-        if not isinstance(value, dict):
-            raise ValueError(f"{where} must be a mapping, got {value!r}")
-        unknown = set(value) - {f.name for f in fields(hint)}
-        if unknown:
-            raise ValueError(f"unknown keys in {key or 'config'}: {sorted(map(str, unknown))}")
-        required = {f.name for f in fields(hint) if f.default is f.default_factory is MISSING}
-        missing = sorted(required - set(value))
-        if missing:
-            raise ValueError(f"{where} is missing required keys {missing}")
-        hints = typing.get_type_hints(hint)
-        kwargs = {
-            name: _typed(hints[name], v, f"{key}.{name}" if key else name)
-            for name, v in value.items()
-        }
-        if not key:  # the top-level checks name their own keys
-            return hint(**kwargs)
-        with prefixed(where):  # a range check in the dataclass's __post_init__
-            return hint(**kwargs)
-    if typing.get_origin(hint) is dict:
-        if not isinstance(value, dict):
-            raise ValueError(f"{where} must be a mapping, got {value!r}")
-        for name in value:
-            if not isinstance(name, str):
-                raise ValueError(f"{where} needs string keys, got {name!r}")
-        return {name: _typed(args[1], v, f"{key}.{name}") for name, v in value.items()}
-    if typing.get_origin(hint) is tuple:
-        if not isinstance(value, (list, tuple)):
-            raise ValueError(f"{where} must be a list, got {value!r}")
-        if args[-1] is Ellipsis:
-            args = args[:1] * len(value)
-        elif len(value) != len(args):
-            raise ValueError(f"{where} must have {len(args)} items, got {len(value)}")
-        return tuple(_typed(a, v, f"{key}[{i}]") for i, (a, v) in enumerate(zip(args, value)))
-    kind, noun = _SCALARS[hint]
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise ValueError(f"{where} must be {noun}, got {value!r}")
-    if hint is float and not -math.inf < value < math.inf:  # NaN compares false
-        raise ValueError(f"{where} must be finite, got {value!r}")
-    try:
-        return hint(value)
-    except OverflowError:
-        raise ValueError(f"{where} is out of range, got {value!r}") from None
-
-
 def config_from_dict(data: dict) -> ExperimentConfig:
-    return _typed(ExperimentConfig, data, "")
+    return typed(ExperimentConfig, data)
 
 
 def config_from_yaml(path) -> ExperimentConfig:

@@ -1,16 +1,26 @@
-"""Per-antenna complex far-field maps for a linear array.
+"""Per-antenna complex far-field maps for a linear array, and the one
+checker of the config dataclasses.
 
 A field map stores one complex sample (numpy complex128: real/imag pair) per
 antenna per grid direction.  The synthetic free-space model places the array
 on the z axis with half-wavelength-style progressive phase and gives every
 element the same cos^q power envelope around a common boresight, with a
 small constant back-lobe floor so no direction is exactly null.
+
+Every config dataclass (``ArrayConfig``, ``FingerSpec``, ``DistortionSpec``,
+``ExperimentConfig``) opens ``__post_init__`` with ``typed_fields``, so a
+YAML or dict config, a constructor and ``dataclasses.replace`` check alike.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, fields
+import numbers
+import types
+import typing
+from contextlib import contextmanager, nullcontext
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -20,17 +30,97 @@ __all__ = [
     "ArrayConfig",
     "AntennaFieldMap",
     "synth_freespace_field",
-    "require_finite",
+    "typed",
+    "typed_fields",
+    "prefixed",
     "search_power_overflows",
 ]
 
+_SCALARS = {  # annotation -> (accepted type, noun for the error)
+    int: (numbers.Integral, "an integer"),
+    float: (numbers.Real, "a number"),
+    str: (str, "a string"),
+}
+_hints = functools.cache(typing.get_type_hints)
 
-def require_finite(config) -> None:
-    """Refuse a NaN or infinite number in any field of a config dataclass."""
+
+@contextmanager
+def prefixed(where: str):
+    """Re-raise a ``ValueError`` of the block as one whose message starts ``where: ``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
+def typed_fields(config) -> None:
+    """Store each field of the config dataclass ``config`` as ``typed``
+    returns it; every config's ``__post_init__`` opens with this call."""
+    hints = _hints(type(config))
     for f in fields(config):
-        value = getattr(config, f.name)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"{f.name} must be finite, got {value!r}")
+        object.__setattr__(config, f.name, typed(hints[f.name], getattr(config, f.name), f.name))
+
+
+def typed(hint, value, key: str = ""):
+    """``value`` checked against the annotation ``hint``: the config
+    dataclasses' fields are the whole schema.  A mapping is typed key by key
+    and becomes the dataclass, built once (its range checks' errors start
+    ``config key 'K': ``); an instance was checked when it was built.  Null
+    passes only under ``X | None``; ``int`` refuses floats and booleans,
+    ``float`` booleans, strings, NaN and infinities.  Every error is a
+    ``ValueError`` naming the key path, such as
+    ``scenarios.x.fingers[0].antennas``."""
+    where = f"config key {key!r}" if key else "config"
+    args = typing.get_args(hint)
+    if value is None:
+        if type(None) in args:
+            return None
+        raise ValueError(f"{where} must not be null")
+    if typing.get_origin(hint) is types.UnionType:
+        return typed(args[0], value, key)  # X | None
+    if is_dataclass(hint):
+        if isinstance(value, hint):
+            return value
+        if not isinstance(value, dict):
+            raise ValueError(f"{where} must be a mapping, got {value!r}")
+        unknown = set(value) - {f.name for f in fields(hint)}
+        if unknown:
+            raise ValueError(f"unknown keys in {key or 'config'}: {sorted(map(str, unknown))}")
+        required = {f.name for f in fields(hint) if f.default is f.default_factory is MISSING}
+        missing = sorted(required - set(value))
+        if missing:
+            raise ValueError(f"{where} is missing required keys {missing}")
+        hints = _hints(hint)
+        kwargs = {
+            name: typed(hints[name], v, f"{key}.{name}" if key else name)
+            for name, v in value.items()
+        }
+        with prefixed(where) if key else nullcontext():  # the top level names its own keys
+            return hint(**kwargs)
+    if typing.get_origin(hint) is dict:
+        if not isinstance(value, dict):
+            raise ValueError(f"{where} must be a mapping, got {value!r}")
+        for name in value:
+            if not isinstance(name, str):
+                raise ValueError(f"{where} needs string keys, got {name!r}")
+        return {name: typed(args[1], v, f"{key}.{name}") for name, v in value.items()}
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"{where} must be a list, got {value!r}")
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        elif len(value) != len(args):
+            raise ValueError(f"{where} must have {len(args)} items, got {len(value)}")
+        return tuple(typed(a, v, f"{key}[{i}]") for i, (a, v) in enumerate(zip(args, value)))
+    kind, noun = _SCALARS[hint]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{where} must be {noun}, got {value!r}")
+    if hint is float and not -math.inf < value < math.inf:  # NaN compares false
+        raise ValueError(f"{where} must be finite, got {value!r}")
+    try:
+        return hint(value)
+    except OverflowError:
+        raise ValueError(f"{where} is out of range, got {value!r}") from None
 
 
 def search_power_overflows(n_antennas: int, peak: float) -> bool:
@@ -71,7 +161,7 @@ class ArrayConfig:
     backlobe_floor_db: float = -30.0
 
     def __post_init__(self):
-        require_finite(self)
+        typed_fields(self)
         if self.n_antennas < 1:
             raise ValueError("n_antennas must be >= 1")
         if self.element_spacing <= 0.0:
@@ -82,10 +172,9 @@ class ArrayConfig:
             raise ValueError("boresight_theta must be in [0, 180]")
         if self.backlobe_floor_db >= 0.0:
             raise ValueError("backlobe_floor_db must be negative")
-        try:  # the free field's largest |E_i| is its boresight amplitude
-            peak = 10.0 ** (self.peak_element_gain_db / 20.0)
-        except OverflowError:
-            peak = math.inf
+        # the free field's largest |E_i| is its boresight amplitude; the cap keeps
+        # it a float, and any peak past about 1e77 overflows the search already
+        peak = 10.0 ** min(self.peak_element_gain_db / 20.0, 308.0)
         if search_power_overflows(self.n_antennas, peak):
             raise ValueError(
                 f"peak_element_gain_db {self.peak_element_gain_db!r} overflows the "

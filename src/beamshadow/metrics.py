@@ -179,11 +179,14 @@ class CdfSummary:
 
 
 def check_percentiles(percentiles) -> tuple[float, ...]:
-    """Percentiles as floats; raises ValueError for any outside [0, 100]."""
+    """Percentiles as floats; raises a ValueError naming ``percentiles`` for
+    any outside [0, 100] or repeated (a summary keys its values by percent)."""
     ps = tuple(float(p) for p in percentiles)
-    for p in ps:
+    for i, p in enumerate(ps):
         if not 0.0 <= p <= 100.0:
-            raise ValueError(f"percentile {p} outside [0, 100]")
+            raise ValueError(f"percentiles: percentile {p} outside [0, 100]")
+        if p in ps[:i]:
+            raise ValueError(f"percentiles: percentile {p} is repeated")
     return ps
 
 

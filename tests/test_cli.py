@@ -268,6 +268,32 @@ def test_distort_refuses_one_path_for_out_and_dist_out(free_file, tmp_path, monk
     assert sorted(p.name for p in tmp_path.iterdir()) == ["free.field"]
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["evaluate", "--scheme", "mrc", "--out", "./free.field"], "--out ./free.field"),
+        (["distort", "--scenario", "tight-grip-one-finger", "--out", "free.field"],
+         "--out free.field"),
+        (["distort", "--scenario", "tight-grip-one-finger", "--out", "blocked.field",
+          "--dist-out", "free.field"], "--dist-out free.field"),
+    ],
+)
+def test_an_output_onto_the_input_field_is_refused_before_the_read(
+    free_file, tmp_path, monkeypatch, capsys, argv, message
+):
+    """``--out`` or ``--dist-out`` naming the ``--field`` file would replace
+    the input: refused before the read, naming both flags, the field kept."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("beamshadow.cli.read_field_file", _no_work)
+    before = free_file.read_bytes()
+    assert main([*argv, "--field", str(free_file)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: --field {free_file} and {message} are the same file\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["free.field"]
+    assert free_file.read_bytes() == before
+
+
 def test_distort_draws_from_the_config_seed_as_run_does(tmp_path):
     """Without ``--seed``, a config ``seed`` gives ``distort`` the scenario
     seed ``run`` derives from it, so their files agree byte for byte."""
@@ -861,6 +887,8 @@ MALFORMED = [
     (("b_values",), [0], "error: b_values must be distinct bit widths in 1..16, got [0]"),
     (("steer_quant_bits",), 0, "error: steer_quant_bits must be in 1..16, got 0"),
     (("n_beams",), 0, "error: n_beams must be >= 1, got 0"),
+    (("n_beams",), 1_000_001, "error: n_beams must be <= 1000000, got 1000001"),
+    (("percentiles",), [50, 90, 50], "error: percentiles: percentile 50.0 is repeated"),
     (("roi_theta_range",), [10.0, 5.0], "error: roi_theta_range must satisfy lo < hi"),
     (("roi_phi_range",), [200.0, 200.0], "error: roi_phi_range must satisfy lo < hi"),
     (("steer_quant_bits",), 17, "error: steer_quant_bits must be in 1..16, got 17"),

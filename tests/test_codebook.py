@@ -118,6 +118,11 @@ class TestDirectionalCodebook:
         with pytest.raises(ValueError, match="n_beams must be an integer"):
             directional_codebook(4, beams, 0.5, 5)
 
+    def test_beam_count_above_the_entry_limit_refused(self):
+        # checked before the (n_beams, N) weights are allocated
+        with pytest.raises(ValueError, match=r"n_beams must be in 1\.\.1000000, got 1000001"):
+            directional_codebook(4, MAX_ENH_ENTRIES + 1, 0.5, 5)
+
     @pytest.mark.parametrize("n", [1, 4, 5])
     @pytest.mark.parametrize("q", [1, 3, 5, 8, 16])
     @pytest.mark.parametrize("beams", [None, 3])

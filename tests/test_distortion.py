@@ -40,7 +40,7 @@ def test_spec_validation():
         DistortionSpec(mode="phase-screen", phase_std_deg=-1.0)
     with pytest.raises(ValueError, match="corr_length"):
         DistortionSpec(mode="phase-screen", corr_length_deg=0.0)
-    with pytest.raises(ValueError, match="radius_deg must be finite"):
+    with pytest.raises(ValueError, match="'radius_deg' must be finite"):
         FingerSpec(90.0, 255.0, float("nan"), 16.0)
 
 

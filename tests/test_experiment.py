@@ -5,6 +5,7 @@ import os
 import re
 import signal
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,7 @@ from beamshadow.experiment import (
     resolve_workers,
     run_experiment,
 )
+from beamshadow.fields import ArrayConfig
 
 
 def tiny_config(n_scenarios=1, **overrides):
@@ -314,11 +316,32 @@ def test_non_integer_config_integers_refused(path, value, key):
 
 
 @pytest.mark.parametrize(
-    "overrides", [{"steer_quant_bits": 5.5}, {"n_beams": 2.5}, {"b_values": (2.7, True)}]
+    "build, message",
+    [
+        (lambda: tiny_config(1, steer_quant_bits=5.5), "'steer_quant_bits' must be an integer"),
+        (lambda: tiny_config(1, n_beams=2.5), "'n_beams' must be an integer"),
+        (lambda: tiny_config(1, b_values=(2.7, True)), r"'b_values\[0\]' must be an integer"),
+        # np.arange(2.5) would synthesize a 3-antenna field
+        (lambda: ArrayConfig(n_antennas=2.5), "'n_antennas' must be an integer, got 2.5"),
+        (lambda: ArrayConfig(n_antennas=True), "'n_antennas' must be an integer, got True"),
+        (lambda: ArrayConfig(element_spacing="0.5"), "'element_spacing' must be a number"),
+        (lambda: DistortionSpec(seed=1.5), "'seed' must be an integer, got 1.5"),
+        (
+            lambda: FingerSpec(90.0, 255.0, 30.0, 10.0, antennas=[0.0]),
+            r"'antennas\[0\]' must be an integer, got 0.0",
+        ),
+        (lambda: DistortionSpec(fingers=({"a": 1},)), r"unknown keys in fingers\[0\]: \['a'\]"),
+    ],
+    ids=[
+        "steer_quant_bits", "n_beams", "b_values", "n_antennas-float", "n_antennas-bool",
+        "element_spacing-str", "spec-seed", "finger-antennas", "finger-mapping",
+    ],
 )
-def test_non_integer_config_integers_refused_by_constructor(overrides):
-    with pytest.raises(ValueError, match="must be an integer"):
-        tiny_config(1, **overrides)
+def test_non_integer_config_integers_refused_by_constructor(build, message):
+    """A config built in Python is checked as the same config read from
+    YAML is, naming the field."""
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def key_paths(node, prefix=()):
@@ -364,6 +387,44 @@ def test_config_from_dict_refuses_only_by_value_error_and_round_trips(path, new_
     with tempfile.TemporaryDirectory() as tmp:
         config_to_yaml(cfg, Path(tmp) / "cfg.yaml")
         assert config_from_yaml(Path(tmp) / "cfg.yaml") == cfg
+
+
+PROPERTY_CONFIG = config_from_dict(PROPERTY_BASE)
+# each config dataclass of PROPERTY_CONFIG, keyed by its path in PROPERTY_BASE
+CONFIG_OBJECTS = {
+    (): PROPERTY_CONFIG,
+    ("array",): PROPERTY_CONFIG.array,
+    ("scenarios", "grip-a"): PROPERTY_CONFIG.scenarios["grip-a"],
+    ("scenarios", "grip-a", "fingers", 0): PROPERTY_CONFIG.scenarios["grip-a"].fingers[0],
+}
+CONFIG_FIELDS = [(path, f.name) for path, obj in CONFIG_OBJECTS.items() for f in fields(obj)]
+
+
+@given(
+    where=st.sampled_from(CONFIG_FIELDS),
+    value=st.integers(0, 4) | st.floats(0.5, 90.0) | JSON_LIKE,
+)
+def test_a_constructor_refuses_a_value_exactly_when_the_dict_route_does(where, value):
+    """For any field of ``ExperimentConfig``, ``ArrayConfig``,
+    ``DistortionSpec`` and ``FingerSpec``, the class called with the value
+    in that field fails (with ``ValueError`` only) exactly when
+    ``config_from_dict`` fails with the value at that key path."""
+    path, name = where
+    obj = CONFIG_OBJECTS[path]
+    kwargs = {f.name: getattr(obj, f.name) for f in fields(obj)}
+    data = config_dict_with((*path, name), copy.deepcopy(value), copy.deepcopy(PROPERTY_BASE))
+    refused = []
+    for build in (
+        lambda: type(obj)(**{**kwargs, name: copy.deepcopy(value)}),
+        lambda: config_from_dict(data),
+    ):
+        try:
+            build()
+        except ValueError:
+            refused.append(True)
+        else:
+            refused.append(False)
+    assert refused[0] == refused[1]
 
 
 needs_fork = pytest.mark.skipif(

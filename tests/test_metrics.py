@@ -169,6 +169,9 @@ class TestCdfSummary:
             cdf_summary([1.0, math.nan], PERCENTILES)
         with pytest.raises(ValueError, match="outside"):
             cdf_summary([1.0], percentiles=(120.0,))
+        # to_dict keys the values by percent: a repeat would drop a row
+        with pytest.raises(ValueError, match="percentiles: percentile 50.0 is repeated"):
+            cdf_summary([1.0], percentiles=(50, 90, 50.0))
         with pytest.raises(ValueError, match="weights"):
             cdf_summary([1.0, 2.0], PERCENTILES, weights=[1.0])
         with pytest.raises(ValueError, match="weights"):
