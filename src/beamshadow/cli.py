@@ -19,7 +19,6 @@ from contextlib import nullcontext
 from itertools import combinations
 from pathlib import Path
 
-from .codebook import scheme_maps
 from .distortion import apply_distortion, gen_distortion
 from .experiment import ExperimentConfig, config_from_yaml, run_experiment, scenario_specs
 from .fields import ArrayConfig, prefixed, search_power_overflows, synth_freespace_field
@@ -36,7 +35,6 @@ from .fileio import (
 )
 from .link import theorem_trials
 from .metrics import coverage_stats, elemental_summaries, phase_mixing
-from .sphere import make_grid
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -69,8 +67,8 @@ def _distinct_files(*flags: tuple[str, str | None]) -> None:
 
 def _cmd_synth(args) -> int:
     config = _config(args)
+    grid = config.grid
     with published(args.out, False) as out:
-        grid = make_grid(config.theta_step_deg, config.phi_step_deg)
         field = synth_freespace_field(config.array, grid)
         write_field_file(field, out)
     print(f"wrote {field.n_antennas}-antenna field on {grid.n_theta}x{grid.n_phi} grid to {args.out}")
@@ -134,9 +132,7 @@ def _cmd_metrics(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     config = _config(args)
-    schemes = scheme_maps(
-        config.b_values, config.n_beams, config.array.element_spacing, config.steer_quant_bits
-    )
+    schemes = config.schemes
     if args.scheme not in schemes:
         raise ValueError(f"--scheme {args.scheme}: no such scheme; available: {', '.join(schemes)}")
     _distinct_files(("--field", args.field), ("--out", args.out))
@@ -179,11 +175,7 @@ def _cmd_run(args) -> int:
     print(f"RoI covers {100.0 * report['roi']['area_fraction']:.1f}% of the sphere\n")
     # as metrics' median_loss: the mean when 50 is not among the percentiles
     stat = "median" if 50.0 in config.percentiles else "mean"
-    # the enhanced schemes, in report order, from their gap-to-optimal keys
-    first = next(iter(scenarios.values()))["beamforming_cdfs_db"]
-    enhanced = [
-        k.removeprefix("gap_").removesuffix("_to_optimal_db") for k in first if k.startswith("gap_")
-    ]
+    enhanced = list(config.schemes)[2:]  # after mrc and directional, in report order
     labels = ["opt loss", "dir loss"] + [
         name.replace("enh_phase", "ph").replace("_amp", "+amp").replace("_b", " B=")
         for name in enhanced
@@ -262,8 +254,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, RuntimeError, MemoryError) as exc:
+        # numpy's MemoryError names the allocation; a bare one names nothing
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

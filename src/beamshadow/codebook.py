@@ -54,7 +54,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import AntennaFieldMap
+from .fields import MAX_ANTENNAS, AntennaFieldMap
 from .metrics import NULL_GAIN_DB, power_db
 
 __all__ = [
@@ -182,10 +182,10 @@ def phase_lattice(n_antennas: int, b_bits: int) -> tuple[np.ndarray, ...]:
     phases = phase_levels(b_bits)
     if n_antennas < 1:
         raise ValueError("n_antennas must be >= 1")
-    total = len(phases) ** (n_antennas - 1)
-    if total > MAX_ENH_ENTRIES:
+    bits = b_bits * (n_antennas - 1)  # the lattice has 2**bits entries
+    if bits >= MAX_ENH_ENTRIES.bit_length():  # a huge count is named as a power
         raise ValueError(
-            f"enhanced codebook would have {total} entries "
+            f"enhanced codebook would have {2**bits if bits <= 128 else f'2**{bits}'} entries "
             f"(limit {MAX_ENH_ENTRIES}); reduce B or the antenna count"
         )
     return _level_vectors((np.ones(1),) + (np.exp(1j * phases),) * (n_antennas - 1))
@@ -225,8 +225,8 @@ def _level_vectors(levels: tuple) -> tuple[np.ndarray, ...]:
     refusing an empty tuple, a vector that is empty or not 1-D, and more
     antennas than ``_add_tree`` orders like numpy."""
     out = tuple(np.array(level, dtype=np.complex128) for level in levels)
-    if not 1 <= len(out) <= 64 or any(v.ndim != 1 or v.size < 1 for v in out):
-        raise ValueError("levels must be 1 to 64 non-empty 1-D vectors, one per antenna")
+    if not 1 <= len(out) <= MAX_ANTENNAS or any(v.ndim != 1 or v.size < 1 for v in out):
+        raise ValueError(f"levels must be 1..{MAX_ANTENNAS} non-empty 1-D vectors, one per antenna")
     for v in out:
         v.flags.writeable = False
     return out

@@ -1,7 +1,8 @@
 """End-to-end experiment pipeline: synthesize a free-space field, distort it
 per scenario, evaluate every beamforming scheme, and summarize losses.
-``ExperimentConfig`` is checked like every config dataclass (see ``fields``);
-``config_from_dict`` reads a mapping through ``fields.typed``.
+``ExperimentConfig`` is checked like every config dataclass (see ``fields``)
+and frozen: it is the run's plan, whose ``grid``, ``roi``, ``roi_weights`` and
+``schemes`` the commands read.  ``config_from_dict`` reads a mapping.
 
 The output directory holds ``free.field``, ``report.json`` (all summaries and
 the config echo, sorted keys) and one directory per scenario, whose files are
@@ -93,9 +94,10 @@ def default_scenarios() -> dict[str, DistortionSpec]:
     }
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a run needs; YAML round-trippable."""
+    """Everything a run needs; YAML round-trippable.  Frozen, so the ``grid``,
+    ``roi`` and RoI solid angles ``roi_weights`` that its check builds cannot go stale."""
 
     array: ArrayConfig = field(default_factory=ArrayConfig)
     theta_step_deg: float = 5.0
@@ -132,7 +134,9 @@ class ExperimentConfig:
             grid = make_grid(self.theta_step_deg, self.phi_step_deg)
         theta, phi = list(self.roi_theta_range), list(self.roi_phi_range)
         with prefixed(f"roi_theta_range {theta} and roi_phi_range {phi} on {steps}"):
-            rect_roi(grid, self.roi_theta_range, self.roi_phi_range)
+            roi = rect_roi(grid, self.roi_theta_range, self.roi_phi_range)
+        # not fields: asdict, replace and == see only the config's keys
+        self.__dict__.update(grid=grid, roi=roi, roi_weights=grid.solid_angle_map()[roi.mask])
         if self.seed is not None and self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.scenarios:
@@ -143,6 +147,12 @@ class ExperimentConfig:
                     f"scenario name {name!r} must match {_NAME_RE.pattern} "
                     "(it becomes a directory name)"
                 )
+
+    @property
+    def schemes(self) -> dict:  # the config's codebook.scheme_maps table
+        return scheme_maps(
+            self.b_values, self.n_beams, self.array.element_spacing, self.steer_quant_bits
+        )
 
     def to_dict(self) -> dict:
         return _plain(asdict(self))
@@ -215,14 +225,11 @@ def _run_scenario(
     dist: DistortionField,
     config: ExperimentConfig,
     free: AntennaFieldMap,
-    rect,
-    schemes: dict,
     g_opt_free: np.ndarray,
-    roi_weights: np.ndarray,
     mixing_free: dict,
 ) -> tuple[dict, list]:
     """The scenario's report entry, and its directory's ``(name, writer, value)`` rows."""
-    grid = free.grid
+    grid = config.grid
     blocked = apply_distortion(free, dist)
     elemental = {
         str(i): {**summary.to_dict(), "roi_area_fraction": roi.area_fraction}
@@ -231,8 +238,8 @@ def _run_scenario(
         )
     }
 
-    gains = {scheme: map_of(blocked) for scheme, map_of in schemes.items()}
-    m = rect.mask
+    gains = {scheme: map_of(blocked) for scheme, map_of in config.schemes.items()}
+    m = config.roi.mask
     for scheme, gmap in gains.items():
         # an exact null, or a power that underflows, has no loss to summarize
         null = m & np.isneginf(gmap)
@@ -269,7 +276,7 @@ def _run_scenario(
 
     cdfs, tables = {}, {}
     for key, arr in samples.items():
-        tables[key], cdfs[key] = _both_summaries(arr, roi_weights, config.percentiles)
+        tables[key], cdfs[key] = _both_summaries(arr, config.roi_weights, config.percentiles)
     coverage = coverage_stats(free, blocked, config.g1_db, config.g2_db)
     mixing_blocked = phase_mixing(blocked, combinations(range(blocked.n_antennas), 2))
 
@@ -308,11 +315,10 @@ def _run_scenarios(tasks, out, start: int, stop: int) -> tuple:
 def scenario_specs(config: ExperimentConfig, seed: int | None) -> dict[str, DistortionSpec]:
     """Each scenario's spec as ``run`` draws it: when ``seed``, or else the
     config seed, is set, scenario i draws from ``seed * 1009 + i``."""
-    if seed is not None and seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    seed = config.seed if seed is None else int(seed)
+    if seed is not None:
+        config = replace(config, seed=seed)
     return {
-        name: spec if seed is None else replace(spec, seed=seed * 1009 + i)
+        name: spec if config.seed is None else replace(spec, seed=config.seed * 1009 + i)
         for i, (name, spec) in enumerate(config.scenarios.items())
     }
 
@@ -321,24 +327,21 @@ def run_experiment(config: ExperimentConfig, out_dir, seed: int | None) -> dict:
     """Run every scenario, write the full report tree under out_dir, and
     return the dict that its ``report.json`` holds.
 
-    ``seed`` overrides the config seed unless None, as ``scenario_specs`` says.
+    ``seed`` overrides the config seed unless None, checked as that key is,
+    and seeds the scenarios as ``scenario_specs`` says.
     The scenarios are split by ``forked.split``; the output is the same for
     any split.  out_dir must be absent or an empty directory; the tree is
     built in the sibling ``fileio.published`` yields, once nothing a bad
     config can trip on is left, so a run that fails leaves no tree.
     """
+    seeded = config if seed is None else replace(config, seed=seed)
+    grid, rect, array = config.grid, config.roi, config.array
     with published(out_dir, True) as build:
-        grid = make_grid(config.theta_step_deg, config.phi_step_deg)
-        rect = rect_roi(grid, config.roi_theta_range, config.roi_phi_range)
-        # ExperimentConfig checked those two; a bad config can still trip on the largest lattice
-        array = config.array
+        # a checked config can still trip on the largest lattice
         with prefixed(f"b_values {list(config.b_values)} and array.n_antennas {array.n_antennas}"):
             phase_lattice(array.n_antennas, max(config.b_values))
-        schemes = scheme_maps(
-            config.b_values, config.n_beams, array.element_spacing, config.steer_quant_bits
-        )
 
-        specs = scenario_specs(config, seed)
+        specs = scenario_specs(seeded, None)
         dists = []
         for name, spec in specs.items():
             with prefixed(f"scenarios.{name}"):
@@ -353,14 +356,13 @@ def run_experiment(config: ExperimentConfig, out_dir, seed: int | None) -> dict:
                     f"scenarios.{name}: its amplitude ripple overflows the beamformed power "
                     f"at array.peak_element_gain_db {array.peak_element_gain_db!r}"
                 )
-        g_opt_free = schemes["mrc"](free)
-        roi_weights = grid.solid_angle_map()[rect.mask]
+        g_opt_free = config.schemes["mrc"](free)
         # every scenario's free mixing; one theta row fails before any write
         with prefixed(f"config key 'theta_step_deg' {config.theta_step_deg!r}"):
             mixing_free = phase_mixing(free, combinations(range(array.n_antennas), 2))
 
         tasks = [
-            (name, spec, dist, config, free, rect, schemes, g_opt_free, roi_weights, mixing_free)
+            (name, spec, dist, config, free, g_opt_free, mixing_free)
             for (name, spec), dist in zip(specs.items(), dists)
         ]
 
@@ -380,7 +382,7 @@ def run_experiment(config: ExperimentConfig, out_dir, seed: int | None) -> dict:
         report = {
             "format": "beamshadow-report v1",
             "config": config.to_dict(),
-            "effective_seed": config.seed if seed is None else int(seed),
+            "effective_seed": seeded.seed,
             "grid": {
                 "theta_step_deg": config.theta_step_deg,
                 "phi_step_deg": config.phi_step_deg,
@@ -395,7 +397,7 @@ def run_experiment(config: ExperimentConfig, out_dir, seed: int | None) -> dict:
             },
             "free_field": {
                 "optimal_gain_dbi": _both_summaries(
-                    g_opt_free[rect.mask], roi_weights, config.percentiles
+                    g_opt_free[rect.mask], config.roi_weights, config.percentiles
                 )[1]
             },
             "scenarios": dict(zip(specs, results)),

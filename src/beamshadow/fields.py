@@ -8,8 +8,9 @@ element the same cos^q power envelope around a common boresight, with a
 small constant back-lobe floor so no direction is exactly null.
 
 Every config dataclass (``ArrayConfig``, ``FingerSpec``, ``DistortionSpec``,
-``ExperimentConfig``) opens ``__post_init__`` with ``typed_fields``, so a
-YAML or dict config, a constructor and ``dataclasses.replace`` check alike.
+``ExperimentConfig``) is frozen and opens ``__post_init__`` with ``typed_fields``,
+so a YAML or dict config, a constructor and ``dataclasses.replace`` check
+alike.  An array has 1 to ``MAX_ANTENNAS`` (64) elements.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import numpy as np
 from .sphere import SphericalGrid
 
 __all__ = [
+    "MAX_ANTENNAS",
     "ArrayConfig",
     "AntennaFieldMap",
     "synth_freespace_field",
@@ -42,6 +44,7 @@ _SCALARS = {  # annotation -> (accepted type, noun for the error)
     str: (str, "a string"),
 }
 _hints = functools.cache(typing.get_type_hints)
+MAX_ANTENNAS = 64  # codebook._add_tree follows numpy's sum order up to 64 terms
 
 
 @contextmanager
@@ -137,7 +140,7 @@ class ArrayConfig:
     Attributes
     ----------
     n_antennas:
-        Number of array elements (>= 1), indexed 0..N-1 along the z axis.
+        Number of array elements (1..64), indexed 0..N-1 along the z axis.
     element_spacing:
         Inter-element spacing in wavelengths.
     boresight_theta, boresight_phi:
@@ -162,8 +165,8 @@ class ArrayConfig:
 
     def __post_init__(self):
         typed_fields(self)
-        if self.n_antennas < 1:
-            raise ValueError("n_antennas must be >= 1")
+        if not 1 <= self.n_antennas <= MAX_ANTENNAS:
+            raise ValueError(f"n_antennas must be in 1..{MAX_ANTENNAS}, got {self.n_antennas}")
         if self.element_spacing <= 0.0:
             raise ValueError("element_spacing must be positive")
         if self.element_exponent < 0.0:

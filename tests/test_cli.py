@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import beamshadow.experiment
-from beamshadow import fileio, forked
+from beamshadow import fileio, forked, link
 from beamshadow.cli import _build_parser, main
 from beamshadow.distortion import DistortionSpec, FingerSpec
 from beamshadow.experiment import ExperimentConfig, config_to_yaml
@@ -415,6 +415,10 @@ def test_theorem_check_writes_rows(tmp_path, capsys):
      (["--B", "17"], "--B 17 with --n-antennas 4: b_bits must be in 1..16"),
      (["--n-antennas", "70", "--B", "1"],
       "--B 1 with --n-antennas 70: enhanced codebook would have 590295810358705651712 "
+      "entries (limit 1000000); reduce B or the antenna count"),
+     # refused from the exponent B*(N-1), the count named as a power
+     (["--n-antennas", "1000000000", "--B", "2"],
+      "--B 2 with --n-antennas 1000000000: enhanced codebook would have 2**1999999998 "
       "entries (limit 1000000); reduce B or the antenna count")],
 )
 def test_theorem_check_refusals_name_the_flag_without_output(tmp_path, capsys, argv, message):
@@ -439,6 +443,25 @@ def test_a_negative_seed_flag_is_a_usage_error(free_file, tmp_path, capsys, comm
     err = capsys.readouterr().err
     assert "argument --seed: expected a non-negative integer, got '-1'" in err
     assert [p.name for p in tmp_path.iterdir()] == ["free.field"]
+
+
+@pytest.mark.parametrize(
+    "error, line",
+    [(MemoryError("Unable to allocate 7.45 GiB for an array"),
+      "error: Unable to allocate 7.45 GiB for an array\n"),
+     (MemoryError(), "error: MemoryError\n")],
+)
+def test_running_out_of_memory_is_an_error_line_without_output(
+    tmp_path, capsys, monkeypatch, error, line
+):
+    def exhausted(*args):
+        raise error
+
+    monkeypatch.setattr(link, "_trial_field", exhausted)
+    out = tmp_path / "rows.csv"
+    assert main(["theorem-check", "--trials", "3", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == line
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_theorem_check_names_the_out_path_it_cannot_write(tmp_path, capsys):
@@ -881,6 +904,7 @@ MALFORMED = [
     (("g1_db",), None, "'g1_db'"),
     (("scenarios", "grip-a", "fingers", 0, "radius_deg"), -1, "scenarios.grip-a.fingers[0]"),
     (("array", "n_antennas"), 0, "'array'"),
+    (("array", "n_antennas"), 65, "error: config key 'array': n_antennas must be in 1..64, got 65"),
     (("seed",), -3, "error: seed must be >= 0, got -3"),
     (("scenarios", "grip-a", "seed"), -3, "'scenarios.grip-a': seed must be >= 0, got -3"),
     (("b_values",), [2, 2], "error: b_values must be distinct bit widths in 1..16, got [2, 2]"),

@@ -167,6 +167,19 @@ class TestEnhancedCodebooks:
             enh_phase_codebook(9, 3)
         assert MAX_ENH_ENTRIES == 1_000_000
 
+    def test_size_guard_refuses_exactly_the_lattices_past_the_limit(self):
+        """The guard reads the exponent B*(N-1); it refuses exactly when the
+        count (2**B)**(N-1) exceeds ``MAX_ENH_ENTRIES``."""
+        for n in range(1, 25):
+            for b in range(1, 17):
+                too_big = (2**b) ** (n - 1) > MAX_ENH_ENTRIES
+                try:
+                    phase_lattice(n, b)
+                except ValueError as exc:
+                    assert too_big and "entries (limit 1000000)" in str(exc), (n, b)
+                else:
+                    assert not too_big, (n, b)
+
     @pytest.mark.parametrize("n", [1, 2])
     def test_b_bits_range_does_not_depend_on_antenna_count(self, n):
         for b in (0, 17):

@@ -5,9 +5,10 @@ import os
 import re
 import signal
 import tempfile
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -24,8 +25,11 @@ from beamshadow.experiment import (
     default_scenarios,
     resolve_workers,
     run_experiment,
+    scenario_specs,
 )
 from beamshadow.fields import ArrayConfig
+from beamshadow.metrics import rect_roi
+from beamshadow.sphere import make_grid
 
 
 def tiny_config(n_scenarios=1, **overrides):
@@ -113,6 +117,13 @@ class TestConfigValidation:
         data["scenarios"]["grip-a"]["zap"] = 1
         with pytest.raises(ValueError, match="zap"):
             config_from_dict(data)
+
+    def test_a_config_is_frozen(self):
+        cfg = tiny_config()
+        for name, value in (("seed", 3), ("theta_step_deg", 30.0)):
+            with pytest.raises(FrozenInstanceError):
+                setattr(cfg, name, value)
+        assert cfg.seed is None and cfg.grid.theta_step == 15.0
 
     def test_null_only_for_nullable_keys(self):
         data = tiny_config().to_dict()
@@ -427,6 +438,37 @@ def test_a_constructor_refuses_a_value_exactly_when_the_dict_route_does(where, v
     assert refused[0] == refused[1]
 
 
+GRID_KEYS = [("theta_step_deg",), ("phi_step_deg",)] + [
+    (key, i) for key in ("roi_theta_range", "roi_phi_range") for i in (0, 1)
+]
+
+
+@given(
+    edits=st.lists(
+        st.tuples(
+            st.sampled_from(GRID_KEYS),
+            st.sampled_from([2, 7.5, 10.0, 45, 90]) | st.floats(1.0, 360.0) | JSON_LIKE,
+        ),
+        max_size=3,
+    ),
+)
+def test_a_config_keeps_the_grid_and_roi_its_keys_build(edits):
+    """A valid config's ``grid`` and ``roi`` are what ``make_grid`` and
+    ``rect_roi`` build from its keys, and ``roi_weights`` the RoI's solid angles."""
+    data = copy.deepcopy(PROPERTY_BASE)
+    for path, value in edits:
+        data = config_dict_with(path, value, data)
+    try:
+        cfg = config_from_dict(data)
+    except ValueError:
+        return
+    grid = make_grid(cfg.theta_step_deg, cfg.phi_step_deg)
+    mask = rect_roi(grid, cfg.roi_theta_range, cfg.roi_phi_range).mask
+    assert cfg.grid == grid and cfg.roi.grid == grid
+    assert np.array_equal(cfg.roi.mask, mask)
+    assert np.array_equal(cfg.roi_weights, grid.solid_angle_map()[mask])
+
+
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
 )
@@ -547,6 +589,21 @@ class TestSeedOverride:
         out = tmp_path / "seeded"
         with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
             run_experiment(tiny_config(2), out, seed=-1)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "seed, message",
+        [(1.5, r"'seed' must be an integer, got 1\.5"),
+         (True, "'seed' must be an integer, got True"),
+         ("2", "'seed' must be an integer, got '2'"),
+         (-3, r"^seed must be >= 0, got -3$")],
+    )
+    def test_an_override_is_checked_as_the_config_seed(self, tmp_path, seed, message):
+        """A float, bool or string override is refused, not truncated, before any tree."""
+        with pytest.raises(ValueError, match=message):
+            scenario_specs(default_config(), seed)
+        with pytest.raises(ValueError, match=message):
+            run_experiment(tiny_config(2), tmp_path / "seeded", seed=seed)
         assert list(tmp_path.iterdir()) == []
 
     def test_no_override_keeps_scenario_seeds(self, tmp_path):

@@ -1,5 +1,6 @@
-"""Module boundaries: no private helper is imported from another module, and
-the CLI imports its heavy or process-starting dependencies only on use."""
+"""Module boundaries: no private helper is imported from another module, the
+CLI imports its heavy or process-starting dependencies only on use, and every
+config dataclass is frozen and checked by one walker."""
 
 import ast
 import os
@@ -24,6 +25,28 @@ def test_no_private_names_imported_across_modules():
                     if alias.name.startswith("_")
                 ]
     assert not offenders, "\n".join(offenders)
+
+
+CONFIG_CLASSES = {"ArrayConfig", "FingerSpec", "DistortionSpec", "ExperimentConfig"}
+
+
+def test_every_config_dataclass_is_frozen_and_opens_its_check_with_typed_fields():
+    """The config dataclasses, and no other class, call ``typed_fields``: each
+    is frozen, so what its check built (``ExperimentConfig.grid``) cannot go
+    stale, and opens ``__post_init__`` with ``typed_fields(self)``."""
+    checks = {}
+    for path in sorted(Path(beamshadow.__file__).parent.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(cls, ast.ClassDef):
+                methods = [m for m in cls.body if isinstance(m, ast.FunctionDef)]
+                checks |= {
+                    f"{cls.name}.{m.name}": m for m in methods if "typed_fields(" in ast.unparse(m)
+                }
+    assert set(checks) == {f"{name}.__post_init__" for name in CONFIG_CLASSES}
+    for name in CONFIG_CLASSES:
+        assert getattr(beamshadow, name).__dataclass_params__.frozen, f"{name} is not frozen"
+        first = checks[f"{name}.__post_init__"].body[0]
+        assert ast.unparse(first) == "typed_fields(self)", f"{name} checks before typing"
 
 
 def test_only_forked_starts_processes_and_only_through_split():
