@@ -3,8 +3,9 @@
 
 Sweeps theta at phi=270 on the config's theta step, compares the directional
 codebook against optimal combining, writes the cut to a CSV, and prints the
-beam-center and crossover extremes of the gap.  The array, the beam count
-and the steering quantization come from the config too.
+beam-center and crossover extremes of the gap.  The array comes from the
+config, and both gain maps from its scheme table (``config.schemes``), so
+the beam count and the steering quantization do too.
 """
 
 import argparse
@@ -12,14 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from beamshadow import (
-    config_from_yaml,
-    default_config,
-    directional_codebook,
-    gain_map,
-    make_grid,
-    synth_freespace_field,
-)
+from beamshadow import config_from_yaml, default_config, make_grid, synth_freespace_field
 
 
 def main() -> None:
@@ -29,16 +23,12 @@ def main() -> None:
     args = ap.parse_args()
 
     config = config_from_yaml(args.config) if args.config else default_config()
-    array = config.array
     grid = make_grid(config.theta_step_deg, 45.0)
-    fld = synth_freespace_field(array, grid)
-    cbk = directional_codebook(
-        array.n_antennas, config.n_beams, array.element_spacing, config.steer_quant_bits
-    )
+    fld = synth_freespace_field(config.array, grid)
 
     col = list(grid.phis).index(270.0)
-    g_opt = gain_map("mrc", fld)[:, col]
-    g_dir = gain_map(cbk, fld)[:, col]
+    g_opt = config.schemes["mrc"](fld)[:, col]
+    g_dir = config.schemes["directional"](fld)[:, col]
     gap = g_opt - g_dir
 
     args.out.parent.mkdir(parents=True, exist_ok=True)

@@ -3,7 +3,7 @@
 Schemes
 -------
 - MRC: per-direction matched combining, the gain upper bound
-  ``10*log10(sum |E_i|^2)``; ``gain_map("mrc", field)`` maps it.
+  ``10*log10(sum |E_i|^2)``; the ``"mrc"`` function of ``scheme_maps`` maps it.
 - Directional codebook: J steered beams on the symmetric beamspace lattice
   ``u_j = -1 + (2j - 1)/J`` with per-element phase quantization.
 - Enhanced phase codebook: every combination of B-bit phases on antennas
@@ -11,10 +11,16 @@ Schemes
 - Enhanced phase+amplitude codebook: the same phase lattice with per-antenna
   magnitudes proportional to measured element strengths.
 
-A ``Codebook`` keeps only what the search reads: an (entries, N) matrix of
-unit-norm rows or an enhanced codebook's level vectors (below).  The
-phase+amplitude codebook is trained per direction, so ``amp_gain_map``
-searches the phase lattice on strength-weighted field vectors instead.
+A ``Codebook`` keeps only what the search reads, its ``weights``: N
+read-only complex arrays, one per antenna, that broadcast together to the
+entries' shape; entry k is the C-order element k of each.  A directional
+codebook's N columns share one entry axis.  An enhanced codebook is a
+lattice: ``phase_lattice`` places antenna i's 2**B levels on axis i, so
+entry k takes antenna i's weight from the i-th base-2**B digit of k
+(antenna 1 fixed, antenna 2 the slowest digit), and its (entries x N)
+matrix is never formed.  The phase+amplitude codebook is trained per
+direction, so ``amp_gain_map`` searches the phase lattice on
+strength-weighted field vectors instead.
 
 Search
 ------
@@ -24,25 +30,19 @@ It computes exactly what enumerating entries one at a time computes, so
 every map and a naive exhaustive search agree bit for bit (BLAS matmul
 would not):
 
-- each response ``sum_i conj(w_ki) * e_i`` is added in the order numpy's
-  own ``.sum(axis=-1)`` adds a complex row of N terms (``_add_tree``);
+- each antenna's term ``conj(w_i) * e_i`` is formed in the entries' broadcast
+  shape, and the terms are added in the order numpy's own ``.sum(axis=-1)``
+  adds a complex row of N terms (``_add_tree``);
+- the add tree's last add is done on the real and imaginary parts apart,
+  into contiguous float arrays that are squared and summed in place;
+  complex addition is componentwise, so the responses' parts are bitwise
+  those of the complex add;
 - power is ``re*re + im*im`` (``x**2`` may take a libm route);
-- on a lattice the add tree's last add, the only one of entry size, is done
-  on the real and imaginary parts apart, into contiguous float arrays that
-  are squared and summed in place; complex addition is componentwise, so
-  the responses' parts are bitwise those of the complex add;
 - dB values come from scalar ``math.log10``; ``np.log10`` can differ in
   the last bit.
 
-Enhanced codebooks are lattices: entry k takes antenna i's weight from the
-i-th base-2**B digit of k (antenna 1 fixed, antenna 2 the slowest digit),
-so antenna i has only 2**B distinct weights.  Their ``Codebook.weights``
-are these level vectors; given them as a tuple, ``best_entries`` forms
-2**B products ``conj(w) * e_i`` per antenna, and broadcasting them through
-the add tree yields every entry's response without forming the
-(entries x antennas) product.  A matrix is multiplied whole; no lattice is
-read back from one.  Field vectors are processed in blocks of at most
-``_BLOCK_PRODUCTS`` entry-vector pairs, which bounds the temporaries.
+Field vectors are processed in blocks of at most ``_BLOCK_PRODUCTS``
+entry-vector pairs, which bounds the temporaries.
 """
 
 from __future__ import annotations
@@ -85,55 +85,45 @@ _NEGATIVE_ZERO = complex(-0.0, -0.0)
 
 @dataclasses.dataclass(eq=False)
 class Codebook:
-    """The entries ``best_entries`` searches, ``weights``: a read-only
-    (entries, N) complex matrix of weight vectors or a tuple of per-antenna
-    level vectors, whose lattice is the entries.  Checked once: finite, every
-    entry's norm ``sqrt(sum re*re + im*im)`` within 1e-12 of 1.  A lattice
-    checks two entries, of each antenna's smallest and of its largest squared
-    level (argmin/argmax pick a NaN); every other entry's norm lies between."""
+    """The entries ``best_entries`` searches: ``weights``, N read-only complex
+    arrays that broadcast together, entry k the C-order element k of each.
+    Checked once, ``_BLOCK_PRODUCTS // N`` entries at a time: every entry's
+    norm ``sqrt(sum re*re + im*im)`` is finite and within 1e-12 of 1."""
 
-    weights: np.ndarray | tuple[np.ndarray, ...]
+    weights: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        if isinstance(self.weights, tuple):
-            w = _level_vectors(self.weights)
-            powers = [v.real * v.real + v.imag * v.imag for v in w]
-            picks = [[int(p.argmin()) for p in powers], [int(p.argmax()) for p in powers]]
-            rows = np.array([[v[i] for v, i in zip(w, pick)] for pick in picks])
-        else:
-            w = rows = np.array(self.weights, dtype=np.complex128, order="C")
-            if w.ndim != 2 or w.size < 1:
-                raise ValueError("weight matrix must be a non-empty (entries, antennas) array")
-            w.flags.writeable = False
-        if not np.isfinite(rows).all():
-            raise ValueError("weights must be finite")
-        # a C-ordered row sum adds each row as a 1-D .sum does
-        norms = np.sqrt((rows.real * rows.real + rows.imag * rows.imag).sum(axis=1))
-        bad = np.flatnonzero(np.abs(norms - 1.0) > 1e-12)
-        if bad.size:
-            k = int(bad[0])
-            where = f"the entry of levels {picks[k]}" if isinstance(w, tuple) else f"entry {k}"
-            raise ValueError(
-                f"{where}: weight vector norm {norms[k]} deviates from 1 by more than 1e-12"
-            )
-        self.weights = w
+        w = self.weights = tuple(np.array(v, dtype=np.complex128) for v in self.weights)
+        for v in w:
+            v.flags.writeable = False
+        n_entries = len(self)  # refuses a malformed tuple
+        step = max(1, _BLOCK_PRODUCTS // len(w))
+        for lo in range(0, n_entries, step):
+            rows = _entry_rows(w, lo, lo + step)
+            # a C-ordered row sum adds each row as a 1-D .sum does; a weight
+            # that is not finite makes a norm that is not, which fails too
+            norms = np.sqrt((rows.real * rows.real + rows.imag * rows.imag).sum(axis=1))
+            bad = np.flatnonzero(~(np.abs(norms - 1.0) <= 1e-12))
+            if bad.size:
+                k = int(bad[0])
+                raise ValueError(
+                    f"entry {lo + k}: weight vector norm {norms[k]} deviates from 1 by more "
+                    "than 1e-12"
+                )
 
     @property
     def weight_matrix(self) -> np.ndarray:
-        """The read-only (entries, N) matrix; a lattice is expanded on each read."""
-        if not isinstance(self.weights, tuple):
-            return self.weights
-        w = np.stack([g.reshape(-1) for g in np.meshgrid(*self.weights, indexing="ij")], 1)
+        """The read-only (entries, N) matrix, expanded on each read."""
+        w = _entry_rows(self.weights, 0, len(self))
         w.flags.writeable = False
         return w
 
     @property
     def n_antennas(self) -> int:
-        return len(self.weights) if isinstance(self.weights, tuple) else self.weights.shape[1]
+        return len(self.weights)
 
     def __len__(self) -> int:
-        w = self.weights
-        return math.prod(v.size for v in w) if isinstance(w, tuple) else len(w)
+        return math.prod(_entry_shape(self.weights))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -173,7 +163,8 @@ def phase_levels(b_bits: int) -> np.ndarray:
 @lru_cache(maxsize=64)
 def phase_lattice(n_antennas: int, b_bits: int) -> tuple[np.ndarray, ...]:
     """Per-antenna levels of the unnormalized B-bit phase lattice: ``[1]`` for
-    antenna 1, ``e^{j phi}`` of the 2**B ``phase_levels`` for each other.
+    antenna 1, ``e^{j phi}`` of the 2**B ``phase_levels`` for each other,
+    antenna i's on axis i of the entries' shape, as ``Codebook`` weights.
 
     The enhanced phase codebook is these levels over sqrt(N); the amplitude
     codebook scales antenna i's by sqrt(S_i / sum S).
@@ -188,7 +179,11 @@ def phase_lattice(n_antennas: int, b_bits: int) -> tuple[np.ndarray, ...]:
             f"enhanced codebook would have {2**bits if bits <= 128 else f'2**{bits}'} entries "
             f"(limit {MAX_ENH_ENTRIES}); reduce B or the antenna count"
         )
-    return _level_vectors((np.ones(1),) + (np.exp(1j * phases),) * (n_antennas - 1))
+    levels = [np.ones(1, dtype=np.complex128)] + [np.exp(1j * phases)] * (n_antennas - 1)
+    placed = tuple(v.reshape((-1,) + (1,) * (n_antennas - 1 - i)) for i, v in enumerate(levels))
+    for v in placed:
+        v.flags.writeable = False
+    return placed
 
 
 def _add_tree(terms: list) -> tuple:
@@ -198,7 +193,7 @@ def _add_tree(terms: list) -> tuple:
     (r0 + r1) + (r2 + r3), then the remainder left to right.  Terms may be
     broadcastable arrays.  A single term comes with ``-0.0 - 0.0j``, which
     adds exactly, signed zeros included.  (numpy splits rows of more than 64
-    terms in halves, so ``best_entries`` refuses wider level tuples.)
+    terms in halves, so ``best_entries`` refuses wider weight tuples.)
     """
     n = len(terms)
     if n == 1:
@@ -220,61 +215,58 @@ def _add_tree(terms: list) -> tuple:
     return acc, terms[-1]
 
 
-def _level_vectors(levels: tuple) -> tuple[np.ndarray, ...]:
-    """Read-only complex copies of a tuple of per-antenna level vectors,
-    refusing an empty tuple, a vector that is empty or not 1-D, and more
-    antennas than ``_add_tree`` orders like numpy."""
-    out = tuple(np.array(level, dtype=np.complex128) for level in levels)
-    if not 1 <= len(out) <= MAX_ANTENNAS or any(v.ndim != 1 or v.size < 1 for v in out):
-        raise ValueError(f"levels must be 1..{MAX_ANTENNAS} non-empty 1-D vectors, one per antenna")
-    for v in out:
-        v.flags.writeable = False
-    return out
+def _entry_shape(weights: tuple) -> tuple[int, ...]:
+    """The shape the weight arrays broadcast to; refuses no arrays, more than
+    ``_add_tree`` orders like numpy, and arrays that do not broadcast to at
+    least one entry."""
+    try:
+        shape = np.broadcast_shapes(*(np.shape(w) for w in weights))
+    except ValueError:
+        shape = (0,)
+    if not 1 <= len(weights) <= MAX_ANTENNAS or math.prod(shape) < 1:
+        raise ValueError(
+            f"weights must be 1..{MAX_ANTENNAS} arrays, one per antenna, that broadcast "
+            "together to at least one entry"
+        )
+    return shape
 
 
-def best_entries(weights, fields) -> tuple[np.ndarray, np.ndarray]:
+def _entry_rows(weights: tuple, lo: int, hi: int) -> np.ndarray:
+    """Entries lo..hi-1 of a weight tuple (fewer past the last) as the rows
+    of a C-ordered (entries, N) matrix."""
+    return np.stack([v.flat[lo:hi] for v in np.broadcast_arrays(*weights)], axis=1)
+
+
+def best_entries(weights: tuple, fields) -> tuple[np.ndarray, np.ndarray]:
     """Best ``|w_k^H e|^2`` over the entries w_k of ``weights`` for every row
     e of ``fields``, and the lowest index k attaining it.
 
-    ``weights`` is an (entries, N) matrix of entries or a tuple of N level
-    vectors, whose lattice (antenna 1 the slowest digit) is the entries.
-    ``fields`` is (vectors, N); its rows are directions or trials.  Exactly
-    equal to enumerating the entries one at a time (see the module docstring).
+    ``weights`` holds N arrays that broadcast to the entries' shape, entry k
+    the C-order element k of each: a ``Codebook``'s weights or a
+    ``phase_lattice``.  ``fields`` is (vectors, N); its rows are directions
+    or trials.  Exactly equal to enumerating the entries one at a time (see
+    the module docstring).
     """
+    shape = _entry_shape(weights)
+    conj = [np.asarray(w, dtype=np.complex128).conj() for w in weights]
+    n, n_entries = len(conj), math.prod(shape)
     fields = np.asarray(fields, dtype=np.complex128)
-    if isinstance(weights, tuple):
-        conj_levels = [level.conj() for level in _level_vectors(weights)]
-        n, n_entries = len(conj_levels), math.prod(cl.size for cl in conj_levels)
-    else:
-        w_conj = np.asarray(weights, dtype=np.complex128).conj()
-        if w_conj.ndim != 2 or w_conj.shape[0] < 1:
-            raise ValueError("weights must be a non-empty (entries, antennas) matrix")
-        n_entries, n = w_conj.shape
     if fields.ndim != 2 or fields.shape[1] != n:
         raise ValueError(f"fields must be a (vectors, {n}) array")
     n_rows = fields.shape[0]
     best = np.empty(n_rows)
     index = np.empty(n_rows, dtype=np.intp)
     step = max(1, _BLOCK_PRODUCTS // n_entries)
+    column = (-1,) + (1,) * len(shape)
     for lo in range(0, n_rows, step):
         block = np.ascontiguousarray(fields[lo : lo + step])
-        if not isinstance(weights, tuple):
-            z = (w_conj * block[:, None, :]).sum(axis=-1)
-            power = z.real * z.real + z.imag * z.imag
-        else:
-            # term i is (vectors, 1, .., levels at axis i + 1, .., 1):
-            # broadcasting the add tree lays entries out in digit order
-            terms = []
-            for i, cl in enumerate(conj_levels):
-                shape = [len(block)] + [1] * n
-                shape[i + 1] = cl.size
-                terms.append((cl * block[:, i, None]).reshape(shape))
-            left, right = _add_tree(terms)
-            re = np.add(left.real, right.real).reshape(len(block), n_entries)
-            im = np.add(left.imag, right.imag).reshape(len(block), n_entries)
-            re *= re
-            im *= im
-            power = np.add(re, im, out=re)
+        # term i is conj(w_i) * e_i of shape (vectors, entries' shape)
+        left, right = _add_tree([c * block[:, i].reshape(column) for i, c in enumerate(conj)])
+        re = np.add(left.real, right.real).reshape(len(block), n_entries)
+        im = np.add(left.imag, right.imag).reshape(len(block), n_entries)
+        re *= re
+        im *= im
+        power = np.add(re, im, out=re)
         k = power.argmax(axis=1)
         index[lo : lo + step] = k
         best[lo : lo + step] = power[np.arange(len(block)), k]
@@ -311,7 +303,7 @@ def directional_codebook(
     k = np.round(np.mod(np.angle(ideal), 2.0 * math.pi) / step).astype(np.int64) % len(levels)
     w = np.exp(1j * levels[k]) / math.sqrt(n_antennas)
     norms = np.sqrt((w.real * w.real + w.imag * w.imag).sum(axis=1))
-    return Codebook(w / norms[:, None])
+    return Codebook(tuple((w / norms[:, None]).T))
 
 
 def enh_phase_codebook(n_antennas: int, b_bits: int) -> Codebook:
@@ -352,17 +344,9 @@ def _field_vectors(field: AntennaFieldMap) -> np.ndarray:
     return np.ascontiguousarray(field.samples.reshape(field.n_antennas, -1).T)
 
 
-def gain_map(scheme: Codebook | str, field: AntennaFieldMap) -> np.ndarray:
-    """Realized-gain map (dB) of a codebook, or of "mrc" for the bound.
-
-    Exact nulls are -inf.  Codebook cells come from ``best_entries``, so they
-    equal a naive exhaustive search bit for bit.
-    """
-    if isinstance(scheme, str):
-        if scheme != "mrc":
-            raise ValueError(f"unknown scheme {scheme!r}; expected 'mrc' or a Codebook")
-        s = field.samples
-        return power_db((s.real * s.real + s.imag * s.imag).sum(axis=0))
+def gain_map(scheme: Codebook, field: AntennaFieldMap) -> np.ndarray:
+    """Realized-gain map (dB) of a codebook; exact nulls are -inf.  Cells come
+    from ``best_entries``, so they equal a naive exhaustive search bit for bit."""
     if scheme.n_antennas != field.n_antennas:
         raise ValueError("codebook and field antenna counts differ")
     best, _ = best_entries(scheme.weights, _field_vectors(field))
@@ -400,7 +384,9 @@ def scheme_maps(
     builds nothing and fits any antenna count.
     """
     maps = {
-        "mrc": lambda field: gain_map("mrc", field),
+        "mrc": lambda f: power_db(
+            (f.samples.real * f.samples.real + f.samples.imag * f.samples.imag).sum(axis=0)
+        ),
         "directional": lambda field: gain_map(
             directional_codebook(field.n_antennas, n_beams, element_spacing, quant_bits), field
         ),

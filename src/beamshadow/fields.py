@@ -126,11 +126,12 @@ def typed(hint, value, key: str = ""):
         raise ValueError(f"{where} is out of range, got {value!r}") from None
 
 
-def search_power_overflows(n_antennas: int, peak: float) -> bool:
-    """Whether a search of fields whose largest ``|E_i|`` is ``peak`` can
-    overflow: it squares ``|sum_i |E_i| E_i|^2 <= (N * peak**2)**2``."""
-    power = n_antennas * (peak * peak)
-    return not math.isfinite(power * power)
+def search_power_overflows(n_antennas: int, peak: float, smallest: float = 1.0) -> bool:
+    """Whether a search of fields whose ``|E_i|`` lie in [smallest, peak] can leave
+    the float range: it squares ``|sum_i |E_i| E_i|^2 <= (N * peak**2)**2``, and
+    the amplitude search's power of the smallest, ``smallest**4``, can be zero."""
+    power, low = n_antennas * (peak * peak), smallest * smallest
+    return not math.isfinite(power * power) or low * low == 0.0
 
 
 @dataclass(frozen=True)
@@ -142,7 +143,8 @@ class ArrayConfig:
     n_antennas:
         Number of array elements (1..64), indexed 0..N-1 along the z axis.
     element_spacing:
-        Inter-element spacing in wavelengths.
+        Inter-element spacing in wavelengths; the progressive phase
+        ``2*pi * spacing * (N - 1)`` must be finite.
     boresight_theta, boresight_phi:
         Peak direction of the common element envelope, degrees.
     element_exponent:
@@ -152,7 +154,8 @@ class ArrayConfig:
         Elemental gain at boresight, dB.
     backlobe_floor_db:
         Envelope floor relative to the peak, dB (must be negative); keeps
-        the field nonzero behind the array.
+        the field nonzero behind the array, so the fourth power of its
+        amplitude, which the amplitude search forms, must not underflow.
     """
 
     n_antennas: int = 4
@@ -167,8 +170,12 @@ class ArrayConfig:
         typed_fields(self)
         if not 1 <= self.n_antennas <= MAX_ANTENNAS:
             raise ValueError(f"n_antennas must be in 1..{MAX_ANTENNAS}, got {self.n_antennas}")
-        if self.element_spacing <= 0.0:
-            raise ValueError("element_spacing must be positive")
+        # the progressive phase reaches 2*pi * spacing * (N - 1); inf * 0 is NaN
+        if not 0.0 < 2.0 * math.pi * self.element_spacing * max(self.n_antennas - 1, 1) < math.inf:
+            raise ValueError(
+                f"element_spacing must be positive, its phase across the array finite, got "
+                f"{self.element_spacing!r}"
+            )
         if self.element_exponent < 0.0:
             raise ValueError("element_exponent must be >= 0")
         if not 0.0 <= self.boresight_theta <= 180.0:
@@ -182,6 +189,12 @@ class ArrayConfig:
             raise ValueError(
                 f"peak_element_gain_db {self.peak_element_gain_db!r} overflows the "
                 f"beamformed power of {self.n_antennas} antennas"
+            )
+        backlobe = peak * math.sqrt(10.0 ** (self.backlobe_floor_db / 10.0))
+        if search_power_overflows(self.n_antennas, peak, backlobe):
+            raise ValueError(
+                f"backlobe_floor_db {self.backlobe_floor_db!r} at peak_element_gain_db "
+                f"{self.peak_element_gain_db!r} underflows the beamformed power behind the array"
             )
 
 

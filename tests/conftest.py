@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 import beamshadow as bs
-from beamshadow.codebook import best_entries
+from beamshadow.codebook import best_entries, scheme_maps
 
 settings.register_profile(
     "ci",
@@ -80,9 +80,15 @@ def mrc_gain_db(e):
     return -math.inf if total == 0.0 else 10.0 * math.log10(total)
 
 
+def mrc_map(field):
+    """The matched-combining bound's gain map, as the scheme table maps it."""
+    return scheme_maps((), None, 0.5, 5)["mrc"](field)
+
+
 def searched_entry(weights, e):
-    """(gain dB, winning index) of ``best_entries`` on one field vector, the
-    dB taken by scalar ``math.log10`` as the gain maps take it."""
+    """(gain dB, winning index) of ``best_entries`` on one field vector, for
+    a tuple of per-antenna weight arrays (``Codebook.weights``); the dB is
+    taken by scalar ``math.log10`` as the gain maps take it."""
     best, index = best_entries(weights, np.asarray(e, dtype=complex)[None, :])
     p = float(best[0])
     return (-math.inf if p == 0.0 else 10.0 * math.log10(p)), int(index[0])

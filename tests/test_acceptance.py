@@ -18,6 +18,7 @@ import pytest
 
 import beamshadow as bs
 from beamshadow.codebook import (
+    Codebook,
     StrengthVector,
     amp_gain_map,
     best_entries,
@@ -42,7 +43,14 @@ from beamshadow.metrics import (
     power_db,
     rect_roi,
 )
-from conftest import mrc_gain_db, naive_best_entry, phase_pair_field, searched_entry, vector_at
+from conftest import (
+    mrc_gain_db,
+    mrc_map,
+    naive_best_entry,
+    phase_pair_field,
+    searched_entry,
+    vector_at,
+)
 
 
 @pytest.fixture(scope="module")
@@ -75,9 +83,9 @@ def test_criterion_01_no_codebook_beats_optimal_combining():
             (4,) + grid.shape
         )
         fld = AntennaFieldMap(grid=grid, samples=samples, label="random")
-        opt = gain_map("mrc", fld)
-        # single-antenna selection: the identity matrix, searched raw
-        selection, _ = best_entries(np.eye(4), samples.reshape(4, -1).T)
+        opt = mrc_map(fld)
+        # single-antenna selection: the identity's columns, searched raw
+        selection, _ = best_entries(tuple(np.eye(4)), samples.reshape(4, -1).T)
         maps = [gain_map(cbk, fld) for cbk in books] + [
             power_db(selection).reshape(grid.shape),
             amp_gain_map(fld, 2),
@@ -152,7 +160,7 @@ def test_criterion_03_bound_derivation_chain_closes():
 def test_criterion_04_amplitude_scheme_quantization_floor(free_field, blocked_field, rng):
     """Trained phase+amplitude entries stay within the cos(pi/2^B) floor
     of optimal at every direction."""
-    opt = gain_map("mrc", blocked_field)
+    opt = mrc_map(blocked_field)
     worst = {}
     for b in (2, 3):
         floor_db = 20.0 * math.log10(math.cos(math.pi / 2**b))
@@ -172,7 +180,7 @@ def test_criterion_04_amplitude_scheme_quantization_floor(free_field, blocked_fi
         s = StrengthVector(v.real * v.real + v.imag * v.imag)
         for b in (2, 3):
             floor_db = 20.0 * math.log10(math.cos(math.pi / 2**b))
-            g, _ = searched_entry(enh_phase_amp_codebook(4, b, s).weight_matrix, v)
+            g, _ = searched_entry(enh_phase_amp_codebook(4, b, s).weights, v)
             assert g >= mrc_gain_db(v) + floor_db - 1e-9
     print(
         "PASS criterion 4: amp-scheme shortfall floors held "
@@ -206,18 +214,18 @@ def test_criterion_06_search_matches_naive_enumeration(rng):
     """Vectorized winner search == entry-by-entry reference, exactly."""
     grid = bs.make_grid(90.0, 180.0)
     books = [
-        directional_codebook(4, 8, 0.5, 5).weight_matrix,
-        enh_phase_codebook(4, 2).weight_matrix,
-        enh_phase_codebook(4, 3).weight_matrix,
-        np.eye(4, dtype=complex),  # single-antenna selection
+        directional_codebook(4, 8, 0.5, 5),
+        enh_phase_codebook(4, 2),
+        enh_phase_codebook(4, 3),
+        Codebook(tuple(np.eye(4))),  # single-antenna selection
     ]
     for case in range(1000):
         e = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         samples = np.broadcast_to(e[:, None, None], (4,) + grid.shape).copy()
         fld = AntennaFieldMap(grid=grid, samples=samples, label="vec")
-        weights = books[case % len(books)]
-        g_fast, k_fast = searched_entry(weights, vector_at(fld, 0.0, 0.0))
-        g_ref, k_ref = naive_best_entry(weights, e)
+        cbk = books[case % len(books)]
+        g_fast, k_fast = searched_entry(cbk.weights, vector_at(fld, 0.0, 0.0))
+        g_ref, k_ref = naive_best_entry(cbk.weight_matrix, e)
         assert k_fast == k_ref
         assert g_fast == g_ref  # bit-for-bit, not approximately
     print("PASS criterion 6: 1000/1000 searches equal the naive enumeration exactly")

@@ -905,6 +905,8 @@ MALFORMED = [
     (("scenarios", "grip-a", "fingers", 0, "radius_deg"), -1, "scenarios.grip-a.fingers[0]"),
     (("array", "n_antennas"), 0, "'array'"),
     (("array", "n_antennas"), 65, "error: config key 'array': n_antennas must be in 1..64, got 65"),
+    (("array", "element_spacing"), 1e308, "element_spacing"),
+    (("array", "backlobe_floor_db"), -1700.0, "backlobe_floor_db -1700.0 at peak_element_gain_db"),
     (("seed",), -3, "error: seed must be >= 0, got -3"),
     (("scenarios", "grip-a", "seed"), -3, "'scenarios.grip-a': seed must be >= 0, got -3"),
     (("b_values",), [2, 2], "error: b_values must be distinct bit widths in 1..16, got [2, 2]"),

@@ -28,6 +28,7 @@ from beamshadow.fields import AntennaFieldMap
 from conftest import (
     cell_of,
     mrc_gain_db,
+    mrc_map,
     naive_best_entry,
     random_field_vector,
     searched_entry,
@@ -190,7 +191,7 @@ class TestEnhancedCodebooks:
         """E = [1, j, -1, -j] is exactly matched by one 2-bit entry."""
         e = np.array([1.0, 1.0j, -1.0, -1.0j])
         cbk = enh_phase_codebook(4, 2)
-        g, k = searched_entry(cbk.weight_matrix, e)
+        g, k = searched_entry(cbk.weights, e)
         assert k == 27
         assert phase_digits(cbk.weight_matrix[k], 2).tolist() == [0, 1, 2, 3]
         assert g == pytest.approx(10.0 * math.log10(4.0), abs=1e-12)
@@ -222,7 +223,15 @@ class TestEnhancedCodebooks:
 class TestSweepAndWeights:
     def test_beam_weight_norm_guard(self):
         with pytest.raises(ValueError, match="norm"):
-            Codebook(np.array([[1.0, 1.0]], dtype=complex))
+            Codebook((np.ones(1), np.ones(1)))
+
+    def test_a_matrix_is_given_as_its_columns(self):
+        """The N columns of a (J, N) matrix share one entry axis: the codebook
+        has J entries, the matrix's rows, and is not read as a lattice."""
+        matrix = directional_codebook(4, 6, 0.5, 5).weight_matrix
+        cbk = Codebook(tuple(matrix.T))
+        assert (len(cbk), cbk.n_antennas) == (6, 4)
+        assert cbk.weight_matrix.tobytes() == matrix.tobytes()
 
 
 def scalar_row_ok(row):
@@ -239,21 +248,21 @@ def scalar_row_ok(row):
 )
 def test_property_codebook_accepts_exactly_unit_norm_rows(n, offsets, fortran, seed):
     """Rows scaled by 1 + d*1e-13 land on both sides of the 1e-12 tolerance
-    (|d| = 10 sits on it); the whole-matrix check must agree with the
-    scalar check on every row and name the first failing entry."""
+    (|d| = 10 sits on it); the check of the matrix's columns must agree with
+    the scalar check on every row and name the first failing entry."""
     rng = np.random.default_rng(seed)
     rows = rng.standard_normal((len(offsets), n)) + 1j * rng.standard_normal((len(offsets), n))
     rows /= np.linalg.norm(rows, axis=1)[:, None]
     rows *= 1.0 + np.array(offsets)[:, None] * 1e-13
     ok = [scalar_row_ok(r) for r in rows]
-    given_rows = np.asfortranarray(rows) if fortran else rows
+    columns = tuple((np.asfortranarray(rows) if fortran else rows).T)
     if all(ok):
-        cbk = Codebook(given_rows)
+        cbk = Codebook(columns)
         assert cbk.weight_matrix.tobytes() == rows.tobytes()
         assert (len(cbk), cbk.n_antennas) == rows.shape
     else:
         with pytest.raises(ValueError, match=f"entry {ok.index(False)}: weight vector norm"):
-            Codebook(given_rows)
+            Codebook(columns)
 
 
 def levels_with_extreme_norms(sizes, d_low, d_high, rng):
@@ -278,23 +287,26 @@ off_tolerance = st.integers(-15, 15).filter(lambda d: abs(d) != 10)
     st.lists(st.integers(1, 3), min_size=1, max_size=6),
     off_tolerance,
     off_tolerance,
+    st.sampled_from([1, 7, 1 << 14]),
     st.integers(0, 2**32 - 1),
 )
-def test_property_lattice_accepts_exactly_unit_norm_entries(sizes, d1, d2, seed):
-    """A lattice checks two entries, yet must accept exactly when every row
-    of its expanded matrix passes the scalar per-row check."""
+def test_property_lattice_accepts_exactly_unit_norm_entries(sizes, d1, d2, block, seed):
+    """A lattice, checked a block of entries at a time, must accept exactly
+    when every row of its expanded matrix passes the scalar per-row check,
+    and else name the first row that fails."""
     d_low, d_high = sorted((d1, d2)) if math.prod(sizes) > 1 else (d1, d1)
-    levels = levels_with_extreme_norms(sizes, d_low, d_high, np.random.default_rng(seed))
-    ok = all(scalar_row_ok(row) for row in lattice_matrix(levels))
+    levels = placed(levels_with_extreme_norms(sizes, d_low, d_high, np.random.default_rng(seed)))
+    ok = [scalar_row_ok(row) for row in lattice_matrix(levels)]
     # |d| = 10 sits on the tolerance, so the construction lands on one side
-    assert ok == (max(abs(d_low), abs(d_high)) < 10)
-    if ok:
-        cbk = Codebook(levels)
-        assert cbk.weight_matrix.tobytes() == lattice_matrix(levels).tobytes()
-        assert (len(cbk), cbk.n_antennas) == (math.prod(sizes), len(sizes))
-    else:
-        with pytest.raises(ValueError, match="the entry of levels .*: weight vector norm"):
-            Codebook(levels)
+    assert all(ok) == (max(abs(d_low), abs(d_high)) < 10)
+    with mock.patch.object(codebook_module, "_BLOCK_PRODUCTS", block):
+        if all(ok):
+            cbk = Codebook(levels)
+            assert cbk.weight_matrix.tobytes() == lattice_matrix(levels).tobytes()
+            assert (len(cbk), cbk.n_antennas) == (math.prod(sizes), len(sizes))
+        else:
+            with pytest.raises(ValueError, match=f"entry {ok.index(False)}: weight vector norm"):
+                Codebook(levels)
 
 
 def test_enhanced_codebooks_are_built_without_their_matrix():
@@ -334,43 +346,45 @@ class TestCodebookMatrix:
         with pytest.raises(ValueError):
             cbk.weight_matrix[0, 0] = 0.0
 
-    def test_weight_matrix_does_not_alias_the_input(self):
-        rows = np.eye(3, dtype=complex)
-        cbk = Codebook(rows)
-        assert not np.shares_memory(cbk.weight_matrix, rows)
-        assert rows.flags.writeable
-        rows[0] = rows[1]
+    def test_weights_do_not_alias_the_input(self):
+        columns = tuple(np.eye(3, dtype=complex))
+        cbk = Codebook(columns)
+        assert not any(np.shares_memory(w, c) for w, c in zip(cbk.weights, columns))
+        assert all(c.flags.writeable for c in columns)
+        columns[0][:] = columns[1]
         assert np.array_equal(cbk.weight_matrix, np.eye(3))
 
     @pytest.mark.parametrize(
-        "rows, message",
+        "weights, message",
         [
-            (np.array([[1.0, np.nan], [0.0, 1.0]]), "finite"),
-            (np.array([[np.inf, 0.0], [0.0, 1.0]]), "finite"),
-            (np.array([1.0, 0.0]), "non-empty"),
-            (np.zeros((0, 2)), "non-empty"),
-            # a lattice checks two entries, which must take its non-finite levels
-            ((np.full(1, 0.6), np.array([0.8, np.nan, -0.8])), "finite"),
-            ((np.full(1, 0.6), np.array([0.8, np.inf, -0.8])), "finite"),
-            ((np.full(1, 0.6), np.array([0.8, complex(0.8, np.nan), -0.8])), "finite"),
+            # a weight that is not finite makes its entry's norm not finite
+            ((np.array([1.0, 0.0]), np.array([np.nan, 1.0])), "entry 0: weight vector norm nan"),
+            ((np.array([np.inf, 0.0]), np.array([0.0, 1.0])), "entry 0: weight vector norm inf"),
+            ((), "weights must be"),
+            ((np.zeros(0), np.zeros(0)), "weights must be"),
+            ((np.ones(2), np.ones(3)), "weights must be"),
+            # every entry is checked, so each non-finite weight is found
+            ((np.full(1, 0.6), np.array([0.8, np.nan, -0.8])), "entry 1: weight vector norm nan"),
+            ((np.full(1, 0.6), np.array([0.8, np.inf, -0.8])), "entry 1: weight vector norm inf"),
+            ((np.full(1, 0.6), np.array([0.8, complex(0.8, np.nan), -0.8])), "entry 1: .* nan"),
         ],
     )
-    def test_bad_matrices_raise(self, rows, message):
+    def test_bad_weights_raise(self, weights, message):
         with pytest.raises(ValueError, match=message):
-            Codebook(rows)
+            Codebook(weights)
 
 
 class TestMrcAndRealized:
     def test_optimal_gain_equal_amplitudes(self, coarse_grid):
         fld = place_vector(coarse_grid, [1.0, 1.0, 1.0, 1.0])
-        gm = gain_map("mrc", fld)
+        gm = mrc_map(fld)
         assert gm == pytest.approx(np.full(coarse_grid.shape, 10.0 * math.log10(4.0)), abs=1e-12)
 
     def test_realized_never_beats_optimal(self, blocked_field, rng):
         books = [
-            directional_codebook(4, None, 0.5, 5).weight_matrix,
-            enh_phase_codebook(4, 2).weight_matrix,
-            np.eye(4),  # single-antenna selection
+            directional_codebook(4, None, 0.5, 5).weights,
+            enh_phase_codebook(4, 2).weights,
+            tuple(np.eye(4)),  # single-antenna selection
         ]
         thetas = rng.choice(blocked_field.grid.thetas, 10)
         phis = rng.choice(blocked_field.grid.phis, 10)
@@ -382,7 +396,7 @@ class TestMrcAndRealized:
                 assert g <= opt + 1e-9
 
     def test_global_phase_invariance(self, rng):
-        w = enh_phase_codebook(4, 3).weight_matrix
+        w = enh_phase_codebook(4, 3).weights
         for _ in range(20):
             e = random_field_vector(rng)
             g1, k1 = searched_entry(w, e)
@@ -393,7 +407,7 @@ class TestMrcAndRealized:
 
     def test_tie_prefers_first_entry(self):
         # every single-antenna entry sees the same power on an equal-amplitude field
-        _, k = searched_entry(np.eye(4), np.array([1.0, 1.0j, -1.0, 1.0j]))
+        _, k = searched_entry(tuple(np.eye(4)), np.array([1.0, 1.0j, -1.0, 1.0j]))
         assert k == 0
 
 
@@ -405,18 +419,18 @@ class TestGainMaps:
         gm = gain_map(cbk, blocked_field)
         for theta, phi in [(90.0, 270.0), (0.0, 0.0), (175.0, 355.0), (45.0, 180.0)]:
             it, ip = cell_of(coarse_grid, theta, phi)
-            g, _ = searched_entry(cbk.weight_matrix, vector_at(blocked_field, theta, phi))
+            g, _ = searched_entry(cbk.weights, vector_at(blocked_field, theta, phi))
             assert gm[it, ip] == g
 
     def test_mrc_map_matches_optimal(self, blocked_field, coarse_grid):
-        gm = gain_map("mrc", blocked_field)
+        gm = mrc_map(blocked_field)
         it, ip = cell_of(coarse_grid, 100.0, 240.0)
         opt = mrc_gain_db(vector_at(blocked_field, 100.0, 240.0))
         assert gm[it, ip] == pytest.approx(opt, abs=1e-12)
 
-    def test_unknown_scheme_rejected(self, blocked_field):
-        with pytest.raises(ValueError, match="unknown scheme"):
-            gain_map("zap", blocked_field)
+    def test_codebook_of_another_antenna_count_rejected(self, blocked_field):
+        with pytest.raises(ValueError, match="antenna counts differ"):
+            gain_map(enh_phase_codebook(3, 2), blocked_field)
 
     def test_more_phase_bits_never_hurt_anywhere(self, blocked_field):
         g2 = gain_map(enh_phase_codebook(4, 2), blocked_field)
@@ -434,7 +448,7 @@ class TestGainMaps:
         for theta, phi in [(90.0, 270.0), (75.0, 250.0), (130.0, 310.0)]:
             e = vector_at(blocked_field, theta, phi)
             cbk = enh_phase_amp_codebook(4, 2, StrengthVector(e.real * e.real + e.imag * e.imag))
-            g, _ = searched_entry(cbk.weight_matrix, e)
+            g, _ = searched_entry(cbk.weights, e)
             it, ip = cell_of(coarse_grid, theta, phi)
             assert am[it, ip] == pytest.approx(g, abs=1e-9)
 
@@ -448,7 +462,7 @@ class TestGainMaps:
         """
         grid = bs.make_grid(1.0, 45.0)
         fld = bs.synth_freespace_field(bs.ArrayConfig(), grid)
-        gap = gain_map("mrc", fld) - gain_map(directional_codebook(4, None, 0.5, 5), fld)
+        gap = mrc_map(fld) - gain_map(directional_codebook(4, None, 0.5, 5), fld)
         cut = gap[:, list(grid.phis).index(270.0)]
         assert cut.min() <= 0.01
         assert 3.0 <= cut.max() <= 4.2
@@ -459,16 +473,22 @@ class TestGainMaps:
 def test_property_realized_bounded_by_optimal(b, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     e = random_field_vector(rng)
-    g, _ = searched_entry(enh_phase_codebook(4, b).weight_matrix, e)
+    g, _ = searched_entry(enh_phase_codebook(4, b).weights, e)
     assert g <= mrc_gain_db(e) + 1e-9
 
 
 # --- the search kernel against a naive per-entry enumeration -----------------
 
 
+def placed(levels):
+    """1-D level vectors as ``Codebook`` weights: antenna i's on axis i."""
+    return tuple(np.reshape(v, (-1,) + (1,) * (len(levels) - 1 - i)) for i, v in enumerate(levels))
+
+
 def lattice_matrix(levels):
-    """The (entries, N) matrix of a level tuple, antenna 1 the slowest digit."""
-    return np.array(list(itertools.product(*levels)), dtype=complex)
+    """The (entries, N) matrix of a lattice, antenna 1 the slowest digit,
+    enumerated by ``itertools.product`` over its levels."""
+    return np.array(list(itertools.product(*map(np.ravel, levels))), dtype=complex)
 
 
 def naive_search(weights, vectors):
@@ -533,7 +553,7 @@ def test_property_search_equals_naive_enumeration(shape, block, data):
     assert np.isneginf(want_phase_db[zero]).all() and np.isneginf(want_amp_db[zero]).all()
 
     with mock.patch.object(codebook_module, "_BLOCK_PRODUCTS", block):
-        power, index = best_entries(cbk.weight_matrix, vectors)
+        power, index = best_entries(cbk.weights, vectors)
         assert power.tobytes() == want_phase.tobytes()
         assert index.tolist() == want_index.tolist()
         phase_map = gain_map(cbk, fld).reshape(-1)
@@ -543,7 +563,7 @@ def test_property_search_equals_naive_enumeration(shape, block, data):
         for cell in range(0, grid.n_directions, 3):
             it, ip = divmod(cell, grid.n_phi)
             e = vector_at(fld, grid.thetas[it], grid.phis[ip])
-            g, k = searched_entry(cbk.weight_matrix, e)
+            g, k = searched_entry(cbk.weights, e)
             assert (g, k) == (want_phase_db[cell], want_index[cell])
 
 
@@ -552,10 +572,10 @@ def test_property_generic_search_equals_naive_enumeration(n, beams, block, data)
     grid = bs.make_grid(45.0, 90.0)
     fld, vectors, _ = draw_field(data, grid, n)
     cbk = directional_codebook(n, beams, 0.5, 5)
-    for weights in (cbk.weight_matrix, np.eye(n, dtype=complex)):
-        want, want_index = naive_search(weights, vectors)
+    for matrix in (cbk.weight_matrix, np.eye(n, dtype=complex)):
+        want, want_index = naive_search(matrix, vectors)
         with mock.patch.object(codebook_module, "_BLOCK_PRODUCTS", block):
-            power, index = best_entries(weights, vectors)
+            power, index = best_entries(tuple(matrix.T), vectors)
         assert power.tobytes() == want.tobytes()
         assert index.tolist() == want_index.tolist()
     with mock.patch.object(codebook_module, "_BLOCK_PRODUCTS", block):
@@ -578,11 +598,11 @@ LEVELS = st.lists(
 
 @given(LEVELS, st.sampled_from([1, 7, 1 << 14]), st.integers(0, 2**32 - 1))
 def test_property_level_path_equals_matrix_path_and_naive(levels, block, seed):
-    """Any level tuple searches, bit for bit and with the same lowest index,
-    as its expanded matrix searched row by row and as the naive search.
-    Lattices above 2**12 entries are skipped to bound the naive search."""
+    """Any lattice searches, bit for bit and with the same lowest index, as
+    the columns of its expanded matrix and as the naive search.  Lattices
+    above 2**12 entries are skipped to bound the naive search."""
     assume(math.prod(len(v) for v in levels) <= 1 << 12)
-    levels = tuple(np.array(v) for v in levels)
+    levels = placed([np.array(v) for v in levels])
     matrix = lattice_matrix(levels)
     rng = np.random.default_rng(seed)
     n = len(levels)
@@ -591,7 +611,7 @@ def test_property_level_path_equals_matrix_path_and_naive(levels, block, seed):
     vectors[::7] = 0.0
     want, want_index = naive_search(matrix, vectors)
     with mock.patch.object(codebook_module, "_BLOCK_PRODUCTS", block):
-        for weights in (levels, matrix):
+        for weights in (levels, tuple(matrix.T)):
             power, index = best_entries(weights, vectors)
             assert power.tobytes() == want.tobytes()
             assert index.tolist() == want_index.tolist()
@@ -624,31 +644,32 @@ def test_enhanced_weight_matrices_keep_their_bytes(n, b):
 
 
 @pytest.mark.parametrize(
-    "levels",
-    [(), (np.ones(1), np.ones(0)), (np.ones(1), np.ones((2, 2))), (np.ones(1), np.complex128(1.0)),
+    "weights",
+    [(), (np.ones(1), np.ones(0)), (np.ones(2), np.ones(3)), (np.ones((2, 1)), np.ones((3, 2))),
      (np.ones(1),) * 65],
 )
-def test_malformed_level_tuples_are_refused(levels):
-    with pytest.raises(ValueError, match="levels must be"):
-        best_entries(levels, np.ones((3, max(len(levels), 1))))
-    with pytest.raises(ValueError, match="levels must be"):
-        Codebook(levels)
+def test_malformed_weight_tuples_are_refused(weights):
+    with pytest.raises(ValueError, match="weights must be 1..64 arrays"):
+        best_entries(weights, np.ones((3, max(len(weights), 1))))
+    with pytest.raises(ValueError, match="weights must be 1..64 arrays"):
+        Codebook(weights)
 
 
-def test_enhanced_codebooks_keep_read_only_levels():
+def test_every_codebook_keeps_read_only_per_antenna_weights():
     cbk = enh_phase_codebook(3, 2)
-    assert [v.size for v in cbk.weights] == [1, 4, 4]
+    assert [v.shape for v in cbk.weights] == [(1, 1, 1), (4, 1), (4,)]
     assert all(not v.flags.writeable for v in cbk.weights)
     assert all(not v.flags.writeable for v in phase_lattice(3, 2))
     directional = directional_codebook(3, None, 0.5, 5).weights
-    assert directional.shape == (3, 3) and not directional.flags.writeable
+    assert [v.shape for v in directional] == [(3,)] * 3
+    assert all(not v.flags.writeable for v in directional)
 
 
 def test_search_rejects_mismatched_shapes():
     with pytest.raises(ValueError, match="fields must be"):
-        best_entries(np.ones((2, 3)), np.ones((4, 2)))
+        best_entries((np.ones(2),) * 3, np.ones((4, 2)))
     with pytest.raises(ValueError, match="weights must be"):
-        best_entries(np.ones(3), np.ones((4, 3)))
+        best_entries((np.ones(2), np.ones(3)), np.ones((4, 2)))
 
 
 @pytest.mark.parametrize("n", range(1, 21))

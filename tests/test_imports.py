@@ -263,6 +263,37 @@ def test_the_names_the_benchmark_traces_keep_their_parameters():
         assert w.shape == (len(cbk), cbk.n_antennas) and not w.flags.writeable
 
 
+def test_a_codebook_has_one_form():
+    """``Codebook.weights`` is a tuple of per-antenna arrays whichever
+    constructor built it, so neither ``Codebook``, ``best_entries`` nor
+    ``gain_map`` calls ``isinstance``, and no line of ``codebook`` asks
+    whether a value is a tuple."""
+    import inspect
+    import textwrap
+
+    import numpy as np
+
+    from beamshadow import codebook
+
+    def isinstance_calls(tree):
+        return [
+            node for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+        ]
+
+    for obj in (codebook.Codebook, codebook.best_entries, codebook.gain_map):
+        assert not isinstance_calls(ast.parse(textwrap.dedent(inspect.getsource(obj)))), obj
+    module = ast.parse(inspect.getsource(codebook))
+    assert not [c for c in isinstance_calls(module) if ast.unparse(c.args[1]) == "tuple"]
+    for cbk in (
+        codebook.directional_codebook(3, None, 0.5, 5),
+        codebook.enh_phase_codebook(3, 2),
+        codebook.enh_phase_amp_codebook(3, 2, (1.0, 2.0, 0.5)),
+    ):
+        assert type(cbk.weights) is tuple and len(cbk.weights) == cbk.n_antennas == 3
+        assert all(type(w) is np.ndarray for w in cbk.weights)
+
+
 def _bench_assigned(filename: str, name: str) -> ast.expr:
     """The expression assigned to ``name`` at the top level of
     ``bench/<filename>``, read without importing the benchmark."""
